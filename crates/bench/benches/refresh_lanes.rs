@@ -1,4 +1,4 @@
-//! Criterion benchmark for the multi-lane refresh executor, over a
+//! Criterion benchmark for the refresh executor at 1/2/4 lanes, over a
 //! throttled disk that models ONE shared storage device (a read channel
 //! and a write channel; concurrent I/Os share the configured bandwidth).
 //! Lanes therefore win by overlapping the two channels and the catalog,

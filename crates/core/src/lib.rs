@@ -72,7 +72,9 @@ pub use error::OptError;
 pub use memory::MemoryProfile;
 pub use plan::{FlagSet, Plan};
 pub use problem::{MvMeta, Problem};
-pub use replay::{run_ahead_window, AdmissionReplay, ModeReason, NodeMode, RefreshMode};
+pub use replay::{
+    run_ahead_window, AdmissionReplay, CatalogStep, ModeReason, NodeMode, RefreshMode,
+};
 pub use score::{CostModel, ObservedNodeCost};
 
 /// Convenience alias used throughout the crate.

@@ -1,21 +1,21 @@
-//! Deterministic replay of the sequential controller's Memory Catalog
-//! accounting, shared by the engine's multi-lane executor and the
-//! simulator's multi-lane model so their admit-or-fallback decisions can
-//! never drift apart.
+//! Plan-order Memory Catalog accounting — the one admission logic of the
+//! refresh executor (engine) and its discrete-event mirror (simulator), so
+//! their admit-or-fallback decisions can never drift apart.
 //!
-//! The sequential controller walks `plan.order`; at each flagged node with
-//! consumers it admits the output if it fits the remaining budget
-//! (otherwise the node falls back to a blocking write), and after each
-//! node it releases every parent whose consumers have all executed. This
-//! type replays exactly that bookkeeping — incrementally, so the engine
-//! can fix decisions as real output sizes arrive, while the simulator
-//! (which knows all sizes upfront) advances it in one call.
+//! The accounting walks `plan.order`: at each flagged node with consumers
+//! it admits the output if it fits the remaining budget (otherwise the
+//! node falls back to a blocking write), then releases every parent whose
+//! consumers have all executed. [`AdmissionReplay`] performs that walk
+//! incrementally — the engine applies its [`CatalogStep`]s to the real
+//! catalog as output sizes arrive, whatever order the lanes finish in,
+//! while the simulator (which knows all sizes upfront) advances it in one
+//! call.
 
 use serde::{Deserialize, Serialize};
 
 use sc_dag::NodeId;
 
-use crate::plan::Plan;
+use crate::plan::FlagSet;
 
 /// Policy for choosing between full recomputation and incremental (delta)
 /// maintenance of each MV during a refresh run.
@@ -114,26 +114,49 @@ impl ModeReason {
     }
 }
 
+/// One Memory Catalog action of the plan-order accounting, in the order
+/// the executor must apply it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CatalogStep {
+    /// A flagged node with consumers reached its turn: admit its payload
+    /// (`admit`) or fall back to a blocking write. `used` is the bytes
+    /// resident just before the decision.
+    Decide {
+        /// Node index.
+        node: usize,
+        /// Whether the payload fits the remaining budget.
+        admit: bool,
+        /// Bytes resident before this decision.
+        used: u64,
+    },
+    /// Every consumer of the resident `node` has executed: release its
+    /// entry.
+    Release {
+        /// Node index.
+        node: usize,
+    },
+}
+
 /// Incremental replayer for plan-order flag-admission decisions.
 #[derive(Debug, Clone)]
 pub struct AdmissionReplay {
+    order: Vec<usize>,
+    parents: Vec<Vec<usize>>,
     budget: u64,
     used: u64,
+    peak: u64,
     /// First plan position not yet replayed.
     pos: usize,
     resident: Vec<bool>,
     remaining_children: Vec<usize>,
     flagged_with_children: Vec<bool>,
-    /// `Some(admit)` once the node's position has been replayed; only
-    /// meaningful for flagged nodes with consumers.
-    decisions: Vec<Option<bool>>,
 }
 
 impl AdmissionReplay {
-    /// Builds a replayer for `plan` over a DAG given as per-node parent
-    /// lists (indices into the node set). `budget` is the Memory Catalog
-    /// size `M`.
-    pub fn new(plan: &Plan, parents: &[Vec<usize>], budget: u64) -> Self {
+    /// Builds a replayer for the execution `order` and `flagged` set over
+    /// a DAG given as per-node parent lists (indices into the node set).
+    /// `budget` is the Memory Catalog size `M`.
+    pub fn new(order: &[NodeId], flagged: &FlagSet, parents: &[Vec<usize>], budget: u64) -> Self {
         let n = parents.len();
         let mut remaining_children = vec![0usize; n];
         for ps in parents {
@@ -142,54 +165,59 @@ impl AdmissionReplay {
             }
         }
         let flagged_with_children = (0..n)
-            .map(|i| plan.flagged.contains(NodeId(i)) && remaining_children[i] > 0)
+            .map(|i| flagged.contains(NodeId(i)) && remaining_children[i] > 0)
             .collect();
         AdmissionReplay {
+            order: order.iter().map(|v| v.index()).collect(),
+            parents: parents.to_vec(),
             budget,
             used: 0,
+            peak: 0,
             pos: 0,
             resident: vec![false; n],
             remaining_children,
             flagged_with_children,
-            decisions: vec![None; n],
         }
     }
 
     /// Replays plan positions whose nodes have computed (`computed` and
     /// `sizes` are indexed by node id; a computed node's size must be
-    /// final). Stops at the first uncomputed position. Safe to call
-    /// repeatedly as more nodes compute.
-    pub fn advance(
-        &mut self,
-        plan: &Plan,
-        parents: &[Vec<usize>],
-        computed: &[bool],
-        sizes: &[u64],
-    ) {
-        while self.pos < plan.order.len() {
-            let v = plan.order[self.pos].index();
+    /// final) and returns the catalog actions they imply, in order. Stops
+    /// at the first uncomputed position. Safe to call repeatedly as more
+    /// nodes compute.
+    pub fn advance(&mut self, computed: &[bool], sizes: &[u64]) -> Vec<CatalogStep> {
+        let mut steps = Vec::new();
+        while self.pos < self.order.len() {
+            let v = self.order[self.pos];
             if !computed[v] {
                 break;
             }
             if self.flagged_with_children[v] {
-                let fits = self.used + sizes[v] <= self.budget;
-                if fits {
+                let admit = self.used + sizes[v] <= self.budget;
+                steps.push(CatalogStep::Decide {
+                    node: v,
+                    admit,
+                    used: self.used,
+                });
+                if admit {
                     self.resident[v] = true;
                     self.used += sizes[v];
+                    self.peak = self.peak.max(self.used);
                 }
-                self.decisions[v] = Some(fits);
             }
             // The node consumed its parents: release entries whose
             // consumers have now all executed.
-            for &p in &parents[v] {
+            for &p in &self.parents[v] {
                 self.remaining_children[p] -= 1;
                 if self.remaining_children[p] == 0 && self.resident[p] {
                     self.resident[p] = false;
                     self.used -= sizes[p];
+                    steps.push(CatalogStep::Release { node: p });
                 }
             }
             self.pos += 1;
         }
+        steps
     }
 
     /// First plan position not yet replayed (the computed plan-order
@@ -198,35 +226,36 @@ impl AdmissionReplay {
         self.pos
     }
 
-    /// The admit decision for node `i`, once its position has been
-    /// replayed. `Some(true)` = admit to the catalog, `Some(false)` =
-    /// fall back to a blocking write (the node is flagged but does not
-    /// fit), `None` = not yet decided (or the node is not a
-    /// flagged-with-consumers node).
-    pub fn decision(&self, i: usize) -> Option<bool> {
-        self.decisions[i]
-    }
-
     /// Model bytes resident after the replayed prefix.
     pub fn used(&self) -> u64 {
         self.used
     }
+
+    /// Highest model residency reached over the replayed prefix.
+    pub fn peak(&self) -> u64 {
+        self.peak
+    }
 }
 
-/// Bounded run-ahead window shared by the engine's multi-lane refresh
-/// executor and its simulator mirror: with `lanes` compute lanes, a node
-/// may only start once every node more than this many plan positions
-/// before it has computed. This caps the number of computed-but-
-/// unpublished outputs held outside the Memory Catalog's accounting while
-/// keeping all lanes busy.
+/// Bounded run-ahead window of the refresh executor and its simulator
+/// mirror: a node may only start once every node more than this many plan
+/// positions before it has computed, which caps the computed-but-
+/// unpublished outputs held outside the Memory Catalog's accounting. One
+/// lane gets no run-ahead at all — it dispatches strictly in `plan.order`,
+/// the order S/C Opt's feasibility argument assumes; more lanes get enough
+/// slack to stay busy.
 pub fn run_ahead_window(lanes: usize) -> usize {
-    (4 * lanes).max(8)
+    if lanes > 1 {
+        (4 * lanes).max(8)
+    } else {
+        0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FlagSet;
+    use crate::plan::Plan;
 
     /// base-less diamond: 0 -> {1, 2} -> 3, all flagged.
     fn diamond_plan(n: usize, flagged: &[usize]) -> (Plan, Vec<Vec<usize>>) {
@@ -244,46 +273,66 @@ mod tests {
         let (plan, parents) = diamond_plan(4, &[0, 1, 2]);
         let sizes = vec![100, 60, 60, 10];
         // Budget fits 0 and one of {1,2} at a time only after 0 releases.
-        let mut r = AdmissionReplay::new(&plan, &parents, 160);
-        r.advance(&plan, &parents, &[true; 4], &sizes);
+        let mut r = AdmissionReplay::new(&plan.order, &plan.flagged, &parents, 160);
+        let steps = r.advance(&[true; 4], &sizes);
         assert_eq!(r.prefix(), 4);
-        assert_eq!(r.decision(0), Some(true));
-        // 1 computes while 0 still resident (released only after 2 runs):
-        // 100 + 60 = 160 fits exactly.
-        assert_eq!(r.decision(1), Some(true));
-        // 2 admits after... 0 still resident at 2's position (2 is 0's
-        // last consumer, released after 2 executes): 160 + 60 > 160.
-        assert_eq!(r.decision(2), Some(false));
-        // 3 is a leaf: no decision.
-        assert_eq!(r.decision(3), None);
         // After 3 consumed 1 and 2, everything is released.
         assert_eq!(r.used(), 0);
+        assert_eq!(r.peak(), 160);
+        // Admit-then-release, in plan order. 1 is decided while 0 is still
+        // resident: 100 + 60 = 160 fits exactly. 0 is released only after
+        // 2 — its last consumer — has executed, so at 2's turn 160 + 60
+        // overflows and 2 falls back. 3 is a leaf: no decision.
+        use CatalogStep::{Decide, Release};
+        assert_eq!(
+            steps,
+            vec![
+                Decide {
+                    node: 0,
+                    admit: true,
+                    used: 0
+                },
+                Decide {
+                    node: 1,
+                    admit: true,
+                    used: 100
+                },
+                Decide {
+                    node: 2,
+                    admit: false,
+                    used: 160
+                },
+                Release { node: 0 },
+                Release { node: 1 },
+            ]
+        );
     }
 
     #[test]
     fn incremental_advance_matches_upfront() {
         let (plan, parents) = diamond_plan(4, &[0, 1, 2]);
         let sizes = vec![100, 60, 60, 10];
-        let mut upfront = AdmissionReplay::new(&plan, &parents, 160);
-        upfront.advance(&plan, &parents, &[true; 4], &sizes);
+        let mut upfront = AdmissionReplay::new(&plan.order, &plan.flagged, &parents, 160);
+        let want = upfront.advance(&[true; 4], &sizes);
 
-        let mut incremental = AdmissionReplay::new(&plan, &parents, 160);
+        let mut incremental = AdmissionReplay::new(&plan.order, &plan.flagged, &parents, 160);
         let mut computed = vec![false; 4];
-        // Nodes compute out of order; decisions must still land the same.
+        let mut got = Vec::new();
+        // Nodes compute out of order; the steps must still come out the
+        // same, in plan order.
         for &done in &[2usize, 0, 3, 1] {
             computed[done] = true;
-            incremental.advance(&plan, &parents, &computed, &sizes);
+            got.extend(incremental.advance(&computed, &sizes));
         }
-        for i in 0..4 {
-            assert_eq!(incremental.decision(i), upfront.decision(i), "node {i}");
-        }
+        assert_eq!(got, want);
         assert_eq!(incremental.prefix(), 4);
     }
 
     #[test]
     fn window_floor_and_scaling() {
-        assert_eq!(run_ahead_window(1), 8);
+        assert_eq!(run_ahead_window(1), 0, "one lane walks plan.order");
         assert_eq!(run_ahead_window(2), 8);
+        assert_eq!(run_ahead_window(3), 12);
         assert_eq!(run_ahead_window(4), 16);
     }
 }

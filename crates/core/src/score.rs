@@ -124,12 +124,6 @@ impl CostModel {
         bytes as f64 / self.mem_bps
     }
 
-    /// The paper's speedup score `ti` for a node of output size `size` with
-    /// `num_children` downstream consumers.
-    pub fn speedup_score(&self, size: u64, num_children: usize) -> f64 {
-        self.speedup_score_observed(size, num_children, None)
-    }
-
     /// Whether maintaining an MV incrementally is predicted to beat a full
     /// recomputation, given `input_bytes` of (already-updated) inputs the
     /// full path would re-read, `output_bytes` of current MV contents,
@@ -161,37 +155,20 @@ impl CostModel {
     /// their churning input: the avoided O(MV) read *and* write both
     /// scale with MV size, the delta terms do not.
     ///
-    /// Compute is not modeled here — the delta operators' work is
+    /// Compute is not modeled statically — the delta operators' work is
     /// proportional to `delta_bytes` and therefore dominated by the terms
     /// already present.
-    pub fn incremental_refresh_wins(
-        &self,
-        input_bytes: u64,
-        output_bytes: u64,
-        delta_bytes: u64,
-        static_bytes: u64,
-        append_bytes: Option<u64>,
-    ) -> bool {
-        self.incremental_refresh_wins_observed(
-            input_bytes,
-            output_bytes,
-            delta_bytes,
-            static_bytes,
-            append_bytes,
-            None,
-        )
-    }
-
-    /// [`CostModel::incremental_refresh_wins`] with a runtime-feedback
-    /// layer: when `observed` carries a compute-throughput sample for
-    /// this node shape, both sides of the comparison gain the compute
-    /// term the static model cannot see — the full path is charged the
-    /// observed per-byte rate over its whole output, the incremental
-    /// path only over its output delta. Without a sample the decision is
+    ///
+    /// Runtime feedback: when `observed` carries a compute-throughput
+    /// sample for this node shape, both sides of the comparison gain the
+    /// compute term the static model cannot see — the full path is
+    /// charged the observed per-byte rate over its whole output, the
+    /// incremental path only over its output delta. Without a sample
+    /// (`None`, or a summary with no compute signal) the decision is
     /// bit-for-bit the static one, so a missing / corrupt / not-yet-warm
     /// observation sidecar can never flip a decision the wrong way — it
-    /// merely leaves today's estimate in place.
-    pub fn incremental_refresh_wins_observed(
+    /// merely leaves the static estimate in place.
+    pub fn incremental_refresh_wins(
         &self,
         input_bytes: u64,
         output_bytes: u64,
@@ -237,15 +214,17 @@ impl CostModel {
         incremental < full
     }
 
-    /// [`CostModel::speedup_score`] with runtime feedback: when
-    /// `observed` carries a measured write rate for this node shape, the
-    /// "create `vi` off the critical path" saving is priced at the rate
-    /// the node's materializations have actually achieved instead of the
-    /// model's global write bandwidth. (The per-consumer read saving
-    /// stays modeled: a consumer's observed read time covers *all* its
-    /// inputs and cannot be attributed to one parent.) Without a sample
-    /// the score is exactly the static one.
-    pub fn speedup_score_observed(
+    /// The paper's speedup score `ti` for a node of output size `size` with
+    /// `num_children` downstream consumers.
+    ///
+    /// Runtime feedback: when `observed` carries a measured write rate
+    /// for this node shape, the "create `vi` off the critical path" saving
+    /// is priced at the rate the node's materializations have actually
+    /// achieved instead of the model's global write bandwidth. (The
+    /// per-consumer read saving stays modeled: a consumer's observed read
+    /// time covers *all* its inputs and cannot be attributed to one
+    /// parent.) Without a sample the score is the static one.
+    pub fn speedup_score(
         &self,
         size: u64,
         num_children: usize,
@@ -261,16 +240,10 @@ impl CostModel {
     }
 
     /// Annotates a dependency graph of `(name, output size)` pairs with
-    /// speedup scores, producing an S/C Opt instance.
-    pub fn build_problem(&self, graph: &Dag<(String, u64)>, budget: u64) -> Result<Problem> {
-        self.build_problem_observed(graph, budget, |_| None)
-    }
-
-    /// [`CostModel::build_problem`] with runtime feedback: `observed`
-    /// resolves a node name to its [`ObservedNodeCost`] summary (when a
-    /// shape fingerprint matched); matched nodes are scored with
-    /// [`CostModel::speedup_score_observed`].
-    pub fn build_problem_observed(
+    /// speedup scores, producing an S/C Opt instance. `observed` resolves
+    /// a node name to its [`ObservedNodeCost`] summary (when a shape
+    /// fingerprint matched; `|_| None` scores every node statically).
+    pub fn build_problem(
         &self,
         graph: &Dag<(String, u64)>,
         budget: u64,
@@ -280,7 +253,7 @@ impl CostModel {
             MvMeta::new(
                 name.clone(),
                 *size,
-                self.speedup_score_observed(*size, graph.out_degree(v), observed(name).as_ref()),
+                self.speedup_score(*size, graph.out_degree(v), observed(name).as_ref()),
             )
         });
         Problem::new(annotated, budget)
@@ -304,15 +277,15 @@ mod tests {
     #[test]
     fn score_grows_with_fanout_and_size() {
         let m = CostModel::paper();
-        let s1 = m.speedup_score(GIB, 1);
-        let s2 = m.speedup_score(GIB, 2);
-        let s_big = m.speedup_score(4 * GIB, 1);
+        let s1 = m.speedup_score(GIB, 1, None);
+        let s2 = m.speedup_score(GIB, 2, None);
+        let s_big = m.speedup_score(4 * GIB, 1, None);
         assert!(s2 > s1);
         assert!(s_big > s1);
         // Zero children still saves the write.
-        assert!(m.speedup_score(GIB, 0) > 0.0);
+        assert!(m.speedup_score(GIB, 0, None) > 0.0);
         // A zero-byte table only saves the fixed access latency.
-        assert!((m.speedup_score(0, 0) - m.disk_latency_s).abs() < 1e-12);
+        assert!((m.speedup_score(0, 0, None) - m.disk_latency_s).abs() < 1e-12);
     }
 
     #[test]
@@ -324,7 +297,7 @@ mod tests {
             mem_bps: 1e6,
             disk_latency_s: 0.0,
         };
-        assert_eq!(m.speedup_score(GIB, 3), 0.0);
+        assert_eq!(m.speedup_score(GIB, 3, None), 0.0);
     }
 
     #[test]
@@ -332,18 +305,18 @@ mod tests {
         let m = CostModel::paper();
         // Aggregate-shaped node: huge input, tiny MV, tiny delta (merge
         // path: not appendable).
-        assert!(m.incremental_refresh_wins(GIB, MIB, MIB / 10, 0, None));
+        assert!(m.incremental_refresh_wins(GIB, MIB, MIB / 10, 0, None, None));
         // Full-copy-shaped node on the rewrite path: the old MV is as big
         // as the input, so re-reading and rewriting it buys nothing.
-        assert!(!m.incremental_refresh_wins(GIB, GIB, MIB, 0, None));
+        assert!(!m.incremental_refresh_wins(GIB, GIB, MIB, 0, None, None));
         // A delta as large as the input cannot win either way.
-        assert!(!m.incremental_refresh_wins(GIB, MIB, 2 * GIB, 0, None));
-        assert!(!m.incremental_refresh_wins(GIB, MIB, 2 * GIB, 0, Some(2 * GIB)));
+        assert!(!m.incremental_refresh_wins(GIB, MIB, 2 * GIB, 0, None, None));
+        assert!(!m.incremental_refresh_wins(GIB, MIB, 2 * GIB, 0, Some(2 * GIB), None));
         // Join-hub-shaped node: a small static dimension the delta still
         // probes barely dents the win over re-scanning the huge fact side…
-        assert!(m.incremental_refresh_wins(GIB, 64 * MIB, MIB, 32 * MIB, None));
+        assert!(m.incremental_refresh_wins(GIB, 64 * MIB, MIB, 32 * MIB, None, None));
         // …but a build side as large as the whole input erases it.
-        assert!(!m.incremental_refresh_wins(GIB, 64 * MIB, MIB, GIB, None));
+        assert!(!m.incremental_refresh_wins(GIB, 64 * MIB, MIB, GIB, None, None));
     }
 
     #[test]
@@ -351,20 +324,20 @@ mod tests {
         let m = CostModel::paper();
         // The ROADMAP gap: a wide hub MV whose contents out-size its
         // churning input. The rewrite path loses (O(MV) read + write)…
-        assert!(!m.incremental_refresh_wins(GIB, 2 * GIB, MIB, 64 * MIB, None));
+        assert!(!m.incremental_refresh_wins(GIB, 2 * GIB, MIB, 64 * MIB, None, None));
         // …but the append path skips the old-MV read and writes a
         // delta-sized segment, so the same node now wins under Auto —
         // even priced at a 4x join-fan-out-amplified output delta.
-        assert!(m.incremental_refresh_wins(GIB, 2 * GIB, MIB, 64 * MIB, Some(4 * MIB)));
+        assert!(m.incremental_refresh_wins(GIB, 2 * GIB, MIB, 64 * MIB, Some(4 * MIB), None));
         // The append win grows with MV size at fixed delta: once it wins,
         // a larger MV only widens the avoided-write gap.
-        assert!(m.incremental_refresh_wins(GIB, 8 * GIB, MIB, 64 * MIB, Some(4 * MIB)));
+        assert!(m.incremental_refresh_wins(GIB, 8 * GIB, MIB, 64 * MIB, Some(4 * MIB), None));
         // An output delta amplified to the size of the MV itself erases
         // the append advantage…
-        assert!(!m.incremental_refresh_wins(GIB, 2 * GIB, MIB, 64 * MIB, Some(3 * GIB)));
+        assert!(!m.incremental_refresh_wins(GIB, 2 * GIB, MIB, 64 * MIB, Some(3 * GIB), None));
         // …as do static build sides out-weighing the full path's whole
         // read+write bill.
-        assert!(!m.incremental_refresh_wins(GIB, MIB, MIB, 4 * GIB, Some(MIB)));
+        assert!(!m.incremental_refresh_wins(GIB, MIB, MIB, 4 * GIB, Some(MIB), None));
     }
 
     /// A summary with only the given full-path compute rate.
@@ -386,7 +359,7 @@ mod tests {
         // and rewrites the MV, so on I/O alone recomputation looks
         // cheaper (one access fewer)…
         let (input, output, delta) = (MIB, MIB, 16 * 1024);
-        assert!(!m.incremental_refresh_wins(input, output, delta, 0, None));
+        assert!(!m.incremental_refresh_wins(input, output, delta, 0, None, None));
         // …and an empty summary changes nothing, bit for bit.
         let cold = ObservedNodeCost {
             full_compute_s_per_byte: None,
@@ -395,15 +368,15 @@ mod tests {
             output_delta_ratio: None,
             samples: 0,
         };
-        assert!(!m.incremental_refresh_wins_observed(input, output, delta, 0, None, Some(&cold)));
+        assert!(!m.incremental_refresh_wins(input, output, delta, 0, None, Some(&cold)));
         // A measured full recomputation at 50 ms/MiB dwarfs the phantom
         // I/O edge: the delta path only pays that rate over its delta.
         let obs = full_rate(0.05 / MIB as f64);
-        assert!(m.incremental_refresh_wins_observed(input, output, delta, 0, None, Some(&obs)));
+        assert!(m.incremental_refresh_wins(input, output, delta, 0, None, Some(&obs)));
         // The observed layer is symmetric: a *cheap* measured compute
         // leaves the static I/O decision in charge.
         let tiny = full_rate(1e-12);
-        assert!(!m.incremental_refresh_wins_observed(input, output, delta, 0, None, Some(&tiny)));
+        assert!(!m.incremental_refresh_wins(input, output, delta, 0, None, Some(&tiny)));
     }
 
     #[test]
@@ -415,16 +388,16 @@ mod tests {
         // the full-rate fallback would have granted.
         let mut obs = full_rate(0.05 / MIB as f64);
         obs.inc_compute_s_per_byte = Some(100.0 * 0.05 / MIB as f64);
-        assert!(!m.incremental_refresh_wins_observed(input, output, delta, 0, None, Some(&obs)));
+        assert!(!m.incremental_refresh_wins(input, output, delta, 0, None, Some(&obs)));
     }
 
     #[test]
     fn observed_write_rate_reprices_the_flag_score() {
         let m = CostModel::paper();
-        // Without a sample the observed score is exactly the static one.
+        // A summary without a write sample scores exactly like no summary.
         assert_eq!(
-            m.speedup_score_observed(GIB, 2, None),
-            m.speedup_score(GIB, 2)
+            m.speedup_score(GIB, 2, Some(&full_rate(1e-9))),
+            m.speedup_score(GIB, 2, None)
         );
         // A node whose materialization runs at half the modeled bandwidth
         // is worth *more* off the critical path…
@@ -435,13 +408,13 @@ mod tests {
             output_delta_ratio: None,
             samples: 3,
         };
-        assert!(m.speedup_score_observed(GIB, 2, Some(&slow)) > m.speedup_score(GIB, 2));
+        assert!(m.speedup_score(GIB, 2, Some(&slow)) > m.speedup_score(GIB, 2, None));
         // …and a degenerate fast one still clamps at zero.
         let fast = ObservedNodeCost {
             write_s_per_byte: Some(0.0),
             ..slow
         };
-        assert!(m.speedup_score_observed(0, 0, Some(&fast)) >= 0.0);
+        assert!(m.speedup_score(0, 0, Some(&fast)) >= 0.0);
     }
 
     #[test]
@@ -452,10 +425,10 @@ mod tests {
         )
         .unwrap();
         let m = CostModel::paper();
-        let p = m.build_problem(&g, GIB).unwrap();
+        let p = m.build_problem(&g, GIB, |_| None).unwrap();
         assert_eq!(p.len(), 2);
-        assert!((p.score(sc_dag::NodeId(0)) - m.speedup_score(GIB, 1)).abs() < 1e-12);
-        assert!((p.score(sc_dag::NodeId(1)) - m.speedup_score(MIB, 0)).abs() < 1e-12);
+        assert!((p.score(sc_dag::NodeId(0)) - m.speedup_score(GIB, 1, None)).abs() < 1e-12);
+        assert!((p.score(sc_dag::NodeId(1)) - m.speedup_score(MIB, 0, None)).abs() < 1e-12);
         assert_eq!(p.graph().node(sc_dag::NodeId(0)).name, "a");
     }
 }

@@ -12,29 +12,31 @@
 //!
 //! ## Execution lanes
 //!
-//! The paper issues MV statements sequentially on one compute lane; this
-//! controller can additionally run the refresh on a pool of `lanes` worker
-//! threads ([`RefreshConfig`]). With `lanes > 1` a node starts as soon as
-//! every dependency's output is *readable* (resident in the Memory Catalog
-//! for flagged parents, persisted for unflagged ones) and a lane is free.
-//! Two invariants keep the parallel run faithful to the plan:
+//! One executor runs every refresh: `lanes` lanes ([`RefreshConfig`]) —
+//! the calling thread plus `lanes - 1` workers — taking ready nodes off
+//! one FIFO queue. A node starts once every dependency's output is
+//! *readable* (resident in the Memory Catalog for flagged parents,
+//! persisted for unflagged ones), a lane is free, and the node lies
+//! within [`sc_core::run_ahead_window`] plan positions of the computed
+//! prefix. The paper issues MV statements sequentially on one compute
+//! lane; that is `lanes = 1`, whose window is zero: nodes start and write
+//! strictly in `plan.order`. Two invariants hold at every lane count:
 //!
-//! * **Flag admission follows `plan.order`.** Completed flagged nodes
-//!   enter the Memory Catalog in plan order, so admissions and the
-//!   catalog's strict budget accounting replay the optimizer's model even
-//!   when compute finishes out of order (an admission that would overflow
-//!   the budget falls back to a blocking write exactly as in the
-//!   sequential path).
-//! * **Release on last consumer.** An entry leaves the catalog once all
-//!   of its consumers have executed, identical to the sequential path, so
-//!   every run ends with a drained catalog.
+//! * **Catalog actions follow `plan.order`.** A flagged node enters the
+//!   Memory Catalog — or, if it would overflow the budget, falls back to
+//!   a blocking write — when the computed plan-order prefix reaches it,
+//!   and an entry is released when the prefix passes its last consumer
+//!   (admit first, then release). The catalog thus replays the
+//!   optimizer's model exactly, even when compute finishes out of order.
+//! * **Every run ends with a drained catalog**, and every MV persisted.
 //!
-//! MV contents are a pure function of their inputs, so sequential and
-//! parallel runs produce byte-identical tables.
+//! MV contents are a pure function of their inputs, so runs at any lane
+//! count produce byte-identical tables, flag outcomes and peak catalog
+//! usage.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::sync::{mpsc, Arc, Mutex};
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use sc_core::{CostModel, FlagSet, ModeReason, NodeMode, Plan, RefreshMode};
@@ -93,15 +95,8 @@ impl Default for ControllerConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshConfig {
     /// Number of compute lanes (worker threads) executing DAG nodes.
-    /// `1` reproduces the paper's sequential controller exactly.
+    /// `1` is the paper's sequential controller: strict `plan.order`.
     pub lanes: usize,
-    /// Bounded run-ahead window for the multi-lane executor: a node may
-    /// only start once every node more than this many plan positions ahead
-    /// of it has computed. `None` (default) derives the window from the
-    /// lane count via [`sc_core::run_ahead_window`]; operators can trade
-    /// transient out-of-catalog memory against lane utilization by setting
-    /// it explicitly.
-    pub run_ahead_window: Option<usize>,
     /// Full-vs-incremental maintenance policy, effective only when a
     /// [`DeltaStore`] is attached ([`Controller::with_delta_store`]).
     pub refresh_mode: RefreshMode,
@@ -111,7 +106,6 @@ impl Default for RefreshConfig {
     fn default() -> Self {
         RefreshConfig {
             lanes: 1,
-            run_ahead_window: None,
             refresh_mode: RefreshMode::Auto,
         }
     }
@@ -124,12 +118,6 @@ impl RefreshConfig {
             lanes: lanes.max(1),
             ..RefreshConfig::default()
         }
-    }
-
-    /// Overrides the multi-lane run-ahead window.
-    pub fn with_run_ahead_window(mut self, window: usize) -> Self {
-        self.run_ahead_window = Some(window);
-        self
     }
 
     /// Overrides the maintenance policy.
@@ -266,6 +254,10 @@ pub struct Controller<'a> {
     refresh: RefreshConfig,
     deltas: Option<&'a DeltaStore>,
     observations: Option<&'a ObservationStore>,
+    /// Test probe: `(plan position, computed prefix)` of every compute
+    /// task, in dispatch order.
+    #[cfg(test)]
+    dispatch_log: Option<&'a Mutex<Vec<(usize, usize)>>>,
 }
 
 /// Catalog/storage name under which a node's *output delta* travels (the
@@ -280,8 +272,8 @@ fn snapshot_batches(snapshot: &HashMap<String, TableDelta>, table: &str) -> usiz
     snapshot.get(table).map_or(0, |d| d.batches().len())
 }
 
-/// Per-run incremental-maintenance plan, fixed before execution so the
-/// sequential and multi-lane executors make identical choices.
+/// Per-run incremental-maintenance plan, fixed before execution so lane
+/// timing cannot change what a refresh computes.
 struct DeltaPlan {
     /// How each node is brought up to date.
     modes: Vec<NodeMode>,
@@ -479,12 +471,10 @@ fn execute_incremental(
     })
 }
 
-/// Input/output metrics captured by a worker while computing one node.
-struct ComputedNode {
-    /// Full output — or, on the append path, just the rows to append.
-    output: Arc<Table>,
-    /// Whether `output` is an append segment (see `DeltaPlan::append`).
-    append: bool,
+/// What a lane measured while computing one node — the plain numbers
+/// that become its [`NodeMetrics`].
+#[derive(Default)]
+struct ComputedStats {
     /// Stored-output size for metrics: the in-memory output size, or (on
     /// the append path, where the full output is never materialized) the
     /// stored bytes after the append commits.
@@ -493,9 +483,6 @@ struct ComputedNode {
     rows: usize,
     /// Encoded appended-segment bytes (0 off the append path).
     appended_bytes: u64,
-    /// Encoded output delta, when the node publishes one that the catalog
-    /// or a fallback spill may need.
-    delta_table: Option<Arc<Table>>,
     delta_bytes: u64,
     read_s: f64,
     compute_s: f64,
@@ -505,44 +492,330 @@ struct ComputedNode {
     disk_reads: usize,
 }
 
-/// Work items handed to pool workers under parallel execution.
+/// A computed node: its output travels with whichever task or catalog
+/// entry still needs it, so nothing outlives its last use.
+struct ComputedNode {
+    /// Full output — or, on the append path (`DeltaPlan::append`), just
+    /// the rows to append.
+    output: Arc<Table>,
+    /// Encoded output delta, when the node publishes one that the catalog
+    /// or a fallback spill may need.
+    delta_table: Option<Arc<Table>>,
+    stats: ComputedStats,
+}
+
+impl ComputedNode {
+    /// What the Memory Catalog holds for this node: its encoded delta
+    /// when every consumer maintains incrementally (`delta_payload`), its
+    /// full output otherwise.
+    fn payload(&self, delta_payload: bool) -> &Arc<Table> {
+        match &self.delta_table {
+            Some(delta) if delta_payload => delta,
+            _ => &self.output,
+        }
+    }
+}
+
+/// Work items queued for the lanes.
 enum LaneTask {
     /// Execute the node's logical plan.
     Compute(usize),
     /// Blocking materialization of a computed output (unflagged nodes and
-    /// memory-pressure fallbacks). `spill` carries an encoded delta that
-    /// must also land on storage (a delta-payload admission that fell
-    /// back, whose incremental consumers now read the spill). With
-    /// `append`, the output is a delta segment appended to the stored MV
-    /// instead of replacing it.
+    /// memory-pressure fallbacks).
     Write {
         idx: usize,
-        output: Arc<Table>,
-        spill: Option<Arc<Table>>,
+        node: ComputedNode,
         fell_back: bool,
-        append: bool,
     },
 }
 
-/// Messages from workers / the background materializer to the coordinator.
-enum LaneMsg {
-    Computed {
-        idx: usize,
-        node: ComputedNode,
-    },
-    ComputeFailed {
-        error: EngineError,
-    },
-    Written {
-        idx: usize,
-        write_s: f64,
-        fell_back: bool,
-        result: Result<u64>,
-    },
-    BgWritten {
-        idx: usize,
-        result: Result<u64>,
-    },
+/// The mutable half of a run: scheduling and Memory Catalog state, which
+/// every lane updates — under [`Run::state`]'s lock — with the outcome of
+/// the task it just finished.
+struct RunState {
+    /// Tasks ready for a lane, first in first out.
+    queue: VecDeque<LaneTask>,
+    /// Unpublished dependencies per node.
+    pending_parents: Vec<usize>,
+    /// Plan positions of ready nodes the run-ahead window holds back.
+    held: BTreeSet<usize>,
+    /// The plan-order catalog accounting, against the *effective* flags
+    /// (skipped nodes never enter the catalog).
+    replay: sc_core::AdmissionReplay,
+    computed: Vec<bool>,
+    /// Catalog payload size per computed node.
+    sizes: Vec<u64>,
+    /// Flagged outputs computed ahead of their plan-order turn.
+    awaiting_admission: Vec<Option<ComputedNode>>,
+    metrics: Vec<Option<NodeMetrics>>,
+    /// Nodes whose output is readable and whose metrics are final.
+    finalized: usize,
+    /// The background materializer's queue (closed by taking it) and the
+    /// writes it still owes.
+    bg_tx: Option<mpsc::Sender<(usize, Arc<Table>)>>,
+    bg_pending: usize,
+    /// The first failure; it ends the run.
+    error: Option<EngineError>,
+}
+
+/// One refresh run, shared by its lanes and its background materializer.
+struct Run<'r> {
+    ctrl: &'r Controller<'r>,
+    mvs: &'r [MvDefinition],
+    plan: &'r Plan,
+    dp: &'r DeltaPlan,
+    snapshot: Option<&'r HashMap<String, TableDelta>>,
+    /// MV name -> node index.
+    index: HashMap<&'r str, usize>,
+    children: Vec<Vec<usize>>,
+    /// Plan position per node.
+    pos: Vec<usize>,
+    /// [`sc_core::run_ahead_window`] of the lane count.
+    window: usize,
+    state: Mutex<RunState>,
+    /// Signalled whenever `state` changed: lanes wait on it for tasks,
+    /// the caller for the materializer to drain.
+    wake: Condvar,
+}
+
+impl Run<'_> {
+    fn lock(&self) -> MutexGuard<'_, RunState> {
+        // Every update leaves the state valid for what a poisoned run
+        // still does with it: record the error and wind down.
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Records `error` (the first one wins) and wakes everyone to wind
+    /// down.
+    fn fail(&self, error: EngineError) {
+        self.lock().error.get_or_insert(error);
+        self.wake.notify_all();
+    }
+
+    /// Catalog entry of a resident node: a delta-payload node's entry is
+    /// its published delta, not its table.
+    fn entry_name(&self, i: usize) -> String {
+        if self.dp.delta_payload[i] {
+            delta_entry_name(&self.mvs[i].name)
+        } else {
+            self.mvs[i].name.clone()
+        }
+    }
+
+    /// A node whose dependencies are all readable: queue it if it is
+    /// within `window` plan positions of the computed prefix, hold it
+    /// otherwise.
+    fn offer(&self, st: &mut RunState, idx: usize) {
+        let prefix = st.replay.prefix();
+        if self.pos[idx] > prefix + self.window {
+            st.held.insert(self.pos[idx]);
+            return;
+        }
+        #[cfg(test)]
+        if let Some(log) = self.ctrl.dispatch_log {
+            log.lock().unwrap().push((self.pos[idx], prefix));
+        }
+        st.queue.push_back(LaneTask::Compute(idx));
+    }
+
+    /// `idx`'s output became readable (admitted or persisted) and its
+    /// metrics final: its consumers lose a pending dependency.
+    fn publish(&self, st: &mut RunState, idx: usize, metrics: NodeMetrics) {
+        st.metrics[idx] = Some(metrics);
+        st.finalized += 1;
+        for &j in &self.children[idx] {
+            st.pending_parents[j] -= 1;
+            if st.pending_parents[j] == 0 {
+                self.offer(st, j);
+            }
+        }
+    }
+
+    /// Hands a flagged output to the background materializer.
+    fn background(&self, st: &mut RunState, idx: usize, output: Arc<Table>) -> Result<()> {
+        st.bg_pending += 1;
+        let bg_tx = st.bg_tx.as_ref().expect("open until the run winds down");
+        bg_tx
+            .send((idx, output))
+            .map_err(|e| EngineError::Materialize(e.to_string()))
+    }
+
+    /// A lane computed `idx`: route its output, then apply the plan-order
+    /// catalog actions the newly computed prefix implies and start the
+    /// nodes the advanced prefix lets into the window.
+    fn on_computed(&self, st: &mut RunState, idx: usize, node: ComputedNode) -> Result<()> {
+        let (mvs, dp, memory) = (self.mvs, self.dp, self.ctrl.memory);
+        st.computed[idx] = true;
+        st.sizes[idx] = node.payload(dp.delta_payload[idx]).byte_size();
+        let steps = st.replay.advance(&st.computed, &st.sizes);
+
+        let is_flagged = dp.flagged.contains(NodeId(idx));
+        if dp.modes[idx] == NodeMode::Skipped {
+            // Stored contents already current: nothing to write or admit,
+            // readable immediately.
+            let mut skipped = NodeMetrics::skipped(&mvs[idx].name);
+            skipped.segments = dp.pre_segments[idx];
+            self.publish(st, idx, skipped);
+        } else if is_flagged && self.children[idx].is_empty() {
+            // No consumers: skip the catalog (the node is outside every
+            // Vi), just background the write.
+            self.background(st, idx, node.output)?;
+            self.publish(st, idx, node_metrics(mvs, dp, idx, &node.stats, 0.0, true));
+        } else if is_flagged {
+            st.awaiting_admission[idx] = Some(node);
+        } else {
+            st.queue.push_back(LaneTask::Write {
+                idx,
+                node,
+                fell_back: false,
+            });
+        }
+
+        for step in steps {
+            let (cand, admit, used) = match step {
+                sc_core::CatalogStep::Release { node } => {
+                    memory.remove(&self.entry_name(node));
+                    continue;
+                }
+                sc_core::CatalogStep::Decide { node, admit, used } => (node, admit, used),
+            };
+            let node = st.awaiting_admission[cand]
+                .take()
+                .expect("a decision only fixes after the node computed");
+            let payload = Arc::clone(node.payload(dp.delta_payload[cand]));
+            // The catalog mirrors the accounting, so a modeled admit fits
+            // — unless a caller parked entries of its own there; the
+            // catalog has the last word.
+            let admitted = admit
+                && match memory.insert(&self.entry_name(cand), payload) {
+                    Ok(()) => true,
+                    Err(EngineError::MemoryBudgetExceeded { .. }) => false,
+                    Err(e) => return Err(e),
+                };
+            if admitted {
+                self.background(st, cand, node.output)?;
+                self.publish(
+                    st,
+                    cand,
+                    node_metrics(mvs, dp, cand, &node.stats, 0.0, true),
+                );
+            } else if self.ctrl.config.fallback_on_memory_pressure {
+                st.queue.push_back(LaneTask::Write {
+                    idx: cand,
+                    node,
+                    fell_back: true,
+                });
+            } else {
+                return Err(EngineError::MemoryBudgetExceeded {
+                    requested: st.sizes[cand],
+                    used,
+                    budget: memory.budget(),
+                });
+            }
+        }
+
+        // The prefix advanced: start held nodes that now fall inside the
+        // window, in plan order.
+        while let Some(&p) = st.held.first() {
+            if p > st.replay.prefix() + self.window {
+                break;
+            }
+            st.held.remove(&p);
+            self.offer(st, self.plan.order[p].index());
+        }
+        Ok(())
+    }
+
+    /// Blocking materialization of a computed output. A delta-payload
+    /// node only gets here by falling back, and then also lands its
+    /// encoded delta on storage first — its incremental consumers now
+    /// read the spill.
+    fn write(&self, idx: usize, node: &ComputedNode) -> Result<f64> {
+        let name = &self.mvs[idx].name;
+        let w = Instant::now();
+        if let Some(d) = node
+            .delta_table
+            .as_ref()
+            .filter(|_| self.dp.delta_payload[idx])
+        {
+            self.ctrl.disk.write_table(&delta_entry_name(name), d)?;
+        }
+        self.ctrl
+            .disk
+            .persist_table(name, &node.output, self.dp.append[idx])?;
+        Ok(w.elapsed().as_secs_f64())
+    }
+
+    /// One lane: takes tasks off the queue, runs them outside the lock,
+    /// and folds each outcome back into the shared state — until every
+    /// node is final or the run failed.
+    fn lane(&self) {
+        // A lane that unwinds would leave the others waiting for its
+        // result forever: fail the run instead.
+        struct FailOnPanic<'r, 'q>(&'q Run<'r>);
+        impl Drop for FailOnPanic<'_, '_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    let error = EngineError::Materialize("a refresh lane panicked".to_string());
+                    self.0.fail(error);
+                }
+            }
+        }
+        let _fail = FailOnPanic(self);
+        loop {
+            let task = {
+                let mut st = self.lock();
+                loop {
+                    if st.error.is_some() || st.finalized == self.mvs.len() {
+                        return;
+                    }
+                    if let Some(task) = st.queue.pop_front() {
+                        break task;
+                    }
+                    st = self.wake.wait(st).unwrap_or_else(|p| p.into_inner());
+                }
+            };
+            let outcome = match task {
+                LaneTask::Compute(idx) => self
+                    .ctrl
+                    .compute_node(self.mvs, &self.index, self.dp, self.snapshot, idx)
+                    .and_then(|node| self.on_computed(&mut self.lock(), idx, node)),
+                LaneTask::Write {
+                    idx,
+                    node,
+                    fell_back,
+                } => self.write(idx, &node).map(|write_s| {
+                    let mut m = node_metrics(self.mvs, self.dp, idx, &node.stats, write_s, false);
+                    m.fell_back = fell_back;
+                    // Free the output before taking the lock.
+                    drop(node);
+                    self.publish(&mut self.lock(), idx, m);
+                }),
+            };
+            match outcome {
+                Ok(()) => self.wake.notify_all(),
+                Err(e) => self.fail(e),
+            }
+        }
+    }
+
+    /// The background materializer: persists flagged outputs off the
+    /// critical path until its queue is closed.
+    fn materialize(&self, bg_rx: mpsc::Receiver<(usize, Arc<Table>)>) {
+        for (idx, table) in bg_rx {
+            let name = &self.mvs[idx].name;
+            let written = self
+                .ctrl
+                .disk
+                .persist_table(name, &table, self.dp.append[idx]);
+            drop(table);
+            self.lock().bg_pending -= 1;
+            match written {
+                Ok(_) => self.wake.notify_all(),
+                Err(e) => self.fail(EngineError::Materialize(format!("{name}: {e}"))),
+            }
+        }
+    }
 }
 
 impl<'a> Controller<'a> {
@@ -555,6 +828,8 @@ impl<'a> Controller<'a> {
             refresh: RefreshConfig::default(),
             deltas: None,
             observations: None,
+            #[cfg(test)]
+            dispatch_log: None,
         }
     }
 
@@ -650,9 +925,8 @@ impl<'a> Controller<'a> {
         Ok(edges)
     }
 
-    /// Fixes every node's maintenance mode before execution (shared by the
-    /// sequential and multi-lane paths, so lane count cannot change what a
-    /// refresh computes).
+    /// Fixes every node's maintenance mode before execution (so lane count
+    /// cannot change what a refresh computes).
     ///
     /// Walking `plan.order` (a topological order): a node can be
     /// maintained incrementally only when the delta of *every* input is
@@ -827,7 +1101,7 @@ impl<'a> Controller<'a> {
                     } else {
                         CostProvenance::Estimated
                     };
-                    self.config.cost_model.incremental_refresh_wins_observed(
+                    self.config.cost_model.incremental_refresh_wins(
                         input_bytes,
                         mv_bytes,
                         delta_bytes,
@@ -894,11 +1168,7 @@ impl<'a> Controller<'a> {
         let snapshot = self.deltas.map(|s| s.snapshot());
         let poisoned = self.deltas.map(|s| s.is_poisoned()).unwrap_or(false);
         let dp = self.plan_deltas(mvs, plan, &edges, snapshot.as_ref(), poisoned);
-        let mut result = if self.refresh.lanes <= 1 {
-            self.refresh_sequential(mvs, plan, &edges, &dp, snapshot.as_ref())
-        } else {
-            self.refresh_parallel(mvs, plan, &edges, &dp, snapshot.as_ref())
-        };
+        let mut result = self.execute(mvs, plan, &edges, &dp, snapshot.as_ref());
         if result.is_err() {
             // A failed run must not leave admitted entries behind: they
             // would shrink the budget for — and collide with — every
@@ -1059,272 +1329,11 @@ impl<'a> Controller<'a> {
         )
     }
 
-    /// The paper's controller: one compute lane walking `plan.order`, plus
-    /// the background materializer thread for flagged nodes.
-    fn refresh_sequential(
-        &self,
-        mvs: &[MvDefinition],
-        plan: &Plan,
-        edges: &[(usize, usize)],
-        dp: &DeltaPlan,
-        snapshot: Option<&HashMap<String, TableDelta>>,
-    ) -> Result<RunMetrics> {
-        let n = mvs.len();
-        let index: HashMap<&str, usize> = mvs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.as_str(), i))
-            .collect();
-
-        // Remaining-consumer counts for release bookkeeping.
-        let mut remaining_children = vec![0usize; n];
-        for &(i, _) in edges {
-            remaining_children[i] += 1;
-        }
-        let has_children: Vec<bool> = remaining_children.iter().map(|&c| c > 0).collect();
-
-        self.memory.reset_peak();
-        let run_started = Instant::now();
-
-        let mut metrics_nodes: Vec<NodeMetrics> = Vec::with_capacity(n);
-        let mut final_drain_s = 0.0f64;
-
-        // Background materializer: receives (node index, name, table,
-        // append?), persists it, reports completion.
-        let (work_tx, work_rx) = mpsc::channel::<(usize, String, Arc<Table>, bool)>();
-        let (done_tx, done_rx) = mpsc::channel::<(usize, Result<u64>)>();
-
-        std::thread::scope(|scope| -> Result<()> {
-            let disk = self.disk;
-            scope.spawn(move || {
-                for (idx, name, table, append) in work_rx {
-                    let result = disk.persist_table(&name, &table, append);
-                    // The run ends before the channel closes, so a send
-                    // failure can only happen on early abort; ignore it.
-                    let _ = done_tx.send((idx, result));
-                }
-            });
-
-            // Release state per node: children pending + write pending.
-            let mut write_pending = vec![false; n];
-            let mut resident = vec![false; n];
-            // Catalog entry held per resident node (a delta-payload node's
-            // entry is its published delta, not its table).
-            let mut catalog_names: Vec<String> = mvs.iter().map(|m| m.name.clone()).collect();
-
-            let process_done = |timeout: Option<std::time::Duration>,
-                                write_pending: &mut Vec<bool>,
-                                mvs: &[MvDefinition]|
-             -> Result<bool> {
-                let msg = match timeout {
-                    None => match done_rx.try_recv() {
-                        Ok(m) => m,
-                        Err(_) => return Ok(false),
-                    },
-                    Some(t) => match done_rx.recv_timeout(t) {
-                        Ok(m) => m,
-                        Err(_) => return Ok(false),
-                    },
-                };
-                let (idx, result) = msg;
-                result.map_err(|e| EngineError::Materialize(format!("{}: {e}", mvs[idx].name)))?;
-                write_pending[idx] = false;
-                Ok(true)
-            };
-
-            // The executed node consumed its parents: release every entry
-            // whose consumers have now all run (§III-C).
-            let release_parents = |idx: usize,
-                                   remaining_children: &mut Vec<usize>,
-                                   resident: &mut Vec<bool>,
-                                   catalog_names: &[String]| {
-                for &(i, j) in edges {
-                    if j == idx {
-                        remaining_children[i] -= 1;
-                        if remaining_children[i] == 0 && resident[i] {
-                            self.memory.remove(&catalog_names[i]);
-                            resident[i] = false;
-                        }
-                    }
-                }
-            };
-
-            for &node in &plan.order {
-                let idx = node.index();
-                let mv = &mvs[idx];
-
-                if dp.modes[idx] == NodeMode::Skipped {
-                    // Nothing reaches this MV: its stored contents are
-                    // already current. It still counts as an executed
-                    // consumer for release bookkeeping below.
-                    let mut skipped = NodeMetrics::skipped(&mv.name);
-                    skipped.segments = dp.pre_segments[idx];
-                    metrics_nodes.push(skipped);
-                    release_parents(idx, &mut remaining_children, &mut resident, &catalog_names);
-                    while process_done(None, &mut write_pending, mvs)? {}
-                    continue;
-                }
-
-                let source = RunSource::new(self.memory, self.disk);
-                let node_started = Instant::now();
-                let (output, delta, delta_bytes) = if dp.modes[idx] == NodeMode::Incremental {
-                    let deltas = RunDeltaSource {
-                        pending: snapshot,
-                        index: &index,
-                        source: &source,
-                    };
-                    let inc = execute_incremental(mv, &source, &deltas, dp.append[idx])?;
-                    (Arc::new(inc.output), inc.delta, inc.delta_bytes)
-                } else {
-                    (Arc::new(mv.plan.execute(&source)?), None, 0)
-                };
-                let exec_elapsed = node_started.elapsed().as_secs_f64();
-                let read_s = source.read_s.get();
-                let compute_s = (exec_elapsed - read_s).max(0.0);
-                let is_append = dp.append[idx];
-                let (output_bytes, rows, appended_bytes) =
-                    self.stored_output_metrics(&mv.name, &output, is_append);
-                let segments = if is_append {
-                    dp.pre_segments[idx] + usize::from(appended_bytes > 0)
-                } else {
-                    1
-                };
-
-                // Encode the published delta once for spill and/or catalog.
-                let delta_table: Option<Arc<Table>> = match &delta {
-                    Some(d) if dp.spill[idx] || dp.delta_payload[idx] => {
-                        Some(Arc::new(d.to_table()?))
-                    }
-                    _ => None,
-                };
-                let is_flagged = dp.flagged.contains(NodeId(idx));
-                let mut write_s = 0.0;
-                let mut fell_back = false;
-
-                if dp.spill[idx] {
-                    let w = Instant::now();
-                    self.disk.write_table(
-                        &delta_entry_name(&mv.name),
-                        delta_table.as_ref().expect("spill implies published delta"),
-                    )?;
-                    write_s += w.elapsed().as_secs_f64();
-                }
-
-                if is_flagged && !has_children[idx] {
-                    // No consumers: skip the catalog (it is outside every
-                    // Vi), just background the write.
-                    write_pending[idx] = true;
-                    work_tx
-                        .send((idx, mv.name.clone(), output, is_append))
-                        .map_err(|e| EngineError::Materialize(e.to_string()))?;
-                } else if is_flagged {
-                    let (entry_name, payload) = if dp.delta_payload[idx] {
-                        (
-                            delta_entry_name(&mv.name),
-                            Arc::clone(delta_table.as_ref().expect("delta payload published")),
-                        )
-                    } else {
-                        (mv.name.clone(), Arc::clone(&output))
-                    };
-                    match self.memory.insert(&entry_name, payload) {
-                        Ok(()) => {
-                            resident[idx] = true;
-                            catalog_names[idx] = entry_name;
-                            write_pending[idx] = true;
-                            work_tx
-                                .send((idx, mv.name.clone(), output, is_append))
-                                .map_err(|e| EngineError::Materialize(e.to_string()))?;
-                        }
-                        Err(EngineError::MemoryBudgetExceeded { .. })
-                            if self.config.fallback_on_memory_pressure =>
-                        {
-                            fell_back = true;
-                            let w = Instant::now();
-                            if dp.delta_payload[idx] {
-                                // Incremental consumers now read the delta
-                                // from storage instead of the catalog.
-                                self.disk.write_table(
-                                    &delta_entry_name(&mv.name),
-                                    delta_table.as_ref().expect("delta payload published"),
-                                )?;
-                            }
-                            self.disk.persist_table(&mv.name, &output, is_append)?;
-                            write_s += w.elapsed().as_secs_f64();
-                        }
-                        Err(e) => return Err(e),
-                    }
-                } else {
-                    let w = Instant::now();
-                    self.disk.persist_table(&mv.name, &output, is_append)?;
-                    write_s += w.elapsed().as_secs_f64();
-                }
-
-                metrics_nodes.push(NodeMetrics {
-                    name: mv.name.clone(),
-                    mode: dp.modes[idx],
-                    reason: dp.reasons[idx],
-                    delta_bytes,
-                    appended_bytes,
-                    segments,
-                    read_s,
-                    compute_s,
-                    write_s,
-                    output_bytes,
-                    rows,
-                    flagged: is_flagged && !fell_back,
-                    fell_back,
-                    memory_reads: source.memory_reads.get(),
-                    disk_reads: source.disk_reads.get(),
-                    cost: dp.cost[idx],
-                });
-
-                // The materializer thread holds its own reference, so
-                // releasing the catalog budget is safe even while the
-                // background write is still in flight.
-                release_parents(idx, &mut remaining_children, &mut resident, &catalog_names);
-
-                // Opportunistically drain materializer completions.
-                while process_done(None, &mut write_pending, mvs)? {}
-            }
-
-            // All nodes executed; wait for outstanding materializations.
-            drop(work_tx);
-            let drain_started = Instant::now();
-            while write_pending.iter().any(|&p| p) {
-                if !process_done(
-                    Some(std::time::Duration::from_millis(50)),
-                    &mut write_pending,
-                    mvs,
-                )? {
-                    continue;
-                }
-            }
-            final_drain_s = drain_started.elapsed().as_secs_f64();
-
-            // Release any still-resident flagged nodes (all children done by
-            // now — every node has executed).
-            for (idx, r) in resident.iter().enumerate() {
-                if *r {
-                    self.memory.remove(&catalog_names[idx]);
-                }
-            }
-            Ok(())
-        })?;
-
-        Ok(RunMetrics {
-            total_s: run_started.elapsed().as_secs_f64(),
-            nodes: metrics_nodes,
-            peak_memory_bytes: self.memory.peak(),
-            final_drain_s,
-            gc_failed_deletes: 0,
-        })
-    }
-
-    /// Computes one node for the multi-lane executor (worker-side): runs
-    /// the node's plan — full or incremental per the fixed delta plan —
-    /// and spills the published delta to storage when some incremental
-    /// consumer must read it from there. Skipped nodes return an empty
-    /// placeholder so the pool's readiness machinery stays uniform.
+    /// Computes one node on a lane: runs the node's plan — full or
+    /// incremental per the fixed delta plan — and spills the published
+    /// delta to storage when some incremental consumer must read it from
+    /// there. Skipped nodes return an empty placeholder so the readiness
+    /// machinery stays uniform.
     fn compute_node(
         &self,
         mvs: &[MvDefinition],
@@ -1333,87 +1342,80 @@ impl<'a> Controller<'a> {
         snapshot: Option<&HashMap<String, TableDelta>>,
         idx: usize,
     ) -> Result<ComputedNode> {
+        let mut stats = ComputedStats::default();
         if dp.modes[idx] == NodeMode::Skipped {
             return Ok(ComputedNode {
                 output: Arc::new(Table::empty(crate::schema::Schema::empty())),
-                append: false,
-                output_bytes: 0,
-                rows: 0,
-                appended_bytes: 0,
                 delta_table: None,
-                delta_bytes: 0,
-                read_s: 0.0,
-                compute_s: 0.0,
-                spill_write_s: 0.0,
-                memory_reads: 0,
-                disk_reads: 0,
+                stats,
             });
         }
+        let mv = &mvs[idx];
         let source = RunSource::new(self.memory, self.disk);
         let started = Instant::now();
-        let (output, delta, delta_bytes) = if dp.modes[idx] == NodeMode::Incremental {
+        let (output, delta) = if dp.modes[idx] == NodeMode::Incremental {
             let deltas = RunDeltaSource {
                 pending: snapshot,
                 index,
                 source: &source,
             };
-            let inc = execute_incremental(&mvs[idx], &source, &deltas, dp.append[idx])?;
-            (Arc::new(inc.output), inc.delta, inc.delta_bytes)
+            let inc = execute_incremental(mv, &source, &deltas, dp.append[idx])?;
+            stats.delta_bytes = inc.delta_bytes;
+            (Arc::new(inc.output), inc.delta)
         } else {
-            (Arc::new(mvs[idx].plan.execute(&source)?), None, 0)
+            (Arc::new(mv.plan.execute(&source)?), None)
         };
         let elapsed = started.elapsed().as_secs_f64();
-        let read_s = source.read_s.get();
+        stats.read_s = source.read_s.get();
+        stats.compute_s = (elapsed - stats.read_s).max(0.0);
+        stats.memory_reads = source.memory_reads.get();
+        stats.disk_reads = source.disk_reads.get();
+        // Encode the published delta once for spill and/or catalog.
         let delta_table = match &delta {
             Some(d) if dp.spill[idx] || dp.delta_payload[idx] => Some(Arc::new(d.to_table()?)),
             _ => None,
         };
-        let mut spill_write_s = 0.0;
         if dp.spill[idx] {
             let w = Instant::now();
             self.disk.write_table(
-                &delta_entry_name(&mvs[idx].name),
+                &delta_entry_name(&mv.name),
                 delta_table.as_ref().expect("spill implies published delta"),
             )?;
-            spill_write_s = w.elapsed().as_secs_f64();
+            stats.spill_write_s = w.elapsed().as_secs_f64();
         }
-        let (output_bytes, rows, appended_bytes) =
-            self.stored_output_metrics(&mvs[idx].name, &output, dp.append[idx]);
+        (stats.output_bytes, stats.rows, stats.appended_bytes) =
+            self.stored_output_metrics(&mv.name, &output, dp.append[idx]);
         Ok(ComputedNode {
             output,
-            append: dp.append[idx],
-            output_bytes,
-            rows,
-            appended_bytes,
             delta_table,
-            delta_bytes,
-            read_s,
-            compute_s: (elapsed - read_s).max(0.0),
-            spill_write_s,
-            memory_reads: source.memory_reads.get(),
-            disk_reads: source.disk_reads.get(),
+            stats,
         })
     }
 
-    /// The multi-lane executor: a pool of worker threads executes DAG
-    /// nodes as soon as all dependencies are readable, with flag admission
-    /// serialized in `plan.order` (see the module docs for the invariants).
+    /// The refresh executor (§III-C): `lanes` lanes — the calling thread
+    /// plus `lanes - 1` scoped workers — take ready nodes and blocking
+    /// writes off one FIFO queue, and one background materializer
+    /// persists flagged outputs off the critical path. There is no
+    /// scheduler thread: a lane that finishes a task folds the outcome
+    /// into the shared [`RunState`] itself, which queues whatever became
+    /// ready.
     ///
-    /// Admission decisions are a *deterministic replay* of the sequential
-    /// controller's Memory Catalog accounting: a flagged node's
-    /// admit-or-fallback outcome is decided only once every node earlier in
-    /// `plan.order` has computed, against a model of the catalog state the
-    /// sequential run would have at that plan position. Actual catalog
-    /// usage at that moment is never above the model's (out-of-order
-    /// completions can only add releases), so a modeled admit always fits
-    /// — parallel runs reproduce the sequential run's flag outcomes
-    /// exactly, independent of thread timing.
+    /// A node is queued once every dependency is readable (admitted to
+    /// the Memory Catalog or persisted) and it lies within
+    /// [`sc_core::run_ahead_window`] plan positions of the computed
+    /// plan-order prefix. With one lane that window is zero, so the
+    /// calling thread computes — and, the queue being a FIFO, writes —
+    /// the nodes strictly in `plan.order`: the paper's sequential
+    /// controller is this executor with a pool of one.
     ///
-    /// Run-ahead is bounded: a node only starts once all nodes more than
-    /// `window` plan positions ahead of it have computed, which caps the
-    /// number of computed-but-unpublished outputs held outside the
-    /// catalog's accounting.
-    fn refresh_parallel(
+    /// The Memory Catalog is driven by [`sc_core::AdmissionReplay`]: a
+    /// flagged node is admitted (or falls back to a blocking write) when
+    /// the computed prefix reaches it, and an entry is released when the
+    /// prefix passes its last consumer — admit first, then release, in
+    /// plan order. Catalog contents therefore depend only on the plan and
+    /// the output sizes, never on which lane finished first: flag
+    /// outcomes and `peak_memory_bytes` are the same at every lane count.
+    fn execute(
         &self,
         mvs: &[MvDefinition],
         plan: &Plan,
@@ -1422,438 +1424,92 @@ impl<'a> Controller<'a> {
         snapshot: Option<&HashMap<String, TableDelta>>,
     ) -> Result<RunMetrics> {
         let n = mvs.len();
-        let lanes = self.refresh.lanes.min(n.max(1));
-        // Transient (out-of-catalog) outputs are bounded by roughly this
-        // many nodes beyond the computed plan-order prefix.
-        let window = self
-            .refresh
-            .run_ahead_window
-            .unwrap_or_else(|| sc_core::run_ahead_window(lanes));
-        let index: HashMap<&str, usize> = mvs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.as_str(), i))
-            .collect();
-        // The executor works against the *effective* flags (skipped nodes
-        // never enter the catalog), in a plan the shared admission replayer
-        // can consume.
-        let eff_plan = Plan {
-            order: plan.order.clone(),
-            flagged: dp.flagged.clone(),
-        };
-        let plan = &eff_plan;
-
-        let mut remaining_children = vec![0usize; n];
+        let lanes = self.refresh.lanes.clamp(1, n.max(1));
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut parents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut pending_parents = vec![0usize; n];
         for &(i, j) in edges {
-            remaining_children[i] += 1;
             children[i].push(j);
             parents[j].push(i);
-            pending_parents[j] += 1;
         }
-        let has_children: Vec<bool> = remaining_children.iter().map(|&c| c > 0).collect();
         let mut pos = vec![0usize; n];
         for (p, &v) in plan.order.iter().enumerate() {
             pos[v.index()] = p;
         }
-
-        // Flagged nodes with consumers enter the Memory Catalog strictly in
-        // plan order; this queue is that order.
-        let admission_order: Vec<usize> = plan
-            .order
-            .iter()
-            .map(|v| v.index())
-            .filter(|&i| plan.flagged.contains(NodeId(i)) && has_children[i])
-            .collect();
+        let (bg_tx, bg_rx) = mpsc::channel();
+        let run = Run {
+            ctrl: self,
+            mvs,
+            plan,
+            dp,
+            snapshot,
+            index: mvs
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (m.name.as_str(), i))
+                .collect(),
+            children,
+            pos,
+            window: sc_core::run_ahead_window(lanes),
+            state: Mutex::new(RunState {
+                queue: VecDeque::new(),
+                pending_parents: parents.iter().map(Vec::len).collect(),
+                held: BTreeSet::new(),
+                replay: sc_core::AdmissionReplay::new(
+                    &plan.order,
+                    &dp.flagged,
+                    &parents,
+                    self.memory.budget(),
+                ),
+                computed: vec![false; n],
+                sizes: vec![0; n],
+                awaiting_admission: (0..n).map(|_| None).collect(),
+                metrics: (0..n).map(|_| None).collect(),
+                finalized: 0,
+                bg_tx: Some(bg_tx),
+                bg_pending: 0,
+                error: None,
+            }),
+            wake: Condvar::new(),
+        };
 
         self.memory.reset_peak();
         let run_started = Instant::now();
 
-        let mut metrics: Vec<Option<NodeMetrics>> = (0..n).map(|_| None).collect();
-        let mut final_drain_s = 0.0f64;
-
-        std::thread::scope(|scope| -> Result<()> {
-            // All channels live inside the scope so an early error return
-            // drops the senders, which terminates workers and the
-            // materializer before the scope joins them.
-            let (task_tx, task_rx) = mpsc::channel::<LaneTask>();
-            let task_rx = Arc::new(Mutex::new(task_rx));
-            let (msg_tx, msg_rx) = mpsc::channel::<LaneMsg>();
-            let (bg_tx, bg_rx) = mpsc::channel::<(usize, String, Arc<Table>, bool)>();
-
-            {
-                let msg_tx = msg_tx.clone();
-                let disk = self.disk;
-                scope.spawn(move || {
-                    for (idx, name, table, append) in bg_rx {
-                        let result = disk.persist_table(&name, &table, append);
-                        let _ = msg_tx.send(LaneMsg::BgWritten { idx, result });
-                    }
-                });
-            }
-
-            for _ in 0..lanes {
-                let task_rx = Arc::clone(&task_rx);
-                let msg_tx = msg_tx.clone();
-                let index = &index;
-                scope.spawn(move || loop {
-                    // Workers race for the receiver; holding the lock while
-                    // blocked in recv is fine — the holder is handed the
-                    // next task and releases immediately.
-                    let task = match task_rx.lock().unwrap_or_else(|p| p.into_inner()).recv() {
-                        Ok(t) => t,
-                        Err(_) => break,
-                    };
-                    let send = match task {
-                        LaneTask::Compute(idx) => {
-                            match self.compute_node(mvs, index, dp, snapshot, idx) {
-                                Ok(node) => LaneMsg::Computed { idx, node },
-                                Err(error) => LaneMsg::ComputeFailed { error },
-                            }
-                        }
-                        LaneTask::Write {
-                            idx,
-                            output,
-                            spill,
-                            fell_back,
-                            append,
-                        } => {
-                            let w = Instant::now();
-                            let result = spill
-                                .map(|d| {
-                                    self.disk
-                                        .write_table(&delta_entry_name(&mvs[idx].name), &d)
-                                        .map(|_| ())
-                                })
-                                .unwrap_or(Ok(()))
-                                .and_then(|()| {
-                                    self.disk.persist_table(&mvs[idx].name, &output, append)
-                                });
-                            LaneMsg::Written {
-                                idx,
-                                write_s: w.elapsed().as_secs_f64(),
-                                fell_back,
-                                result,
-                            }
-                        }
-                    };
-                    // A send failure means the coordinator aborted; exit.
-                    if msg_tx.send(send).is_err() {
-                        break;
-                    }
-                });
-            }
-            // The coordinator only receives; drop its sender so msg_rx can
-            // disconnect if every thread exits unexpectedly.
-            drop(msg_tx);
-
-            let mut resident = vec![false; n];
-            let mut catalog_names: Vec<String> = mvs.iter().map(|m| m.name.clone()).collect();
-            let mut bg_pending = vec![false; n];
-            let mut next_admit = 0usize;
-            let mut awaiting_admission: HashMap<usize, ComputedNode> = HashMap::new();
-            let mut finalized = 0usize;
-
-            // Computed plan-order prefix + the sequential-accounting
-            // replay it drives (see the function docs). The replayer is
-            // shared with the simulator via sc-core so the two executors
-            // cannot drift apart.
-            let mut computed = vec![false; n];
-            let mut sizes = vec![0u64; n];
-            let mut replay = sc_core::AdmissionReplay::new(plan, &parents, self.memory.budget());
-            // Ready nodes held back by the run-ahead window, keyed by plan
-            // position.
-            let mut held: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-
-            let publish = |idx: usize,
-                           pending_parents: &mut Vec<usize>,
-                           held: &mut std::collections::BTreeSet<usize>,
-                           prefix: usize,
-                           task_tx: &mpsc::Sender<LaneTask>|
-             -> Result<()> {
-                for &j in &children[idx] {
-                    pending_parents[j] -= 1;
-                    if pending_parents[j] == 0 {
-                        if pos[j] <= prefix + window {
-                            task_tx
-                                .send(LaneTask::Compute(j))
-                                .map_err(|e| EngineError::Materialize(e.to_string()))?;
-                        } else {
-                            held.insert(pos[j]);
-                        }
-                    }
-                }
-                Ok(())
-            };
-
-            // Seed the pool with every dependency-free node within the
-            // initial window, in plan order.
+        // Seed the queue with every dependency-free node, in plan order.
+        {
+            let mut st = run.lock();
             for &v in &plan.order {
-                if pending_parents[v.index()] == 0 {
-                    if pos[v.index()] <= window {
-                        task_tx
-                            .send(LaneTask::Compute(v.index()))
-                            .map_err(|e| EngineError::Materialize(e.to_string()))?;
-                    } else {
-                        held.insert(pos[v.index()]);
-                    }
+                if parents[v.index()].is_empty() {
+                    run.offer(&mut st, v.index());
                 }
             }
-
-            let mut drain_started: Option<Instant> = None;
-            while finalized < n || bg_pending.iter().any(|&b| b) {
-                if finalized == n && drain_started.is_none() {
-                    drain_started = Some(Instant::now());
-                }
-                let msg = msg_rx
-                    .recv()
-                    .map_err(|_| EngineError::Materialize("worker pool died".to_string()))?;
-                match msg {
-                    LaneMsg::ComputeFailed { error } => return Err(error),
-                    LaneMsg::Computed { idx, node } => {
-                        computed[idx] = true;
-                        // Catalog accounting sees the node's payload: its
-                        // delta when every consumer maintains
-                        // incrementally, its full output otherwise.
-                        sizes[idx] = if dp.delta_payload[idx] {
-                            node.delta_table
-                                .as_ref()
-                                .map(|d| d.byte_size())
-                                .unwrap_or(0)
-                        } else {
-                            node.output.byte_size()
-                        };
-                        // This node consumed its parents: release any whose
-                        // consumers have now all executed.
-                        for &i in &parents[idx] {
-                            remaining_children[i] -= 1;
-                            if remaining_children[i] == 0 && resident[i] {
-                                self.memory.remove(&catalog_names[i]);
-                                resident[i] = false;
-                            }
-                        }
-                        let is_flagged = plan.flagged.contains(NodeId(idx));
-                        if dp.modes[idx] == NodeMode::Skipped {
-                            // Stored contents already current: nothing to
-                            // write or admit, publish immediately.
-                            let mut skipped = NodeMetrics::skipped(&mvs[idx].name);
-                            skipped.segments = dp.pre_segments[idx];
-                            metrics[idx] = Some(skipped);
-                            finalized += 1;
-                            publish(
-                                idx,
-                                &mut pending_parents,
-                                &mut held,
-                                replay.prefix(),
-                                &task_tx,
-                            )?;
-                        } else if is_flagged && !has_children[idx] {
-                            // No consumers: bypass the catalog, background
-                            // the write, and publish immediately.
-                            bg_pending[idx] = true;
-                            bg_tx
-                                .send((
-                                    idx,
-                                    mvs[idx].name.clone(),
-                                    Arc::clone(&node.output),
-                                    node.append,
-                                ))
-                                .map_err(|e| EngineError::Materialize(e.to_string()))?;
-                            metrics[idx] = Some(node_metrics(
-                                &mvs[idx].name,
-                                &node,
-                                dp,
-                                idx,
-                                0.0,
-                                true,
-                                false,
-                            ));
-                            finalized += 1;
-                            publish(
-                                idx,
-                                &mut pending_parents,
-                                &mut held,
-                                replay.prefix(),
-                                &task_tx,
-                            )?;
-                        } else if is_flagged {
-                            awaiting_admission.insert(idx, node);
-                        } else {
-                            let output = Arc::clone(&node.output);
-                            let append = node.append;
-                            awaiting_admission.insert(idx, node);
-                            task_tx
-                                .send(LaneTask::Write {
-                                    idx,
-                                    output,
-                                    spill: None,
-                                    fell_back: false,
-                                    append,
-                                })
-                                .map_err(|e| EngineError::Materialize(e.to_string()))?;
-                        }
-
-                        // Advance the sequential-accounting replay over the
-                        // computed prefix, fixing admit/fallback decisions
-                        // exactly as the 1-lane run would.
-                        replay.advance(plan, &parents, &computed, &sizes);
-
-                        // Execute decided admissions, in plan order.
-                        while next_admit < admission_order.len() {
-                            let cand = admission_order[next_admit];
-                            let Some(admit) = replay.decision(cand) else {
-                                break;
-                            };
-                            if !admit && !self.config.fallback_on_memory_pressure {
-                                return Err(EngineError::MemoryBudgetExceeded {
-                                    requested: sizes[cand],
-                                    used: replay.used(),
-                                    budget: self.memory.budget(),
-                                });
-                            }
-                            let pending = awaiting_admission
-                                .remove(&cand)
-                                .expect("decision only fixes after the node computed");
-                            if admit {
-                                // Cannot exceed the budget: actual usage is
-                                // never above the model's at this point
-                                // (out-of-order completions only add
-                                // releases).
-                                let (entry_name, payload) = if dp.delta_payload[cand] {
-                                    (
-                                        delta_entry_name(&mvs[cand].name),
-                                        Arc::clone(
-                                            pending
-                                                .delta_table
-                                                .as_ref()
-                                                .expect("delta payload published"),
-                                        ),
-                                    )
-                                } else {
-                                    (mvs[cand].name.clone(), Arc::clone(&pending.output))
-                                };
-                                self.memory.insert(&entry_name, payload)?;
-                                catalog_names[cand] = entry_name;
-                                resident[cand] = true;
-                                bg_pending[cand] = true;
-                                bg_tx
-                                    .send((
-                                        cand,
-                                        mvs[cand].name.clone(),
-                                        Arc::clone(&pending.output),
-                                        pending.append,
-                                    ))
-                                    .map_err(|e| EngineError::Materialize(e.to_string()))?;
-                                metrics[cand] = Some(node_metrics(
-                                    &mvs[cand].name,
-                                    &pending,
-                                    dp,
-                                    cand,
-                                    0.0,
-                                    true,
-                                    false,
-                                ));
-                                finalized += 1;
-                                publish(
-                                    cand,
-                                    &mut pending_parents,
-                                    &mut held,
-                                    replay.prefix(),
-                                    &task_tx,
-                                )?;
-                            } else {
-                                let output = Arc::clone(&pending.output);
-                                let append = pending.append;
-                                // A fallen-back delta payload must reach
-                                // storage for its incremental consumers.
-                                let spill = if dp.delta_payload[cand] {
-                                    pending.delta_table.clone()
-                                } else {
-                                    None
-                                };
-                                // The Written handler finalizes from the
-                                // stash; put the entry back.
-                                awaiting_admission.insert(cand, pending);
-                                task_tx
-                                    .send(LaneTask::Write {
-                                        idx: cand,
-                                        output,
-                                        spill,
-                                        fell_back: true,
-                                        append,
-                                    })
-                                    .map_err(|e| EngineError::Materialize(e.to_string()))?;
-                            }
-                            next_admit += 1;
-                        }
-
-                        // The prefix advanced: release window-held nodes
-                        // that now fall inside it.
-                        while let Some(&p) = held.first() {
-                            if p > replay.prefix() + window {
-                                break;
-                            }
-                            held.remove(&p);
-                            task_tx
-                                .send(LaneTask::Compute(plan.order[p].index()))
-                                .map_err(|e| EngineError::Materialize(e.to_string()))?;
-                        }
-                    }
-                    LaneMsg::Written {
-                        idx,
-                        write_s,
-                        fell_back,
-                        result,
-                    } => {
-                        result?;
-                        let pending = awaiting_admission
-                            .remove(&idx)
-                            .expect("blocking write for a node without a computed output");
-                        metrics[idx] = Some(node_metrics(
-                            &mvs[idx].name,
-                            &pending,
-                            dp,
-                            idx,
-                            write_s,
-                            false,
-                            fell_back,
-                        ));
-                        finalized += 1;
-                        publish(
-                            idx,
-                            &mut pending_parents,
-                            &mut held,
-                            replay.prefix(),
-                            &task_tx,
-                        )?;
-                    }
-                    LaneMsg::BgWritten { idx, result } => {
-                        result.map_err(|e| {
-                            EngineError::Materialize(format!("{}: {e}", mvs[idx].name))
-                        })?;
-                        bg_pending[idx] = false;
-                    }
-                }
+        }
+        let final_drain_s = std::thread::scope(|scope| {
+            scope.spawn(|| run.materialize(bg_rx));
+            for _ in 1..lanes {
+                scope.spawn(|| run.lane());
             }
-            final_drain_s = drain_started
-                .map(|d| d.elapsed().as_secs_f64())
-                .unwrap_or(0.0);
+            run.lane();
 
-            // Release any still-resident flagged nodes.
-            for (idx, r) in resident.iter().enumerate() {
-                if *r {
-                    self.memory.remove(&catalog_names[idx]);
-                }
+            // All nodes executed; wait for outstanding materializations,
+            // then close the materializer's queue so it exits.
+            let drain_started = Instant::now();
+            let mut st = run.lock();
+            while st.bg_pending > 0 && st.error.is_none() {
+                st = run.wake.wait(st).unwrap_or_else(|p| p.into_inner());
             }
-            Ok(())
-        })?;
+            st.bg_tx = None;
+            drain_started.elapsed().as_secs_f64()
+        });
 
+        let mut st = run.state.into_inner().unwrap_or_else(|p| p.into_inner());
+        if let Some(error) = st.error {
+            return Err(error);
+        }
         let nodes = plan
             .order
             .iter()
-            .map(|v| metrics[v.index()].take().expect("every node finalized"))
+            .map(|v| st.metrics[v.index()].take().expect("every node finalized"))
             .collect();
         Ok(RunMetrics {
             total_s: run_started.elapsed().as_secs_f64(),
@@ -1865,36 +1521,36 @@ impl<'a> Controller<'a> {
     }
 }
 
-/// Assembles the final [`NodeMetrics`] for a computed node.
+/// Assembles the final [`NodeMetrics`] for a computed node (`flagged`:
+/// kept in memory with its write backgrounded).
 fn node_metrics(
-    name: &str,
-    node: &ComputedNode,
+    mvs: &[MvDefinition],
     dp: &DeltaPlan,
     idx: usize,
+    stats: &ComputedStats,
     write_s: f64,
     flagged: bool,
-    fell_back: bool,
 ) -> NodeMetrics {
     NodeMetrics {
-        name: name.to_string(),
+        name: mvs[idx].name.clone(),
         mode: dp.modes[idx],
         reason: dp.reasons[idx],
-        delta_bytes: node.delta_bytes,
-        appended_bytes: node.appended_bytes,
-        segments: if node.append {
-            dp.pre_segments[idx] + usize::from(node.appended_bytes > 0)
+        delta_bytes: stats.delta_bytes,
+        appended_bytes: stats.appended_bytes,
+        segments: if dp.append[idx] {
+            dp.pre_segments[idx] + usize::from(stats.appended_bytes > 0)
         } else {
             1
         },
-        read_s: node.read_s,
-        compute_s: node.compute_s,
-        write_s: write_s + node.spill_write_s,
-        output_bytes: node.output_bytes,
-        rows: node.rows,
+        read_s: stats.read_s,
+        compute_s: stats.compute_s,
+        write_s: write_s + stats.spill_write_s,
+        output_bytes: stats.output_bytes,
+        rows: stats.rows,
         flagged,
-        fell_back,
-        memory_reads: node.memory_reads,
-        disk_reads: node.disk_reads,
+        fell_back: false,
+        memory_reads: stats.memory_reads,
+        disk_reads: stats.disk_reads,
         cost: dp.cost[idx],
     }
 }
@@ -2195,21 +1851,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_outputs() {
+    fn four_lanes_match_one_lane_outputs() {
         for flags in [vec![], vec![0usize]] {
             let (_dir1, disk1, mem1) = setup(1 << 20);
             let (_dir2, disk2, mem2) = setup(1 << 20);
             let mvs = fig4_workload();
             let plan = plan_for(&mvs, &flags);
 
-            let seq = Controller::new(&disk1, &mem1).refresh(&mvs, &plan).unwrap();
-            let par = Controller::new(&disk2, &mem2)
+            let one = Controller::new(&disk1, &mem1).refresh(&mvs, &plan).unwrap();
+            let four = Controller::new(&disk2, &mem2)
                 .with_lanes(4)
                 .refresh(&mvs, &plan)
                 .unwrap();
 
-            assert_eq!(seq.nodes.len(), par.nodes.len());
-            for (a, b) in seq.nodes.iter().zip(&par.nodes) {
+            assert_eq!(one.nodes.len(), four.nodes.len());
+            assert_eq!(one.peak_memory_bytes, four.peak_memory_bytes);
+            for (a, b) in one.nodes.iter().zip(&four.nodes) {
                 assert_eq!(a.name, b.name, "metrics stay in plan order");
                 assert_eq!(a.rows, b.rows);
                 assert_eq!(a.output_bytes, b.output_bytes);
@@ -2219,16 +1876,16 @@ mod tests {
                 assert_eq!(
                     disk1.read_table(&mv.name).unwrap(),
                     disk2.read_table(&mv.name).unwrap(),
-                    "parallel run must not change {}'s contents",
+                    "lane count must not change {}'s contents",
                     mv.name
                 );
             }
-            assert!(mem2.is_empty(), "parallel run must drain the catalog");
+            assert!(mem2.is_empty(), "4-lane run must drain the catalog");
         }
     }
 
     #[test]
-    fn parallel_wide_workload_all_flag_patterns() {
+    fn three_lane_wide_workload_all_flag_patterns() {
         for flags in [vec![], vec![0usize, 1, 2, 3], vec![0, 2]] {
             let (_dir, disk, mem) = setup(4 << 20);
             let mvs = wide_workload();
@@ -2255,7 +1912,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_respects_memory_pressure_fallback() {
+    fn two_lanes_respect_memory_pressure_fallback() {
         let (_dir, disk, mem) = setup(16);
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[0]);
@@ -2270,7 +1927,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rejects_invalid_plans_too() {
+    fn four_lanes_reject_invalid_plans_too() {
         let (_dir, disk, mem) = setup(1 << 20);
         let mvs = fig4_workload();
         let c = Controller::new(&disk, &mem).with_lanes(4);
@@ -2285,7 +1942,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_missing_base_table_fails_cleanly() {
+    fn two_lane_missing_base_table_fails_cleanly() {
         let dir = tempfile::tempdir().unwrap();
         let disk = DiskCatalog::open(dir.path()).unwrap();
         let mem = MemoryCatalog::new(1 << 20);
@@ -2300,11 +1957,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_throttled_pipelines_reads_against_writes() {
+    fn four_lanes_pipeline_throttled_reads_against_writes() {
         // Four independent full-copy MVs over a shared-device throttle:
         // the read channel and the write channel are separate resources,
         // so with lanes the write of MV i overlaps the read of MV i+1
-        // (sequential pays read+write serially per node). This is the
+        // (one lane pays read+write serially per node). This is the
         // lane win that survives an honest single-device bandwidth model —
         // and a single-CPU host, since it overlaps I/O pacing, not
         // compute. Expected ratio ≈ (4r + w) / (4r + 4w) ≈ 0.65.
@@ -2327,27 +1984,27 @@ mod tests {
             .collect();
         let plan = plan_for(&mvs, &[]);
 
-        let seq = Controller::new(&disk, &mem).refresh(&mvs, &plan).unwrap();
-        let par = Controller::new(&disk, &mem)
+        let one = Controller::new(&disk, &mem).refresh(&mvs, &plan).unwrap();
+        let four = Controller::new(&disk, &mem)
             .with_lanes(4)
             .refresh(&mvs, &plan)
             .unwrap();
         assert!(
-            par.total_s < seq.total_s * 0.8,
+            four.total_s < one.total_s * 0.8,
             "4 lanes ({:.3}s) must clearly beat 1 lane ({:.3}s)",
-            par.total_s,
-            seq.total_s
+            four.total_s,
+            one.total_s
         );
     }
 
     #[test]
-    fn parallel_admission_matches_sequential_under_tight_budget() {
+    fn four_lane_admission_matches_one_lane_under_tight_budget() {
         // Two flagged hubs whose outputs only fit one-at-a-time: the
-        // sequential run admits P, releases it when C consumes it, then
-        // admits X. A naive parallel executor would try to admit X while P
-        // is still resident (C still running) and fall back; the model-
-        // driven admission must reproduce the sequential outcome every
-        // time, regardless of thread timing.
+        // 1-lane run admits P, releases it when C consumes it, then
+        // admits X. A timing-driven executor would try to admit X while P
+        // is still resident (C still running) and fall back; the plan-
+        // order accounting must reproduce the 1-lane outcome every time,
+        // regardless of thread timing.
         let mvs = vec![
             MvDefinition::new(
                 "hub_p",
@@ -2381,19 +2038,20 @@ mod tests {
         let tight = hub_bytes + hub_bytes / 4; // fits one hub, not two
 
         let (_dir1, disk1, mem1) = setup(tight);
-        let seq = Controller::new(&disk1, &mem1).refresh(&mvs, &plan).unwrap();
+        let one = Controller::new(&disk1, &mem1).refresh(&mvs, &plan).unwrap();
         assert!(
-            seq.nodes[0].flagged && seq.nodes[2].flagged,
-            "sequential admits both in turn"
+            one.nodes[0].flagged && one.nodes[2].flagged,
+            "one lane admits both in turn"
         );
 
         for _ in 0..10 {
             let (_dir2, disk2, mem2) = setup(tight);
-            let par = Controller::new(&disk2, &mem2)
+            let four = Controller::new(&disk2, &mem2)
                 .with_lanes(4)
                 .refresh(&mvs, &plan)
                 .unwrap();
-            for (a, b) in seq.nodes.iter().zip(&par.nodes) {
+            assert_eq!(one.peak_memory_bytes, four.peak_memory_bytes);
+            for (a, b) in one.nodes.iter().zip(&four.nodes) {
                 assert_eq!(
                     a.flagged, b.flagged,
                     "{}: flag outcome must be deterministic",
@@ -2414,30 +2072,114 @@ mod tests {
         assert_eq!(RefreshConfig::default().lanes, 1);
         assert_eq!(RefreshConfig::with_lanes(0).lanes, 1);
         assert_eq!(RefreshConfig::with_lanes(8).lanes, 8);
-        assert_eq!(RefreshConfig::default().run_ahead_window, None);
         assert_eq!(RefreshConfig::default().refresh_mode, RefreshMode::Auto);
-        let c = RefreshConfig::with_lanes(2)
-            .with_run_ahead_window(3)
-            .with_refresh_mode(RefreshMode::AlwaysIncremental);
-        assert_eq!(c.run_ahead_window, Some(3));
+        let c = RefreshConfig::with_lanes(2).with_refresh_mode(RefreshMode::AlwaysIncremental);
         assert_eq!(c.refresh_mode, RefreshMode::AlwaysIncremental);
     }
 
+    /// `count` independent MVs over `base` followed by one sink scanning
+    /// the first two, in a shuffled (but valid) plan order.
+    fn fan_workload(count: usize) -> (Vec<MvDefinition>, Plan) {
+        let mut mvs: Vec<MvDefinition> = (0..count)
+            .map(|i| {
+                MvDefinition::new(
+                    format!("f{i}"),
+                    LogicalPlan::scan("base").filter(Expr::col("v").ge(Expr::lit(i as f64))),
+                )
+            })
+            .collect();
+        mvs.push(MvDefinition::new(
+            "sink",
+            LogicalPlan::scan("f0").union(LogicalPlan::scan("f1")),
+        ));
+        // Odd nodes descending, then even nodes ascending, then the sink.
+        let order: Vec<NodeId> = (0..count)
+            .rev()
+            .filter(|i| i % 2 == 1)
+            .chain((0..count).filter(|i| i % 2 == 0))
+            .chain([count])
+            .map(NodeId)
+            .collect();
+        let flagged = FlagSet::from_nodes(count + 1, [NodeId(0), NodeId(1), NodeId(2)]);
+        (mvs, Plan { order, flagged })
+    }
+
     #[test]
-    fn explicit_run_ahead_window_is_honored() {
+    fn one_lane_starts_nodes_strictly_in_plan_order() {
         let (_dir, disk, mem) = setup(4 << 20);
-        let mvs = wide_workload();
-        let plan = plan_for(&mvs, &[]);
-        // A window of 0 serializes starts to the computed prefix; the run
-        // must still complete and produce every MV.
-        let m = Controller::new(&disk, &mem)
-            .with_refresh_config(RefreshConfig::with_lanes(3).with_run_ahead_window(0))
-            .refresh(&mvs, &plan)
-            .unwrap();
-        assert_eq!(m.nodes.len(), 5);
-        for mv in &mvs {
-            assert!(disk.contains(&mv.name));
+        let (mvs, plan) = fan_workload(9);
+        let log = Mutex::new(Vec::new());
+        let mut c = Controller::new(&disk, &mem);
+        c.dispatch_log = Some(&log);
+        c.refresh(&mvs, &plan).unwrap();
+        // Every node started exactly when all earlier plan positions had
+        // computed: position p at prefix p, for p = 0, 1, 2, …
+        let expected: Vec<(usize, usize)> = (0..mvs.len()).map(|p| (p, p)).collect();
+        assert_eq!(*log.lock().unwrap(), expected);
+    }
+
+    #[test]
+    fn run_ahead_is_bounded_by_the_derived_window() {
+        let (_dir, disk, mem) = setup(4 << 20);
+        let (mvs, plan) = fan_workload(20);
+        let window = sc_core::run_ahead_window(3);
+        assert!(
+            window < mvs.len() - 1,
+            "the workload must outrun the window"
+        );
+        let log = Mutex::new(Vec::new());
+        let mut c = Controller::new(&disk, &mem).with_lanes(3);
+        c.dispatch_log = Some(&log);
+        let m = c.refresh(&mvs, &plan).unwrap();
+        assert_eq!(m.nodes.len(), mvs.len());
+        let log = log.into_inner().unwrap();
+        assert_eq!(log.len(), mvs.len(), "every node dispatched once");
+        for &(pos, prefix) in &log {
+            assert!(
+                pos <= prefix + window,
+                "position {pos} started at prefix {prefix}, beyond the window of {window}"
+            );
         }
+        // The window is used, not just respected: the initial burst runs
+        // ahead of the (empty) computed prefix up to the bound.
+        assert!(log.contains(&(window, 0)));
+        assert!(!log.contains(&(window + 1, 0)));
+    }
+
+    #[test]
+    fn catalog_usage_follows_the_plan_at_every_lane_count() {
+        // Three flagged hubs with consumers at the very end of the plan:
+        // peak usage is fixed by the plan-order accounting (admit, then
+        // release on the last consumer), not by which lane finishes first.
+        let (mvs, plan) = fan_workload(9);
+        let parents: Vec<Vec<usize>> = {
+            let mut p = vec![Vec::new(); mvs.len()];
+            for (i, j) in Controller::dependencies(&mvs) {
+                p[j].push(i);
+            }
+            p
+        };
+        let mut peaks = Vec::new();
+        for lanes in [1usize, 2, 4] {
+            let (_dir, disk, mem) = setup(4 << 20);
+            let m = Controller::new(&disk, &mem)
+                .with_lanes(lanes)
+                .refresh(&mvs, &plan)
+                .unwrap();
+            // The model, replayed from the run's own output sizes.
+            let mut sizes = vec![0u64; mvs.len()];
+            for (v, node) in plan.order.iter().zip(&m.nodes) {
+                sizes[v.index()] = node.output_bytes;
+            }
+            let mut replay =
+                sc_core::AdmissionReplay::new(&plan.order, &plan.flagged, &parents, mem.budget());
+            replay.advance(&vec![true; mvs.len()], &sizes);
+            assert_eq!(m.peak_memory_bytes, replay.peak(), "lanes={lanes}");
+            assert!(mem.is_empty());
+            peaks.push(m.peak_memory_bytes);
+        }
+        assert!(peaks[0] > 0);
+        assert!(peaks.iter().all(|&p| p == peaks[0]), "{peaks:?}");
     }
 
     /// Incremental-refresh workload: a filtered slice and an aggregate

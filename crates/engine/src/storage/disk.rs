@@ -885,8 +885,8 @@ impl DiskCatalog {
     /// commits it as a new delta-sized segment
     /// ([`DiskCatalog::append_table`]), otherwise it replaces the stored
     /// contents canonically ([`DiskCatalog::write_table`]). The single
-    /// dispatch point for the controller's sequential, multi-lane, and
-    /// background-materializer write paths.
+    /// dispatch point for the controller's blocking-write and
+    /// background-materializer paths.
     pub fn persist_table(&self, name: &str, table: &Table, append: bool) -> Result<u64> {
         if append {
             self.append_table(name, table)

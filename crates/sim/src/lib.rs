@@ -7,13 +7,14 @@
 //! (§VI-A: 519.8 MB/s disk read, 358.9 MB/s write, 175 µs latency), it
 //! simulates the exact controller semantics of `sc-engine`:
 //!
-//! * one compute lane executing nodes in plan order (the paper issues MV
-//!   statements sequentially), or — with [`SimConfig::with_lanes`] — a
-//!   discrete-event mirror of the engine's multi-lane executor;
+//! * a pool of compute lanes ([`SimConfig::with_lanes`]) dispatching ready
+//!   nodes in plan order within a bounded run-ahead window, as the
+//!   engine's executor does — one lane (the default) executes strictly in
+//!   plan order, the paper's sequential issue of MV statements;
 //! * a storage write channel shared by blocking and background
 //!   materializations (FIFO, bandwidth-limited);
 //! * flagged nodes created in memory, materialized in the background, and
-//!   released once all consumers executed *and* the write landed;
+//!   released once all consumers executed;
 //! * strict Memory Catalog accounting with fallback-to-disk on pressure.
 //!
 //! The simulator also models the two §VI baselines that are systems rather

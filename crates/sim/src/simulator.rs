@@ -34,16 +34,13 @@ pub struct SimConfig {
     /// Relative compute slowdown from shrinking DBMS query memory to make
     /// room for the Memory Catalog (0.0 when using spare memory).
     pub compute_penalty: f64,
-    /// Number of compute lanes executing DAG nodes concurrently. `1` is
-    /// the paper's sequential controller; larger values mirror the
-    /// engine's multi-lane executor (nodes start as soon as all
-    /// dependencies are readable and a lane is free, flag admission
-    /// follows plan order).
+    /// Number of compute lanes executing DAG nodes concurrently, as in
+    /// the engine's executor: nodes start as soon as all dependencies are
+    /// readable, a lane is free and the node is within
+    /// [`sc_core::run_ahead_window`] of the computed prefix; catalog
+    /// actions follow plan order. `1` is the paper's sequential
+    /// controller.
     pub lanes: usize,
-    /// Multi-lane run-ahead window override; `None` derives it from the
-    /// lane count via [`sc_core::run_ahead_window`] (mirrors
-    /// `RefreshConfig::run_ahead_window` in the engine).
-    pub run_ahead_window: Option<usize>,
     /// Mirror of the engine's `ControllerConfig::fallback_on_memory_pressure`:
     /// when false, a flagged node that does not fit the Memory Catalog
     /// fails the run ([`SimError::MemoryBudgetExceeded`]) instead of
@@ -79,7 +76,6 @@ impl SimConfig {
             per_node_overhead_s: 0.15,
             compute_penalty: 0.0,
             lanes: 1,
-            run_ahead_window: None,
             fallback_on_memory_pressure: true,
             refresh_mode: RefreshMode::Auto,
             reader_read_bps: 0.0,
@@ -96,12 +92,6 @@ impl SimConfig {
     /// The same environment with `lanes` compute lanes.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
-        self
-    }
-
-    /// Overrides the multi-lane run-ahead window.
-    pub fn with_run_ahead_window(mut self, window: usize) -> Self {
-        self.run_ahead_window = Some(window);
         self
     }
 
@@ -171,7 +161,7 @@ struct SimDeltaPlan {
     flagged: FlagSet,
 }
 
-/// Deterministic single-lane refresh-run simulator.
+/// Deterministic discrete-event refresh-run simulator.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     config: SimConfig,
@@ -193,23 +183,6 @@ impl Simulator {
     pub fn run_unoptimized(&self, workload: &SimWorkload) -> Result<SimReport> {
         let order = workload.graph.kahn_order();
         self.run(workload, &Plan::unoptimized(order))
-    }
-
-    /// Simulates a refresh run under `plan`, reproducing the engine
-    /// controller's semantics (background materialization, release on
-    /// last-consumer + write-done, fallback under memory pressure,
-    /// full-vs-incremental maintenance per node). With `config.lanes > 1`
-    /// the run mirrors the engine's multi-lane executor instead of the
-    /// paper's sequential one.
-    pub fn run(&self, workload: &SimWorkload, plan: &Plan) -> Result<SimReport> {
-        workload.graph.validate_order(&plan.order)?;
-        let pos = workload.graph.order_positions(&plan.order)?;
-        let dp = self.plan_deltas(workload, plan);
-        if self.config.lanes <= 1 {
-            self.run_single_lane(workload, plan, &pos, &dp)
-        } else {
-            self.run_multi_lane(workload, plan, &pos, &dp)
-        }
     }
 
     /// Fixes every node's maintenance mode before the run — the same
@@ -277,7 +250,7 @@ impl Simulator {
                                     parent.output_bytes + grown
                                 })
                                 .sum::<u64>();
-                        cfg.cost_model().incremental_refresh_wins_observed(
+                        cfg.cost_model().incremental_refresh_wins(
                             input,
                             node.output_bytes,
                             delta,
@@ -346,262 +319,31 @@ impl Simulator {
         }
     }
 
-    /// The paper's sequential controller: one compute lane walking
-    /// `plan.order`, one shared storage write channel.
-    fn run_single_lane(
-        &self,
-        workload: &SimWorkload,
-        plan: &Plan,
-        pos: &[usize],
-        dp: &SimDeltaPlan,
-    ) -> Result<SimReport> {
-        let graph = &workload.graph;
-        let n = graph.len();
-        let cfg = &self.config;
-
-        let mut resident = vec![false; n]; // currently in Memory Catalog
-        let mut write_done = vec![f64::INFINITY; n];
-        let mut mem_used: u64 = 0;
-        let mut peak_mem: u64 = 0;
-        let mut writer_free_at = 0.0f64;
-        let mut now = 0.0f64;
-        let mut timelines = Vec::with_capacity(n);
-
-        // Release every resident node whose consumers have all executed
-        // (position < p). Per §III-C the entry is freed as soon as its
-        // dependents complete; the in-flight background write holds its own
-        // reference, so the catalog budget is released immediately.
-        let release_pass = |resident: &mut Vec<bool>,
-                            mem_used: &mut u64,
-                            _write_done: &[f64],
-                            p: usize,
-                            _time: f64| {
-            for u in graph.node_ids() {
-                if resident[u.index()] && graph.children(u).iter().all(|c| pos[c.index()] < p) {
-                    resident[u.index()] = false;
-                    *mem_used -= dp.payload[u.index()];
-                }
-            }
-        };
-
-        for (p, &v) in plan.order.iter().enumerate() {
-            let node = graph.node(v);
-            let i = v.index();
-
-            if dp.modes[i] == NodeMode::Skipped {
-                // Stored contents already current: no statement is even
-                // issued. The node still counts as an executed consumer
-                // (later release passes see its position as done).
-                timelines.push(NodeTimeline {
-                    name: node.name.clone(),
-                    mode: NodeMode::Skipped,
-                    start_s: now,
-                    read_s: 0.0,
-                    disk_read_s: 0.0,
-                    compute_s: 0.0,
-                    write_s: 0.0,
-                    available_s: now,
-                    persisted_s: now,
-                    flagged: false,
-                    fell_back: false,
-                });
-                continue;
-            }
-
-            now += cfg.per_node_overhead_s;
-            let start = now;
-            release_pass(&mut resident, &mut mem_used, &write_done, p, now);
-
-            let incremental = dp.modes[i] == NodeMode::Incremental;
-            let delta_bytes = node.delta_bytes.unwrap_or(0);
-            let mut read_s = 0.0;
-            let mut disk_read_s = 0.0;
-            let compute_s = if incremental {
-                // Re-read own stored contents to apply the delta — unless
-                // the append path skips straight to a delta-sized segment.
-                if !dp.append[i] {
-                    let t = cfg.disk_read_time(node.output_bytes);
-                    read_s += t;
-                    disk_read_s += t;
-                }
-                // Static build sides of a join spine: the propagated delta
-                // probes them, so the incremental path reads them in full.
-                if node.build_read_bytes > 0 {
-                    let t = cfg.disk_read_time(node.build_read_bytes);
-                    read_s += t;
-                    disk_read_s += t;
-                }
-                // Parent deltas: from the catalog when resident as a delta
-                // payload, from their spilled file otherwise. (The pending
-                // base-table delta itself is an in-memory log: free.)
-                for &parent in graph.parents(v) {
-                    let pi = parent.index();
-                    match dp.modes[pi] {
-                        NodeMode::Skipped => {}
-                        _ => {
-                            let bytes = graph.node(parent).delta_bytes.unwrap_or(0);
-                            if resident[pi] && dp.delta_payload[pi] {
-                                read_s += cfg.mem_time(bytes);
-                            } else {
-                                let t = cfg.disk_read_time(bytes);
-                                read_s += t;
-                                disk_read_s += t;
-                            }
-                        }
-                    }
-                }
-                // Operator work scales with the delta fraction.
-                let frac = (delta_bytes as f64 / (node.output_bytes.max(1)) as f64).min(1.0);
-                cfg.compute_time(node.compute_s) * frac
-            } else {
-                // Full recompute: base tables always from storage; parent
-                // outputs from memory when resident.
-                if node.base_read_bytes > 0 {
-                    let t = cfg.disk_read_time(node.base_read_bytes);
-                    read_s += t;
-                    disk_read_s += t;
-                }
-                for &parent in graph.parents(v) {
-                    let bytes = graph.node(parent).output_bytes;
-                    if resident[parent.index()] {
-                        read_s += cfg.mem_time(bytes);
-                    } else {
-                        let t = cfg.disk_read_time(bytes);
-                        read_s += t;
-                        disk_read_s += t;
-                    }
-                }
-                cfg.compute_time(node.compute_s)
-            };
-
-            let mut available = start + read_s + compute_s;
-            let mut write_s = 0.0;
-
-            // Spill the published delta for consumers that read it from
-            // storage: a blocking, delta-sized write on the shared channel.
-            if dp.spill[i] {
-                let wstart = available.max(writer_free_at);
-                let done = wstart + cfg.disk_write_time(delta_bytes);
-                writer_free_at = done;
-                write_s += done - available;
-                available = done;
-            }
-
-            let flagged = dp.flagged.contains(v);
-            let mut fell_back = false;
-            let persisted;
-
-            // A childless flagged node has no consumers: it is created in
-            // memory only to background its write and never occupies the
-            // catalog (it is outside every Vi in the optimizer's model).
-            let occupies = graph.out_degree(v) > 0;
-            if flagged {
-                release_pass(&mut resident, &mut mem_used, &write_done, p, available);
-                if !occupies {
-                    available += cfg.mem_time(dp.write_bytes[i]);
-                    let wstart = available.max(writer_free_at);
-                    let done = wstart + cfg.disk_write_time(dp.write_bytes[i]);
-                    write_done[i] = done;
-                    writer_free_at = done;
-                    persisted = done;
-                    now = available;
-                } else if mem_used + dp.payload[i] <= cfg.memory_budget {
-                    // Creating the payload in memory costs one memory
-                    // write (delta-sized for delta payloads).
-                    available += cfg.mem_time(dp.payload[i]);
-                    resident[i] = true;
-                    mem_used += dp.payload[i];
-                    peak_mem = peak_mem.max(mem_used);
-                    let wstart = available.max(writer_free_at);
-                    let done = wstart + cfg.disk_write_time(dp.write_bytes[i]);
-                    write_done[i] = done;
-                    writer_free_at = done;
-                    persisted = done;
-                    now = available;
-                } else if cfg.fallback_on_memory_pressure {
-                    // Memory pressure: blocking write instead. A fallen-
-                    // back delta payload must reach storage too.
-                    fell_back = true;
-                    let spill_s = if dp.delta_payload[i] {
-                        cfg.disk_write_time(delta_bytes)
-                    } else {
-                        0.0
-                    };
-                    let wstart = available.max(writer_free_at);
-                    let done = wstart + spill_s + cfg.disk_write_time(dp.write_bytes[i]);
-                    writer_free_at = done;
-                    write_done[i] = done;
-                    write_s += done - available;
-                    persisted = done;
-                    now = done;
-                } else {
-                    return Err(SimError::MemoryBudgetExceeded {
-                        requested: dp.payload[i],
-                        used: mem_used,
-                        budget: cfg.memory_budget,
-                    });
-                }
-            } else {
-                let wstart = available.max(writer_free_at);
-                let done = wstart + cfg.disk_write_time(dp.write_bytes[i]);
-                writer_free_at = done;
-                write_done[i] = done;
-                write_s += done - available;
-                persisted = done;
-                now = done;
-            }
-
-            timelines.push(NodeTimeline {
-                name: node.name.clone(),
-                mode: dp.modes[i],
-                start_s: start,
-                read_s,
-                disk_read_s,
-                compute_s,
-                write_s,
-                available_s: available,
-                persisted_s: persisted,
-                flagged: flagged && !fell_back,
-                fell_back,
-            });
-        }
-
-        let total_s = now.max(writer_free_at);
-        Ok(SimReport {
-            total_s,
-            nodes: timelines,
-            peak_memory_bytes: peak_mem,
-        })
-    }
-
-    /// Discrete-event mirror of the engine's multi-lane executor: up to
-    /// `lanes` nodes run concurrently, each starting once every dependency
-    /// is readable, a lane is free, and the node is within the bounded
-    /// run-ahead window of the computed plan-order prefix (ready work is
-    /// dispatched in plan order). Flag admission replays the single-lane
-    /// Memory Catalog accounting deterministically: a flagged node's
-    /// admit-or-fallback outcome is precomputed in plan order, and the
-    /// admission itself waits until every node earlier in the plan has
-    /// computed. Background materializations share one FIFO write channel;
-    /// blocking writes — including memory-pressure fallbacks — occupy a
-    /// worker lane, as in the engine's pool.
-    fn run_multi_lane(
-        &self,
-        workload: &SimWorkload,
-        plan: &Plan,
-        pos: &[usize],
-        dp: &SimDeltaPlan,
-    ) -> Result<SimReport> {
+    /// Simulates a refresh run under `plan` — the discrete-event mirror of
+    /// the engine's executor: up to `config.lanes` nodes run concurrently,
+    /// each starting once every dependency is readable, a lane is free,
+    /// and the node is within the bounded run-ahead window of the computed
+    /// plan-order prefix (ready work is dispatched in plan order; with one
+    /// lane the window is zero, so the run is the paper's sequential walk
+    /// of `plan.order`). The Memory Catalog follows the same plan-order
+    /// accounting as the engine ([`sc_core::AdmissionReplay`]): sizes are
+    /// static here, so every admit-or-fallback outcome and the peak usage
+    /// are fixed upfront, and an admission takes effect once every node
+    /// earlier in the plan has computed. Background materializations share
+    /// one FIFO write channel with blocking writes — which, memory-pressure
+    /// fallbacks included, also occupy a lane.
+    pub fn run(&self, workload: &SimWorkload, plan: &Plan) -> Result<SimReport> {
         use std::cmp::Reverse;
         use std::collections::{BTreeMap, BinaryHeap};
 
+        workload.graph.validate_order(&plan.order)?;
+        let pos = workload.graph.order_positions(&plan.order)?;
+        let dp = self.plan_deltas(workload, plan);
         let graph = &workload.graph;
         let n = graph.len();
         let cfg = &self.config;
-        let lanes = cfg.lanes.min(n.max(1));
-        let window = cfg
-            .run_ahead_window
-            .unwrap_or_else(|| sc_core::run_ahead_window(lanes));
+        let lanes = cfg.lanes.clamp(1, n.max(1));
+        let window = sc_core::run_ahead_window(lanes);
 
         /// Heap entries ordered by time then insertion sequence, so the
         /// simulation is fully deterministic.
@@ -666,13 +408,36 @@ impl Simulator {
         let flagged = |i: usize| dp.flagged.contains(sc_dag::NodeId(i));
         let occupies = |i: usize| graph.out_degree(sc_dag::NodeId(i)) > 0;
         let delta_of = |i: usize| graph.node(sc_dag::NodeId(i)).delta_bytes.unwrap_or(0);
-        // The executor works against the *effective* flags (skipped nodes
-        // never enter the catalog).
-        let eff_plan = Plan {
-            order: plan.order.clone(),
-            flagged: dp.flagged.clone(),
-        };
-        let plan = &eff_plan;
+
+        // The plan-order catalog accounting, against the *effective* flags
+        // (skipped nodes never enter the catalog) and each node's catalog
+        // *payload* — delta-sized when every consumer maintains
+        // incrementally. An admitted node stays resident until its last
+        // consumer has computed, so for every read of it `admitted` is
+        // also "resident".
+        let parents_of: Vec<Vec<usize>> = graph
+            .node_ids()
+            .map(|v| graph.parents(v).iter().map(|p| p.index()).collect())
+            .collect();
+        let mut replay =
+            sc_core::AdmissionReplay::new(&plan.order, &dp.flagged, &parents_of, cfg.memory_budget);
+        let steps = replay.advance(&vec![true; n], &dp.payload);
+        let peak_memory_bytes = replay.peak();
+        let mut admitted = vec![false; n];
+        for step in steps {
+            if let sc_core::CatalogStep::Decide { node, admit, used } = step {
+                admitted[node] = admit;
+                if !admit && !cfg.fallback_on_memory_pressure {
+                    // Strict-failure mode: the first modeled fallback
+                    // aborts the run, as in the engine.
+                    return Err(SimError::MemoryBudgetExceeded {
+                        requested: dp.payload[node],
+                        used,
+                        budget: cfg.memory_budget,
+                    });
+                }
+            }
+        }
         let admission_order: Vec<usize> = plan
             .order
             .iter()
@@ -680,48 +445,7 @@ impl Simulator {
             .filter(|&i| flagged(i) && occupies(i))
             .collect();
 
-        let mut pending_parents = vec![0usize; n];
-        let mut remaining_children = vec![0usize; n];
-        for (a, b) in graph.edges() {
-            remaining_children[a.index()] += 1;
-            pending_parents[b.index()] += 1;
-        }
-
-        // Deterministic replay of the single-lane accounting: fix every
-        // flagged node's admit/fallback outcome in plan order upfront
-        // (sizes are static in simulation). The replayer is the same type
-        // the engine's executor uses, so the two cannot drift apart. The
-        // accounted size is the node's catalog *payload* — delta-sized
-        // when every consumer maintains incrementally.
-        let admit_decision: Vec<bool> = {
-            let parents_of: Vec<Vec<usize>> = (0..n)
-                .map(|i| {
-                    graph
-                        .parents(sc_dag::NodeId(i))
-                        .iter()
-                        .map(|p| p.index())
-                        .collect()
-                })
-                .collect();
-            let mut replay = sc_core::AdmissionReplay::new(plan, &parents_of, cfg.memory_budget);
-            replay.advance(plan, &parents_of, &vec![true; n], &dp.payload);
-            (0..n)
-                .map(|i| replay.decision(i).unwrap_or(false))
-                .collect()
-        };
-        if !cfg.fallback_on_memory_pressure {
-            // Strict-failure mode: the first modeled fallback aborts the
-            // run, as in the engine.
-            for &cand in &admission_order {
-                if !admit_decision[cand] {
-                    return Err(SimError::MemoryBudgetExceeded {
-                        requested: dp.payload[cand],
-                        used: 0,
-                        budget: cfg.memory_budget,
-                    });
-                }
-            }
-        }
+        let mut pending_parents: Vec<usize> = parents_of.iter().map(Vec::len).collect();
 
         let mut events: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -737,9 +461,6 @@ impl Simulator {
         let mut prefix = 0usize; // first plan position not yet computed
         let mut created_done = vec![false; n];
         let mut next_admit = 0usize;
-        let mut resident = vec![false; n];
-        let mut mem_used = 0u64;
-        let mut peak_mem = 0u64;
         let mut bg_free_at = 0.0f64; // shared storage write channel
         let mut read_free_at = 0.0f64; // shared storage read channel
         let mut fell_back = vec![false; n];
@@ -774,96 +495,90 @@ impl Simulator {
                     ready.remove(&p);
                     lanes_available -= 1;
                     match job {
+                        Job::Compute(i) if dp.modes[i] == NodeMode::Skipped => {
+                            // Stored contents already current: no
+                            // statement is even issued.
+                            start_s[i] = $clock;
+                            push(&mut events, $clock, Event::ComputeEnd(i));
+                        }
                         Job::Compute(i) => {
                             let v = sc_dag::NodeId(i);
                             let node = graph.node(v);
-                            start_s[i] = $clock;
-                            if dp.modes[i] == NodeMode::Skipped {
-                                // No statement issued: complete instantly.
-                                push(&mut events, $clock, Event::ComputeEnd(i));
-                            } else {
-                                let incremental = dp.modes[i] == NodeMode::Incremental;
-                                let mut r = 0.0;
-                                let mut dr = 0.0;
-                                if incremental {
-                                    // Own stored contents, to apply the
-                                    // delta to (skipped on the append
-                                    // path).
-                                    if !dp.append[i] {
-                                        let t = cfg.disk_read_time(node.output_bytes);
-                                        r += t;
-                                        dr += t;
-                                    }
-                                    // Static build sides the delta probes.
-                                    if node.build_read_bytes > 0 {
-                                        let t = cfg.disk_read_time(node.build_read_bytes);
-                                        r += t;
-                                        dr += t;
-                                    }
-                                    for &parent in graph.parents(v) {
-                                        let pi = parent.index();
-                                        if dp.modes[pi] == NodeMode::Skipped {
-                                            continue;
-                                        }
-                                        let bytes = delta_of(pi);
-                                        if resident[pi] && dp.delta_payload[pi] {
-                                            r += cfg.mem_time(bytes);
-                                        } else {
-                                            let t = cfg.disk_read_time(bytes);
-                                            r += t;
-                                            dr += t;
-                                        }
-                                    }
-                                    let frac = (delta_of(i) as f64
-                                        / (node.output_bytes.max(1)) as f64)
-                                        .min(1.0);
-                                    compute_s[i] = cfg.compute_time(node.compute_s) * frac;
+                            let incremental = dp.modes[i] == NodeMode::Incremental;
+                            let mut r = 0.0;
+                            let mut dr = 0.0;
+                            let mut read = |bytes: u64, in_memory: bool| {
+                                if in_memory {
+                                    r += cfg.mem_time(bytes);
                                 } else {
-                                    if node.base_read_bytes > 0 {
-                                        let t = cfg.disk_read_time(node.base_read_bytes);
-                                        r += t;
-                                        dr += t;
-                                    }
-                                    for &parent in graph.parents(v) {
-                                        let bytes = graph.node(parent).output_bytes;
-                                        if resident[parent.index()] {
-                                            r += cfg.mem_time(bytes);
-                                        } else {
-                                            let t = cfg.disk_read_time(bytes);
-                                            r += t;
-                                            dr += t;
-                                        }
-                                    }
-                                    compute_s[i] = cfg.compute_time(node.compute_s);
+                                    let t = cfg.disk_read_time(bytes);
+                                    r += t;
+                                    dr += t;
                                 }
-                                read_s[i] = r;
-                                disk_read_s[i] = dr;
-                                // Disk reads reserve a slot on the shared
-                                // read channel (one device, as in the
-                                // engine's throttle); memory reads and
-                                // compute don't.
-                                let t0 = $clock + cfg.per_node_overhead_s;
-                                let read_end = if dr > 0.0 {
-                                    let rs = t0.max(read_free_at);
-                                    read_free_at = rs + dr;
-                                    rs + dr
-                                } else {
-                                    t0
-                                };
-                                let mut done = read_end + (r - dr) + compute_s[i];
-                                if dp.spill[i] {
-                                    // Published delta spilled to storage
-                                    // during compute (before the node
-                                    // becomes readable), on the shared
-                                    // write channel.
-                                    let wstart = done.max(bg_free_at);
-                                    let spill_done = wstart + cfg.disk_write_time(delta_of(i));
-                                    bg_free_at = spill_done;
-                                    write_s[i] += spill_done - done;
-                                    done = spill_done;
+                            };
+                            if incremental {
+                                // Re-read own stored contents to apply the
+                                // delta — unless the append path skips
+                                // straight to a delta-sized segment.
+                                if !dp.append[i] {
+                                    read(node.output_bytes, false);
                                 }
-                                push(&mut events, done, Event::ComputeEnd(i));
+                                // Static build sides of a join spine: the
+                                // propagated delta probes them, so the
+                                // incremental path reads them in full.
+                                if node.build_read_bytes > 0 {
+                                    read(node.build_read_bytes, false);
+                                }
+                            } else if node.base_read_bytes > 0 {
+                                // Full recompute: base tables always come
+                                // from storage.
+                                read(node.base_read_bytes, false);
                             }
+                            // Parents: their output (full recompute) or
+                            // published delta (incremental; the pending
+                            // base-table delta itself is an in-memory
+                            // log: free) — from the catalog when resident
+                            // there in that form, from storage otherwise.
+                            for &parent in graph.parents(v) {
+                                let pi = parent.index();
+                                if !incremental {
+                                    read(graph.node(parent).output_bytes, admitted[pi]);
+                                } else if dp.modes[pi] != NodeMode::Skipped {
+                                    read(delta_of(pi), admitted[pi] && dp.delta_payload[pi]);
+                                }
+                            }
+                            compute_s[i] = cfg.compute_time(node.compute_s);
+                            if incremental {
+                                // Operator work scales with the delta
+                                // fraction.
+                                compute_s[i] *= (delta_of(i) as f64
+                                    / (node.output_bytes.max(1)) as f64)
+                                    .min(1.0);
+                            }
+                            read_s[i] = r;
+                            disk_read_s[i] = dr;
+                            start_s[i] = $clock + cfg.per_node_overhead_s;
+                            // Disk reads reserve a slot on the shared read
+                            // channel (one device, as in the engine's
+                            // throttle); memory reads and compute don't.
+                            let mut begin = start_s[i];
+                            if dr > 0.0 {
+                                begin = begin.max(read_free_at);
+                                read_free_at = begin + dr;
+                            }
+                            let mut done = begin + r + compute_s[i];
+                            if dp.spill[i] {
+                                // Published delta spilled to storage
+                                // during compute (before the node becomes
+                                // readable): a blocking, delta-sized write
+                                // on the shared channel.
+                                let wstart = done.max(bg_free_at);
+                                let spill_done = wstart + cfg.disk_write_time(delta_of(i));
+                                bg_free_at = spill_done;
+                                write_s[i] += spill_done - done;
+                                done = spill_done;
+                            }
+                            push(&mut events, done, Event::ComputeEnd(i));
                         }
                         Job::Write(i) => {
                             // Fallback write: occupies this lane AND the
@@ -892,16 +607,13 @@ impl Simulator {
             ($clock:expr) => {
                 while next_admit < admission_order.len() {
                     let cand = admission_order[next_admit];
-                    // Mirror the engine: admit only when the node's output
-                    // exists in memory and every node earlier in the plan
-                    // has computed (so the precomputed decision is final).
+                    // Mirror the engine: the catalog acts on a node only
+                    // when its output exists and every node earlier in the
+                    // plan has computed.
                     if !created_done[cand] || prefix <= pos[cand] {
                         break;
                     }
-                    if admit_decision[cand] {
-                        resident[cand] = true;
-                        mem_used += dp.payload[cand];
-                        peak_mem = peak_mem.max(mem_used);
+                    if admitted[cand] {
                         let wstart = ($clock).max(bg_free_at);
                         let done = wstart + cfg.disk_write_time(dp.write_bytes[cand]);
                         bg_free_at = done;
@@ -924,20 +636,9 @@ impl Simulator {
             end_time = end_time.max(clock);
             match event {
                 Event::ComputeEnd(i) => {
-                    let v = sc_dag::NodeId(i);
                     computed[i] = true;
                     while prefix < n && computed[plan.order[prefix].index()] {
                         prefix += 1;
-                    }
-                    // This node consumed its parents: release entries whose
-                    // consumers have now all executed.
-                    for &parent in graph.parents(v) {
-                        let p = parent.index();
-                        remaining_children[p] -= 1;
-                        if remaining_children[p] == 0 && resident[p] {
-                            resident[p] = false;
-                            mem_used -= dp.payload[p];
-                        }
                     }
                     if dp.modes[i] == NodeMode::Skipped {
                         // Already persisted from the previous run: free
@@ -948,7 +649,8 @@ impl Simulator {
                         push(&mut events, clock, Event::Publish(i));
                     } else if flagged(i) && !occupies(i) {
                         // Childless flagged node: created in memory only to
-                        // background its write; never occupies the catalog.
+                        // background its write; never occupies the catalog
+                        // (it is outside every Vi in the optimizer's model).
                         let created = clock + cfg.mem_time(dp.write_bytes[i]);
                         available_s[i] = created;
                         let wstart = created.max(bg_free_at);
@@ -957,14 +659,21 @@ impl Simulator {
                         persisted_s[i] = done;
                         push(&mut events, created, Event::LaneFree);
                         push(&mut events, created, Event::Publish(i));
-                    } else if flagged(i) {
+                    } else if flagged(i) && admitted[i] {
                         // Create the catalog payload in memory on this
                         // lane (delta-sized for delta payloads), then wait
-                        // for plan-order admission.
+                        // for the plan-order admission.
                         let created = clock + cfg.mem_time(dp.payload[i]);
                         available_s[i] = created;
                         push(&mut events, created, Event::LaneFree);
                         push(&mut events, created, Event::AdmitReady(i));
+                    } else if flagged(i) {
+                        // Will not fit: nothing is created in memory; the
+                        // lane is free until the plan-order turn queues
+                        // the blocking write (ahead of any later compute).
+                        available_s[i] = clock;
+                        created_done[i] = true;
+                        lanes_available += 1;
                     } else {
                         // Blocking write on this lane, through the shared
                         // write channel (one storage device).
@@ -1031,7 +740,7 @@ impl Simulator {
         Ok(SimReport {
             total_s,
             nodes: timelines,
-            peak_memory_bytes: peak_mem,
+            peak_memory_bytes,
         })
     }
 }
@@ -1265,10 +974,10 @@ mod tests {
         assert!(sim.run(&w, &plan(&[1, 0, 2], &[], 3)).is_err());
     }
 
-    /// A pure chain admits no parallelism: every timeline and the total
-    /// must be identical across lane counts.
+    /// A pure chain admits no parallelism: the run must be identical
+    /// across lane counts.
     #[test]
-    fn multi_lane_chain_matches_single_lane() {
+    fn four_lane_chain_matches_one_lane() {
         let w = SimWorkload::from_parts(
             [
                 SimNode::new("a", 2.0, 4 * GIB, 8 * GIB),
@@ -1286,34 +995,14 @@ mod tests {
             let four = Simulator::new(SimConfig::paper(16 * GIB).with_lanes(4))
                 .run(&w, &p)
                 .unwrap();
-            if flags.is_empty() {
-                // Without flags both models serialize through the chain
-                // identically.
-                assert!(
-                    (one.total_s - four.total_s).abs() < 1e-9,
-                    "unflagged chain must not change with lanes ({} vs {})",
-                    one.total_s,
-                    four.total_s
-                );
-            } else {
-                // With flags the multi-lane executor runs blocking writes
-                // on their own lanes instead of the shared channel, so it
-                // can only be at least as fast.
-                assert!(four.total_s <= one.total_s + 1e-9, "flags {flags:?}");
-            }
-            // The multi-lane executor releases a consumed parent before
-            // admitting its consumer, so its peak can only be lower.
-            assert!(
-                four.peak_memory_bytes <= one.peak_memory_bytes,
-                "flags {flags:?}"
-            );
+            assert_eq!(one, four, "flags {flags:?}");
         }
     }
 
     /// Independent heavy nodes: four lanes must cut the wall clock well
-    /// below the sequential run.
+    /// below the one-lane run.
     #[test]
-    fn multi_lane_speeds_up_wide_workload() {
+    fn four_lanes_speed_up_wide_workload() {
         let nodes: Vec<SimNode> = (0..8)
             .map(|i| SimNode::new(format!("mv{i}"), 10.0, GIB, 2 * GIB))
             .collect();
@@ -1336,20 +1025,20 @@ mod tests {
             .all(|n| n.persisted_s <= four.total_s + 1e-9));
     }
 
-    /// The multi-lane run is a deterministic simulation: identical inputs
-    /// give identical reports.
+    /// The run is a deterministic simulation: identical inputs give
+    /// identical reports.
     #[test]
-    fn multi_lane_is_deterministic() {
+    fn three_lane_run_is_deterministic() {
         let w = fig4();
         let p = plan(&[0, 1, 2], &[0], 3);
         let sim = Simulator::new(SimConfig::paper(10 * GIB).with_lanes(3));
         assert_eq!(sim.run(&w, &p).unwrap(), sim.run(&w, &p).unwrap());
     }
 
-    /// Memory pressure falls back in the multi-lane path too, and the
-    /// budget is never exceeded.
+    /// Memory pressure falls back at two lanes too, and the budget is
+    /// never exceeded.
     #[test]
-    fn multi_lane_memory_pressure_falls_back() {
+    fn two_lane_memory_pressure_falls_back() {
         let w = fig4();
         let sim = Simulator::new(SimConfig::paper(GIB).with_lanes(2)); // mv1 won't fit
         let r = sim.run(&w, &plan(&[0, 1, 2], &[0], 3)).unwrap();
@@ -1590,28 +1279,48 @@ mod tests {
         }
     }
 
+    /// One lane is the paper's sequential walk: nodes occupy the lane one
+    /// after another, in plan order, each from its start to the end of its
+    /// blocking work — even over independent nodes a wider pool would
+    /// overlap, and with memory-pressure fallbacks in the mix.
     #[test]
-    fn run_ahead_window_is_configurable() {
-        let nodes: Vec<SimNode> = (0..6)
-            .map(|i| SimNode::new(format!("mv{i}"), 5.0, GIB, 2 * GIB))
+    fn one_lane_timelines_do_not_overlap_and_follow_plan_order() {
+        let mut nodes: Vec<SimNode> = (0..6)
+            .map(|i| SimNode::new(format!("mv{i}"), 1.0 + i as f64, GIB, 2 * GIB))
             .collect();
-        let w = SimWorkload::from_parts(nodes, []).unwrap();
-        let p = plan(&[0, 1, 2, 3, 4, 5], &[], 6);
-        let wide = Simulator::new(SimConfig::paper(GIB).with_lanes(4))
-            .run(&w, &p)
-            .unwrap();
-        // A zero window serializes starts to the computed prefix: strictly
-        // slower than the default window, but still completes.
-        let narrow = Simulator::new(SimConfig::paper(GIB).with_lanes(4).with_run_ahead_window(0))
-            .run(&w, &p)
-            .unwrap();
-        assert!(narrow.total_s > wide.total_s);
+        nodes.push(SimNode::new("sink", 0.5, GIB / 4, 0));
+        let w = SimWorkload::from_parts(nodes, [(0, 6), (3, 6), (4, 6)]).unwrap();
+        // A shuffled valid order; 0, 3 and 4 flagged, but only two fit.
+        let p = plan(&[3, 1, 4, 0, 5, 2, 6], &[0, 3, 4], 7);
+        let cfg = SimConfig::paper(2 * GIB);
+        let r = Simulator::new(cfg.clone()).run(&w, &p).unwrap();
+        assert_eq!(r.fallbacks(), 1);
+        let names: Vec<&str> = r.nodes.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(names, ["mv3", "mv1", "mv4", "mv0", "mv5", "mv2", "sink"]);
+        let mut lane_free = 0.0f64;
+        for t in &r.nodes {
+            assert!(
+                t.start_s >= lane_free + cfg.per_node_overhead_s - 1e-9,
+                "{} started at {} while the lane was busy until {lane_free}",
+                t.name,
+                t.start_s
+            );
+            // Read, compute, in-memory creation, then any blocking write.
+            lane_free = t
+                .available_s
+                .max(t.start_s + t.read_s + t.compute_s + t.write_s);
+        }
+        // Four lanes overlap the independent nodes instead.
+        let four = Simulator::new(cfg.with_lanes(4)).run(&w, &p).unwrap();
+        assert!(four.nodes[1].start_s < four.nodes[0].available_s);
+        assert_eq!(four.peak_memory_bytes, r.peak_memory_bytes);
+        assert_eq!(four.fallbacks(), 1);
     }
 
     /// Flagging still helps under lanes: consumers read the hub from
     /// memory and the hub's write is backgrounded.
     #[test]
-    fn multi_lane_flagging_still_wins() {
+    fn two_lane_flagging_still_wins() {
         let w = fig4();
         let sim = Simulator::new(SimConfig::paper(10 * GIB).with_lanes(2));
         let base = sim.run(&w, &plan(&[0, 1, 2], &[], 3)).unwrap();

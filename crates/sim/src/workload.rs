@@ -55,7 +55,7 @@ pub struct SimNode {
     /// Observed runtime-cost summary for this node's identity, mirroring
     /// the engine's observation sidecar (`ObservationStore::summary` on a
     /// fingerprint match). When set, `Auto` decisions consult it via
-    /// [`sc_core::CostModel::incremental_refresh_wins_observed`] exactly
+    /// [`sc_core::CostModel::incremental_refresh_wins`] exactly
     /// as the engine does; `None` falls back to the static size-based
     /// estimates.
     pub observed_cost: Option<sc_core::ObservedNodeCost>,
@@ -172,7 +172,7 @@ impl SimWorkload {
             MvMeta::new(
                 n.name.clone(),
                 n.output_bytes,
-                cost.speedup_score(n.output_bytes, self.graph.out_degree(v)),
+                cost.speedup_score(n.output_bytes, self.graph.out_degree(v), None),
             )
         });
         Problem::new(annotated, config.memory_budget)

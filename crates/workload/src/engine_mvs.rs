@@ -174,7 +174,11 @@ pub fn problem_from_metrics(
     let graph: Dag<MvMeta> = Dag::from_parts(
         mvs.iter().enumerate().map(|(i, mv)| {
             let size = size_by_name.get(&mv.name).copied().unwrap_or(0);
-            MvMeta::new(mv.name.clone(), size, cost.speedup_score(size, children[i]))
+            MvMeta::new(
+                mv.name.clone(),
+                size,
+                cost.speedup_score(size, children[i], None),
+            )
         }),
         edges,
     )?;

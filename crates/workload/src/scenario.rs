@@ -167,9 +167,6 @@ pub struct ScenarioConfig {
     /// Compute lanes executing DAG nodes (1 = the paper's sequential
     /// controller).
     pub lanes: usize,
-    /// Multi-lane run-ahead window override (`None` derives it from the
-    /// lane count).
-    pub run_ahead_window: Option<usize>,
     /// Full-vs-incremental maintenance policy.
     pub refresh_mode: RefreshMode,
     /// Optional storage pacing for the engine side; when set, the sim's
@@ -203,7 +200,6 @@ impl ScenarioConfig {
         ScenarioConfig {
             memory_budget,
             lanes: 1,
-            run_ahead_window: None,
             refresh_mode: RefreshMode::Auto,
             throttle: None,
             compact_every: None,
@@ -332,24 +328,17 @@ impl ScenarioSpec {
 
     /// The engine-side refresh configuration this spec describes.
     pub fn refresh_config(&self) -> RefreshConfig {
-        let mut rc = RefreshConfig::with_lanes(self.config.lanes)
-            .with_refresh_mode(self.config.refresh_mode);
-        if let Some(w) = self.config.run_ahead_window {
-            rc = rc.with_run_ahead_window(w);
-        }
-        rc
+        RefreshConfig::with_lanes(self.config.lanes).with_refresh_mode(self.config.refresh_mode)
     }
 
     /// The sim-side configuration this spec describes: same budget,
-    /// lanes, window, and refresh mode; disk bandwidths from the spec's
+    /// lanes, and refresh mode; disk bandwidths from the spec's
     /// throttle when one is set (both sides then model the same device),
     /// the paper's measured disk otherwise.
     pub fn sim_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::paper(self.config.memory_budget).with_lanes(self.config.lanes);
-        if let Some(w) = self.config.run_ahead_window {
-            cfg = cfg.with_run_ahead_window(w);
-        }
-        cfg = cfg.with_refresh_mode(self.config.refresh_mode);
+        let mut cfg = SimConfig::paper(self.config.memory_budget)
+            .with_lanes(self.config.lanes)
+            .with_refresh_mode(self.config.refresh_mode);
         if let Some(t) = self.config.throttle {
             cfg.disk_read_bps = t.read_bps;
             cfg.disk_write_bps = t.write_bps;
@@ -387,51 +376,30 @@ impl ScenarioSpec {
     /// the next refresh will see. Combined with
     /// [`ScenarioSpec::sim_config`], this is the entire simulator rig —
     /// derived, not re-declared.
-    pub fn mirror(
-        &self,
-        disk: &DiskCatalog,
-        metrics: &RunMetrics,
-        store: &DeltaStore,
-    ) -> Result<SimWorkload, ScenarioError> {
-        let churn = pending_churn(store);
-        let w = mirror_workload(&self.mvs, metrics, disk, &churn)?;
-        if churn.is_empty() {
-            // An empty log means the session runs without delta tracking
-            // (everything recomputes, so profiling runs stay meaningful);
-            // strip the `Some(0)` skip annotations to predict the same.
-            return Ok(SimWorkload {
-                graph: w.graph.map(|_, n| {
-                    let mut n = n.clone();
-                    n.delta_bytes = None;
-                    n
-                }),
-            });
-        }
-        Ok(w)
-    }
-
-    /// [`ScenarioSpec::mirror`] with runtime feedback: each mirrored node
-    /// additionally carries `observations`' summary for its identity (MV
+    ///
+    /// Runtime feedback: with `observations`, each mirrored node
+    /// additionally carries that store's summary for its identity (MV
     /// name + plan-shape fingerprint), so the sim's `Auto` decisions
     /// consult the same observed costs the engine's controller does — the
     /// adaptive layer stays in parity by construction. Identities without
-    /// observations mirror as `None` (static estimates), exactly like the
-    /// engine's fingerprint-miss fallback.
+    /// observations (and every node under `None`) mirror with the static
+    /// estimates, exactly like the engine's fingerprint-miss fallback.
     ///
     /// A sidecar naming an MV this spec does not declare is rejected with
     /// [`ScenarioError::StaleObservation`]: it was recorded against a
     /// different (or older) workload, and silently annotating nothing
     /// would let a mismatched sidecar pass for an empty one.
-    pub fn mirror_observed(
+    pub fn mirror(
         &self,
         disk: &DiskCatalog,
         metrics: &RunMetrics,
         store: &DeltaStore,
-        observations: &ObservationStore,
+        observations: Option<&ObservationStore>,
     ) -> Result<SimWorkload, ScenarioError> {
         let known: HashSet<&str> = self.mvs.iter().map(|m| m.name.as_str()).collect();
         if let Some(unknown) = observations
-            .names()
+            .map(|o| o.names())
+            .unwrap_or_default()
             .into_iter()
             .find(|n| !known.contains(n.as_str()))
         {
@@ -440,7 +408,8 @@ impl ScenarioSpec {
                 mv: unknown,
             });
         }
-        let w = self.mirror(disk, metrics, store)?;
+        let churn = pending_churn(store);
+        let w = mirror_workload(&self.mvs, metrics, disk, &churn)?;
         let fingerprints: HashMap<&str, u64> = self
             .mvs
             .iter()
@@ -449,9 +418,17 @@ impl ScenarioSpec {
         Ok(SimWorkload {
             graph: w.graph.map(|_, n| {
                 let mut n = n.clone();
-                n.observed_cost = fingerprints
-                    .get(n.name.as_str())
-                    .and_then(|&fp| observations.summary(&n.name, fp));
+                if churn.is_empty() {
+                    // An empty log means the session runs without delta
+                    // tracking (everything recomputes, so profiling runs
+                    // stay meaningful); strip the `Some(0)` skip
+                    // annotations to predict the same.
+                    n.delta_bytes = None;
+                }
+                n.observed_cost = observations.and_then(|o| {
+                    let fp = fingerprints.get(n.name.as_str())?;
+                    o.summary(&n.name, *fp)
+                });
                 n
             }),
         })
@@ -565,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn mirror_observed_rejects_a_stale_sidecar() {
+    fn mirror_rejects_a_stale_sidecar() {
         let s = spec();
         let dir = tempfile::tempdir().unwrap();
         let disk = DiskCatalog::open(dir.path()).unwrap();
@@ -592,7 +569,7 @@ mod tests {
                 write_s: 0.1,
             },
         );
-        match s.mirror_observed(&disk, &metrics, &store, &stale) {
+        match s.mirror(&disk, &metrics, &store, Some(&stale)) {
             Err(crate::corpus::ScenarioError::StaleObservation { scenario, mv }) => {
                 assert_eq!(scenario, "sales_pipeline");
                 assert_eq!(mv, "mv_from_another_life");
@@ -601,7 +578,7 @@ mod tests {
         }
         // An empty sidecar (and one naming only spec MVs) is fine.
         assert!(s
-            .mirror_observed(&disk, &metrics, &store, &ObservationStore::new())
+            .mirror(&disk, &metrics, &store, Some(&ObservationStore::new()))
             .is_ok());
     }
 
@@ -617,7 +594,7 @@ mod tests {
         let store = DeltaStore::new();
         s.ingest_round(0, &disk, &store).unwrap();
 
-        let w = s.mirror(&disk, &metrics, &store).unwrap();
+        let w = s.mirror(&disk, &metrics, &store, None).unwrap();
         assert_eq!(w.len(), s.mvs.len());
         let manual = mirror_workload(&s.mvs, &metrics, &disk, &pending_churn(&store)).unwrap();
         for (a, b) in w

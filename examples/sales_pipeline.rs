@@ -6,7 +6,7 @@
 //! ```
 
 use sc::prelude::*;
-use sc::ScSystem;
+use sc::ScSession;
 
 fn print_run(label: &str, metrics: &sc::engine::RunMetrics) {
     println!("\n=== {label}: {:.3}s end-to-end ===", metrics.total_s);
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         write_bps: 25e6,
         latency_s: 1e-3,
     };
-    let sys = ScSystem::builder()
+    let sys = ScSession::builder()
         .storage_dir(dir.path())
         .memory_budget(16 << 20)
         .throttle(throttle)
@@ -51,7 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sys.register_mv(mv)?;
     }
 
-    let (plan, baseline, optimized) = sys.refresh_optimized()?;
+    let baseline = sys.baseline_refresh()?;
+    let plan = sys.optimize_from(&baseline)?;
+    let optimized = sys.refresh_with_plan(&plan)?;
     print_run("baseline (no optimization)", &baseline);
     print_run("S/C optimized", &optimized);
 

@@ -18,10 +18,10 @@
 //! * [`dag`] — the DAG substrate;
 //! * [`engine`] — a mini columnar warehouse: expressions, operators, a
 //!   columnar file format, disk/memory catalogs, the append-only delta
-//!   log, and the refresh controller (sequential, plus a multi-lane
-//!   worker-pool executor selected via [`sc_engine::RefreshConfig`] /
-//!   [`ScSessionBuilder::lanes`]; per-node full, incremental, or skipped
-//!   maintenance via [`sc_core::RefreshMode`]);
+//!   log, and the refresh controller (one lane-pool executor sized by
+//!   [`sc_engine::RefreshConfig`] / [`ScSessionBuilder::lanes`] — one
+//!   lane is the paper's sequential walk; per-node full, incremental, or
+//!   skipped maintenance via [`sc_core::RefreshMode`]);
 //! * [`sim`] — a discrete-event simulator for paper-scale experiments
 //!   (10 GB–1 TB, clusters, LRU baselines, churn scenarios);
 //! * [`workload`] — TPC-DS-style data and the paper's workloads, plus
@@ -38,8 +38,7 @@
 //! see `examples/serve.rs`.
 //!
 //! The crate's own façade is [`ScSession`] (long-lived, `Arc`-shareable,
-//! plan-managing; `ScSystem` remains as an alias for the pre-redesign
-//! name) plus the [`RefreshReport`] a managed refresh returns.
+//! plan-managing) plus the [`RefreshReport`] a managed refresh returns.
 //!
 //! ## Quickstart
 //!
@@ -92,7 +91,7 @@ mod report;
 mod system;
 
 pub use report::RefreshReport;
-pub use system::{ScError, ScSession, ScSessionBuilder, ScSnapshot, ScSystem};
+pub use system::{ScError, ScSession, ScSessionBuilder, ScSnapshot};
 
 /// Commonly used items across the workspace.
 pub mod prelude {

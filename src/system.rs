@@ -117,11 +117,6 @@ impl From<sc_workload::ScenarioError> for ScError {
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, ScError>;
 
-/// The pre-refactor name of [`ScSession`], kept so existing callers (and
-/// the paper-flavored reading of "the S/C system") keep compiling. The
-/// two names are interchangeable.
-pub type ScSystem = ScSession;
-
 /// Typed configuration for an [`ScSession`], built with
 /// [`ScSession::builder`].
 ///
@@ -192,13 +187,6 @@ impl ScSessionBuilder {
     /// Number of compute lanes (shorthand for a [`RefreshConfig`] field).
     pub fn lanes(mut self, lanes: usize) -> Self {
         self.refresh.lanes = lanes.max(1);
-        self
-    }
-
-    /// Multi-lane run-ahead window (shorthand for a [`RefreshConfig`]
-    /// field).
-    pub fn run_ahead_window(mut self, window: usize) -> Self {
-        self.refresh.run_ahead_window = Some(window);
         self
     }
 
@@ -309,30 +297,6 @@ impl ScSession {
         ScSessionBuilder::default()
     }
 
-    /// Opens a session storing tables under `dir` with a Memory Catalog
-    /// of `memory_budget` bytes (builder shorthand kept from the original
-    /// API).
-    pub fn open(dir: impl AsRef<Path>, memory_budget: u64) -> Result<Self> {
-        ScSession::builder()
-            .storage_dir(dir)
-            .memory_budget(memory_budget)
-            .build()
-    }
-
-    /// Opens a session whose external storage is paced by `throttle`
-    /// (builder shorthand kept from the original API).
-    pub fn open_throttled(
-        dir: impl AsRef<Path>,
-        memory_budget: u64,
-        throttle: Throttle,
-    ) -> Result<Self> {
-        ScSession::builder()
-            .storage_dir(dir)
-            .memory_budget(memory_budget)
-            .throttle(throttle)
-            .build()
-    }
-
     /// Opens a session from a [`ScenarioSpec`]: storage under `dir`, the
     /// spec's budget/lanes/mode/throttle applied, its base tables loaded,
     /// and its MV DAG registered. The same spec value drives the
@@ -354,29 +318,6 @@ impl ScSession {
             session.register_mv(mv.clone())?;
         }
         Ok(session)
-    }
-
-    /// Overrides the cost model used for speedup-score estimation
-    /// (pre-`Arc` configuration; prefer [`ScSessionBuilder::cost_model`]).
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Overrides the refresh parallelism settings (pre-`Arc`
-    /// configuration; prefer [`ScSessionBuilder::refresh_config`]).
-    pub fn with_refresh_config(mut self, refresh: RefreshConfig) -> Self {
-        self.refresh = refresh;
-        self
-    }
-
-    /// Shorthand for [`ScSession::with_refresh_config`].
-    pub fn with_lanes(self, lanes: usize) -> Self {
-        let refresh = RefreshConfig {
-            lanes: lanes.max(1),
-            ..self.refresh
-        };
-        self.with_refresh_config(refresh)
     }
 
     /// The refresh parallelism settings in effect.
@@ -550,7 +491,7 @@ impl ScSession {
     }
 
     /// Executes a refresh run under an explicitly-held `plan` (the
-    /// original three-call flow; managed sessions use
+    /// paper's three-call flow; managed sessions use
     /// [`ScSession::refresh`] instead).
     ///
     /// When deltas have been ingested since the last refresh, the
@@ -562,19 +503,6 @@ impl ScSession {
         self.run_plan(&self.mvs(), plan)
     }
 
-    /// Profile-optimize-refresh in one call: runs the baseline, derives a
-    /// plan, executes it, and returns `(plan, baseline, optimized)`.
-    ///
-    /// This re-profiles on *every* call; long-lived sessions should use
-    /// [`ScSession::refresh`], which caches the optimized plan across
-    /// calls.
-    pub fn refresh_optimized(&self) -> Result<(Plan, RunMetrics, RunMetrics)> {
-        let baseline = self.baseline_refresh()?;
-        let plan = self.optimize_from(&baseline)?;
-        let optimized = self.refresh_with_plan(&plan)?;
-        Ok((plan, baseline, optimized))
-    }
-
     /// Brings every registered MV up to date, managing the optimizer plan
     /// internally.
     ///
@@ -582,7 +510,7 @@ impl ScSession {
     /// is a **profiling run**: it refreshes in unoptimized topological
     /// order, derives an optimized plan from the observed metrics, and
     /// caches it. Subsequent calls execute the cached plan directly — no
-    /// per-call re-profiling, unlike [`ScSession::refresh_optimized`].
+    /// per-call re-profiling.
     ///
     /// The cache is invalidated by (a) [`ScSession::register_mv`] — the
     /// plan no longer covers the workload — or (b) observed output-size
@@ -808,7 +736,11 @@ mod tests {
 
     fn session() -> (tempfile::TempDir, ScSession) {
         let dir = tempfile::tempdir().unwrap();
-        let sys = ScSession::open(dir.path(), 8 << 20).unwrap();
+        let sys = ScSession::builder()
+            .storage_dir(dir.path())
+            .memory_budget(8 << 20)
+            .build()
+            .unwrap();
         TinyTpcds::generate(0.2, 42).load_into(sys.disk()).unwrap();
         for mv in sales_pipeline() {
             sys.register_mv(mv).unwrap();
@@ -819,7 +751,9 @@ mod tests {
     #[test]
     fn end_to_end_profile_optimize_refresh() {
         let (_dir, sys) = session();
-        let (plan, baseline, optimized) = sys.refresh_optimized().unwrap();
+        let baseline = sys.baseline_refresh().unwrap();
+        let plan = sys.optimize_from(&baseline).unwrap();
+        let optimized = sys.refresh_with_plan(&plan).unwrap();
         assert_eq!(baseline.nodes.len(), 9);
         assert_eq!(optimized.nodes.len(), 9);
         assert!(plan.flagged.count() > 0);
@@ -985,7 +919,8 @@ mod tests {
     #[test]
     fn ingest_then_refresh_consumes_the_delta_log() {
         let (_dir, sys) = session();
-        let (plan, _, _) = sys.refresh_optimized().unwrap();
+        let plan = sys.optimize_from(&sys.baseline_refresh().unwrap()).unwrap();
+        sys.refresh_with_plan(&plan).unwrap();
 
         // Churn one fact table: duplicate a slice of existing rows.
         let sales = sys.disk().read_table("store_sales").unwrap();
@@ -1018,7 +953,11 @@ mod tests {
     #[test]
     fn errors_are_wrapped() {
         let dir = tempfile::tempdir().unwrap();
-        let sys = ScSession::open(dir.path(), 1 << 20).unwrap();
+        let sys = ScSession::builder()
+            .storage_dir(dir.path())
+            .memory_budget(1 << 20)
+            .build()
+            .unwrap();
         // No base tables ingested: refresh must fail with an engine error.
         for mv in sales_pipeline() {
             sys.register_mv(mv).unwrap();

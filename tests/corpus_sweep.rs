@@ -177,7 +177,7 @@ fn lens_mode_parity_and_pinned_expectations() {
                 None
             } else {
                 let mirrored = spec
-                    .mirror(session.disk(), &baseline, session.delta_store())
+                    .mirror(session.disk(), &baseline, session.delta_store(), None)
                     .unwrap();
                 let sim = Simulator::new(spec.sim_config())
                     .run(&mirrored, &plan)

@@ -3,14 +3,18 @@
 //! engine/simulator agreement on plan rankings.
 
 use sc::prelude::*;
-use sc::ScSystem;
+use sc::ScSession;
 use sc_core::ScOptimizer;
 use sc_workload::engine_mvs::{problem_from_metrics, sales_pipeline};
 use sc_workload::tpcds::TinyTpcds;
 
-fn system_with_data(budget: u64, scale: f64) -> (tempfile::TempDir, ScSystem) {
+fn system_with_data(budget: u64, scale: f64) -> (tempfile::TempDir, ScSession) {
     let dir = tempfile::tempdir().unwrap();
-    let sys = ScSystem::open(dir.path(), budget).unwrap();
+    let sys = ScSession::builder()
+        .storage_dir(dir.path())
+        .memory_budget(budget)
+        .build()
+        .unwrap();
     TinyTpcds::generate(scale, 42)
         .load_into(sys.disk())
         .unwrap();
@@ -125,7 +129,12 @@ fn simulator_and_engine_agree_on_plan_ranking() {
         write_bps: 20e6,
         latency_s: 1e-3,
     };
-    let sys = ScSystem::open_throttled(dir.path(), 16 << 20, throttle).unwrap();
+    let sys = ScSession::builder()
+        .storage_dir(dir.path())
+        .memory_budget(16 << 20)
+        .throttle(throttle)
+        .build()
+        .unwrap();
     TinyTpcds::generate(1.0, 42).load_into(sys.disk()).unwrap();
     for mv in sales_pipeline() {
         sys.register_mv(mv).unwrap();
@@ -158,7 +167,6 @@ fn simulator_and_engine_agree_on_plan_ranking() {
         per_node_overhead_s: 0.0,
         compute_penalty: 0.0,
         lanes: 1,
-        run_ahead_window: None,
         fallback_on_memory_pressure: true,
         refresh_mode: sc_core::RefreshMode::Auto,
         reader_read_bps: 0.0,
@@ -178,7 +186,8 @@ fn simulator_and_engine_agree_on_plan_ranking() {
 #[test]
 fn repeated_refreshes_are_idempotent() {
     let (_dir, sys) = system_with_data(8 << 20, 0.3);
-    let (plan, _, first) = sys.refresh_optimized().unwrap();
+    let plan = sys.optimize_from(&sys.baseline_refresh().unwrap()).unwrap();
+    let first = sys.refresh_with_plan(&plan).unwrap();
     let second = sys.refresh_with_plan(&plan).unwrap();
     assert_eq!(first.nodes.len(), second.nodes.len());
     for (a, b) in first.nodes.iter().zip(&second.nodes) {

@@ -8,8 +8,10 @@
 //! a random MV DAG (scan / filter / project / keyed inner join /
 //! aggregate / union / sort+limit over 2–5 base tables) and a seeded
 //! schedule of insert / update / delete streams, then drives three rigs
-//! through the same churn — one refreshing `AlwaysFull` (the reference),
-//! two refreshing `AlwaysIncremental` on 1 and 4 lanes. After every round
+//! through the same churn — one refreshing `AlwaysFull` (the reference,
+//! itself checked every round against the controller-free oracle of
+//! `tests/support`, so the executor is never its own judge), two
+//! refreshing `AlwaysIncremental` on 1 and 4 lanes. After every round
 //! the incremental rigs must be row-identical to the reference and
 //! byte-identical to *each other* (identical operation histories must
 //! produce identical segment layouts, fragmented or not); after a final
@@ -20,6 +22,8 @@
 //! side churns, unmergeable `Avg` aggregates, unions, sorts), the same
 //! property also proves the boundary is drawn correctly: unsupported
 //! shapes must fall back to recomputation rather than corrupt or error.
+
+mod support;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -231,9 +235,10 @@ fn mv_files(r: &Rig, name: &str) -> Vec<(String, Vec<u8>)> {
     r.disk.stored_file_bytes(name).unwrap()
 }
 
-// The differential property: after every churn round, incremental
-// maintenance (1 and 4 lanes) leaves every MV row-identical to the
-// always-full reference and byte-identical across lane counts, drains
+// The differential property: after every churn round, the always-full
+// reference equals the controller-free oracle, and incremental
+// maintenance (1 and 4 lanes) leaves every MV row-identical to that
+// reference and byte-identical across lane counts, drains
 // the Memory Catalog, consumes the delta log, and leaves no spilled
 // `#delta` files behind; after compaction, every stored file is
 // byte-identical to the reference.
@@ -270,8 +275,16 @@ proptest! {
             let m1 = refresh(&inc1, &case, &plan, 1, RefreshMode::AlwaysIncremental);
             let m4 = refresh(&inc4, &case, &plan, 4, RefreshMode::AlwaysIncremental);
 
-            for mv in &case.mvs {
+            let oracle = support::oracle_mv_bytes(&reference.disk, &case.mvs);
+            for (mv, (_, oracle_bytes)) in case.mvs.iter().zip(&oracle) {
                 let want = reference.disk.read_table(&mv.name).unwrap();
+                prop_assert_eq!(
+                    &storage::format::encode(&want)[..],
+                    &oracle_bytes[..],
+                    "seed {} round {round}: full refresh of {} diverged from the oracle",
+                    seed,
+                    mv.name
+                );
                 prop_assert_eq!(
                     &want,
                     &inc1.disk.read_table(&mv.name).unwrap(),

@@ -119,8 +119,8 @@ proptest! {
             let summary = corrupt.summary(name, *fp);
             prop_assert!(summary.is_none());
             prop_assert_eq!(
-                cm.incremental_refresh_wins_observed(1 << 20, 1 << 22, 1 << 12, 0, None, summary.as_ref()),
-                cm.incremental_refresh_wins(1 << 20, 1 << 22, 1 << 12, 0, None)
+                cm.incremental_refresh_wins(1 << 20, 1 << 22, 1 << 12, 0, None, summary.as_ref()),
+                cm.incremental_refresh_wins(1 << 20, 1 << 22, 1 << 12, 0, None, None)
             );
         }
     }

@@ -17,7 +17,7 @@
 //! steady append-path growth must eventually trip the plan-cache drift
 //! baseline; a child's Auto decision must price its incremental parent's
 //! *post-update* size; and the simulator consults the same observed
-//! summaries through `ScenarioSpec::mirror_observed`.
+//! summaries through `ScenarioSpec::mirror`.
 
 use sc::ScSession;
 use sc_core::{CostModel, FlagSet, ModeReason, NodeMode, Plan, RefreshMode};
@@ -148,7 +148,7 @@ fn observed_compute_rate_flips_the_misranked_aggregate() {
     // carries enough compute to flip the same comparison.
     let cm = fast_storage();
     assert!(
-        !cm.incremental_refresh_wins(input, output, delta, 0, None),
+        !cm.incremental_refresh_wins(input, output, delta, 0, None, None),
         "scenario must be statically misranked (I/O terms pick Full)"
     );
     let sidecar = ObservationStore::load(dir.path().join(SIDECAR_FILE));
@@ -157,7 +157,7 @@ fn observed_compute_rate_flips_the_misranked_aggregate() {
         .expect("warm-up must persist an observation for the node identity");
     assert!(summary.has_compute());
     assert!(
-        cm.incremental_refresh_wins_observed(input, output, delta, 0, None, Some(&summary)),
+        cm.incremental_refresh_wins(input, output, delta, 0, None, Some(&summary)),
         "observed compute rate must flip the comparison: {summary:?}"
     );
 
@@ -416,17 +416,17 @@ fn child_decision_prices_post_update_parent_size() {
     // 3δ here (delta read + catalog read + appended write); the full path
     // costs input + C.
     assert!(
-        !cm.incremental_refresh_wins(parent, child, delta, 0, Some(delta)),
+        !cm.incremental_refresh_wins(parent, child, delta, 0, Some(delta), None),
         "stale pre-run parent size must rank the child Full (P={parent} C={child} d={delta})"
     );
     assert!(
-        cm.incremental_refresh_wins(parent + delta, child, delta, 0, Some(delta)),
+        cm.incremental_refresh_wins(parent + delta, child, delta, 0, Some(delta), None),
         "post-update parent size must rank the child Incremental (P={parent} C={child} d={delta})"
     );
     // And the parent itself maintains incrementally, so the child really
     // faces a grown parent at execution time.
     let src = disk.size_of("src").unwrap();
-    assert!(cm.incremental_refresh_wins(src, parent, delta, 0, Some(delta)));
+    assert!(cm.incremental_refresh_wins(src, parent, delta, 0, Some(delta), None));
 
     let metrics = run().unwrap();
     let mode = |name: &str| {
@@ -485,15 +485,15 @@ fn sim_auto_consults_observed_compute_like_the_engine() {
     );
     // Same comparison the engine makes, bit for bit.
     let cm = cfg.cost_model();
-    assert!(!cm.incremental_refresh_wins(mb, mb, 10 << 10, 0, None));
-    assert!(cm.incremental_refresh_wins_observed(mb, mb, 10 << 10, 0, None, Some(&observed)));
+    assert!(!cm.incremental_refresh_wins(mb, mb, 10 << 10, 0, None, None));
+    assert!(cm.incremental_refresh_wins(mb, mb, 10 << 10, 0, None, Some(&observed)));
 }
 
-/// The spec bridge: `mirror_observed` annotates every mirrored node with
+/// The spec bridge: `mirror` with a sidecar annotates every mirrored node with
 /// the sidecar summary for its engine identity (name + plan fingerprint),
 /// so a warmed engine session and the simulator decide from one store.
 #[test]
-fn mirror_observed_annotates_sim_nodes_from_the_sidecar() {
+fn mirror_annotates_sim_nodes_from_the_sidecar() {
     let spec = ScenarioSpec::sales_pipeline(0.4, 42, 64 << 20)
         .with_refresh_mode(RefreshMode::AlwaysIncremental);
     let dir = tempfile::tempdir().unwrap();
@@ -505,7 +505,7 @@ fn mirror_observed_annotates_sim_nodes_from_the_sidecar() {
     assert_eq!(sidecar.node_count(), spec.mvs.len());
 
     let plain = spec
-        .mirror(session.disk(), &baseline, session.delta_store())
+        .mirror(session.disk(), &baseline, session.delta_store(), None)
         .unwrap();
     assert!(plain
         .graph
@@ -514,7 +514,12 @@ fn mirror_observed_annotates_sim_nodes_from_the_sidecar() {
         .all(|n| n.observed_cost.is_none()));
 
     let warmed = spec
-        .mirror_observed(session.disk(), &baseline, session.delta_store(), &sidecar)
+        .mirror(
+            session.disk(),
+            &baseline,
+            session.delta_store(),
+            Some(&sidecar),
+        )
         .unwrap();
     for n in warmed.graph.payloads() {
         let obs = n

@@ -435,11 +435,21 @@ fn overloaded_fires_under_a_tiny_admission_bound() {
     )
     .unwrap();
 
-    let mut first = Client::connect(server.addr()).unwrap();
     // A completed request proves the single worker now owns this
-    // connection (and is parked on it).
-    let (_, t) = first.read_table("rev_by_category").unwrap();
-    assert!(t.num_rows() > 0);
+    // connection (and is parked on it). With a zero backlog a connection
+    // arriving before the freshly started worker waits for one is itself
+    // shed, so retry until one is admitted.
+    let mut first = loop {
+        let mut c = Client::connect(server.addr()).unwrap();
+        match c.read_table("rev_by_category") {
+            Ok((_, t)) => {
+                assert!(t.num_rows() > 0);
+                break c;
+            }
+            Err(e) if e.is_overloaded() => std::thread::yield_now(),
+            Err(e) => panic!("expected admission or Overloaded, got {e}"),
+        }
+    };
 
     let mut second = Client::connect(server.addr()).unwrap();
     let err = second.read_table("rev_by_category").unwrap_err();

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use sc::{ScSession, ScSystem};
+use sc::ScSession;
 use sc_engine::exec::TableDelta;
 use sc_engine::storage::Throttle;
 use sc_workload::engine_mvs::sales_pipeline;
@@ -34,31 +34,43 @@ fn mv_file_bytes(sys: &ScSession) -> Vec<(String, StoredFiles)> {
         .collect()
 }
 
-/// A builder with no overrides behaves byte-identically to the historical
-/// `ScSystem::open` with the documented default budget: same config, same
-/// derived plan, same MV bytes.
+/// A builder with no overrides behaves byte-identically to one spelling
+/// out the documented defaults (64 MiB budget, one lane, `Auto`): same
+/// config, same derived plan, same MV bytes.
 #[test]
-fn builder_defaults_match_open() {
+fn builder_defaults_are_the_documented_ones() {
     let dir_a = tempfile::tempdir().unwrap();
-    let via_builder = ScSession::builder()
+    let defaulted = ScSession::builder()
         .storage_dir(dir_a.path())
         .build()
         .unwrap();
     let dir_b = tempfile::tempdir().unwrap();
-    // `ScSystem` is the pre-redesign name; 64 MiB is the builder default.
-    let via_open = ScSystem::open(dir_b.path(), 64 << 20).unwrap();
+    let explicit = ScSession::builder()
+        .storage_dir(dir_b.path())
+        .memory_budget(64 << 20)
+        .lanes(1)
+        .refresh_mode(sc_core::RefreshMode::Auto)
+        .build()
+        .unwrap();
 
-    assert_eq!(via_builder.memory().budget(), via_open.memory().budget());
-    assert_eq!(via_builder.refresh_config(), via_open.refresh_config());
+    assert_eq!(defaulted.memory().budget(), explicit.memory().budget());
+    assert_eq!(defaulted.refresh_config(), explicit.refresh_config());
 
-    load_and_register(&via_builder);
-    load_and_register(&via_open);
-    let (plan_a, _, _) = via_builder.refresh_optimized().unwrap();
-    let (plan_b, _, _) = via_open.refresh_optimized().unwrap();
-    assert_eq!(plan_a, plan_b, "same defaults must derive the same plan");
-    for ((name_a, bytes_a), (name_b, bytes_b)) in mv_file_bytes(&via_builder)
+    load_and_register(&defaulted);
+    load_and_register(&explicit);
+    let optimized_plan = |sys: &ScSession| {
+        let plan = sys.optimize_from(&sys.baseline_refresh().unwrap()).unwrap();
+        sys.refresh_with_plan(&plan).unwrap();
+        plan
+    };
+    assert_eq!(
+        optimized_plan(&defaulted),
+        optimized_plan(&explicit),
+        "same defaults must derive the same plan"
+    );
+    for ((name_a, bytes_a), (name_b, bytes_b)) in mv_file_bytes(&defaulted)
         .into_iter()
-        .zip(mv_file_bytes(&via_open))
+        .zip(mv_file_bytes(&explicit))
     {
         assert_eq!(name_a, name_b);
         assert_eq!(
@@ -269,10 +281,17 @@ fn profiling_with_pending_churn_still_flags_quiet_branches() {
 /// same optimized outcome on the same data.
 #[test]
 fn managed_refresh_matches_explicit_flow() {
+    let open = |dir: &std::path::Path| {
+        ScSession::builder()
+            .storage_dir(dir)
+            .memory_budget(8 << 20)
+            .build()
+            .unwrap()
+    };
     let dir_a = tempfile::tempdir().unwrap();
-    let managed = ScSession::open(dir_a.path(), 8 << 20).unwrap();
+    let managed = open(dir_a.path());
     let dir_b = tempfile::tempdir().unwrap();
-    let explicit = ScSession::open(dir_b.path(), 8 << 20).unwrap();
+    let explicit = open(dir_b.path());
     load_and_register(&managed);
     load_and_register(&explicit);
 

@@ -53,7 +53,7 @@ fn assert_parity(spec: &ScenarioSpec, scenario: &str) -> HashMap<String, NodeMod
 
     let plan = Plan::unoptimized((0..spec.mvs.len()).map(NodeId).collect());
     let mirrored = spec
-        .mirror(session.disk(), &baseline, session.delta_store())
+        .mirror(session.disk(), &baseline, session.delta_store(), None)
         .unwrap();
     let sim_report = Simulator::new(spec.sim_config())
         .run(&mirrored, &plan)
@@ -119,7 +119,7 @@ fn parity_holds_on_fragmented_and_compacted_state() {
         spec.ingest_round(1, session.disk(), session.delta_store())
             .unwrap();
         let mirrored = spec
-            .mirror(session.disk(), &baseline, session.delta_store())
+            .mirror(session.disk(), &baseline, session.delta_store(), None)
             .unwrap();
         let sim_report = Simulator::new(spec.sim_config())
             .run(&mirrored, &plan)
@@ -184,6 +184,67 @@ fn sim_predicts_engine_node_modes_exactly() {
     let spec = base_spec(RefreshMode::AlwaysIncremental);
     let m = assert_parity(&spec, "quiet log");
     assert!(m.values().all(|&mode| mode == NodeMode::Full));
+}
+
+/// The catalog half of the parity. Engine and simulator apply the same
+/// plan-order accounting ([`sc_core::AdmissionReplay`]: admit a flagged
+/// node when the computed prefix reaches it, then release the parents it
+/// was the last consumer of), so with every node flagged under a budget
+/// that holds the hub but not everything, the engine's *measured* peak
+/// catalog usage and per-node admit/fallback outcomes equal the
+/// simulator's prediction — at one lane and at four.
+#[test]
+fn sim_predicts_engine_catalog_usage_at_every_lane_count() {
+    // Size the budget from a probe: room for the hub plus a little.
+    let probe_spec = base_spec(RefreshMode::AlwaysFull);
+    let probe_dir = tempfile::tempdir().unwrap();
+    let probe = ScSession::from_spec(probe_dir.path(), &probe_spec).unwrap();
+    let hub_bytes = probe.baseline_refresh().unwrap().nodes[0].output_bytes;
+    let n = probe_spec.mvs.len();
+    let plan = Plan {
+        order: (0..n).map(NodeId).collect(),
+        flagged: sc_core::FlagSet::from_nodes(n, (0..n).map(NodeId)),
+    };
+
+    let mut outcomes = Vec::new();
+    for lanes in [1usize, 4] {
+        let spec = ScenarioSpec::sales_pipeline(0.4, 42, hub_bytes + hub_bytes / 8)
+            .with_refresh_mode(RefreshMode::AlwaysFull)
+            .with_lanes(lanes);
+        let dir = tempfile::tempdir().unwrap();
+        let session = ScSession::from_spec(dir.path(), &spec).unwrap();
+        let baseline = session.baseline_refresh().unwrap();
+        let mirrored = spec
+            .mirror(session.disk(), &baseline, session.delta_store(), None)
+            .unwrap();
+        let sim = Simulator::new(spec.sim_config())
+            .run(&mirrored, &plan)
+            .unwrap();
+        let engine = session.refresh_with_plan(&plan).unwrap();
+
+        assert_eq!(
+            engine.peak_memory_bytes, sim.peak_memory_bytes,
+            "lanes={lanes}: measured peak vs predicted peak"
+        );
+        for (e, s) in engine.nodes.iter().zip(&sim.nodes) {
+            assert_eq!(e.name, s.name);
+            assert_eq!(e.flagged, s.flagged, "lanes={lanes}: {} flagged", e.name);
+            assert_eq!(
+                e.fell_back, s.fell_back,
+                "lanes={lanes}: {} fell back",
+                e.name
+            );
+        }
+        outcomes.push((
+            engine.peak_memory_bytes,
+            engine.nodes.iter().map(|n| n.fell_back).collect::<Vec<_>>(),
+        ));
+    }
+    // Not vacuous: the hub was admitted, something fell back, and none
+    // of it depended on the lane count.
+    assert!(outcomes[0].0 >= hub_bytes);
+    assert!(outcomes[0].1.iter().any(|&f| f));
+    assert_eq!(outcomes[0], outcomes[1]);
 }
 
 /// Stored files (name, bytes) backing one table.

@@ -32,7 +32,13 @@ fn base_rows(range: std::ops::Range<i64>) -> Table {
 /// so refreshes exercise the DAG and the append path.
 fn rig() -> (tempfile::TempDir, Arc<ScSession>) {
     let dir = tempfile::tempdir().unwrap();
-    let sys = Arc::new(ScSession::open(dir.path(), 8 << 20).unwrap());
+    let sys = Arc::new(
+        ScSession::builder()
+            .storage_dir(dir.path())
+            .memory_budget(8 << 20)
+            .build()
+            .unwrap(),
+    );
     sys.disk().write_table("base", &base_rows(0..200)).unwrap();
     sys.register_mv(MvDefinition::new(
         "mv_pos",
