@@ -1,5 +1,9 @@
 //! Criterion microbenchmarks for the execution-engine substrate: operator
-//! throughput, the columnar file format, and a full controller refresh.
+//! throughput, the columnar file format, the raw (unthrottled) read path
+//! of a hub-sized table, and a full controller refresh.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -8,6 +12,7 @@ use sc_dag::NodeId;
 use sc_engine::controller::Controller;
 use sc_engine::exec::{self, AggFunc};
 use sc_engine::expr::Expr;
+use sc_engine::plan::{AggExpr, LogicalPlan};
 use sc_engine::storage::{format, DiskCatalog, MemoryCatalog};
 use sc_engine::{DataType, Table, TableBuilder, Value};
 use sc_workload::engine_mvs::sales_pipeline;
@@ -70,6 +75,38 @@ fn bench_format(c: &mut Criterion) {
     g.finish();
 }
 
+/// The price of a Memory Catalog miss, layer by layer, on a table the
+/// size of `scbench`'s join hub (≈6.4 MB): the checksum alone (old
+/// byte-at-a-time hash beside the manifest's word-at-a-time one), a raw
+/// verified `read_table`, and a scan feeding an operator.
+fn bench_read_path(c: &mut Criterion) {
+    let hub = numbers(400_000);
+    let bytes = format::encode(&hub);
+    let mut g = c.benchmark_group("read_path");
+    g.throughput(Throughput::Bytes(bytes.len() as u64));
+    g.bench_function("fnv1a64_hub", |b| b.iter(|| format::fnv1a64(&bytes)));
+    g.bench_function("segment_checksum_hub", |b| {
+        b.iter(|| format::segment_checksum(&bytes))
+    });
+
+    let dir = tempfile::tempdir().expect("tempdir");
+    let disk = DiskCatalog::open(dir.path()).expect("opens");
+    disk.write_table("hub", &hub).expect("writes");
+    g.bench_function("read_table_hub", |b| {
+        b.iter(|| disk.read_table("hub").expect("reads"))
+    });
+
+    let source: HashMap<String, Arc<Table>> = HashMap::from([("hub".to_string(), Arc::new(hub))]);
+    let plan = LogicalPlan::scan("hub").aggregate(
+        vec!["k".to_string()],
+        vec![AggExpr::new(AggFunc::Sum, "v", "s")],
+    );
+    g.bench_function("scan_aggregate_hub", |b| {
+        b.iter(|| plan.execute(&source).expect("aggregates"))
+    });
+    g.finish();
+}
+
 fn bench_refresh(c: &mut Criterion) {
     let dir = tempfile::tempdir().expect("tempdir");
     let disk = DiskCatalog::open(dir.path()).expect("opens");
@@ -96,5 +133,11 @@ fn bench_refresh(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_operators, bench_format, bench_refresh);
+criterion_group!(
+    benches,
+    bench_operators,
+    bench_format,
+    bench_read_path,
+    bench_refresh
+);
 criterion_main!(benches);

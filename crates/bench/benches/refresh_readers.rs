@@ -85,12 +85,17 @@ fn bench_refresh_readers(c: &mut Criterion) {
             scope.spawn(move || {
                 let mem = MemoryCatalog::new(64 << 20);
                 let controller = Controller::new(disk, &mem);
+                // Refresh before testing `stop`: in smoke mode the
+                // one-iteration reader can finish before this thread's
+                // first check, and it must still have read under a commit.
                 let mut runs = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     controller.refresh(mvs, plan).expect("background refresh");
                     runs += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break runs;
+                    }
                 }
-                runs
             })
         };
         g.bench_function("pin_read_during_refresh", |b| {

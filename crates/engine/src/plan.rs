@@ -472,7 +472,7 @@ impl LogicalPlan {
                 join_type,
             } if !on.is_empty() => {
                 let probe_delta = left.execute_delta(deltas, tables)?;
-                let build = right.execute(tables)?;
+                let build = right.evaluate(tables)?;
                 exec::delta_join(&probe_delta, &build, on, *join_type)
             }
             other => Err(EngineError::InvalidPlan(format!(
@@ -482,21 +482,35 @@ impl LogicalPlan {
     }
 
     /// Executes the plan against `source`, materializing the result.
+    ///
+    /// Scans borrow: an operator reads its input through the source's
+    /// `Arc` instead of a copy of the table. Only a plan whose root is a
+    /// bare `Scan` materializes a copy (the caller asked for an owned
+    /// table and the source keeps its own).
     pub fn execute<S: TableSource + ?Sized>(&self, source: &S) -> Result<Table> {
-        match self {
-            LogicalPlan::Scan { table } => Ok(source.table(table)?.as_ref().clone()),
+        Ok(Arc::unwrap_or_clone(self.evaluate(source)?))
+    }
+
+    /// Evaluates the plan bottom-up. A `Scan` hands out the source's own
+    /// `Arc`; every other operator borrows its inputs and returns a fresh
+    /// (uniquely owned) result.
+    fn evaluate<S: TableSource + ?Sized>(&self, source: &S) -> Result<Arc<Table>> {
+        let out = match self {
+            LogicalPlan::Scan { table } => return source.table(table),
             LogicalPlan::Filter { input, predicate } => {
-                exec::filter(&input.execute(source)?, predicate)
+                exec::filter(&*input.evaluate(source)?, predicate)
             }
-            LogicalPlan::Project { input, exprs } => exec::project(&input.execute(source)?, exprs),
+            LogicalPlan::Project { input, exprs } => {
+                exec::project(&*input.evaluate(source)?, exprs)
+            }
             LogicalPlan::Join {
                 left,
                 right,
                 on,
                 join_type,
             } => exec::hash_join(
-                &left.execute(source)?,
-                &right.execute(source)?,
+                &*left.evaluate(source)?,
+                &*right.evaluate(source)?,
                 on,
                 *join_type,
             ),
@@ -509,16 +523,19 @@ impl LogicalPlan {
                     .iter()
                     .map(|a| (a.func, a.column.clone(), a.alias.clone()))
                     .collect();
-                exec::aggregate(&input.execute(source)?, group_by, &triples)
+                exec::aggregate(&*input.evaluate(source)?, group_by, &triples)
             }
-            LogicalPlan::Distinct { input } => exec::distinct(&input.execute(source)?),
-            LogicalPlan::Sort { input, keys } => exec::sort_by(&input.execute(source)?, keys),
-            LogicalPlan::TopK { input, keys, n } => exec::top_k(&input.execute(source)?, keys, *n),
-            LogicalPlan::Limit { input, n } => exec::limit(&input.execute(source)?, *n),
+            LogicalPlan::Distinct { input } => exec::distinct(&*input.evaluate(source)?),
+            LogicalPlan::Sort { input, keys } => exec::sort_by(&*input.evaluate(source)?, keys),
+            LogicalPlan::TopK { input, keys, n } => {
+                exec::top_k(&*input.evaluate(source)?, keys, *n)
+            }
+            LogicalPlan::Limit { input, n } => exec::limit(&*input.evaluate(source)?, *n),
             LogicalPlan::Union { left, right } => {
-                exec::union_all(&left.execute(source)?, &right.execute(source)?)
+                exec::union_all(&*left.evaluate(source)?, &*right.evaluate(source)?)
             }
-        }
+        };
+        out.map(Arc::new)
     }
 }
 

@@ -20,8 +20,9 @@
 //!   segment that no manifest references — the prior version stays fully
 //!   readable and the orphan is pruned by the next rewrite/compact.
 //! * Reads verify every referenced segment against its manifest-recorded
-//!   byte length and FNV-1a checksum, so torn or truncated segment files
-//!   fail with [`EngineError::Corrupt`] instead of being silently read.
+//!   byte length and [`format::segment_checksum`] — once per segment per
+//!   read — so torn or truncated segment files fail with
+//!   [`EngineError::Corrupt`] instead of being silently read.
 //! * [`DiskCatalog::write_table`] (a full rewrite, e.g. an MV recompute)
 //!   and [`DiskCatalog::compact`] both produce the **canonical
 //!   single-segment form**: exactly one segment with id 0 plus its
@@ -190,6 +191,9 @@ pub struct DiskCatalog {
     /// Observer notified whenever the epoch-retention horizon moves
     /// (see [`DiskCatalog::set_retention_hook`]).
     retention_hook: Mutex<Option<RetentionHook>>,
+    /// Test probe: segment bytes the read path has fed to the checksum.
+    #[cfg(test)]
+    hashed_bytes: AtomicU64,
 }
 
 /// A registered retention observer (see
@@ -241,6 +245,8 @@ impl DiskCatalog {
             gc_failed: AtomicU64::new(0),
             read_retry_cap: DEFAULT_READ_RETRY_CAP,
             retention_hook: Mutex::new(None),
+            #[cfg(test)]
+            hashed_bytes: AtomicU64::new(0),
         })
     }
 
@@ -556,9 +562,12 @@ impl DiskCatalog {
         Ok(())
     }
 
-    /// Verifies raw segment bytes against the manifest entry and decodes
-    /// them.
-    fn verify_segment(name: &str, seg: &SegmentMeta, raw: Vec<u8>) -> Result<Table> {
+    /// The one verification every segment read goes through — primary
+    /// file or retained copy, raw-bytes or decoded read: the exact byte
+    /// length, then the manifest checksum. It is the read path's only
+    /// call to the hash, so a segment that verifies is hashed once per
+    /// read by construction.
+    fn verify_segment(&self, name: &str, seg: &SegmentMeta, raw: Vec<u8>) -> Result<Vec<u8>> {
         if raw.len() as u64 != seg.bytes {
             return Err(EngineError::Corrupt(format!(
                 "{name}: segment {} is {} bytes, manifest records {}",
@@ -567,24 +576,16 @@ impl DiskCatalog {
                 seg.bytes
             )));
         }
-        if format::fnv1a64(&raw) != seg.checksum {
+        #[cfg(test)]
+        self.hashed_bytes
+            .fetch_add(raw.len() as u64, Ordering::Relaxed);
+        if format::segment_checksum(&raw) != seg.checksum {
             return Err(EngineError::Corrupt(format!(
                 "{name}: segment {} fails its checksum",
                 seg.id
             )));
         }
-        let table = format::decode(Bytes::from(raw))?;
-        if table.num_rows() as u64 != seg.rows {
-            // Catches manifest corruption the byte checks cannot (the
-            // rows field is metadata, not part of the segment payload).
-            return Err(EngineError::Corrupt(format!(
-                "{name}: segment {} holds {} rows, manifest records {}",
-                seg.id,
-                table.num_rows(),
-                seg.rows
-            )));
-        }
-        Ok(table)
+        Ok(raw)
     }
 
     /// Resolves the on-disk path serving `file` for a reader pinned at
@@ -653,38 +654,19 @@ impl DiskCatalog {
         pin: Option<u64>,
     ) -> Result<Vec<u8>> {
         let file = Self::segment_file(safe, seg.id);
-        let check = |raw: Vec<u8>| -> Result<Vec<u8>> {
-            if raw.len() as u64 != seg.bytes {
-                return Err(EngineError::Corrupt(format!(
-                    "{name}: segment {} is {} bytes, manifest records {}",
-                    seg.id,
-                    raw.len(),
-                    seg.bytes
-                )));
-            }
-            if format::fnv1a64(&raw) != seg.checksum {
-                return Err(EngineError::Corrupt(format!(
-                    "{name}: segment {} fails its checksum",
-                    seg.id
-                )));
-            }
-            Ok(raw)
-        };
         let primary = match fs::read(self.path_at(&file, pin)) {
-            Ok(raw) => check(raw),
+            Ok(raw) => self.verify_segment(name, seg, raw),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(EngineError::Corrupt(
                 format!("{name}: segment {} missing", seg.id),
             )),
             Err(e) => return Err(e.into()),
         };
-        match primary {
-            Ok(raw) => Ok(raw),
-            Err(err) => self
-                .retained_candidates(&file)
+        primary.or_else(|err| {
+            self.retained_candidates(&file)
                 .into_iter()
-                .find_map(|path| check(fs::read(path).ok()?).ok())
-                .ok_or(err),
-        }
+                .find_map(|path| self.verify_segment(name, seg, fs::read(path).ok()?).ok())
+                .ok_or(err)
+        })
     }
 
     /// All on-disk retained copies of `file` — this instance's and any
@@ -708,7 +690,8 @@ impl DiskCatalog {
         out.into_iter().map(|(_, p)| p).collect()
     }
 
-    /// Reads one segment as of `pin`, verified and decoded.
+    /// Reads one segment as of `pin`: the verified bytes, decoded, and
+    /// the decoded row count checked against the manifest entry.
     fn read_segment_at(
         &self,
         name: &str,
@@ -717,7 +700,18 @@ impl DiskCatalog {
         pin: Option<u64>,
     ) -> Result<Table> {
         let raw = self.read_segment_bytes_at(name, safe, seg, pin)?;
-        Self::verify_segment(name, seg, raw)
+        let table = format::decode(Bytes::from(raw))?;
+        if table.num_rows() as u64 != seg.rows {
+            // Catches manifest corruption the byte checks cannot (the
+            // rows field is metadata, not part of the segment payload).
+            return Err(EngineError::Corrupt(format!(
+                "{name}: segment {} holds {} rows, manifest records {}",
+                seg.id,
+                table.num_rows(),
+                seg.rows
+            )));
+        }
+        Ok(table)
     }
 
     /// Removes every segment file of `safe` whose id is not in `keep`
@@ -786,7 +780,7 @@ impl DiskCatalog {
             id: 0,
             rows: table.num_rows() as u64,
             bytes: payload.len() as u64,
-            checksum: format::fnv1a64(&payload),
+            checksum: format::segment_checksum(&payload),
         };
         let seg_path = self.segment_path(safe, 0);
         let tmp = seg_path.with_extension("seg.tmp");
@@ -862,7 +856,7 @@ impl DiskCatalog {
                 id,
                 rows: rows.num_rows() as u64,
                 bytes: payload.len() as u64,
-                checksum: format::fnv1a64(&payload),
+                checksum: format::segment_checksum(&payload),
             });
             let manifest_len = self.commit_manifest(&safe, &manifest)?;
             self.epoch.store(c, Ordering::SeqCst);
@@ -1398,6 +1392,119 @@ mod tests {
         // Restoring the bytes restores the table.
         fs::write(&seg, &good).unwrap();
         assert_eq!(cat.read_table("t").unwrap(), sample(0..50));
+    }
+
+    #[test]
+    fn every_byte_flip_and_length_change_is_rejected() {
+        // Exhaustive over one small multi-column segment: whichever
+        // position a corruption lands on — SCTB header, a word of one of
+        // the four checksum lanes, the words after the last stripe, the
+        // final partial word — and whichever length the file is cut or
+        // padded to, the read is `Corrupt`, never a wrong table.
+        let dir = tempfile::tempdir().unwrap();
+        let cat = DiskCatalog::open(dir.path()).unwrap();
+        let mut t = TableBuilder::new()
+            .column("id", DataType::Int64)
+            .column("tag", DataType::Utf8)
+            .column("ok", DataType::Bool)
+            .column("day", DataType::Date)
+            .build();
+        for i in 0..9i64 {
+            t.push_row(vec![
+                Value::Int64(i * 1_000_003),
+                Value::Utf8(format!("tag-{i}")),
+                Value::Bool(i % 2 == 0),
+                Value::Date(19_000 + i as i32),
+            ])
+            .unwrap();
+        }
+        cat.write_table("t", &t).unwrap();
+        let seg = dir.path().join("t.0.seg");
+        let good = fs::read(&seg).unwrap();
+        assert!(
+            good.len() > 64 && !good.len().is_multiple_of(8),
+            "{} bytes must span stripes, whole tail words and a partial word",
+            good.len()
+        );
+        let rejected = |bytes: &[u8], what: &str| {
+            fs::write(&seg, bytes).unwrap();
+            assert!(
+                matches!(cat.read_table("t"), Err(EngineError::Corrupt(_))),
+                "{what} was not rejected"
+            );
+        };
+        for pos in 0..good.len() {
+            let mut bad = good.clone();
+            bad[pos] ^= 1 << (pos % 8);
+            rejected(&bad, &format!("bit flip at byte {pos}"));
+        }
+        for cut in 0..good.len() {
+            rejected(&good[..cut], &format!("truncation to {cut} bytes"));
+        }
+        let mut longer = good.clone();
+        for _ in 0..40 {
+            longer.push(0);
+            rejected(&longer, &format!("extension to {} bytes", longer.len()));
+        }
+        fs::write(&seg, &good).unwrap();
+        assert_eq!(cat.read_table("t").unwrap(), t);
+    }
+
+    /// The codec's own rejection is tested in `format.rs`; this covers
+    /// what that cannot: the error reaches callers of the catalog
+    /// unchanged (not as a segment checksum mismatch), and a rewrite
+    /// recovers the table.
+    #[test]
+    fn version_1_manifest_is_an_unsupported_version_not_a_checksum_failure() {
+        let dir = tempfile::tempdir().unwrap();
+        let cat = DiskCatalog::open(dir.path()).unwrap();
+        cat.write_table("t", &sample(0..10)).unwrap();
+        let manifest = dir.path().join("t.sctb");
+        let mut raw = fs::read(&manifest).unwrap();
+        assert_eq!(raw[4..6], [2, 0]);
+        raw[4] = 1;
+        fs::write(&manifest, &raw).unwrap();
+        for result in [cat.read_table("t").map(drop), cat.size_of("t").map(drop)] {
+            match result {
+                Err(EngineError::Corrupt(msg)) => {
+                    assert_eq!(msg, "unsupported manifest version 1")
+                }
+                other => panic!("expected an unsupported-version error, got {other:?}"),
+            }
+        }
+        // A rewrite replaces it with a current manifest.
+        cat.write_table("t", &sample(0..10)).unwrap();
+        assert_eq!(cat.read_table("t").unwrap(), sample(0..10));
+    }
+
+    #[test]
+    fn each_segment_is_hashed_exactly_once_per_read() {
+        let dir = tempfile::tempdir().unwrap();
+        let cat = DiskCatalog::open(dir.path()).unwrap();
+        cat.write_table("t", &sample(0..1000)).unwrap();
+        cat.append_table("t", &sample(1000..1300)).unwrap();
+        cat.append_table("t", &sample(1300..1317)).unwrap();
+        let manifest_bytes = fs::read(dir.path().join("t.sctb")).unwrap().len() as u64;
+        let segment_bytes = cat.size_of("t").unwrap() - manifest_bytes;
+        assert_eq!(cat.segment_count("t").unwrap(), 3);
+        fn hashed<T>(cat: &DiskCatalog, read: impl FnOnce() -> T) -> u64 {
+            let before = cat.hashed_bytes.load(Ordering::Relaxed);
+            let _ = read();
+            cat.hashed_bytes.load(Ordering::Relaxed) - before
+        }
+        // Unpinned, pinned, and pinned through the retained namespace
+        // (the rewrite moves the pinned version's segments there).
+        assert_eq!(hashed(&cat, || cat.read_table("t").unwrap()), segment_bytes);
+        let pin = cat.pin();
+        assert_eq!(hashed(&cat, || pin.read_table("t").unwrap()), segment_bytes);
+        cat.write_table("t", &sample(0..5)).unwrap();
+        assert_eq!(hashed(&cat, || pin.read_table("t").unwrap()), segment_bytes);
+        assert_eq!(
+            hashed(&cat, || pin.stored_file_bytes("t").unwrap()),
+            segment_bytes
+        );
+        // Metadata reads hash nothing.
+        assert_eq!(hashed(&cat, || pin.row_count("t").unwrap()), 0);
     }
 
     #[test]
