@@ -26,6 +26,10 @@
 //! * [`alternating`] — Algorithm 2, the alternating optimization driving the
 //!   two subproblem solvers to a fixed point;
 //! * [`memory`] — peak / average memory usage of a `(order, flagged)` pair;
+//! * [`modes`], [`dispatch`] and [`replay`] — the refresh executor's
+//!   decision rules (per-node maintenance modes, the start rule, the
+//!   plan-order catalog accounting), shared by the engine and the
+//!   simulator so the two cannot drift apart;
 //! * [`score`] — the speedup-score estimation model built from storage
 //!   bandwidths (§IV "Speedup Scores").
 //!
@@ -54,9 +58,11 @@
 
 pub mod alternating;
 pub mod constraints;
+pub mod dispatch;
 pub mod error;
 pub mod memory;
 pub mod mkp;
+pub mod modes;
 pub mod order;
 pub mod plan;
 pub mod problem;
@@ -68,13 +74,15 @@ pub use alternating::{
     AlternatingOptimizer, Convergence, IterationTrace, OptimizeOutcome, ScOptimizer,
 };
 pub use constraints::ConstraintSets;
+pub use dispatch::{run_ahead_window, Dispatch};
 pub use error::OptError;
 pub use memory::MemoryProfile;
+pub use modes::{
+    BaseChurn, CostProvenance, Feed, ModePlan, ModeReason, NodeFacts, NodeMode, Policy, RefreshMode,
+};
 pub use plan::{FlagSet, Plan};
 pub use problem::{MvMeta, Problem};
-pub use replay::{
-    run_ahead_window, AdmissionReplay, CatalogStep, ModeReason, NodeMode, RefreshMode,
-};
+pub use replay::{AdmissionReplay, CatalogStep};
 pub use score::{CostModel, ObservedNodeCost};
 
 /// Convenience alias used throughout the crate.

@@ -11,108 +11,9 @@
 //! while the simulator (which knows all sizes upfront) advances it in one
 //! call.
 
-use serde::{Deserialize, Serialize};
-
 use sc_dag::NodeId;
 
 use crate::plan::FlagSet;
-
-/// Policy for choosing between full recomputation and incremental (delta)
-/// maintenance of each MV during a refresh run.
-///
-/// The engine's controller and the simulator both consume this knob (via
-/// `RefreshConfig` and `SimConfig` respectively), so a policy choice can be
-/// evaluated analytically before it is deployed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RefreshMode {
-    /// Choose per node: skip unchanged MVs, maintain incrementally when the
-    /// operators support it *and* the cost model predicts a win
-    /// ([`crate::CostModel::incremental_refresh_wins`]), recompute otherwise.
-    #[default]
-    Auto,
-    /// Recompute every MV from its (already-updated) inputs — the paper's
-    /// original behavior, and the baseline incremental refresh is judged
-    /// against.
-    AlwaysFull,
-    /// Maintain incrementally whenever the operators support it, regardless
-    /// of the cost model (unchanged MVs are still skipped). Useful for
-    /// benchmarking the incremental path itself.
-    AlwaysIncremental,
-}
-
-/// Per-node outcome of refresh-mode planning: how one MV will be brought
-/// up to date by the current refresh run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NodeMode {
-    /// Recompute the MV from its inputs and rewrite it.
-    Full,
-    /// Apply the propagated delta to the previous MV contents.
-    Incremental,
-    /// No pending delta reaches this MV: its stored contents are already
-    /// current and the node performs no work at all.
-    Skipped,
-}
-
-/// Why refresh-mode planning settled on a node's [`NodeMode`] — the
-/// machine-readable half of a refresh report's `explain()` rendering.
-///
-/// The engine's controller records one reason per node while fixing the
-/// run's delta plan, so callers can see not just *what* the run did
-/// (recompute / apply delta / skip) but *why* the cheaper options were
-/// unavailable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ModeReason {
-    /// No delta log was attached, or the run's policy is
-    /// [`RefreshMode::AlwaysFull`]: every node recomputes by policy.
-    FullPolicy,
-    /// The MV does not exist on storage yet, so its first materialization
-    /// is necessarily a full computation.
-    FirstMaterialization,
-    /// A previous refresh failed (or a mid-run ingest contaminated a
-    /// recomputed MV), so the delta log is poisoned: only a full recompute
-    /// is idempotent.
-    PoisonedLog,
-    /// Some input's delta is unknown — a parent MV recomputed in full
-    /// without publishing a delta — so the node cannot maintain
-    /// incrementally and recomputes.
-    ParentRecomputed,
-    /// A static (join build-side) input churned; its new rows would
-    /// interleave into existing match groups, which no append-only delta
-    /// reproduces, so the node recomputes.
-    StaticChurn,
-    /// The operator tree cannot maintain the delta's shape (unsupported
-    /// operator, or a delete-carrying delta over delete-blind operators).
-    UnsupportedShape,
-    /// The cost model predicted recomputing is cheaper than the
-    /// incremental path ([`crate::CostModel::incremental_refresh_wins`]).
-    CostModel,
-    /// No pending change reaches the node: its stored contents are
-    /// already current, so it performs no work.
-    NoChurn,
-    /// The propagated delta was applied to the stored contents.
-    DeltaApplied,
-}
-
-impl ModeReason {
-    /// One-line human rendering used by refresh reports.
-    pub fn describe(self) -> &'static str {
-        match self {
-            ModeReason::FullPolicy => "full recompute (policy: no delta log or AlwaysFull)",
-            ModeReason::FirstMaterialization => "full recompute (first materialization)",
-            ModeReason::PoisonedLog => "full recompute (delta log poisoned by a failed run)",
-            ModeReason::ParentRecomputed => {
-                "full recompute (a parent recomputed, so its delta is unknown)"
-            }
-            ModeReason::StaticChurn => "full recompute (a join build side churned)",
-            ModeReason::UnsupportedShape => {
-                "full recompute (operators cannot maintain this delta shape)"
-            }
-            ModeReason::CostModel => "full recompute (cost model: cheaper than the delta path)",
-            ModeReason::NoChurn => "skipped (no pending change reaches it)",
-            ModeReason::DeltaApplied => "incremental (applied the propagated delta)",
-        }
-    }
-}
 
 /// One Memory Catalog action of the plan-order accounting, in the order
 /// the executor must apply it.
@@ -237,21 +138,6 @@ impl AdmissionReplay {
     }
 }
 
-/// Bounded run-ahead window of the refresh executor and its simulator
-/// mirror: a node may only start once every node more than this many plan
-/// positions before it has computed, which caps the computed-but-
-/// unpublished outputs held outside the Memory Catalog's accounting. One
-/// lane gets no run-ahead at all — it dispatches strictly in `plan.order`,
-/// the order S/C Opt's feasibility argument assumes; more lanes get enough
-/// slack to stay busy.
-pub fn run_ahead_window(lanes: usize) -> usize {
-    if lanes > 1 {
-        (4 * lanes).max(8)
-    } else {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,13 +212,5 @@ mod tests {
         }
         assert_eq!(got, want);
         assert_eq!(incremental.prefix(), 4);
-    }
-
-    #[test]
-    fn window_floor_and_scaling() {
-        assert_eq!(run_ahead_window(1), 0, "one lane walks plan.order");
-        assert_eq!(run_ahead_window(2), 8);
-        assert_eq!(run_ahead_window(3), 12);
-        assert_eq!(run_ahead_window(4), 16);
     }
 }

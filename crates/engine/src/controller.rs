@@ -13,14 +13,15 @@
 //! ## Execution lanes
 //!
 //! One executor runs every refresh: `lanes` lanes ([`RefreshConfig`]) —
-//! the calling thread plus `lanes - 1` workers — taking ready nodes off
-//! one FIFO queue. A node starts once every dependency's output is
-//! *readable* (resident in the Memory Catalog for flagged parents,
-//! persisted for unflagged ones), a lane is free, and the node lies
-//! within [`sc_core::run_ahead_window`] plan positions of the computed
-//! prefix. The paper issues MV statements sequentially on one compute
-//! lane; that is `lanes = 1`, whose window is zero: nodes start and write
-//! strictly in `plan.order`. Two invariants hold at every lane count:
+//! the calling thread plus `lanes - 1` workers. A free lane takes a
+//! queued blocking write first, else the next node [`sc_core::Dispatch`]
+//! lets start: one whose dependencies' outputs are all *readable*
+//! (resident in the Memory Catalog for flagged parents, persisted for
+//! unflagged ones) and which lies within [`sc_core::run_ahead_window`]
+//! plan positions of the computed prefix, earliest in plan order first.
+//! The paper issues MV statements sequentially on one compute lane; that
+//! is `lanes = 1`, whose window is zero: nodes start and write strictly
+//! in `plan.order`. Two invariants hold at every lane count:
 //!
 //! * **Catalog actions follow `plan.order`.** A flagged node enters the
 //!   Memory Catalog — or, if it would overflow the budget, falls back to
@@ -35,11 +36,13 @@
 //! usage.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use sc_core::{CostModel, FlagSet, ModeReason, NodeMode, Plan, RefreshMode};
+use sc_core::{
+    CostModel, Dispatch, Feed, ModePlan, ModeReason, NodeFacts, NodeMode, Plan, Policy, RefreshMode,
+};
 use sc_dag::NodeId;
 
 use crate::exec::TableDelta;
@@ -127,18 +130,7 @@ impl RefreshConfig {
     }
 }
 
-/// Where a node's maintenance-mode decision got its cost numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostProvenance {
-    /// The mode was forced — by policy, shape, or catalog state — without
-    /// comparing costs at all.
-    Policy,
-    /// [`RefreshMode::Auto`] compared the static size-based estimates.
-    Estimated,
-    /// [`RefreshMode::Auto`] consulted persisted runtime observations for
-    /// this node's identity ([`ObservationStore::summary`]).
-    Observed,
-}
+pub use sc_core::CostProvenance;
 
 /// Timing breakdown for one executed node.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,6 +219,10 @@ pub struct RunMetrics {
     /// Retained-file deletes that failed during this run's epoch GC —
     /// observable GC debt (see `DiskCatalog::gc_failed_deletes`).
     pub gc_failed_deletes: u64,
+    /// Why persisting the run's runtime observations failed, when the
+    /// caller saving them (the session's sidecar) could not. The refresh
+    /// itself succeeded; only the learned costs were not kept.
+    pub observation_save_error: Option<String>,
 }
 
 impl RunMetrics {
@@ -270,56 +266,6 @@ fn delta_entry_name(mv: &str) -> String {
 /// Batches a run's point-in-time snapshot holds for `table`.
 fn snapshot_batches(snapshot: &HashMap<String, TableDelta>, table: &str) -> usize {
     snapshot.get(table).map_or(0, |d| d.batches().len())
-}
-
-/// Per-run incremental-maintenance plan, fixed before execution so lane
-/// timing cannot change what a refresh computes.
-struct DeltaPlan {
-    /// How each node is brought up to date.
-    modes: Vec<NodeMode>,
-    /// Why each node ended up in its mode (surfaced in refresh reports).
-    reasons: Vec<ModeReason>,
-    /// Whether the node's output delta is computed (row-wise incremental).
-    publishes: Vec<bool>,
-    /// Flagged nodes whose Memory Catalog payload is their delta rather
-    /// than their full output (every consumer maintains incrementally, so
-    /// only delta-sized budget is reserved).
-    delta_payload: Vec<bool>,
-    /// Nodes that must spill their delta to a storage file because some
-    /// incremental consumer cannot read it from the catalog.
-    spill: Vec<bool>,
-    /// Nodes persisted by *appending* their delta's insert rows as a new
-    /// storage segment instead of rewriting the MV: insert-only row-wise
-    /// shapes whose full output is never needed in the Memory Catalog
-    /// (unflagged, flagged-without-consumers, or flagged with a
-    /// delta-sized payload). The append path reads O(delta + build
-    /// sides) and writes O(delta) — the incremental win finally scales
-    /// with MV size.
-    append: Vec<bool>,
-    /// Segment counts of the stored MVs before the run (0 when absent),
-    /// captured at planning time for the metrics' segment accounting.
-    pre_segments: Vec<usize>,
-    /// Where each node's mode decision got its cost numbers.
-    cost: Vec<CostProvenance>,
-    /// Effective flags: the plan's flags minus skipped nodes.
-    flagged: FlagSet,
-}
-
-impl DeltaPlan {
-    /// The all-full plan used when no delta log is attached.
-    fn full(plan: &Plan, n: usize) -> Self {
-        DeltaPlan {
-            modes: vec![NodeMode::Full; n],
-            reasons: vec![ModeReason::FullPolicy; n],
-            publishes: vec![false; n],
-            delta_payload: vec![false; n],
-            spill: vec![false; n],
-            append: vec![false; n],
-            pre_segments: vec![0; n],
-            cost: vec![CostProvenance::Policy; n],
-            flagged: plan.flagged.clone(),
-        }
-    }
 }
 
 /// Table resolver that prefers the Memory Catalog and accounts read time.
@@ -398,7 +344,7 @@ impl DeltaSource for RunDeltaSource<'_, '_> {
 struct IncrementalOutput {
     /// The node's new contents (old contents + applied delta) — or, on
     /// the append path, just the rows to append as a new segment (the
-    /// caller knows which via its own `DeltaPlan::append` entry).
+    /// caller knows which via its own `ModePlan::append` entry).
     output: Table,
     /// The node's output delta, for row-wise plans (aggregate merges do
     /// not publish one).
@@ -495,7 +441,7 @@ struct ComputedStats {
 /// A computed node: its output travels with whichever task or catalog
 /// entry still needs it, so nothing outlives its last use.
 struct ComputedNode {
-    /// Full output — or, on the append path (`DeltaPlan::append`), just
+    /// Full output — or, on the append path (`ModePlan::append`), just
     /// the rows to append.
     output: Arc<Table>,
     /// Encoded output delta, when the node publishes one that the catalog
@@ -516,29 +462,31 @@ impl ComputedNode {
     }
 }
 
-/// Work items queued for the lanes.
+/// Blocking materialization of a computed output waiting for a lane
+/// (unflagged nodes and memory-pressure fallbacks).
+struct BlockingWrite {
+    idx: usize,
+    node: ComputedNode,
+    fell_back: bool,
+}
+
+/// What a lane does next.
 enum LaneTask {
     /// Execute the node's logical plan.
     Compute(usize),
-    /// Blocking materialization of a computed output (unflagged nodes and
-    /// memory-pressure fallbacks).
-    Write {
-        idx: usize,
-        node: ComputedNode,
-        fell_back: bool,
-    },
+    /// Perform a queued blocking write.
+    Write(BlockingWrite),
 }
 
 /// The mutable half of a run: scheduling and Memory Catalog state, which
 /// every lane updates — under [`Run::state`]'s lock — with the outcome of
 /// the task it just finished.
 struct RunState {
-    /// Tasks ready for a lane, first in first out.
-    queue: VecDeque<LaneTask>,
-    /// Unpublished dependencies per node.
-    pending_parents: Vec<usize>,
-    /// Plan positions of ready nodes the run-ahead window holds back.
-    held: BTreeSet<usize>,
+    /// Blocking writes waiting for a lane, first in first out; a free
+    /// lane takes them before starting another node.
+    writes: VecDeque<BlockingWrite>,
+    /// The start rule: which node a free lane computes next.
+    dispatch: Dispatch,
     /// The plan-order catalog accounting, against the *effective* flags
     /// (skipped nodes never enter the catalog).
     replay: sc_core::AdmissionReplay,
@@ -562,16 +510,15 @@ struct RunState {
 struct Run<'r> {
     ctrl: &'r Controller<'r>,
     mvs: &'r [MvDefinition],
+    #[cfg(test)]
     plan: &'r Plan,
-    dp: &'r DeltaPlan,
+    dp: &'r ModePlan,
+    /// Segment counts of the stored MVs before the run (0 when absent).
+    pre_segments: &'r [usize],
     snapshot: Option<&'r HashMap<String, TableDelta>>,
     /// MV name -> node index.
     index: HashMap<&'r str, usize>,
     children: Vec<Vec<usize>>,
-    /// Plan position per node.
-    pos: Vec<usize>,
-    /// [`sc_core::run_ahead_window`] of the lane count.
-    window: usize,
     state: Mutex<RunState>,
     /// Signalled whenever `state` changed: lanes wait on it for tasks,
     /// the caller for the materializer to drain.
@@ -602,32 +549,45 @@ impl Run<'_> {
         }
     }
 
-    /// A node whose dependencies are all readable: queue it if it is
-    /// within `window` plan positions of the computed prefix, hold it
-    /// otherwise.
-    fn offer(&self, st: &mut RunState, idx: usize) {
-        let prefix = st.replay.prefix();
-        if self.pos[idx] > prefix + self.window {
-            st.held.insert(self.pos[idx]);
-            return;
-        }
-        #[cfg(test)]
-        if let Some(log) = self.ctrl.dispatch_log {
-            log.lock().unwrap().push((self.pos[idx], prefix));
-        }
-        st.queue.push_back(LaneTask::Compute(idx));
-    }
-
     /// `idx`'s output became readable (admitted or persisted) and its
     /// metrics final: its consumers lose a pending dependency.
     fn publish(&self, st: &mut RunState, idx: usize, metrics: NodeMetrics) {
         st.metrics[idx] = Some(metrics);
         st.finalized += 1;
-        for &j in &self.children[idx] {
-            st.pending_parents[j] -= 1;
-            if st.pending_parents[j] == 0 {
-                self.offer(st, j);
-            }
+        st.dispatch.published(idx);
+    }
+
+    /// Assembles the final [`NodeMetrics`] for a computed node
+    /// (`flagged`: kept in memory with its write backgrounded).
+    fn node_metrics(
+        &self,
+        idx: usize,
+        stats: &ComputedStats,
+        write_s: f64,
+        flagged: bool,
+    ) -> NodeMetrics {
+        let dp = self.dp;
+        NodeMetrics {
+            name: self.mvs[idx].name.clone(),
+            mode: dp.modes[idx],
+            reason: dp.reasons[idx],
+            delta_bytes: stats.delta_bytes,
+            appended_bytes: stats.appended_bytes,
+            segments: if dp.append[idx] {
+                self.pre_segments[idx] + usize::from(stats.appended_bytes > 0)
+            } else {
+                1
+            },
+            read_s: stats.read_s,
+            compute_s: stats.compute_s,
+            write_s: write_s + stats.spill_write_s,
+            output_bytes: stats.output_bytes,
+            rows: stats.rows,
+            flagged,
+            fell_back: false,
+            memory_reads: stats.memory_reads,
+            disk_reads: stats.disk_reads,
+            cost: dp.cost[idx],
         }
     }
 
@@ -641,11 +601,11 @@ impl Run<'_> {
     }
 
     /// A lane computed `idx`: route its output, then apply the plan-order
-    /// catalog actions the newly computed prefix implies and start the
-    /// nodes the advanced prefix lets into the window.
+    /// catalog actions the newly computed prefix implies.
     fn on_computed(&self, st: &mut RunState, idx: usize, node: ComputedNode) -> Result<()> {
         let (mvs, dp, memory) = (self.mvs, self.dp, self.ctrl.memory);
         st.computed[idx] = true;
+        st.dispatch.computed(idx);
         st.sizes[idx] = node.payload(dp.delta_payload[idx]).byte_size();
         let steps = st.replay.advance(&st.computed, &st.sizes);
 
@@ -654,17 +614,18 @@ impl Run<'_> {
             // Stored contents already current: nothing to write or admit,
             // readable immediately.
             let mut skipped = NodeMetrics::skipped(&mvs[idx].name);
-            skipped.segments = dp.pre_segments[idx];
+            skipped.segments = self.pre_segments[idx];
             self.publish(st, idx, skipped);
         } else if is_flagged && self.children[idx].is_empty() {
             // No consumers: skip the catalog (the node is outside every
             // Vi), just background the write.
             self.background(st, idx, node.output)?;
-            self.publish(st, idx, node_metrics(mvs, dp, idx, &node.stats, 0.0, true));
+            let metrics = self.node_metrics(idx, &node.stats, 0.0, true);
+            self.publish(st, idx, metrics);
         } else if is_flagged {
             st.awaiting_admission[idx] = Some(node);
         } else {
-            st.queue.push_back(LaneTask::Write {
+            st.writes.push_back(BlockingWrite {
                 idx,
                 node,
                 fell_back: false,
@@ -694,13 +655,10 @@ impl Run<'_> {
                 };
             if admitted {
                 self.background(st, cand, node.output)?;
-                self.publish(
-                    st,
-                    cand,
-                    node_metrics(mvs, dp, cand, &node.stats, 0.0, true),
-                );
+                let metrics = self.node_metrics(cand, &node.stats, 0.0, true);
+                self.publish(st, cand, metrics);
             } else if self.ctrl.config.fallback_on_memory_pressure {
-                st.queue.push_back(LaneTask::Write {
+                st.writes.push_back(BlockingWrite {
                     idx: cand,
                     node,
                     fell_back: true,
@@ -712,16 +670,6 @@ impl Run<'_> {
                     budget: memory.budget(),
                 });
             }
-        }
-
-        // The prefix advanced: start held nodes that now fall inside the
-        // window, in plan order.
-        while let Some(&p) = st.held.first() {
-            if p > st.replay.prefix() + self.window {
-                break;
-            }
-            st.held.remove(&p);
-            self.offer(st, self.plan.order[p].index());
         }
         Ok(())
     }
@@ -746,9 +694,26 @@ impl Run<'_> {
         Ok(w.elapsed().as_secs_f64())
     }
 
-    /// One lane: takes tasks off the queue, runs them outside the lock,
-    /// and folds each outcome back into the shared state — until every
-    /// node is final or the run failed.
+    /// The next task for a free lane: a queued blocking write, else the
+    /// next node the start rule lets compute.
+    fn next_task(&self, st: &mut RunState) -> Option<LaneTask> {
+        if let Some(write) = st.writes.pop_front() {
+            return Some(LaneTask::Write(write));
+        }
+        let idx = st.dispatch.next()?;
+        #[cfg(test)]
+        if let Some(log) = self.ctrl.dispatch_log {
+            let pos = self.plan.order.iter().position(|v| v.index() == idx);
+            log.lock()
+                .unwrap()
+                .push((pos.unwrap(), st.dispatch.prefix()));
+        }
+        Some(LaneTask::Compute(idx))
+    }
+
+    /// One lane: takes tasks, runs them outside the lock, and folds each
+    /// outcome back into the shared state — until every node is final or
+    /// the run failed.
     fn lane(&self) {
         // A lane that unwinds would leave the others waiting for its
         // result forever: fail the run instead.
@@ -769,7 +734,7 @@ impl Run<'_> {
                     if st.error.is_some() || st.finalized == self.mvs.len() {
                         return;
                     }
-                    if let Some(task) = st.queue.pop_front() {
+                    if let Some(task) = self.next_task(&mut st) {
                         break task;
                     }
                     st = self.wake.wait(st).unwrap_or_else(|p| p.into_inner());
@@ -780,12 +745,12 @@ impl Run<'_> {
                     .ctrl
                     .compute_node(self.mvs, &self.index, self.dp, self.snapshot, idx)
                     .and_then(|node| self.on_computed(&mut self.lock(), idx, node)),
-                LaneTask::Write {
+                LaneTask::Write(BlockingWrite {
                     idx,
                     node,
                     fell_back,
-                } => self.write(idx, &node).map(|write_s| {
-                    let mut m = node_metrics(self.mvs, self.dp, idx, &node.stats, write_s, false);
+                }) => self.write(idx, &node).map(|write_s| {
+                    let mut m = self.node_metrics(idx, &node.stats, write_s, false);
                     m.fell_back = fell_back;
                     // Free the output before taking the lock.
                     drop(node);
@@ -925,239 +890,6 @@ impl<'a> Controller<'a> {
         Ok(edges)
     }
 
-    /// Fixes every node's maintenance mode before execution (so lane count
-    /// cannot change what a refresh computes).
-    ///
-    /// Walking `plan.order` (a topological order): a node can be
-    /// maintained incrementally only when the delta of *every* input is
-    /// known — base tables always are (the attached log), parent MVs only
-    /// when they are themselves skipped or publish a delta. A node all of
-    /// whose input deltas are empty is skipped outright. Otherwise the
-    /// operator tree must support the delta's shape
-    /// ([`LogicalPlan::incremental_support`]), every static build-side
-    /// table of a join spine must be *unchanged* — its stored contents are
-    /// the pre-image the delta-join probes, so both pre-images stay
-    /// readable until the node runs (the spine's via the pending log /
-    /// published parent deltas, the build's as its untouched table) — the
-    /// MV must already exist on storage, and — under [`RefreshMode::Auto`]
-    /// — the cost model must predict a win over recomputation (charging
-    /// the incremental path for the full build-side reads it still pays).
-    fn plan_deltas(
-        &self,
-        mvs: &[MvDefinition],
-        plan: &Plan,
-        edges: &[(usize, usize)],
-        snapshot: Option<&HashMap<String, TableDelta>>,
-        poisoned: bool,
-    ) -> DeltaPlan {
-        let n = mvs.len();
-        let mut dp = DeltaPlan::full(plan, n);
-        for (i, mv) in mvs.iter().enumerate() {
-            dp.pre_segments[i] = self.disk.segment_count(&mv.name).unwrap_or(0);
-        }
-        let index: HashMap<&str, usize> = mvs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.as_str(), i))
-            .collect();
-        let pending = match snapshot {
-            Some(p) if self.refresh.refresh_mode != RefreshMode::AlwaysFull => p,
-            _ => return dp,
-        };
-        if pending.values().all(|d| d.is_empty()) {
-            // An empty log is "no delta tracking", not "skip everything":
-            // the run recomputes every MV exactly as before the log
-            // existed (so profiling runs stay meaningful), while the
-            // snapshot machinery stays active — a batch ingested *during*
-            // this run is detected as contamination and poisons the log
-            // instead of being double-applied next refresh.
-            return dp;
-        }
-        // Estimated propagated delta bytes and delete-presence, per node.
-        let mut est_delta = vec![0u64; n];
-        let mut has_deletes = vec![false; n];
-        for &node in &plan.order {
-            let idx = node.index();
-            let mv = &mvs[idx];
-            if !self.disk.contains(&mv.name) {
-                // First materialization is necessarily full.
-                dp.reasons[idx] = ModeReason::FirstMaterialization;
-                continue;
-            }
-            let support = mv.plan.incremental_support();
-            let statics = support.static_tables();
-            let mut known = true;
-            let mut nonempty = false;
-            let mut deletes = false;
-            // A changed join build side cannot be delta-joined (its new
-            // pairs would interleave into existing match groups): the node
-            // must recompute, even though every input delta is known.
-            let mut static_churn = false;
-            let mut delta_bytes = 0u64;
-            let mut input_bytes = 0u64;
-            let mut static_bytes = 0u64;
-            for input in mv.plan.input_tables() {
-                let size = self.disk.size_of(&input).unwrap_or(0);
-                input_bytes += size;
-                let is_static = statics.contains(&input);
-                if is_static {
-                    static_bytes += size;
-                }
-                if let Some(&p) = index.get(input.as_str()) {
-                    match dp.modes[p] {
-                        NodeMode::Skipped => {}
-                        NodeMode::Incremental if dp.publishes[p] && !is_static => {
-                            delta_bytes += est_delta[p];
-                            deletes |= has_deletes[p];
-                            nonempty = true;
-                            // The parent maintains incrementally, so by the
-                            // time this node runs its stored contents have
-                            // *grown* by the applied delta — the full path
-                            // would re-read the post-update size, not the
-                            // pre-run one `size_of` just returned. Pricing
-                            // the stale size understates the full path and
-                            // can flip a child's Auto decision to Full.
-                            input_bytes += est_delta[p];
-                        }
-                        _ => {
-                            known = false;
-                            break;
-                        }
-                    }
-                } else if let Some(d) = pending.get(&input) {
-                    if !d.is_empty() {
-                        if is_static {
-                            static_churn = true;
-                        } else {
-                            delta_bytes += d.byte_size();
-                            deletes |= d.has_deletes();
-                        }
-                        nonempty = true;
-                    }
-                }
-            }
-            if !known {
-                dp.reasons[idx] = ModeReason::ParentRecomputed;
-                continue;
-            }
-            if !nonempty {
-                // Nothing reached the node: skipping is safe even after a
-                // failed run (its contents were never touched).
-                dp.modes[idx] = NodeMode::Skipped;
-                dp.reasons[idx] = ModeReason::NoChurn;
-                continue;
-            }
-            if poisoned {
-                // A failed earlier run may have baked these deltas into
-                // this MV already; only a full recompute is idempotent.
-                dp.reasons[idx] = ModeReason::PoisonedLog;
-                continue;
-            }
-            if static_churn {
-                dp.reasons[idx] = ModeReason::StaticChurn;
-                continue;
-            }
-            if !support.maintainable(deletes) {
-                dp.reasons[idx] = ModeReason::UnsupportedShape;
-                continue;
-            }
-            let mv_bytes = self.disk.size_of(&mv.name).unwrap_or(0);
-            // Runtime feedback: summaries from past runs of this exact
-            // node identity (name + plan-shape fingerprint) refine both
-            // the output-delta estimate and the Auto cost comparison.
-            let observed = self
-                .observations
-                .filter(|_| self.refresh.refresh_mode == RefreshMode::Auto)
-                .and_then(|o| o.summary(&mv.name, mv.plan.fingerprint()));
-            // Estimate the node's *output* delta. Best source: the
-            // observed output/input delta ratio from past incremental
-            // runs of this shape. Otherwise, a join fans the spine delta
-            // out against its build sides (non-empty `static_bytes`
-            // implies a join on the spine): estimate with the stored
-            // per-byte amplification — output over spine input — so both
-            // this node's append write term and downstream Auto
-            // decisions are costed at the right magnitude instead of the
-            // pre-join size.
-            let est_out = if let Some(ratio) = observed.as_ref().and_then(|o| o.output_delta_ratio)
-            {
-                (delta_bytes as f64 * ratio).max(1.0) as u64
-            } else if static_bytes > 0 {
-                let spine_bytes = (input_bytes - static_bytes).max(1);
-                let ratio = mv_bytes as f64 / spine_bytes as f64;
-                (delta_bytes as f64 * ratio.max(1.0)) as u64
-            } else {
-                delta_bytes
-            };
-            let incremental = match self.refresh.refresh_mode {
-                RefreshMode::AlwaysIncremental => true,
-                // The append hint is optimistic about flag placement (a
-                // flagged full-payload node later falls back to the
-                // rewrite path), but deletes and shape are exact, and
-                // the append is priced at the amplified output delta it
-                // would actually persist.
-                RefreshMode::Auto => {
-                    dp.cost[idx] = if observed.is_some() {
-                        CostProvenance::Observed
-                    } else {
-                        CostProvenance::Estimated
-                    };
-                    self.config.cost_model.incremental_refresh_wins(
-                        input_bytes,
-                        mv_bytes,
-                        delta_bytes,
-                        static_bytes,
-                        (support.publishes_delta() && !deletes).then_some(est_out),
-                        observed.as_ref(),
-                    )
-                }
-                RefreshMode::AlwaysFull => unreachable!("checked above"),
-            };
-            if incremental {
-                dp.modes[idx] = NodeMode::Incremental;
-                dp.reasons[idx] = ModeReason::DeltaApplied;
-                dp.publishes[idx] = support.publishes_delta();
-                est_delta[idx] = est_out;
-                has_deletes[idx] = deletes;
-            } else {
-                // Only Auto can say no here: the cost model lost.
-                dp.reasons[idx] = ModeReason::CostModel;
-            }
-        }
-
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(i, j) in edges {
-            children[i].push(j);
-        }
-        dp.flagged = (0..n)
-            .map(|i| plan.flagged.contains(NodeId(i)) && dp.modes[i] != NodeMode::Skipped)
-            .collect();
-        for (i, kids) in children.iter().enumerate() {
-            let inc_children = kids
-                .iter()
-                .filter(|&&c| dp.modes[c] == NodeMode::Incremental)
-                .count();
-            dp.delta_payload[i] = dp.flagged.contains(NodeId(i))
-                && dp.publishes[i]
-                && !kids.is_empty()
-                && inc_children == kids.len();
-            dp.spill[i] = dp.publishes[i] && inc_children > 0 && !dp.delta_payload[i];
-        }
-        for i in 0..n {
-            // Append-path persistence: the node's insert-only output delta
-            // lands as a new segment and the full output is never
-            // materialized — which requires that no consumer expects the
-            // full table in the Memory Catalog (a flagged node with a
-            // recomputing child keeps the rewrite path).
-            dp.append[i] = dp.modes[i] == NodeMode::Incremental
-                && dp.publishes[i]
-                && !has_deletes[i]
-                && !(dp.flagged.contains(NodeId(i))
-                    && !children[i].is_empty()
-                    && !dp.delta_payload[i]);
-        }
-        dp
-    }
-
     /// Performs the refresh run described by `plan` over `mvs`.
     pub fn refresh(&self, mvs: &[MvDefinition], plan: &Plan) -> Result<RunMetrics> {
         let edges = self.validate(mvs, plan)?;
@@ -1166,9 +898,32 @@ impl<'a> Controller<'a> {
         // sees the same pending batches even if ingestion continues while
         // the run executes, and only the snapshotted prefix is consumed.
         let snapshot = self.deltas.map(|s| s.snapshot());
-        let poisoned = self.deltas.map(|s| s.is_poisoned()).unwrap_or(false);
-        let dp = self.plan_deltas(mvs, plan, &edges, snapshot.as_ref(), poisoned);
-        let mut result = self.execute(mvs, plan, &edges, &dp, snapshot.as_ref());
+        // Mode planning, fixed before execution so lane timing cannot
+        // change what a refresh computes.
+        let mode = self.refresh.refresh_mode;
+        let facts = snapshot
+            .as_ref()
+            .filter(|_| mode != RefreshMode::AlwaysFull)
+            .and_then(|pending| {
+                let observations = self.observations.filter(|_| mode == RefreshMode::Auto);
+                mode_facts(mvs, self.disk, pending, observations)
+            });
+        let policy = Policy {
+            mode,
+            tracking: facts.is_some(),
+            poisoned: self.deltas.is_some_and(DeltaStore::is_poisoned),
+        };
+        let dp = sc_core::modes::plan(
+            facts.as_deref().unwrap_or_default(),
+            plan,
+            policy,
+            &self.config.cost_model,
+        );
+        let pre_segments: Vec<usize> = mvs
+            .iter()
+            .map(|mv| self.disk.segment_count(&mv.name).unwrap_or(0))
+            .collect();
+        let mut result = self.execute(mvs, plan, &edges, &dp, &pre_segments, snapshot.as_ref());
         if result.is_err() {
             // A failed run must not leave admitted entries behind: they
             // would shrink the budget for — and collide with — every
@@ -1282,7 +1037,7 @@ impl<'a> Controller<'a> {
     fn concurrent_ingest_contaminates(
         &self,
         mvs: &[MvDefinition],
-        dp: &DeltaPlan,
+        dp: &ModePlan,
         snapshot: &HashMap<String, TableDelta>,
         store: &DeltaStore,
     ) -> bool {
@@ -1338,7 +1093,7 @@ impl<'a> Controller<'a> {
         &self,
         mvs: &[MvDefinition],
         index: &HashMap<&str, usize>,
-        dp: &DeltaPlan,
+        dp: &ModePlan,
         snapshot: Option<&HashMap<String, TableDelta>>,
         idx: usize,
     ) -> Result<ComputedNode> {
@@ -1393,20 +1148,20 @@ impl<'a> Controller<'a> {
     }
 
     /// The refresh executor (§III-C): `lanes` lanes — the calling thread
-    /// plus `lanes - 1` scoped workers — take ready nodes and blocking
-    /// writes off one FIFO queue, and one background materializer
-    /// persists flagged outputs off the critical path. There is no
-    /// scheduler thread: a lane that finishes a task folds the outcome
-    /// into the shared [`RunState`] itself, which queues whatever became
-    /// ready.
+    /// plus `lanes - 1` scoped workers — take queued blocking writes and
+    /// the nodes [`sc_core::Dispatch`] lets start, and one background
+    /// materializer persists flagged outputs off the critical path. There
+    /// is no scheduler thread: a lane that finishes a task folds the
+    /// outcome into the shared [`RunState`] itself.
     ///
-    /// A node is queued once every dependency is readable (admitted to
-    /// the Memory Catalog or persisted) and it lies within
+    /// A node starts once every dependency is readable (admitted to the
+    /// Memory Catalog or persisted) and it lies within
     /// [`sc_core::run_ahead_window`] plan positions of the computed
-    /// plan-order prefix. With one lane that window is zero, so the
-    /// calling thread computes — and, the queue being a FIFO, writes —
-    /// the nodes strictly in `plan.order`: the paper's sequential
-    /// controller is this executor with a pool of one.
+    /// plan-order prefix, earliest in plan order first. With one lane
+    /// that window is zero, so the calling thread computes — and, taking
+    /// each node's blocking write before the next node, writes — the
+    /// nodes strictly in `plan.order`: the paper's sequential controller
+    /// is this executor with a pool of one.
     ///
     /// The Memory Catalog is driven by [`sc_core::AdmissionReplay`]: a
     /// flagged node is admitted (or falls back to a blocking write) when
@@ -1420,7 +1175,8 @@ impl<'a> Controller<'a> {
         mvs: &[MvDefinition],
         plan: &Plan,
         edges: &[(usize, usize)],
-        dp: &DeltaPlan,
+        dp: &ModePlan,
+        pre_segments: &[usize],
         snapshot: Option<&HashMap<String, TableDelta>>,
     ) -> Result<RunMetrics> {
         let n = mvs.len();
@@ -1431,16 +1187,14 @@ impl<'a> Controller<'a> {
             children[i].push(j);
             parents[j].push(i);
         }
-        let mut pos = vec![0usize; n];
-        for (p, &v) in plan.order.iter().enumerate() {
-            pos[v.index()] = p;
-        }
         let (bg_tx, bg_rx) = mpsc::channel();
         let run = Run {
             ctrl: self,
             mvs,
+            #[cfg(test)]
             plan,
             dp,
+            pre_segments,
             snapshot,
             index: mvs
                 .iter()
@@ -1448,12 +1202,9 @@ impl<'a> Controller<'a> {
                 .map(|(i, m)| (m.name.as_str(), i))
                 .collect(),
             children,
-            pos,
-            window: sc_core::run_ahead_window(lanes),
             state: Mutex::new(RunState {
-                queue: VecDeque::new(),
-                pending_parents: parents.iter().map(Vec::len).collect(),
-                held: BTreeSet::new(),
+                writes: VecDeque::new(),
+                dispatch: Dispatch::new(&plan.order, &parents, lanes),
                 replay: sc_core::AdmissionReplay::new(
                     &plan.order,
                     &dp.flagged,
@@ -1474,16 +1225,6 @@ impl<'a> Controller<'a> {
 
         self.memory.reset_peak();
         let run_started = Instant::now();
-
-        // Seed the queue with every dependency-free node, in plan order.
-        {
-            let mut st = run.lock();
-            for &v in &plan.order {
-                if parents[v.index()].is_empty() {
-                    run.offer(&mut st, v.index());
-                }
-            }
-        }
         let final_drain_s = std::thread::scope(|scope| {
             scope.spawn(|| run.materialize(bg_rx));
             for _ in 1..lanes {
@@ -1517,42 +1258,84 @@ impl<'a> Controller<'a> {
             peak_memory_bytes: self.memory.peak(),
             final_drain_s,
             gc_failed_deletes: 0,
+            observation_save_error: None,
         })
     }
 }
 
-/// Assembles the final [`NodeMetrics`] for a computed node (`flagged`:
-/// kept in memory with its write backgrounded).
-fn node_metrics(
+/// The facts [`sc_core::modes::plan`] decides from for `mvs`, read from
+/// `disk` (existence and stored sizes, one `size_of` per distinct table),
+/// the pending-log snapshot `pending`, and `observations` (the summary
+/// for each MV's name + plan fingerprint). `None` when nothing pends: an
+/// empty log means no delta tracking, so the run recomputes every MV —
+/// profiling runs stay meaningful — while the snapshot machinery stays
+/// active, so a batch ingested *during* that run still poisons the log
+/// instead of being applied twice.
+///
+/// The controller and the scenario mirror both call this, so the
+/// simulator decides from exactly what the engine reads.
+pub fn mode_facts(
     mvs: &[MvDefinition],
-    dp: &DeltaPlan,
-    idx: usize,
-    stats: &ComputedStats,
-    write_s: f64,
-    flagged: bool,
-) -> NodeMetrics {
-    NodeMetrics {
-        name: mvs[idx].name.clone(),
-        mode: dp.modes[idx],
-        reason: dp.reasons[idx],
-        delta_bytes: stats.delta_bytes,
-        appended_bytes: stats.appended_bytes,
-        segments: if dp.append[idx] {
-            dp.pre_segments[idx] + usize::from(stats.appended_bytes > 0)
-        } else {
-            1
-        },
-        read_s: stats.read_s,
-        compute_s: stats.compute_s,
-        write_s: write_s + stats.spill_write_s,
-        output_bytes: stats.output_bytes,
-        rows: stats.rows,
-        flagged,
-        fell_back: false,
-        memory_reads: stats.memory_reads,
-        disk_reads: stats.disk_reads,
-        cost: dp.cost[idx],
+    disk: &DiskCatalog,
+    pending: &HashMap<String, TableDelta>,
+    observations: Option<&ObservationStore>,
+) -> Option<Vec<NodeFacts>> {
+    if pending.values().all(TableDelta::is_empty) {
+        return None;
     }
+    let index: HashMap<&str, usize> = mvs
+        .iter()
+        .enumerate()
+        .map(|(i, m)| (m.name.as_str(), i))
+        .collect();
+    let mut sizes: HashMap<String, u64> = HashMap::new();
+    let mut size_of = |table: &str| {
+        *sizes
+            .entry(table.to_string())
+            .or_insert_with(|| disk.size_of(table).unwrap_or(0))
+    };
+    let facts = mvs
+        .iter()
+        .map(|mv| {
+            let support = mv.plan.incremental_support();
+            let statics = support.static_tables();
+            let mut f = NodeFacts {
+                exists: disk.contains(&mv.name),
+                maintainable: support.maintainable(false),
+                maintainable_with_deletes: support.maintainable(true),
+                publishes: support.publishes_delta(),
+                // Segmented storage appends any insert-only delta.
+                appendable: true,
+                mv_bytes: size_of(&mv.name),
+                observed: observations.and_then(|o| o.summary(&mv.name, mv.plan.fingerprint())),
+                ..NodeFacts::default()
+            };
+            for input in mv.plan.input_tables() {
+                let is_static = statics.contains(&input);
+                let bytes = size_of(&input);
+                if is_static {
+                    f.static_bytes += bytes;
+                }
+                if let Some(&p) = index.get(input.as_str()) {
+                    let feed = if is_static { Feed::Build } else { Feed::Spine };
+                    f.parents.push((p, feed));
+                    continue;
+                }
+                f.base_bytes += bytes;
+                match pending.get(&input).filter(|d| !d.is_empty()) {
+                    Some(_) if is_static => f.churn.build = true,
+                    Some(d) => {
+                        f.churn.spine = true;
+                        f.churn.bytes += d.byte_size();
+                        f.churn.deletes |= d.has_deletes();
+                    }
+                    None => {}
+                }
+            }
+            f
+        })
+        .collect();
+    Some(facts)
 }
 
 #[cfg(test)]
@@ -2140,10 +1923,10 @@ mod tests {
                 "position {pos} started at prefix {prefix}, beyond the window of {window}"
             );
         }
-        // The window is used, not just respected: the initial burst runs
-        // ahead of the (empty) computed prefix up to the bound.
-        assert!(log.contains(&(window, 0)));
-        assert!(!log.contains(&(window + 1, 0)));
+        // Ready nodes start in plan order. (How far a free lane may run
+        // ahead of a slow prefix is pinned exactly, without timing, by
+        // `sc_core::dispatch`'s own tests.)
+        assert!(log.windows(2).all(|w| w[0].0 < w[1].0), "{log:?}");
     }
 
     #[test]

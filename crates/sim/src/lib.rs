@@ -7,15 +7,18 @@
 //! (§VI-A: 519.8 MB/s disk read, 358.9 MB/s write, 175 µs latency), it
 //! simulates the exact controller semantics of `sc-engine`:
 //!
-//! * a pool of compute lanes ([`SimConfig::with_lanes`]) dispatching ready
-//!   nodes in plan order within a bounded run-ahead window, as the
-//!   engine's executor does — one lane (the default) executes strictly in
-//!   plan order, the paper's sequential issue of MV statements;
+//! * a pool of compute lanes ([`SimConfig::with_lanes`]) starting nodes
+//!   by the engine's own start rule ([`sc_core::Dispatch`]) — one lane
+//!   (the default) executes strictly in plan order, the paper's
+//!   sequential issue of MV statements;
 //! * a storage write channel shared by blocking and background
 //!   materializations (FIFO, bandwidth-limited);
 //! * flagged nodes created in memory, materialized in the background, and
 //!   released once all consumers executed;
-//! * strict Memory Catalog accounting with fallback-to-disk on pressure.
+//! * strict Memory Catalog accounting with fallback-to-disk on pressure;
+//! * per-node maintenance modes (skip / incremental / full) for churn
+//!   scenarios, decided by the engine's own rules
+//!   ([`sc_core::modes::plan`]), with the same [`sc_core::ModeReason`]s.
 //!
 //! The simulator also models the two §VI baselines that are systems rather
 //! than algorithms: the DBMS **LRU result cache** (Figure 9) via
@@ -58,4 +61,4 @@ pub use cluster::ClusterModel;
 pub use error::{Result, SimError};
 pub use report::{NodeTimeline, SimReport};
 pub use simulator::{SimConfig, Simulator};
-pub use workload::{SimNode, SimWorkload};
+pub use workload::{SimChurn, SimNode, SimWorkload};

@@ -115,6 +115,7 @@ impl Simulator {
             timelines.push(NodeTimeline {
                 name: node.name.clone(),
                 mode: sc_core::NodeMode::Full,
+                reason: sc_core::ModeReason::FullPolicy,
                 start_s: start,
                 read_s,
                 disk_read_s,

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use sc_core::NodeMode;
+use sc_core::{ModeReason, NodeMode};
 
 /// Simulated timeline of one node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -10,6 +10,9 @@ pub struct NodeTimeline {
     /// How the node was brought up to date (full recompute, incremental
     /// delta maintenance, or skipped).
     pub mode: NodeMode,
+    /// Why mode planning settled on [`NodeTimeline::mode`] — the same
+    /// reason the engine reports for the same facts.
+    pub reason: ModeReason,
     /// Simulation time at which the node started executing.
     pub start_s: f64,
     /// Seconds spent reading inputs (disk + memory).
@@ -86,6 +89,7 @@ mod tests {
         let node = |read, disk, compute, write, fell_back| NodeTimeline {
             name: "n".into(),
             mode: NodeMode::Full,
+            reason: ModeReason::FullPolicy,
             start_s: 0.0,
             read_s: read,
             disk_read_s: disk,

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use sc_core::{CostModel, FlagSet, NodeMode, Plan, RefreshMode};
+use sc_core::{CostModel, Dispatch, Feed, NodeFacts, NodeMode, Plan, Policy, RefreshMode};
 
 use crate::error::{Result, SimError};
 use crate::report::{NodeTimeline, SimReport};
@@ -34,9 +34,9 @@ pub struct SimConfig {
     /// Relative compute slowdown from shrinking DBMS query memory to make
     /// room for the Memory Catalog (0.0 when using spare memory).
     pub compute_penalty: f64,
-    /// Number of compute lanes executing DAG nodes concurrently, as in
-    /// the engine's executor: nodes start as soon as all dependencies are
-    /// readable, a lane is free and the node is within
+    /// Number of compute lanes executing DAG nodes concurrently, started
+    /// by the engine's rule ([`sc_core::Dispatch`]): all dependencies
+    /// readable, a lane free, and the node within
     /// [`sc_core::run_ahead_window`] of the computed prefix; catalog
     /// actions follow plan order. `1` is the paper's sequential
     /// controller.
@@ -46,8 +46,8 @@ pub struct SimConfig {
     /// fails the run ([`SimError::MemoryBudgetExceeded`]) instead of
     /// falling back to a blocking write.
     pub fallback_on_memory_pressure: bool,
-    /// Full-vs-incremental maintenance policy, consulted for nodes whose
-    /// [`crate::SimNode::delta_bytes`] annotation is set (mirrors
+    /// Full-vs-incremental maintenance policy, consulted when nodes carry
+    /// a [`crate::SimNode::churn`] annotation (mirrors
     /// `RefreshConfig::refresh_mode` in the engine).
     pub refresh_mode: RefreshMode,
     /// Disk-read bandwidth consumed by concurrent snapshot readers
@@ -136,31 +136,6 @@ impl SimConfig {
     }
 }
 
-/// Per-run incremental-maintenance plan, fixed before simulation (mirror
-/// of the engine controller's delta planning).
-struct SimDeltaPlan {
-    /// How each node is brought up to date.
-    modes: Vec<NodeMode>,
-    /// Memory Catalog payload per node if admitted: its delta size when
-    /// every consumer maintains incrementally, its output size otherwise.
-    payload: Vec<u64>,
-    /// Whether the node's catalog payload is its delta.
-    delta_payload: Vec<bool>,
-    /// Nodes whose delta is spilled to storage for consumers that cannot
-    /// read it from the catalog.
-    spill: Vec<bool>,
-    /// Nodes persisted by appending a delta-sized segment instead of
-    /// rewriting the MV (mirror of the engine's append path): the
-    /// incremental run then skips the own-contents re-read and its write
-    /// event is delta-sized.
-    append: Vec<bool>,
-    /// Bytes each node's persistence writes: `delta_bytes` on the append
-    /// path, `output_bytes` otherwise.
-    write_bytes: Vec<u64>,
-    /// Effective flags: the plan's flags minus skipped nodes.
-    flagged: FlagSet,
-}
-
 /// Deterministic discrete-event refresh-run simulator.
 #[derive(Debug, Clone)]
 pub struct Simulator {
@@ -185,147 +160,40 @@ impl Simulator {
         self.run(workload, &Plan::unoptimized(order))
     }
 
-    /// Fixes every node's maintenance mode before the run — the same
-    /// decision rule as the engine's controller: a node can be maintained
-    /// incrementally only when every parent's delta is known (the parent
-    /// is skipped, or incremental and publishing — build-side parents of a
-    /// delta-join spine must be *skipped*, since a changed build side
-    /// forces a recompute), is skipped when its annotated delta is zero,
-    /// and otherwise needs operator support plus — under
-    /// [`RefreshMode::Auto`] — a cost-model win.
-    fn plan_deltas(&self, workload: &SimWorkload, plan: &Plan) -> SimDeltaPlan {
+    /// The mode kernel's view of `workload`: each annotated node's facts
+    /// with its parents tagged from the graph. `None` — no delta tracking
+    /// — when no node carries a churn annotation. An unannotated node in a
+    /// churn scenario has no stored contents to maintain, so it plans as a
+    /// first materialization.
+    fn mode_facts(workload: &SimWorkload) -> Option<Vec<NodeFacts>> {
         let graph = &workload.graph;
-        let n = graph.len();
-        let cfg = &self.config;
-        let mut modes = vec![NodeMode::Full; n];
-        if cfg.refresh_mode != RefreshMode::AlwaysFull {
-            for &v in &plan.order {
-                let node = graph.node(v);
-                let Some(delta) = node.delta_bytes else {
-                    continue;
-                };
-                // Every parent's delta must be known: skipped, or
-                // incremental *and publishing* (merge-only parents absorb
-                // their delta but expose nothing to consume). A parent on
-                // the build side of a join spine must be skipped outright.
-                let known = graph.parents(v).iter().all(|&p| {
-                    let parent = graph.node(p);
-                    if node.build_inputs.contains(&parent.name) {
-                        modes[p.index()] == NodeMode::Skipped
-                    } else {
-                        modes[p.index()] == NodeMode::Skipped
-                            || (modes[p.index()] == NodeMode::Incremental && parent.delta_publishes)
-                    }
-                });
-                if !known {
-                    continue;
-                }
-                if delta == 0 {
-                    modes[v.index()] = NodeMode::Skipped;
-                    continue;
-                }
-                if !node.delta_supported {
-                    continue;
-                }
-                let incremental = match cfg.refresh_mode {
-                    RefreshMode::AlwaysIncremental => true,
-                    RefreshMode::Auto => {
-                        // Mirror of the engine's input pricing: an
-                        // incremental publishing parent has grown by its
-                        // applied delta by the time this node runs, so
-                        // the full path re-reads the post-update size.
-                        let input: u64 = node.base_read_bytes
-                            + graph
-                                .parents(v)
-                                .iter()
-                                .map(|&p| {
-                                    let parent = graph.node(p);
-                                    let grown = if modes[p.index()] == NodeMode::Incremental
-                                        && parent.delta_publishes
-                                    {
-                                        parent.delta_bytes.unwrap_or(0)
-                                    } else {
-                                        0
-                                    };
-                                    parent.output_bytes + grown
-                                })
-                                .sum::<u64>();
-                        cfg.cost_model().incremental_refresh_wins(
-                            input,
-                            node.output_bytes,
-                            delta,
-                            node.build_read_bytes,
-                            // The sim's delta annotation IS the node's
-                            // output delta, the size an append persists.
-                            node.delta_appendable.then_some(delta),
-                            node.observed_cost.as_ref(),
-                        )
-                    }
-                    RefreshMode::AlwaysFull => unreachable!("checked above"),
-                };
-                if incremental {
-                    modes[v.index()] = NodeMode::Incremental;
-                }
+        if graph.payloads().iter().all(|n| n.churn.is_none()) {
+            return None;
+        }
+        let facts = graph.node_ids().map(|v| {
+            let Some(churn) = &graph.node(v).churn else {
+                return NodeFacts::default();
+            };
+            let parents = graph.parents(v).iter().map(|&p| {
+                let build = churn.build_inputs.contains(&graph.node(p).name);
+                (p.index(), if build { Feed::Build } else { Feed::Spine })
+            });
+            NodeFacts {
+                parents: parents.collect(),
+                ..churn.facts.clone()
             }
-        }
-        let flagged: FlagSet = (0..n)
-            .map(|i| plan.flagged.contains(sc_dag::NodeId(i)) && modes[i] != NodeMode::Skipped)
-            .collect();
-        let mut delta_payload = vec![false; n];
-        let mut spill = vec![false; n];
-        let mut payload = vec![0u64; n];
-        for v in graph.node_ids() {
-            let i = v.index();
-            let children = graph.children(v);
-            let inc = children
-                .iter()
-                .filter(|&&c| modes[c.index()] == NodeMode::Incremental)
-                .count();
-            let publishes = modes[i] == NodeMode::Incremental && graph.node(v).delta_publishes;
-            delta_payload[i] =
-                flagged.contains(v) && publishes && !children.is_empty() && inc == children.len();
-            spill[i] = publishes && inc > 0 && !delta_payload[i];
-            payload[i] = if delta_payload[i] {
-                graph.node(v).delta_bytes.unwrap_or(0)
-            } else {
-                graph.node(v).output_bytes
-            };
-        }
-        let mut append = vec![false; n];
-        let mut write_bytes = vec![0u64; n];
-        for v in graph.node_ids() {
-            let i = v.index();
-            let node = graph.node(v);
-            // Mirror of the engine's append rule: insert-only row-wise
-            // shapes whose full output is never needed in the catalog.
-            append[i] = modes[i] == NodeMode::Incremental
-                && node.delta_publishes
-                && node.delta_appendable
-                && !(flagged.contains(v) && !graph.children(v).is_empty() && !delta_payload[i]);
-            write_bytes[i] = if append[i] {
-                node.delta_bytes.unwrap_or(0)
-            } else {
-                node.output_bytes
-            };
-        }
-        SimDeltaPlan {
-            modes,
-            payload,
-            delta_payload,
-            spill,
-            append,
-            write_bytes,
-            flagged,
-        }
+        });
+        Some(facts.collect())
     }
 
     /// Simulates a refresh run under `plan` — the discrete-event mirror of
-    /// the engine's executor: up to `config.lanes` nodes run concurrently,
-    /// each starting once every dependency is readable, a lane is free,
-    /// and the node is within the bounded run-ahead window of the computed
-    /// plan-order prefix (ready work is dispatched in plan order; with one
-    /// lane the window is zero, so the run is the paper's sequential walk
-    /// of `plan.order`). The Memory Catalog follows the same plan-order
+    /// the engine's executor, driving the engine's own rules: node modes
+    /// and reasons from [`sc_core::modes::plan`], and up to `config.lanes`
+    /// nodes running concurrently as [`sc_core::Dispatch`] lets them start
+    /// (every dependency readable, inside the run-ahead window of the
+    /// computed plan-order prefix, in plan order; with one lane the window
+    /// is zero, so the run is the paper's sequential walk of
+    /// `plan.order`). The Memory Catalog follows the same plan-order
     /// accounting as the engine ([`sc_core::AdmissionReplay`]): sizes are
     /// static here, so every admit-or-fallback outcome and the peak usage
     /// are fixed upfront, and an admission takes effect once every node
@@ -334,16 +202,26 @@ impl Simulator {
     /// fallbacks included, also occupy a lane.
     pub fn run(&self, workload: &SimWorkload, plan: &Plan) -> Result<SimReport> {
         use std::cmp::Reverse;
-        use std::collections::{BTreeMap, BinaryHeap};
+        use std::collections::{BinaryHeap, VecDeque};
 
         workload.graph.validate_order(&plan.order)?;
         let pos = workload.graph.order_positions(&plan.order)?;
-        let dp = self.plan_deltas(workload, plan);
         let graph = &workload.graph;
         let n = graph.len();
         let cfg = &self.config;
         let lanes = cfg.lanes.clamp(1, n.max(1));
-        let window = sc_core::run_ahead_window(lanes);
+        let facts = Self::mode_facts(workload);
+        let policy = Policy {
+            mode: cfg.refresh_mode,
+            tracking: facts.is_some(),
+            poisoned: false,
+        };
+        let dp = sc_core::modes::plan(
+            facts.as_deref().unwrap_or_default(),
+            plan,
+            policy,
+            &cfg.cost_model(),
+        );
 
         /// Heap entries ordered by time then insertion sequence, so the
         /// simulation is fully deterministic.
@@ -397,7 +275,7 @@ impl Simulator {
             }
         }
 
-        /// A unit of lane work waiting for dispatch.
+        /// A unit of lane work.
         #[derive(Debug, Clone, Copy)]
         enum Job {
             Compute(usize),
@@ -407,7 +285,29 @@ impl Simulator {
 
         let flagged = |i: usize| dp.flagged.contains(sc_dag::NodeId(i));
         let occupies = |i: usize| graph.out_degree(sc_dag::NodeId(i)) > 0;
-        let delta_of = |i: usize| graph.node(sc_dag::NodeId(i)).delta_bytes.unwrap_or(0);
+        let delta_of = |i: usize| dp.delta_out[i];
+        // Catalog payload if admitted: the delta when every consumer
+        // maintains incrementally, the output otherwise; and the bytes a
+        // node's persistence writes: the delta on the append path.
+        let output_of = |i: usize| graph.node(sc_dag::NodeId(i)).output_bytes;
+        let payload: Vec<u64> = (0..n)
+            .map(|i| {
+                if dp.delta_payload[i] {
+                    delta_of(i)
+                } else {
+                    output_of(i)
+                }
+            })
+            .collect();
+        let write_bytes: Vec<u64> = (0..n)
+            .map(|i| {
+                if dp.append[i] {
+                    delta_of(i)
+                } else {
+                    output_of(i)
+                }
+            })
+            .collect();
 
         // The plan-order catalog accounting, against the *effective* flags
         // (skipped nodes never enter the catalog) and each node's catalog
@@ -421,7 +321,7 @@ impl Simulator {
             .collect();
         let mut replay =
             sc_core::AdmissionReplay::new(&plan.order, &dp.flagged, &parents_of, cfg.memory_budget);
-        let steps = replay.advance(&vec![true; n], &dp.payload);
+        let steps = replay.advance(&vec![true; n], &payload);
         let peak_memory_bytes = replay.peak();
         let mut admitted = vec![false; n];
         for step in steps {
@@ -431,7 +331,7 @@ impl Simulator {
                     // Strict-failure mode: the first modeled fallback
                     // aborts the run, as in the engine.
                     return Err(SimError::MemoryBudgetExceeded {
-                        requested: dp.payload[node],
+                        requested: payload[node],
                         used,
                         budget: cfg.memory_budget,
                     });
@@ -445,8 +345,6 @@ impl Simulator {
             .filter(|&i| flagged(i) && occupies(i))
             .collect();
 
-        let mut pending_parents: Vec<usize> = parents_of.iter().map(Vec::len).collect();
-
         let mut events: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut push = |events: &mut BinaryHeap<Reverse<Entry>>, t: f64, e: Event| {
@@ -454,11 +352,12 @@ impl Simulator {
             seq += 1;
         };
 
-        // Ready jobs keyed by plan position so dispatch order is the plan's.
-        let mut ready: BTreeMap<usize, Job> = BTreeMap::new();
+        let mut dispatch = Dispatch::new(&plan.order, &parents_of, lanes);
+        // Fallback writes waiting for a lane. They always precede ready
+        // computes in plan order (a fallback is decided only once the
+        // computed prefix has passed it), so a free lane takes them first.
+        let mut writes: VecDeque<usize> = VecDeque::new();
         let mut lanes_available = lanes;
-        let mut computed = vec![false; n];
-        let mut prefix = 0usize; // first plan position not yet computed
         let mut created_done = vec![false; n];
         let mut next_admit = 0usize;
         let mut bg_free_at = 0.0f64; // shared storage write channel
@@ -473,26 +372,16 @@ impl Simulator {
         let mut persisted_s = vec![f64::INFINITY; n];
         let mut end_time = 0.0f64;
 
-        for &v in &plan.order {
-            if pending_parents[v.index()] == 0 {
-                ready.insert(pos[v.index()], Job::Compute(v.index()));
-            }
-        }
-
         macro_rules! dispatch {
             ($clock:expr) => {
                 while lanes_available > 0 {
-                    // First job in plan order that is eligible: writes
-                    // always, computes only inside the run-ahead window.
-                    let slot = ready
-                        .iter()
-                        .find(|(p, job)| match job {
-                            Job::Write(_) => true,
-                            Job::Compute(_) => **p <= prefix + window,
-                        })
-                        .map(|(&p, &job)| (p, job));
-                    let Some((p, job)) = slot else { break };
-                    ready.remove(&p);
+                    let job = match writes.pop_front() {
+                        Some(i) => Job::Write(i),
+                        None => match dispatch.next() {
+                            Some(i) => Job::Compute(i),
+                            None => break,
+                        },
+                    };
                     lanes_available -= 1;
                     match job {
                         Job::Compute(i) if dp.modes[i] == NodeMode::Skipped => {
@@ -526,8 +415,9 @@ impl Simulator {
                                 // Static build sides of a join spine: the
                                 // propagated delta probes them, so the
                                 // incremental path reads them in full.
-                                if node.build_read_bytes > 0 {
-                                    read(node.build_read_bytes, false);
+                                let build = node.churn.as_ref().map_or(0, |c| c.facts.static_bytes);
+                                if build > 0 {
+                                    read(build, false);
                                 }
                             } else if node.base_read_bytes > 0 {
                                 // Full recompute: base tables always come
@@ -592,7 +482,7 @@ impl Simulator {
                                 0.0
                             };
                             let wstart = ($clock).max(bg_free_at);
-                            let done = wstart + spill + cfg.disk_write_time(dp.write_bytes[i]);
+                            let done = wstart + spill + cfg.disk_write_time(write_bytes[i]);
                             bg_free_at = done;
                             write_s[i] += done - $clock;
                             persisted_s[i] = done;
@@ -610,12 +500,12 @@ impl Simulator {
                     // Mirror the engine: the catalog acts on a node only
                     // when its output exists and every node earlier in the
                     // plan has computed.
-                    if !created_done[cand] || prefix <= pos[cand] {
+                    if !created_done[cand] || dispatch.prefix() <= pos[cand] {
                         break;
                     }
                     if admitted[cand] {
                         let wstart = ($clock).max(bg_free_at);
-                        let done = wstart + cfg.disk_write_time(dp.write_bytes[cand]);
+                        let done = wstart + cfg.disk_write_time(write_bytes[cand]);
                         bg_free_at = done;
                         persisted_s[cand] = done;
                         push(&mut events, $clock, Event::Publish(cand));
@@ -623,7 +513,7 @@ impl Simulator {
                         // Memory pressure: blocking write on a worker lane,
                         // exactly like the engine's fallback Write task.
                         fell_back[cand] = true;
-                        ready.insert(pos[cand], Job::Write(cand));
+                        writes.push_back(cand);
                     }
                     next_admit += 1;
                 }
@@ -636,10 +526,7 @@ impl Simulator {
             end_time = end_time.max(clock);
             match event {
                 Event::ComputeEnd(i) => {
-                    computed[i] = true;
-                    while prefix < n && computed[plan.order[prefix].index()] {
-                        prefix += 1;
-                    }
+                    dispatch.computed(i);
                     if dp.modes[i] == NodeMode::Skipped {
                         // Already persisted from the previous run: free
                         // the lane and let consumers proceed.
@@ -651,10 +538,10 @@ impl Simulator {
                         // Childless flagged node: created in memory only to
                         // background its write; never occupies the catalog
                         // (it is outside every Vi in the optimizer's model).
-                        let created = clock + cfg.mem_time(dp.write_bytes[i]);
+                        let created = clock + cfg.mem_time(write_bytes[i]);
                         available_s[i] = created;
                         let wstart = created.max(bg_free_at);
-                        let done = wstart + cfg.disk_write_time(dp.write_bytes[i]);
+                        let done = wstart + cfg.disk_write_time(write_bytes[i]);
                         bg_free_at = done;
                         persisted_s[i] = done;
                         push(&mut events, created, Event::LaneFree);
@@ -663,7 +550,7 @@ impl Simulator {
                         // Create the catalog payload in memory on this
                         // lane (delta-sized for delta payloads), then wait
                         // for the plan-order admission.
-                        let created = clock + cfg.mem_time(dp.payload[i]);
+                        let created = clock + cfg.mem_time(payload[i]);
                         available_s[i] = created;
                         push(&mut events, created, Event::LaneFree);
                         push(&mut events, created, Event::AdmitReady(i));
@@ -679,7 +566,7 @@ impl Simulator {
                         // write channel (one storage device).
                         available_s[i] = clock;
                         let wstart = clock.max(bg_free_at);
-                        let done = wstart + cfg.disk_write_time(dp.write_bytes[i]);
+                        let done = wstart + cfg.disk_write_time(write_bytes[i]);
                         bg_free_at = done;
                         write_s[i] += done - clock;
                         persisted_s[i] = done;
@@ -700,13 +587,7 @@ impl Simulator {
                     dispatch!(clock);
                 }
                 Event::Publish(i) => {
-                    for &child in graph.children(sc_dag::NodeId(i)) {
-                        let c = child.index();
-                        pending_parents[c] -= 1;
-                        if pending_parents[c] == 0 {
-                            ready.insert(pos[c], Job::Compute(c));
-                        }
-                    }
+                    dispatch.published(i);
                     dispatch!(clock);
                 }
                 Event::LaneFree => {
@@ -725,6 +606,7 @@ impl Simulator {
                 NodeTimeline {
                     name: graph.node(v).name.clone(),
                     mode: dp.modes[i],
+                    reason: dp.reasons[i],
                     start_s: start_s[i],
                     read_s: read_s[i],
                     disk_read_s: disk_read_s[i],

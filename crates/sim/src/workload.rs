@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use sc_core::{MvMeta, Problem};
+use sc_core::{MvMeta, NodeFacts, Problem};
 use sc_dag::Dag;
 
 use crate::simulator::SimConfig;
@@ -18,47 +18,26 @@ pub struct SimNode {
     /// candidate for the Memory Catalog). Parent MV outputs are read in
     /// addition to this.
     pub base_read_bytes: u64,
-    /// Size of the node's output delta under the churn scenario being
-    /// simulated. `None` disables delta tracking for this node (it is
-    /// always recomputed, the pre-incremental behavior); `Some(0)` means
-    /// nothing reaching the node changed, so it can be skipped.
-    pub delta_bytes: Option<u64>,
-    /// Whether the node's operators support incremental maintenance
-    /// (mirrors the engine's `LogicalPlan::incremental_support`). Only
-    /// consulted when `delta_bytes` is set.
-    pub delta_supported: bool,
-    /// Whether the node publishes an output delta its consumers can
-    /// maintain from. Row-wise chains publish; aggregate-merge nodes
-    /// absorb their input delta but publish nothing, so their consumers
-    /// recompute (mirror with [`SimNode::merge_only`]).
-    pub delta_publishes: bool,
+    /// The node's annotation for the churn scenario being simulated.
+    /// `None` everywhere disables delta tracking (every node recomputes,
+    /// the pre-incremental behavior).
+    pub churn: Option<SimChurn>,
+}
+
+/// What a churn scenario says about one node: the facts the shared mode
+/// kernel ([`sc_core::modes::plan`]) decides from, exactly as the engine
+/// hands them over.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SimChurn {
+    /// The kernel's facts. Their `parents` are derived by the simulator
+    /// from the workload graph and [`SimChurn::build_inputs`];
+    /// `static_bytes` is also the build-side read the incremental path
+    /// pays.
+    pub facts: NodeFacts,
     /// Names of parent nodes feeding the *build* side of a delta-join
-    /// spine (mirrors the engine's `IncrementalSupport::static_tables`):
-    /// the node can maintain incrementally only while these parents are
-    /// Skipped — a changed build side interleaves new join pairs into
-    /// existing match groups, which no append-only delta reproduces, so
-    /// the engine recomputes. Empty for join-free nodes.
+    /// spine: the node maintains incrementally only while they are
+    /// skipped. Empty for join-free nodes.
     pub build_inputs: Vec<String>,
-    /// Bytes of build-side inputs (dimension tables and static parents)
-    /// the incremental path still reads in full to probe the propagated
-    /// delta. A subset of the node's total input bytes; 0 for join-free
-    /// nodes. Charged as disk read time on the incremental path and fed
-    /// to `CostModel::incremental_refresh_wins` under `Auto`.
-    pub build_read_bytes: u64,
-    /// Whether the node's delta can be persisted as an **appended
-    /// segment** on the engine's segmented storage (an insert-only,
-    /// delta-publishing shape): the incremental path then skips the
-    /// own-contents re-read and writes `delta_bytes` instead of
-    /// `output_bytes`. Mirrors `publishes ∧ ¬deletes` in the engine's
-    /// delta planner; fed to the cost model under `Auto`.
-    pub delta_appendable: bool,
-    /// Observed runtime-cost summary for this node's identity, mirroring
-    /// the engine's observation sidecar (`ObservationStore::summary` on a
-    /// fingerprint match). When set, `Auto` decisions consult it via
-    /// [`sc_core::CostModel::incremental_refresh_wins`] exactly
-    /// as the engine does; `None` falls back to the static size-based
-    /// estimates.
-    pub observed_cost: Option<sc_core::ObservedNodeCost>,
 }
 
 impl SimNode {
@@ -74,48 +53,56 @@ impl SimNode {
             compute_s,
             output_bytes,
             base_read_bytes,
-            delta_bytes: None,
-            delta_supported: true,
-            delta_publishes: true,
-            build_inputs: Vec::new(),
-            build_read_bytes: 0,
-            delta_appendable: false,
-            observed_cost: None,
+            churn: None,
         }
     }
 
-    /// Annotates the node with its output-delta size for a churn scenario.
+    /// The churn annotation, created on first use: an existing,
+    /// maintainable, delta-publishing node priced at its own sizes, on
+    /// the rewrite path, with nothing stated about its delta yet.
+    fn churn_mut(&mut self) -> &mut SimChurn {
+        let (base_bytes, mv_bytes) = (self.base_read_bytes, self.output_bytes);
+        self.churn.get_or_insert_with(|| SimChurn {
+            facts: NodeFacts {
+                exists: true,
+                maintainable: true,
+                maintainable_with_deletes: true,
+                publishes: true,
+                base_bytes,
+                mv_bytes,
+                ..NodeFacts::default()
+            },
+            build_inputs: Vec::new(),
+        })
+    }
+
+    /// Annotates the node with its output-delta size for a churn scenario
+    /// (`0`: nothing reaching the node changed, so it can be skipped).
     pub fn with_delta(mut self, delta_bytes: u64) -> Self {
-        self.delta_bytes = Some(delta_bytes);
+        self.churn_mut().facts.stated_delta = Some(delta_bytes);
         self
     }
 
-    /// Marks the node's delta as appendable on segmented storage (an
-    /// insert-only, delta-publishing shape).
-    pub fn appendable(mut self) -> Self {
-        self.delta_appendable = true;
-        self
-    }
-
-    /// Marks the node as a delta-join spine reading `read_bytes` of static
-    /// build-side inputs, with `parents` naming any build-side *parent
-    /// nodes* (base-table build inputs contribute bytes only — their
-    /// staleness is folded into the node's own `delta_supported` flag by
-    /// whoever builds the scenario).
+    /// Marks the node as a delta-join spine reading `read_bytes` of
+    /// build-side inputs in full, with `parents` naming any build-side
+    /// *parent nodes* (base-table build inputs contribute bytes only).
     pub fn with_build_side(
         mut self,
         parents: impl IntoIterator<Item = impl Into<String>>,
         read_bytes: u64,
     ) -> Self {
-        self.build_inputs = parents.into_iter().map(Into::into).collect();
-        self.build_read_bytes = read_bytes;
+        let churn = self.churn_mut();
+        churn.build_inputs = parents.into_iter().map(Into::into).collect();
+        churn.facts.static_bytes = read_bytes;
         self
     }
 
     /// Marks the node's operators as not delta-maintainable (joins,
     /// sorts, …): it is recomputed in full whenever anything reaches it.
     pub fn full_only(mut self) -> Self {
-        self.delta_supported = false;
+        let facts = &mut self.churn_mut().facts;
+        facts.maintainable = false;
+        facts.maintainable_with_deletes = false;
         self
     }
 
@@ -123,14 +110,14 @@ impl SimNode {
     /// delta (the engine's merge-aggregate shape): its consumers must
     /// recompute.
     pub fn merge_only(mut self) -> Self {
-        self.delta_publishes = false;
+        self.churn_mut().facts.publishes = false;
         self
     }
 
-    /// Attaches an observed runtime-cost summary (see
-    /// [`SimNode::observed_cost`]).
+    /// Attaches an observed runtime-cost summary, which `Auto` decisions
+    /// consult exactly as the engine does with its observation sidecar.
     pub fn with_observed_cost(mut self, observed: sc_core::ObservedNodeCost) -> Self {
-        self.observed_cost = Some(observed);
+        self.churn_mut().facts.observed = Some(observed);
         self
     }
 }

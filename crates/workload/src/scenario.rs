@@ -12,7 +12,7 @@
 //! sim side derives its [`sc_sim::SimConfig`] and (after a profiling run)
 //! its annotated [`sc_sim::SimWorkload`] from the very same value.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use sc_core::RefreshMode;
 use sc_engine::controller::{MvDefinition, RefreshConfig, RunMetrics};
@@ -23,7 +23,7 @@ use sc_sim::{SimConfig, SimWorkload};
 use crate::corpus::ScenarioError;
 use crate::tpcds::TinyTpcds;
 use crate::tpch_shaped::TpchSpec;
-use crate::updates::{generate_delta, mirror_workload, pending_churn, UpdateStreamSpec};
+use crate::updates::{generate_delta, mirror_workload, UpdateStreamSpec};
 
 /// A literal base table spelled out row by row — the corpus's tool for
 /// pinning exact byte-level behavior (a specific join-null fill, a
@@ -371,19 +371,20 @@ impl ScenarioSpec {
     }
 
     /// Mirrors this scenario's engine state into an annotated
-    /// [`SimWorkload`]: `metrics` must come from a full profiling refresh
-    /// of the spec's MVs on `disk`, and `store` holds the pending churn
-    /// the next refresh will see. Combined with
+    /// [`SimWorkload`] ([`mirror_workload`]): `metrics` must come from a
+    /// full profiling refresh of the spec's MVs on `disk`, and `store`
+    /// holds the pending churn the next refresh will see. Combined with
     /// [`ScenarioSpec::sim_config`], this is the entire simulator rig —
     /// derived, not re-declared.
     ///
-    /// Runtime feedback: with `observations`, each mirrored node
-    /// additionally carries that store's summary for its identity (MV
-    /// name + plan-shape fingerprint), so the sim's `Auto` decisions
-    /// consult the same observed costs the engine's controller does — the
-    /// adaptive layer stays in parity by construction. Identities without
-    /// observations (and every node under `None`) mirror with the static
-    /// estimates, exactly like the engine's fingerprint-miss fallback.
+    /// Runtime feedback: pass the store the engine's `Auto` decisions
+    /// consult — for a session with runtime feedback on, its persisted
+    /// sidecar (`ObservationStore::load` of `observations.scst`) — and
+    /// each mirrored node carries that store's summary for its identity
+    /// (MV name + plan-shape fingerprint), so the adaptive layer stays in
+    /// parity by construction. Identities without observations (and every
+    /// node under `None`) mirror with the static estimates, exactly like
+    /// the engine's fingerprint-miss fallback.
     ///
     /// A sidecar naming an MV this spec does not declare is rejected with
     /// [`ScenarioError::StaleObservation`]: it was recorded against a
@@ -408,30 +409,13 @@ impl ScenarioSpec {
                 mv: unknown,
             });
         }
-        let churn = pending_churn(store);
-        let w = mirror_workload(&self.mvs, metrics, disk, &churn)?;
-        let fingerprints: HashMap<&str, u64> = self
-            .mvs
-            .iter()
-            .map(|m| (m.name.as_str(), m.plan.fingerprint()))
-            .collect();
-        Ok(SimWorkload {
-            graph: w.graph.map(|_, n| {
-                let mut n = n.clone();
-                if churn.is_empty() {
-                    // An empty log means the session runs without delta
-                    // tracking (everything recomputes, so profiling runs
-                    // stay meaningful); strip the `Some(0)` skip
-                    // annotations to predict the same.
-                    n.delta_bytes = None;
-                }
-                n.observed_cost = observations.and_then(|o| {
-                    let fp = fingerprints.get(n.name.as_str())?;
-                    o.summary(&n.name, *fp)
-                });
-                n
-            }),
-        })
+        Ok(mirror_workload(
+            &self.mvs,
+            metrics,
+            disk,
+            &store.snapshot(),
+            observations,
+        )?)
     }
 }
 
@@ -596,7 +580,7 @@ mod tests {
 
         let w = s.mirror(&disk, &metrics, &store, None).unwrap();
         assert_eq!(w.len(), s.mvs.len());
-        let manual = mirror_workload(&s.mvs, &metrics, &disk, &pending_churn(&store)).unwrap();
+        let manual = mirror_workload(&s.mvs, &metrics, &disk, &store.snapshot(), None).unwrap();
         for (a, b) in w
             .graph
             .node_ids()

@@ -7,19 +7,21 @@
 //! batches derived from a table's current contents: inserts clone existing
 //! rows with perturbed measures (foreign keys stay resolvable), updates
 //! pair an existing row's removal with a perturbed re-insert, deletes
-//! remove sampled rows. Sim-side, [`churned`] scales every node's
-//! `delta_bytes` annotation from a global delta fraction.
+//! remove sampled rows. Sim-side, [`churned`] states every node's output
+//! delta from a global delta fraction, and [`mirror_workload`] carries an
+//! engine scenario's own decision facts into the simulator.
 
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sc_engine::controller::{Controller, MvDefinition, RunMetrics};
+use sc_core::Feed;
+use sc_engine::controller::{mode_facts, Controller, MvDefinition, RunMetrics};
 use sc_engine::exec::{DeltaBatch, TableDelta};
-use sc_engine::storage::{ingest, DeltaStore, DiskCatalog};
+use sc_engine::storage::{ingest, DeltaStore, DiskCatalog, ObservationStore};
 use sc_engine::{Table, Value};
-use sc_sim::{SimNode, SimWorkload};
+use sc_sim::{SimChurn, SimNode, SimWorkload};
 
 /// Churn mix for one generated batch, as fractions of the table's current
 /// row count.
@@ -193,146 +195,65 @@ impl JoinHubChurn {
     }
 }
 
-/// One churned base table in a scenario handed to [`mirror_workload`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnedBase {
-    /// Pending delta bytes logged against the table.
-    pub delta_bytes: u64,
-    /// Whether the pending stream removes rows.
-    pub has_deletes: bool,
-}
-
-/// Reads a delta log's pending state into the churn map
-/// [`mirror_workload`] consumes: one [`ChurnedBase`] per table with
-/// logged batches.
-pub fn pending_churn(store: &DeltaStore) -> HashMap<String, ChurnedBase> {
-    store
-        .tables()
-        .into_iter()
-        .filter_map(|t| {
-            let d = store.pending(&t)?;
-            Some((
-                t,
-                ChurnedBase {
-                    delta_bytes: d.byte_size(),
-                    has_deletes: d.has_deletes(),
-                },
-            ))
-        })
-        .collect()
-}
-
-/// Mirrors an engine MV workload into an annotated [`SimWorkload`] for a
-/// churn scenario, so the simulator predicts the same per-node refresh
-/// decisions (skip / incremental / full) as the engine's mode planner.
+/// Mirrors an engine MV workload into a [`SimWorkload`], so the simulator
+/// predicts the same per-node refresh decisions (mode and reason) as the
+/// engine's controller.
 ///
 /// `metrics` must come from a **full** refresh of `mvs` (every node
-/// executed, so output sizes and compute times are real); `churned` maps
-/// each churned base table to its pending delta. Per node, the mirror
-/// derives: reachability of churn (unreached nodes annotate `Some(0)` and
-/// skip), an input-delta-sized estimate, operator support and publication
-/// from [`sc_engine::plan::LogicalPlan::incremental_support`], and the
-/// delta-join build side (static tables become [`SimNode::build_inputs`] /
-/// `build_read_bytes`; a *churned* static base table marks the node
-/// full-only, exactly as the engine recomputes it). Delete-carrying churn
-/// is folded into `delta_supported` via the same shape rules the engine
-/// applies (`maintainable`), which matches the engine whenever churn
-/// reaches the node through publishing parents — the only way modes can
-/// line up anyway.
+/// executed, so output sizes and compute times are real); they drive the
+/// simulated timing, with base-table reads at their stored sizes. The
+/// decisions need no mirroring of their own: each node carries the
+/// engine's [`sc_engine::controller::mode_facts`] — read from the same
+/// catalog, the same pending log (`pending`, a snapshot of it) and the
+/// same observation store — so both sides hand one kernel
+/// ([`sc_core::modes::plan`]) the same facts. With nothing pending the
+/// engine tracks no deltas, and the mirrored nodes carry no annotation.
 pub fn mirror_workload(
     mvs: &[MvDefinition],
     metrics: &RunMetrics,
     disk: &DiskCatalog,
-    churned: &HashMap<String, ChurnedBase>,
+    pending: &HashMap<String, TableDelta>,
+    observations: Option<&ObservationStore>,
 ) -> sc_dag::Result<SimWorkload> {
-    let index: HashMap<&str, usize> = mvs
-        .iter()
-        .enumerate()
-        .map(|(i, m)| (m.name.as_str(), i))
-        .collect();
     let by_name: HashMap<&str, &sc_engine::NodeMetrics> =
         metrics.nodes.iter().map(|n| (n.name.as_str(), n)).collect();
-    let edges = Controller::dependencies(mvs);
-
-    // Propagate churn reachability + an input-delta-sized estimate in
-    // registration order (MVs only reference earlier MVs).
-    let mut delta_est = vec![0u64; mvs.len()];
-    let mut deletes_reach = vec![false; mvs.len()];
-    let mut nodes = Vec::with_capacity(mvs.len());
-    for (i, mv) in mvs.iter().enumerate() {
-        let support = mv.plan.incremental_support();
-        let statics = support.static_tables();
-        let mut est = 0u64;
-        let mut deletes = false;
-        let mut static_churn = false;
-        let mut base_read = 0u64;
-        let mut build_read = 0u64;
-        let mut build_parents: Vec<String> = Vec::new();
-        for input in mv.plan.input_tables() {
-            let is_static = statics.contains(&input);
-            if is_static {
-                build_read += disk.size_of(&input).unwrap_or(0);
-            }
-            if let Some(&p) = index.get(input.as_str()) {
-                if is_static {
-                    build_parents.push(input.clone());
-                    if delta_est[p] > 0 {
-                        static_churn = true;
-                    }
-                } else {
-                    est += delta_est[p];
-                    deletes |= deletes_reach[p];
-                }
-            } else {
-                base_read += disk.size_of(&input).unwrap_or(0);
-                if let Some(c) = churned.get(&input) {
-                    if c.delta_bytes > 0 {
-                        if is_static {
-                            static_churn = true;
-                        } else {
-                            est += c.delta_bytes;
-                            deletes |= c.has_deletes;
-                        }
-                    }
-                }
-            }
-        }
-        delta_est[i] = est + if static_churn { 1 } else { 0 };
-        deletes_reach[i] = deletes;
-
+    let is_mv = |t: &str| mvs.iter().any(|m| m.name == t);
+    let mut facts = mode_facts(mvs, disk, pending, observations).map(Vec::into_iter);
+    let nodes = mvs.iter().map(|mv| {
         let m = by_name
             .get(mv.name.as_str())
             .unwrap_or_else(|| panic!("no metrics for MV '{}'", mv.name));
-        let mut node = SimNode::new(mv.name.clone(), m.compute_s, m.output_bytes, base_read)
-            .with_delta(delta_est[i])
-            .with_build_side(build_parents, build_read);
-        if static_churn || !support.maintainable(deletes) {
-            node = node.full_only();
-        }
-        if !support.publishes_delta() {
-            node = node.merge_only();
-        }
-        if support.publishes_delta() && !deletes {
-            // Insert-only churn through a delta-publishing shape lands as
-            // an appended segment — mirror of the engine's append rule.
-            node = node.appendable();
-        }
-        nodes.push(node);
-    }
-    SimWorkload::from_parts(nodes, edges)
+        let base_read = mv
+            .plan
+            .input_tables()
+            .iter()
+            .filter(|t| !is_mv(t))
+            .map(|t| disk.size_of(t).unwrap_or(0))
+            .sum();
+        let mut node = SimNode::new(mv.name.clone(), m.compute_s, m.output_bytes, base_read);
+        node.churn = facts.as_mut().and_then(Iterator::next).map(|f| SimChurn {
+            build_inputs: f
+                .parents
+                .iter()
+                .filter(|(_, feed)| *feed == Feed::Build)
+                .map(|&(p, _)| mvs[p].name.clone())
+                .collect(),
+            facts: f,
+        });
+        node
+    });
+    SimWorkload::from_parts(nodes.collect::<Vec<_>>(), Controller::dependencies(mvs))
 }
 
 /// Annotates every node of a simulated workload with churn at a global
 /// `delta_fraction` of its output (seeded jitter of ±50% per node), for
-/// churn-heavy sim scenarios. Nodes keep their `delta_supported` flag.
+/// churn-heavy sim scenarios. Nodes keep their other annotations.
 pub fn churned(workload: &SimWorkload, delta_fraction: f64, seed: u64) -> SimWorkload {
     let mut rng = StdRng::seed_from_u64(seed);
     let graph = workload.graph.map(|_, node| {
         let jitter = rng.gen_range(50..150) as f64 / 100.0;
         let delta = (node.output_bytes as f64 * delta_fraction * jitter) as u64;
-        let mut n = node.clone();
-        n.delta_bytes = Some(delta.min(node.output_bytes));
-        n
+        node.clone().with_delta(delta.min(node.output_bytes))
     });
     SimWorkload { graph }
 }
@@ -464,56 +385,58 @@ mod tests {
         let mem = MemoryCatalog::new(64 << 20);
         let plan = Plan::unoptimized((0..mvs.len()).map(NodeId).collect());
         let metrics = Controller::new(&disk, &mem).refresh(&mvs, &plan).unwrap();
-
-        let mut churned = HashMap::new();
-        churned.insert(
-            "store_sales".to_string(),
-            ChurnedBase {
-                delta_bytes: 4096,
-                has_deletes: false,
-            },
-        );
-        let w = mirror_workload(&mvs, &metrics, &disk, &churned).unwrap();
-        let node = |name: &str| {
-            w.graph
-                .node_ids()
-                .map(|v| w.graph.node(v))
-                .find(|n| n.name == name)
-                .unwrap()
-                .clone()
+        let mirror = |store: &DeltaStore| {
+            mirror_workload(&mvs, &metrics, &disk, &store.snapshot(), None).unwrap()
         };
-        // The join hub: churn reaches it, dimensions are its static build
-        // side (base tables, so bytes only — no build parents).
-        let hub = node("enriched_sales");
-        assert_eq!(hub.delta_bytes, Some(4096));
-        assert!(hub.delta_supported && hub.delta_publishes);
-        assert!(hub.build_inputs.is_empty());
-        assert!(hub.build_read_bytes > 0);
-        // Aggregates over the hub merge without publishing.
-        let agg = node("rev_by_category");
-        assert!(agg.delta_supported && !agg.delta_publishes);
-        // The untouched channels annotate zero delta (skip candidates).
-        assert_eq!(node("web_by_item").delta_bytes, Some(0));
-        // The union report is full-only.
-        assert!(!node("cross_channel").delta_supported);
-        // A churned *dimension* instead marks the hub full-only.
-        let mut churned_dim = HashMap::new();
-        churned_dim.insert(
-            "item".to_string(),
-            ChurnedBase {
-                delta_bytes: 1024,
-                has_deletes: false,
-            },
-        );
-        let w2 = mirror_workload(&mvs, &metrics, &disk, &churned_dim).unwrap();
-        let hub2 = w2
+        let facts = |w: &SimWorkload, name: &str| {
+            w.graph
+                .payloads()
+                .iter()
+                .find(|n| n.name == name)
+                .and_then(|n| n.churn.clone())
+                .unwrap()
+                .facts
+        };
+
+        // An empty log: the engine tracks no deltas, so nothing is
+        // annotated.
+        let quiet = DeltaStore::new();
+        assert!(mirror(&quiet)
             .graph
-            .node_ids()
-            .map(|v| w2.graph.node(v))
-            .find(|n| n.name == "enriched_sales")
+            .payloads()
+            .iter()
+            .all(|n| n.churn.is_none()));
+
+        let fact_churn = DeltaStore::new();
+        JoinHubChurn::store_sales(0.05)
+            .ingest_round(&disk, &fact_churn, 1)
             .unwrap();
-        assert!(!hub2.delta_supported);
-        assert!(hub2.delta_bytes.unwrap() > 0, "churn still reaches the hub");
+        let w = mirror(&fact_churn);
+        // The join hub: churn reaches its spine, the dimensions are its
+        // static build side (base tables, so bytes only — no build
+        // parents).
+        let hub = facts(&w, "enriched_sales");
+        assert_eq!(hub.churn.bytes, fact_churn.pending_bytes("store_sales"));
+        assert!(hub.churn.spine && !hub.churn.build);
+        assert!(hub.maintainable && hub.publishes && hub.exists);
+        assert!(hub.parents.is_empty());
+        assert!(hub.static_bytes > 0);
+        // Aggregates over the hub merge without publishing.
+        let agg = facts(&w, "rev_by_category");
+        assert!(agg.maintainable && !agg.publishes);
+        assert_eq!(agg.parents, vec![(0, Feed::Spine)]);
+        // Untouched channels carry no churn of their own; the union
+        // report cannot maintain at all.
+        assert_eq!(facts(&w, "web_by_item").churn, Default::default());
+        assert!(!facts(&w, "cross_channel").maintainable);
+
+        // A churned *dimension* is churn on the hub's build side.
+        let dim_churn = DeltaStore::new();
+        JoinHubChurn::new(["item"], 0.05)
+            .ingest_round(&disk, &dim_churn, 2)
+            .unwrap();
+        let hub = facts(&mirror(&dim_churn), "enriched_sales");
+        assert!(hub.churn.build && !hub.churn.spine);
     }
 
     #[test]
@@ -530,7 +453,8 @@ mod tests {
         let churny = churned(&w, 0.05, 11);
         for v in churny.graph.node_ids() {
             let n = churny.graph.node(v);
-            let d = n.delta_bytes.expect("annotated");
+            let d = n.churn.as_ref().and_then(|c| c.facts.stated_delta);
+            let d = d.expect("annotated");
             assert!(d > 0 && d <= n.output_bytes);
         }
         let plan = sc_core::Plan::unoptimized(churny.graph.kahn_order());

@@ -127,6 +127,11 @@ impl RefreshReport {
                 self.metrics.gc_failed_deletes,
             ));
         }
+        if let Some(e) = &self.metrics.observation_save_error {
+            out.push_str(&format!(
+                "WARNING: runtime observations were not saved ({e}); a reopened session will not see them\n"
+            ));
+        }
         out
     }
 }
@@ -174,6 +179,7 @@ mod tests {
                 peak_memory_bytes: 2048,
                 final_drain_s: 0.0,
                 gc_failed_deletes: 0,
+                observation_save_error: None,
             },
             plan: Plan {
                 order: (0..3).map(sc_dag::NodeId).collect(),
@@ -204,6 +210,13 @@ mod tests {
         assert!(
             text.contains("WARNING: 2 retained-file delete(s) failed"),
             "gc debt warning missing: {text}"
+        );
+        let mut unsaved = report.clone();
+        unsaved.metrics.observation_save_error = Some("disk full".into());
+        let text = unsaved.explain();
+        assert!(
+            text.contains("WARNING: runtime observations were not saved (disk full)"),
+            "sidecar warning missing: {text}"
         );
     }
 }

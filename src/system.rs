@@ -479,13 +479,16 @@ impl ScSession {
         if let Some((store, _)) = &self.observations {
             controller = controller.with_observations(store);
         }
-        let metrics = controller.refresh(mvs, plan)?;
+        let mut metrics = controller.refresh(mvs, plan)?;
         // The controller records into the store only on success, so this
         // persists exactly the representative observations of committed
-        // runs. A failed save is swallowed: the sidecar is advisory, and
-        // losing it only costs a warm-up run.
+        // runs. A failed save does not fail the refresh — the sidecar is
+        // advisory, and losing it only costs a warm-up run — but the run
+        // reports it.
         if let Some((store, path)) = &self.observations {
-            let _ = store.save(path);
+            if let Err(e) = store.save(path) {
+                metrics.observation_save_error = Some(format!("{}: {e}", path.display()));
+            }
         }
         Ok(metrics)
     }

@@ -7,11 +7,10 @@
 //!   after every refresh round, and its stored files must be byte-identical
 //!   after both rigs compact.
 //! * **Mode parity + pinned expectations** — the simulator's predicted
-//!   per-node modes must match the engine's (skipped for `Auto` specs,
-//!   where the two sides calibrate bytes differently — logged, not
-//!   silent), and every `expect` line in the case must hold against the
-//!   engine's report, including the [`sc_core::ModeReason`] provenance in
-//!   the rendered `explain()` row.
+//!   per-node mode *and* [`sc_core::ModeReason`] must match the engine's
+//!   on every case, `Auto` included, and every `expect` line in the case
+//!   must hold against both — the engine's report (including the reason's
+//!   visibility in the rendered `explain()` row) and the simulator's.
 //! * **Fragmented vs compacted** — a rig that never compacts against one
 //!   compacted back to a single segment per MV after every round; their
 //!   logical MV contents must agree at every step.
@@ -26,8 +25,9 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use sc::{RefreshReport, ScSession};
-use sc_core::{NodeMode, Plan, RefreshMode};
+use sc_core::{ModeReason, NodeMode, Plan, RefreshMode};
 use sc_dag::NodeId;
+use sc_engine::storage::{ObservationStore, SIDECAR_FILE};
 use sc_engine::Table;
 use sc_sim::Simulator;
 use sc_workload::corpus::{load_dir, CorpusCase};
@@ -149,13 +149,12 @@ fn lens_byte_identity_incremental_vs_full() {
     println!("lens byte-identity: {} cases green", cases.len());
 }
 
-/// Lens 2: sim/engine mode parity plus every `expect` line in the case —
-/// mode, provenance, and the provenance's visibility in `explain()`.
+/// Lens 2: sim/engine decision parity plus every `expect` line in the
+/// case — mode, provenance, and the provenance's visibility in
+/// `explain()`.
 #[test]
 fn lens_mode_parity_and_pinned_expectations() {
     let cases = corpus("mode-parity");
-    let mut parity_checked = 0usize;
-    let mut parity_skipped = 0usize;
     let mut pins = 0usize;
     for case in &cases {
         let spec = &case.spec;
@@ -167,34 +166,34 @@ fn lens_mode_parity_and_pinned_expectations() {
         }
         let plan = full_plan(spec);
 
-        // Mirror and predict *before* the engine refresh drains the log.
-        let sim_modes: Option<HashMap<String, NodeMode>> =
-            if spec.config.refresh_mode == RefreshMode::Auto {
-                // Auto parity is a byte-calibration question (stored file
-                // sizes vs in-memory sizes), not a decision-rule one.
-                println!("mode-parity: {}: sim parity skipped (mode auto)", case.file);
-                parity_skipped += 1;
-                None
-            } else {
-                let mirrored = spec
-                    .mirror(session.disk(), &baseline, session.delta_store(), None)
-                    .unwrap();
-                let sim = Simulator::new(spec.sim_config())
-                    .run(&mirrored, &plan)
-                    .unwrap();
-                Some(sim.nodes.iter().map(|n| (n.name.clone(), n.mode)).collect())
-            };
+        // Mirror and predict *before* the engine refresh drains the log,
+        // from the observation sidecar the engine's Auto consults.
+        let sidecar = ObservationStore::load(session.disk().dir().join(SIDECAR_FILE));
+        let mirrored = spec
+            .mirror(
+                session.disk(),
+                &baseline,
+                session.delta_store(),
+                Some(&sidecar),
+            )
+            .unwrap();
+        let sim: HashMap<String, (NodeMode, ModeReason)> = Simulator::new(spec.sim_config())
+            .run(&mirrored, &plan)
+            .unwrap()
+            .nodes
+            .into_iter()
+            .map(|n| (n.name, (n.mode, n.reason)))
+            .collect();
 
         let metrics = session.refresh_with_plan(&plan).unwrap();
-        if let Some(sim) = sim_modes {
-            for n in &metrics.nodes {
-                assert_eq!(
-                    sim[&n.name], n.mode,
-                    "{}: sim and engine disagree on '{}'",
-                    case.file, n.name
-                );
-            }
-            parity_checked += 1;
+        for n in &metrics.nodes {
+            assert_eq!(
+                sim[&n.name],
+                (n.mode, n.reason),
+                "{}: sim and engine disagree on '{}'",
+                case.file,
+                n.name
+            );
         }
 
         let report = RefreshReport {
@@ -225,6 +224,14 @@ fn lens_mode_parity_and_pinned_expectations() {
                     "{}:{}: '{}' provenance mismatch",
                     case.file, e.line, e.mv
                 );
+                assert_eq!(
+                    sim[&e.mv],
+                    (e.mode, reason),
+                    "{}:{}: the simulator must predict the pin for '{}'",
+                    case.file,
+                    e.line,
+                    e.mv
+                );
                 // The pinned decision must be *visible*: the explain()
                 // row for this MV carries the reason's description.
                 let row = explain
@@ -246,8 +253,7 @@ fn lens_mode_parity_and_pinned_expectations() {
         }
     }
     println!(
-        "lens mode-parity: {} cases, {parity_checked} sim-parity checked, \
-         {parity_skipped} skipped (auto), {pins} pinned expectations held",
+        "lens mode-parity: {} cases sim-parity checked, {pins} pinned expectations held",
         cases.len()
     );
 }

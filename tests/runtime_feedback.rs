@@ -495,23 +495,31 @@ fn sim_auto_consults_observed_compute_like_the_engine() {
 #[test]
 fn mirror_annotates_sim_nodes_from_the_sidecar() {
     let spec = ScenarioSpec::sales_pipeline(0.4, 42, 64 << 20)
-        .with_refresh_mode(RefreshMode::AlwaysIncremental);
+        .with_refresh_mode(RefreshMode::AlwaysIncremental)
+        .with_churn(sc_workload::ChurnRound::inserts(["store_sales"], 0.02, 7));
     let dir = tempfile::tempdir().unwrap();
     let session = ScSession::from_spec(dir.path(), &spec).unwrap();
     let baseline = session.baseline_refresh().unwrap();
+    // Pending churn: the decision facts (observations among them) only
+    // matter — and are only mirrored — while the engine tracks deltas.
+    spec.ingest_round(0, session.disk(), session.delta_store())
+        .unwrap();
 
     // The profiling run persisted one full observation per node.
     let sidecar = ObservationStore::load(session.disk().dir().join(SIDECAR_FILE));
     assert_eq!(sidecar.node_count(), spec.mvs.len());
 
+    let observed = |w: &SimWorkload| -> Vec<Option<sc_core::ObservedNodeCost>> {
+        w.graph
+            .payloads()
+            .iter()
+            .map(|n| n.churn.as_ref().expect("churn pends").facts.observed)
+            .collect()
+    };
     let plain = spec
         .mirror(session.disk(), &baseline, session.delta_store(), None)
         .unwrap();
-    assert!(plain
-        .graph
-        .payloads()
-        .iter()
-        .all(|n| n.observed_cost.is_none()));
+    assert!(observed(&plain).iter().all(Option::is_none));
 
     let warmed = spec
         .mirror(
@@ -521,11 +529,50 @@ fn mirror_annotates_sim_nodes_from_the_sidecar() {
             Some(&sidecar),
         )
         .unwrap();
-    for n in warmed.graph.payloads() {
-        let obs = n
-            .observed_cost
-            .as_ref()
-            .unwrap_or_else(|| panic!("{} must carry its sidecar summary", n.name));
+    for (n, obs) in warmed.graph.payloads().iter().zip(observed(&warmed)) {
+        let obs = obs.unwrap_or_else(|| panic!("{} must carry its sidecar summary", n.name));
         assert!(obs.has_compute(), "{}: {obs:?}", n.name);
     }
+}
+
+/// A sidecar that cannot be saved does not fail the refresh — the
+/// observations are advisory — but the run reports it: in the metrics and
+/// as an `explain()` warning.
+#[test]
+fn failed_sidecar_save_is_reported_not_fatal() {
+    let dir = tempfile::tempdir().unwrap();
+    // A directory where the sidecar file belongs: its commit rename fails.
+    std::fs::create_dir(dir.path().join(SIDECAR_FILE)).unwrap();
+    let sys = ScSession::builder()
+        .storage_dir(dir.path())
+        .memory_budget(8 << 20)
+        .build()
+        .unwrap();
+    TinyTpcds::generate(0.2, 42).load_into(sys.disk()).unwrap();
+    for mv in sales_pipeline() {
+        sys.register_mv(mv).unwrap();
+    }
+    let report = sys.refresh().unwrap();
+    let error = report.metrics.observation_save_error.as_deref();
+    assert!(
+        error.is_some_and(|e| e.contains(SIDECAR_FILE)),
+        "the failed save must be recorded: {error:?}"
+    );
+    assert!(
+        report
+            .explain()
+            .contains("WARNING: runtime observations were not saved"),
+        "{}",
+        report.explain()
+    );
+    for mv in sys.mvs() {
+        assert!(sys.disk().contains(&mv.name), "{} persisted", mv.name);
+    }
+
+    // Once the path is usable again, the next run saves and is quiet.
+    std::fs::remove_dir(dir.path().join(SIDECAR_FILE)).unwrap();
+    let report = sys.refresh().unwrap();
+    assert_eq!(report.metrics.observation_save_error, None);
+    assert!(!report.explain().contains("WARNING"));
+    assert!(dir.path().join(SIDECAR_FILE).is_file());
 }

@@ -1,18 +1,19 @@
 //! Cross-check: on a shared [`ScenarioSpec`], the simulator's predicted
-//! per-node refresh decisions (skip / incremental / full) must match the
-//! engine's `NodeMode` plan **exactly** — including the delta-join rule
-//! (a churned build side forces a recompute) and its transitive effects.
+//! per-node refresh decisions — mode (skip / incremental / full) *and*
+//! [`ModeReason`] — must match the engine's **exactly**, under every
+//! policy including `Auto`: the delta-join rule (a churned build side
+//! forces a recompute), its transitive effects, and the cost model's
+//! calls.
 //!
 //! Both rigs are constructed from *one spec value*: the engine via
 //! [`ScSession::from_spec`] (tables loaded, MVs registered, config
 //! applied), the simulator via [`ScenarioSpec::sim_config`] and
-//! [`ScenarioSpec::mirror`]. Nothing is re-declared by hand, so this test
-//! pins the whole bridge: engine support classification → derived sim
-//! annotations → both mode planners. Parity is checked under
-//! `AlwaysIncremental` (and trivially `AlwaysFull`); `Auto` is excluded
-//! because the two sides feed the shared cost model different byte
-//! measurements (stored file sizes vs in-memory sizes), which is a
-//! calibration difference, not a decision-rule one.
+//! [`ScenarioSpec::mirror`]. The mirror hands the simulator the engine's
+//! own decision facts — the same catalog sizes, pending log and (runtime
+//! feedback being on) persisted observation sidecar the engine's `Auto`
+//! consults — and both sides decide through one kernel,
+//! `sc_core::modes::plan`. Nothing is re-declared by hand, so this test
+//! pins the whole bridge.
 //!
 //! The file also holds the concurrency acceptance test: `ingest_delta`
 //! racing `session.refresh()` on an `Arc<ScSession>` must leave the
@@ -23,9 +24,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sc::ScSession;
-use sc_core::{NodeMode, Plan, RefreshMode};
+use sc_core::{ModeReason, NodeMode, Plan, RefreshMode};
 use sc_dag::NodeId;
+use sc_engine::controller::RunMetrics;
 use sc_engine::exec::TableDelta;
+use sc_engine::storage::{ObservationStore, SIDECAR_FILE};
 use sc_sim::Simulator;
 use sc_workload::updates::{generate_delta, UpdateStreamSpec};
 use sc_workload::{ChurnRound, ScenarioSpec};
@@ -36,39 +39,48 @@ fn base_spec(mode: RefreshMode) -> ScenarioSpec {
     ScenarioSpec::sales_pipeline(0.4, 42, 64 << 20).with_refresh_mode(mode)
 }
 
-/// Builds the engine session and the simulator **from `spec` alone**,
-/// applies the spec's whole churn schedule, runs both sides, asserts the
-/// per-node modes agree name by name, and returns the engine's modes so
-/// scenarios can assert they were not vacuous.
-fn assert_parity(spec: &ScenarioSpec, scenario: &str) -> HashMap<String, NodeMode> {
-    let dir = tempfile::tempdir().unwrap();
-    let session = ScSession::from_spec(dir.path(), spec).unwrap();
-    // Profiling refresh: every node executes, so mirrored compute times
-    // and output sizes are real.
-    let baseline = session.baseline_refresh().unwrap();
-    for round in 0..spec.churn.len() {
-        spec.ingest_round(round, session.disk(), session.delta_store())
-            .unwrap();
-    }
+/// A node's decision: its mode and the reason for it.
+type Decision = (NodeMode, ModeReason);
 
-    let plan = Plan::unoptimized((0..spec.mvs.len()).map(NodeId).collect());
+/// Mirrors `session`'s pending state into the simulator and runs it under
+/// `plan`. The mirror reads the observation sidecar the session persisted,
+/// which is what the engine's `Auto` decisions consult.
+fn simulate(
+    spec: &ScenarioSpec,
+    session: &ScSession,
+    baseline: &RunMetrics,
+    plan: &Plan,
+) -> HashMap<String, Decision> {
+    let sidecar = ObservationStore::load(session.disk().dir().join(SIDECAR_FILE));
     let mirrored = spec
-        .mirror(session.disk(), &baseline, session.delta_store(), None)
+        .mirror(
+            session.disk(),
+            baseline,
+            session.delta_store(),
+            Some(&sidecar),
+        )
         .unwrap();
-    let sim_report = Simulator::new(spec.sim_config())
-        .run(&mirrored, &plan)
+    let report = Simulator::new(spec.sim_config())
+        .run(&mirrored, plan)
         .unwrap();
-    let engine = session.refresh_with_plan(&plan).unwrap();
-
-    let sim_modes: HashMap<&str, NodeMode> = sim_report
+    report
         .nodes
-        .iter()
-        .map(|n| (n.name.as_str(), n.mode))
-        .collect();
+        .into_iter()
+        .map(|n| (n.name, (n.mode, n.reason)))
+        .collect()
+}
+
+/// Asserts the engine's run matches the simulator's prediction node by
+/// node, and returns the engine's decisions by name.
+fn assert_same_decisions(
+    scenario: &str,
+    sim: &HashMap<String, Decision>,
+    engine: &RunMetrics,
+) -> HashMap<String, Decision> {
     for n in &engine.nodes {
         assert_eq!(
-            sim_modes[n.name.as_str()],
-            n.mode,
+            sim[&n.name],
+            (n.mode, n.reason),
             "{scenario}: sim and engine disagree on {}",
             n.name
         );
@@ -76,8 +88,30 @@ fn assert_parity(spec: &ScenarioSpec, scenario: &str) -> HashMap<String, NodeMod
     engine
         .nodes
         .iter()
-        .map(|n| (n.name.clone(), n.mode))
+        .map(|n| (n.name.clone(), (n.mode, n.reason)))
         .collect()
+}
+
+/// Builds the engine session and the simulator **from `spec` alone**,
+/// applies the spec's whole churn schedule, runs both sides, asserts the
+/// per-node decisions agree name by name, and returns the engine's so
+/// scenarios can assert they were not vacuous.
+fn assert_parity(spec: &ScenarioSpec, scenario: &str) -> HashMap<String, Decision> {
+    let dir = tempfile::tempdir().unwrap();
+    let session = ScSession::from_spec(dir.path(), spec).unwrap();
+    // Profiling refresh: every node executes, so mirrored compute times
+    // and output sizes are real (and, with runtime feedback on, the
+    // sidecar holds one observation per node).
+    let baseline = session.baseline_refresh().unwrap();
+    for round in 0..spec.churn.len() {
+        spec.ingest_round(round, session.disk(), session.delta_store())
+            .unwrap();
+    }
+
+    let plan = Plan::unoptimized((0..spec.mvs.len()).map(NodeId).collect());
+    let sim = simulate(spec, &session, &baseline, &plan);
+    let engine = session.refresh_with_plan(&plan).unwrap();
+    assert_same_decisions(scenario, &sim, &engine)
 }
 
 /// Satellite of the segmented-storage PR: the sim/engine mode parity must
@@ -118,34 +152,18 @@ fn parity_holds_on_fragmented_and_compacted_state() {
         // regardless of the storage state round 0 left behind.
         spec.ingest_round(1, session.disk(), session.delta_store())
             .unwrap();
-        let mirrored = spec
-            .mirror(session.disk(), &baseline, session.delta_store(), None)
-            .unwrap();
-        let sim_report = Simulator::new(spec.sim_config())
-            .run(&mirrored, &plan)
-            .unwrap();
+        let sim = simulate(&spec, &session, &baseline, &plan);
         let engine = session.refresh_with_plan(&plan).unwrap();
-        let sim_modes: HashMap<&str, NodeMode> = sim_report
-            .nodes
-            .iter()
-            .map(|n| (n.name.as_str(), n.mode))
-            .collect();
-        for n in &engine.nodes {
-            assert_eq!(
-                sim_modes[n.name.as_str()],
-                n.mode,
-                "compact_every={compact_every:?}: sim and engine disagree on {}",
-                n.name
-            );
-        }
-        let mode = |name: &str| engine.nodes.iter().find(|n| n.name == name).unwrap().mode;
-        assert_eq!(mode("enriched_sales"), NodeMode::Incremental);
-        assert_eq!(mode("web_by_item"), NodeMode::Skipped);
+        let m = assert_same_decisions(&format!("compact_every={compact_every:?}"), &sim, &engine);
+        assert_eq!(m["enriched_sales"].0, NodeMode::Incremental);
+        assert_eq!(m["web_by_item"].0, NodeMode::Skipped);
     }
 }
 
 #[test]
 fn sim_predicts_engine_node_modes_exactly() {
+    use ModeReason::*;
+    use NodeMode::*;
     // Scenario 1: fact churn — the delta-join sweet spot. The hub and all
     // its consumers maintain incrementally, untouched channels skip.
     let spec = base_spec(RefreshMode::AlwaysIncremental).with_churn(ChurnRound::inserts(
@@ -154,9 +172,9 @@ fn sim_predicts_engine_node_modes_exactly() {
         3,
     ));
     let m = assert_parity(&spec, "fact churn");
-    assert_eq!(m["enriched_sales"], NodeMode::Incremental);
-    assert_eq!(m["premium_by_state"], NodeMode::Incremental);
-    assert_eq!(m["web_by_item"], NodeMode::Skipped);
+    assert_eq!(m["enriched_sales"], (Incremental, DeltaApplied));
+    assert_eq!(m["premium_by_state"], (Incremental, DeltaApplied));
+    assert_eq!(m["web_by_item"], (Skipped, NoChurn));
 
     // Scenario 2: dimension churn — the build side of the hub changed, so
     // the hub and everything downstream of it recomputes.
@@ -166,9 +184,9 @@ fn sim_predicts_engine_node_modes_exactly() {
         4,
     ));
     let m = assert_parity(&spec, "dimension churn");
-    assert_eq!(m["enriched_sales"], NodeMode::Full);
-    assert_eq!(m["rev_by_year"], NodeMode::Full);
-    assert_eq!(m["web_by_item"], NodeMode::Skipped);
+    assert_eq!(m["enriched_sales"], (Full, StaticChurn));
+    assert_eq!(m["rev_by_year"], (Full, ParentRecomputed));
+    assert_eq!(m["web_by_item"], (Skipped, NoChurn));
 
     // Scenario 3: both at once over two rounds, under AlwaysFull — the
     // trivial baseline.
@@ -176,14 +194,40 @@ fn sim_predicts_engine_node_modes_exactly() {
         .with_churn(ChurnRound::inserts(["store_sales", "item"], 0.03, 5))
         .with_churn(ChurnRound::inserts(["store_sales"], 0.02, 6));
     let m = assert_parity(&spec, "always full");
-    assert!(m.values().all(|&mode| mode == NodeMode::Full));
+    assert!(m.values().all(|&d| d == (Full, FullPolicy)));
 
     // Scenario 4: an empty churn schedule — with nothing logged, the
     // session refreshes without delta tracking (everything recomputes, so
     // profiling runs stay meaningful) and the mirror predicts the same.
     let spec = base_spec(RefreshMode::AlwaysIncremental);
     let m = assert_parity(&spec, "quiet log");
-    assert!(m.values().all(|&mode| mode == NodeMode::Full));
+    assert!(m.values().all(|&d| d == (Full, FullPolicy)));
+}
+
+/// `Auto` — the session default — decided by the cost model over the
+/// engine's stored sizes and, with runtime feedback on, the observations
+/// its profiling run recorded.
+#[test]
+fn sim_predicts_engine_auto_decisions_exactly() {
+    use ModeReason::*;
+    use NodeMode::*;
+    let fact_churn =
+        || base_spec(RefreshMode::Auto).with_churn(ChurnRound::inserts(["store_sales"], 0.04, 3));
+    // Observed compute rates are measured, so which merges win may vary
+    // from run to run — parity may not: both sides read one sidecar.
+    let m = assert_parity(&fact_churn(), "auto, observed");
+    assert_eq!(m["enriched_sales"], (Incremental, DeltaApplied));
+    assert_eq!(m["web_by_item"], (Skipped, NoChurn));
+
+    // Static estimates only: the hub's append path wins, while re-reading
+    // and rewriting a small aggregate loses to recomputing it.
+    let m = assert_parity(
+        &fact_churn().with_runtime_feedback(false),
+        "auto, estimated",
+    );
+    assert_eq!(m["enriched_sales"], (Incremental, DeltaApplied));
+    assert_eq!(m["premium_by_state"], (Full, CostModel));
+    assert_eq!(m["web_by_item"], (Skipped, NoChurn));
 }
 
 /// The catalog half of the parity. Engine and simulator apply the same
