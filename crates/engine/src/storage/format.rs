@@ -187,26 +187,7 @@ impl Manifest {
     }
 }
 
-/// File name under which a *superseded* copy of `file` is retained for
-/// epoch-pinned readers: `<file>~<epoch>`, where `epoch` is the commit
-/// that replaced it. `~` never appears in a sanitized table stem, so the
-/// live namespace (`<stem>.sctb`, `<stem>.<id>.seg`) and the retained
-/// namespace cannot collide, and the manifest/segment *bytes* of the
-/// live version never carry an epoch — the byte-identity contracts over
-/// canonical form are untouched by retention.
-pub fn retained_name(file: &str, epoch: u64) -> String {
-    format!("{file}~{epoch}")
-}
-
-/// Parses a retained-file name back into `(live file name, supersede
-/// epoch)`; `None` for live-namespace files.
-pub fn parse_retained(file: &str) -> Option<(&str, u64)> {
-    let (base, suffix) = file.rsplit_once('~')?;
-    if base.is_empty() {
-        return None;
-    }
-    suffix.parse::<u64>().ok().map(|epoch| (base, epoch))
-}
+pub use super::disk::{parse_retained, retained_name};
 
 /// Serializes a manifest.
 pub fn encode_manifest(manifest: &Manifest) -> Bytes {

@@ -13,6 +13,6 @@ mod memory;
 mod observe;
 
 pub use delta::{ingest, DeltaStore};
-pub use disk::{DiskCatalog, EpochPin, Throttle};
+pub use disk::{DiskCatalog, EpochPin, RetentionSubscription, Throttle};
 pub use memory::MemoryCatalog;
 pub use observe::{Observation, ObservationStore, OBSERVATION_RING, SIDECAR_FILE};

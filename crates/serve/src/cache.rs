@@ -15,7 +15,7 @@
 //!
 //! * **Epoch eviction** — [`SnapshotCache::evict_below`] drops every
 //!   entry below the retention horizon the storage tier reports via
-//!   [`sc_engine::storage::DiskCatalog::set_retention_hook`]. The cache
+//!   [`sc_engine::storage::DiskCatalog::subscribe_retention`]. The cache
 //!   therefore reclaims entries in lockstep with the retained
 //!   namespace: an entry never outlives its epoch's retained files by
 //!   more than the commit that buried it.

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use sc::{ScError, ScSession};
 use sc_engine::plan::LogicalPlan;
-use sc_engine::storage::format;
+use sc_engine::storage::{format, RetentionSubscription};
 
 use crate::cache::{SharedFrames, SnapshotCache};
 use crate::error::{ErrorCode, WireError};
@@ -106,8 +106,9 @@ pub struct Server {
     stop: Arc<AtomicBool>,
     metrics: Arc<ServeMetrics>,
     cache: Arc<SnapshotCache>,
-    session: Arc<ScSession>,
-    hooked: bool,
+    /// Keeps the cache's eviction subscribed to the catalog's retention
+    /// horizon for as long as the server lives.
+    _retention: Option<RetentionSubscription>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -130,11 +131,9 @@ impl Server {
 
     /// Binds `addr` and starts serving `session`.
     ///
-    /// When the read cache is enabled, this registers the storage tier's
-    /// retention hook so cache eviction tracks epoch GC exactly; the
-    /// catalog holds **one** hook, so run at most one cache-enabled
-    /// server per session (extra readers can share it with
-    /// `cache_bytes: 0`).
+    /// When the read cache is enabled, this subscribes it to the storage
+    /// tier's retention horizon so cache eviction tracks epoch GC
+    /// exactly, until the server drops.
     pub fn bind(
         session: Arc<ScSession>,
         addr: impl ToSocketAddrs,
@@ -145,16 +144,15 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(ServeMetrics::new());
         let cache = Arc::new(SnapshotCache::new(config.cache_bytes));
-        let hooked = cache.enabled();
-        if hooked {
-            // Evict in lockstep with retained-namespace reclamation: a
-            // cached epoch never outlives its retained files by more
-            // than the commit (or pin drop) that buried it.
+        // Evict in lockstep with retained-namespace reclamation: a
+        // cached epoch never outlives its retained files by more than
+        // the commit (or pin drop) that buried it.
+        let retention = cache.enabled().then(|| {
             let cache = Arc::clone(&cache);
             session
                 .disk()
-                .set_retention_hook(move |horizon| cache.evict_below(horizon));
-        }
+                .subscribe_retention(move |horizon| cache.evict_below(horizon))
+        });
         let workers = config.workers.max(1);
         let (tx, rx) = sync_channel::<TcpStream>(config.backlog);
         let rx = Arc::new(Mutex::new(rx));
@@ -207,8 +205,7 @@ impl Server {
             stop,
             metrics,
             cache,
-            session,
-            hooked,
+            _retention: retention,
             accept: Some(accept),
             workers: worker_handles,
         })
@@ -252,9 +249,6 @@ impl Server {
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
-        }
-        if self.hooked {
-            self.session.disk().clear_retention_hook();
         }
     }
 }
@@ -629,7 +623,8 @@ fn serve_connection(
     let _ = reader.join();
 }
 
-fn engine_error(err: ScError) -> WireError {
+fn engine_error(err: impl Into<ScError>) -> WireError {
+    let err = err.into();
     let kind = match &err {
         ScError::Engine(e) => e.kind().to_string(),
         ScError::Opt(_) => "opt".into(),

@@ -22,7 +22,6 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -32,7 +31,7 @@ use sc_engine::controller::{
     Controller, ControllerConfig, MvDefinition, RefreshConfig, RunMetrics,
 };
 use sc_engine::exec::TableDelta;
-use sc_engine::plan::{LogicalPlan, TableSource};
+use sc_engine::plan::LogicalPlan;
 use sc_engine::storage::{
     self, DeltaStore, DiskCatalog, EpochPin, MemoryCatalog, ObservationStore, Throttle,
     SIDECAR_FILE,
@@ -669,65 +668,28 @@ impl ScSession {
 ///
 /// Dropping the snapshot releases its epoch pin; once the oldest pin
 /// drops, epoch GC deletes the superseded files it was holding alive.
+///
+/// Reads — `read_table`, `size_of`, `row_count`, `segment_count`,
+/// `stored_file_bytes`, `tables`, `epoch` — are the pin's own
+/// ([`EpochPin`], through `Deref`); a table created after the pin is
+/// [`EngineError::UnknownTable`] even if it exists *now*.
 pub struct ScSnapshot<'a> {
     pin: EpochPin<'a>,
 }
 
-/// Adapter giving [`LogicalPlan::execute`] pinned-epoch scans.
-struct SnapshotSource<'p, 'a>(&'p EpochPin<'a>);
+impl<'a> std::ops::Deref for ScSnapshot<'a> {
+    type Target = EpochPin<'a>;
 
-impl TableSource for SnapshotSource<'_, '_> {
-    fn table(&self, name: &str) -> sc_engine::Result<Arc<Table>> {
-        self.0.read_table(name).map(Arc::new)
+    fn deref(&self) -> &EpochPin<'a> {
+        &self.pin
     }
 }
 
 impl ScSnapshot<'_> {
-    /// The manifest epoch this snapshot reads at.
-    pub fn epoch(&self) -> u64 {
-        self.pin.epoch()
-    }
-
-    /// Reads the version of `name` committed at pin time.
-    /// [`ScError::Engine`]`(`[`EngineError::UnknownTable`]`)` if the
-    /// table did not exist then (even if it exists *now*).
-    pub fn read_table(&self, name: &str) -> Result<Table> {
-        Ok(self.pin.read_table(name)?)
-    }
-
-    /// Stored size (manifest + segments) of `name` at pin time, bytes.
-    pub fn size_of(&self, name: &str) -> Result<u64> {
-        Ok(self.pin.size_of(name)?)
-    }
-
-    /// Row count of `name` at pin time, without decoding segment data.
-    pub fn row_count(&self, name: &str) -> Result<u64> {
-        Ok(self.pin.row_count(name)?)
-    }
-
-    /// Number of stored segments backing `name` at pin time.
-    pub fn segment_count(&self, name: &str) -> Result<usize> {
-        Ok(self.pin.segment_count(name)?)
-    }
-
-    /// The verified stored bytes of `name` at pin time, keyed by live
-    /// file name (manifest first, then segments in manifest order).
-    pub fn stored_file_bytes(&self, name: &str) -> Result<Vec<(String, Vec<u8>)>> {
-        Ok(self.pin.stored_file_bytes(name)?)
-    }
-
     /// Executes an ad-hoc [`LogicalPlan`] whose scans all resolve at this
     /// snapshot's epoch — one query never observes two different commits.
     pub fn query(&self, plan: &LogicalPlan) -> Result<Table> {
-        Ok(plan.execute(&SnapshotSource(&self.pin))?)
-    }
-
-    /// Logical names of every table visible at this snapshot's epoch,
-    /// sorted. Tables registered after the pin are absent; tables
-    /// dropped after the pin are still listed (their pinned version
-    /// stays readable).
-    pub fn tables(&self) -> Result<Vec<String>> {
-        Ok(self.pin.tables()?)
+        Ok(plan.execute(&self.pin)?)
     }
 }
 

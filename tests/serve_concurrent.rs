@@ -301,6 +301,49 @@ fn cached_and_uncached_servers_agree_byte_for_byte_under_churn() {
     assert_eq!(session.disk().gc_failed_deletes(), 0);
 }
 
+/// Two cache-enabled servers on one session each evict in step with
+/// epoch GC, and shutting one down leaves the other's eviction in
+/// place.
+#[test]
+fn two_cached_servers_on_one_session_both_evict() {
+    let dir = tempfile::tempdir().unwrap();
+    let session = serving_session(dir.path());
+    let start = || Server::start(Arc::clone(&session), ServeConfig::default()).unwrap();
+    let (first, second) = (start(), start());
+    let sample = {
+        let sales = session.disk().read_table("store_sales").unwrap();
+        sales.take_rows(&(0..20).collect::<Vec<_>>()).unwrap()
+    };
+    let commit = || {
+        session
+            .ingest_delta("store_sales", TableDelta::insert_only(sample.clone()))
+            .unwrap()
+    };
+    let cache_one = |server: &Server| {
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.read_table_raw("rev_by_category").unwrap();
+        assert_eq!(server.cache().stats().entries, 1);
+        server.cache().stats().evicted
+    };
+
+    let before = [cache_one(&first), cache_one(&second)];
+    commit();
+    for (server, before) in [&first, &second].into_iter().zip(before) {
+        assert!(
+            server.cache().stats().evicted > before,
+            "a commit past the cached epoch must evict on every server"
+        );
+    }
+
+    first.shutdown();
+    let before = cache_one(&second);
+    commit();
+    assert!(
+        second.cache().stats().evicted > before,
+        "the surviving server must keep evicting"
+    );
+}
+
 /// Pipelined requests over one connection are answered strictly in send
 /// order — including when one of them is rejected mid-pipeline (unknown
 /// table → typed engine error) — and distinct tables prove no response
