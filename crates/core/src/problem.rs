@@ -132,17 +132,6 @@ impl Problem {
         self.graph.payloads().iter().map(|m| m.score).collect()
     }
 
-    /// Scores rounded to the nearest integer, as the paper does before
-    /// handing them to the ILP ("we round speedup scores to the nearest
-    /// integer").
-    pub fn rounded_scores(&self) -> Vec<f64> {
-        self.graph
-            .payloads()
-            .iter()
-            .map(|m| m.score.round())
-            .collect()
-    }
-
     /// Total speedup score of a flag set — the S/C Opt objective.
     pub fn total_score(&self, flags: &FlagSet) -> f64 {
         flags.iter().map(|v| self.score(v)).sum()
@@ -206,13 +195,6 @@ mod tests {
             Problem::new(g, 10),
             Err(OptError::InvalidScore { .. })
         ));
-    }
-
-    #[test]
-    fn rounded_scores_round_half_away() {
-        let p = Problem::from_arrays(&["a", "b"], &[1, 1], &[1.5, 2.4], std::iter::empty(), 10)
-            .unwrap();
-        assert_eq!(p.rounded_scores(), vec![2.0, 2.0]);
     }
 
     #[test]

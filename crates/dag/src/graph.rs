@@ -145,12 +145,6 @@ impl<N> Dag<N> {
         &self.nodes[node.0]
     }
 
-    /// Mutable access to the payload of `node`.
-    #[inline]
-    pub fn node_mut(&mut self, node: NodeId) -> &mut N {
-        &mut self.nodes[node.0]
-    }
-
     /// All node payloads, indexed by `NodeId`.
     #[inline]
     pub fn payloads(&self) -> &[N] {
@@ -304,13 +298,6 @@ mod tests {
         assert_eq!(*g.node(NodeId(2)), 12);
         assert_eq!(g.roots(), vec![NodeId(0)]);
         assert_eq!(g.leaves(), vec![NodeId(3)]);
-    }
-
-    #[test]
-    fn node_mut_updates_payload() {
-        let mut g = diamond();
-        *g.node_mut(NodeId(1)) = 99;
-        assert_eq!(*g.node(NodeId(1)), 99);
     }
 
     #[test]

@@ -182,11 +182,6 @@ impl<'a, N> TopoBuilder<'a, N> {
         Ok(newly_ready)
     }
 
-    /// Number of nodes emitted so far.
-    pub fn emitted_count(&self) -> usize {
-        self.order.len()
-    }
-
     /// Whether every node has been scheduled.
     pub fn is_complete(&self) -> bool {
         self.order.len() == self.dag.len()
@@ -201,11 +196,6 @@ impl<'a, N> TopoBuilder<'a, N> {
             self.dag.len()
         );
         self.order
-    }
-
-    /// The order built so far.
-    pub fn order_so_far(&self) -> &[NodeId] {
-        &self.order
     }
 }
 

@@ -39,16 +39,10 @@ pub enum EngineError {
     },
     /// The on-disk file was not a valid table (corrupt or truncated).
     Corrupt(String),
-    /// A cross-handle reader exhausted its retry budget while a hot
-    /// writer kept committing under it — not data corruption. Pinned
-    /// (snapshot) reads never hit this; it is only reachable on the
-    /// live, unpinned path against a writer on *another* catalog handle.
-    ReadContention {
-        /// Table being read.
-        table: String,
-        /// Attempts made before giving up.
-        attempts: u32,
-    },
+    /// The catalog directory is already owned by another open handle
+    /// (one directory, one owner: the handle holds the directory's lock
+    /// until it drops).
+    CatalogLocked(std::path::PathBuf),
     /// Two distinct table names sanitize to the same on-disk file stem;
     /// letting both through would silently alias their stored state.
     NameCollision {
@@ -80,7 +74,7 @@ impl EngineError {
             EngineError::Arithmetic(_) => "arithmetic",
             EngineError::MemoryBudgetExceeded { .. } => "memory_budget_exceeded",
             EngineError::Corrupt(_) => "corrupt",
-            EngineError::ReadContention { .. } => "read_contention",
+            EngineError::CatalogLocked(_) => "catalog_locked",
             EngineError::NameCollision { .. } => "name_collision",
             EngineError::Io(_) => "io",
             EngineError::InvalidPlan(_) => "invalid_plan",
@@ -107,9 +101,10 @@ impl fmt::Display for EngineError {
                 "memory catalog budget exceeded: requested {requested} B with {used}/{budget} B used"
             ),
             EngineError::Corrupt(m) => write!(f, "corrupt table file: {m}"),
-            EngineError::ReadContention { table, attempts } => write!(
+            EngineError::CatalogLocked(dir) => write!(
                 f,
-                "read of '{table}' gave up after {attempts} attempts under concurrent rewrites"
+                "catalog directory '{}' is already open in another handle",
+                dir.display()
             ),
             EngineError::NameCollision { name, existing } => write!(
                 f,
@@ -173,11 +168,8 @@ mod tests {
             ),
             (EngineError::Corrupt("bad magic".into()), "corrupt"),
             (
-                EngineError::ReadContention {
-                    table: "t".into(),
-                    attempts: 5,
-                },
-                "5 attempts",
+                EngineError::CatalogLocked("/data/sc".into()),
+                "already open",
             ),
             (
                 EngineError::NameCollision {

@@ -16,7 +16,8 @@
 //! the one directory scan that parses it), `retention` (pins, the
 //! retained-file index, creation epochs, the GC horizon and its
 //! subscribers), `pacing` ([`Throttle`]'s modeled device), and this one
-//! (the commit protocol below, the read path, [`EpochPin`]).
+//! (the directory lock and crash recovery, the commit protocol below,
+//! the read path, [`EpochPin`]).
 //!
 //! ## Append / commit / compact protocol
 //!
@@ -24,7 +25,9 @@
 //!   segment file first (via tmp + rename) and only then commits a
 //!   manifest referencing it; a crash between the two leaves an orphan
 //!   segment that no manifest references — the prior version stays fully
-//!   readable and the orphan is pruned by the next rewrite/compact.
+//!   readable and the next [`DiskCatalog::open`] deletes the orphan.
+//!   A commit that fails *without* a crash undoes its own steps before
+//!   returning the error, so the committed version reads back as it was.
 //! * Reads verify every referenced segment against its manifest-recorded
 //!   byte length and [`format::segment_checksum`] — once per segment per
 //!   read — so torn or truncated segment files fail with
@@ -52,16 +55,16 @@
 //! its supersede epoch (immediately, when nothing is pinned). The
 //! rename into the retained namespace doubles as the rewrite protocol's
 //! crash safety: at any crash point either the live or the retained
-//! bytes verify against the live manifest, and the read path falls back
-//! to retained copies by checksum.
+//! bytes verify against the live manifest, and open restores the
+//! retained ones when the live ones do not.
 //!
-//! Pins are a per-instance contract, like the internal I/O lock. A
-//! reader racing a writer on *another* handle to the same directory
-//! gets best-effort semantics instead: verification failures retry
-//! while the manifest keeps changing under them, and a reader that
-//! exhausts its retry budget under a hot cross-handle writer fails with
-//! the typed [`EngineError::ReadContention`] rather than a misleading
-//! corruption report.
+//! ## One owner per directory
+//!
+//! [`DiskCatalog::open`] locks `<dir>/LOCK` for the handle's lifetime
+//! (a second open fails with [`EngineError::CatalogLocked`]). With no
+//! other writer possible, only a crash can leave the directory
+//! disagreeing with its manifests, and open recovers from that once,
+//! so the read and commit paths never list the directory or retry.
 
 mod naming;
 mod pacing;
@@ -78,7 +81,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -99,12 +102,12 @@ use retention::{Retention, Version};
 /// pacing, so reads and writes still overlap on their separate modeled
 /// channels), which is what makes `ingest_delta` rewriting a base table
 /// safe against refresh lanes reading it through the same catalog.
-/// Readers additionally retry verification failures whose manifest
-/// changed under them, covering writers on *other* handles to the same
-/// directory.
+/// The handle owns its directory (see the module docs).
 #[derive(Debug)]
 pub struct DiskCatalog {
     dir: PathBuf,
+    /// The locked `LOCK` file; closing it on drop releases the directory.
+    _lock: fs::File,
     pacer: Pacer,
     /// Guards the filesystem portion of every operation (see above),
     /// and every access to `retention`.
@@ -121,42 +124,90 @@ pub struct DiskCatalog {
     /// Retained-file deletes that failed (GC debt that would otherwise
     /// accumulate invisibly).
     gc_failed: AtomicU64,
-    /// Max verification-failure retries an unpinned read spends on a
-    /// manifest that keeps changing under it before failing with
-    /// [`EngineError::ReadContention`].
-    read_retry_cap: u32,
     /// Test probe: segment bytes the read path has fed to the checksum.
     #[cfg(test)]
     hashed_bytes: AtomicU64,
 }
 
-const READ_RETRY_CAP: u32 = 32;
-
 impl DiskCatalog {
-    /// Opens (creating if needed) a catalog rooted at `dir`.
+    /// Opens (creating if needed) a catalog rooted at `dir`, owning the
+    /// directory until the handle drops (see the module docs) and
+    /// recovering from a writer that crashed in it.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
-        // Start the epoch counter above any retained suffix already on
-        // disk (debris a crashed process left behind), so this
-        // instance's retained names never collide with leftovers.
-        let max_epoch = naming::scan(dir)?
-            .iter()
-            .filter_map(|(_, f)| f.retained)
-            .max()
-            .unwrap_or(0);
-        Ok(DiskCatalog {
+        let lock = fs::File::create(dir.join(naming::LOCK))?;
+        lock.try_lock().map_err(|e| match e {
+            fs::TryLockError::WouldBlock => EngineError::CatalogLocked(dir.to_path_buf()),
+            fs::TryLockError::Error(e) => EngineError::Io(e),
+        })?;
+        let catalog = DiskCatalog {
             dir: dir.to_path_buf(),
+            _lock: lock,
             pacer: Pacer::new(None),
             io: RwLock::new(()),
-            epoch: AtomicU64::new(max_epoch),
+            epoch: AtomicU64::new(0),
             retention: Retention::default(),
             names: Mutex::new(HashMap::new()),
             gc_failed: AtomicU64::new(0),
-            read_retry_cap: READ_RETRY_CAP,
             #[cfg(test)]
             hashed_bytes: AtomicU64::new(0),
-        })
+        };
+        catalog.recover()?;
+        Ok(catalog)
+    }
+
+    /// The crash-recovery pass, run once by [`DiskCatalog::open`] over
+    /// one directory scan. For every table whose live manifest decodes:
+    /// a referenced segment whose live file is missing or fails
+    /// verification is restored from the oldest retained copy that
+    /// verifies (a rewrite that died before its manifest commit), and
+    /// every other retained file, `.tmp` file and unreferenced live
+    /// segment is deleted. A stem with no live manifest (a lost drop, or
+    /// a creation that never committed) loses all its files; a stem
+    /// whose manifest does not decode is left alone for a rewrite to
+    /// replace.
+    fn recover(&self) -> Result<()> {
+        let mut stems = BTreeMap::<String, Vec<(PathBuf, naming::FileName)>>::new();
+        for (path, f) in naming::scan(&self.dir)? {
+            stems.entry(f.stem.clone()).or_default().push((path, f));
+        }
+        for (safe, mut files) in stems {
+            let manifest = match fs::read(self.path(&naming::manifest(&safe), None)) {
+                Ok(raw) => match format::decode_manifest(Bytes::from(raw)) {
+                    Ok(manifest) => manifest,
+                    Err(_) => continue,
+                },
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Manifest::default(),
+                Err(e) => return Err(e.into()),
+            };
+            let live = |seg: &SegmentMeta| self.path(&naming::segment(&safe, seg.id), None);
+            let verifies = |path: &Path, seg: &SegmentMeta| {
+                fs::read(path).is_ok_and(|raw| self.verify_segment(&safe, seg, raw).is_ok())
+            };
+            // Live files first, then retained copies oldest first.
+            files.sort_by_key(|(_, f)| f.retained);
+            let mut restored = Vec::new();
+            for (path, f) in files {
+                let referenced = match f.kind {
+                    Kind::Segment(id) => manifest.segments.iter().find(|s| s.id == id),
+                    _ => None,
+                };
+                match (f.kind, f.retained, referenced) {
+                    (Kind::Manifest, None, _) | (Kind::Segment(_), None, Some(_)) => {}
+                    (_, Some(_), Some(seg))
+                        if !restored.contains(&seg.id)
+                            && !verifies(&live(seg), seg)
+                            && verifies(&path, seg) =>
+                    {
+                        fs::rename(&path, live(seg))?;
+                        restored.push(seg.id);
+                    }
+                    _ => self.remove_counted(&path),
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Opens a catalog whose reads and writes are paced by `throttle`.
@@ -164,14 +215,6 @@ impl DiskCatalog {
         let mut c = Self::open(dir)?;
         c.pacer = Pacer::new(Some(throttle));
         Ok(c)
-    }
-
-    /// Overrides the unpinned-read retry budget, so a test can reach the
-    /// cap deterministically.
-    #[cfg(test)]
-    fn with_read_retry_cap(mut self, cap: u32) -> Self {
-        self.read_retry_cap = cap;
-        self
     }
 
     /// The directory backing this catalog.
@@ -228,17 +271,26 @@ impl DiskCatalog {
         Ok(bytes.len() as u64)
     }
 
-    /// Encodes `rows` as segment `id` of `safe`, lands it atomically, and
-    /// returns its manifest entry.
-    fn write_segment(&self, safe: &str, id: u64, rows: &Table) -> Result<SegmentMeta> {
+    /// The two writes of a rewrite or an append: lands `rows` as the
+    /// next segment of `manifest` (tmp + rename), then commits
+    /// `manifest` extended by it. If the manifest commit fails the new
+    /// segment is removed again, so a failed call leaves no orphan.
+    /// Returns bytes written.
+    fn publish_segment(&self, safe: &str, mut manifest: Manifest, rows: &Table) -> Result<u64> {
         let payload = format::encode(rows);
-        self.write_atomic(&naming::segment(safe, id), &payload)?;
-        Ok(SegmentMeta {
+        let id = manifest.next_id();
+        let file = naming::segment(safe, id);
+        self.write_atomic(&file, &payload)?;
+        manifest.segments.push(SegmentMeta {
             id,
             rows: rows.num_rows() as u64,
             bytes: payload.len() as u64,
             checksum: format::segment_checksum(&payload),
-        })
+        });
+        let manifest_len = self
+            .commit_manifest(safe, &manifest)
+            .inspect_err(|_| self.remove_counted(&self.path(&file, None)))?;
+        Ok(payload.len() as u64 + manifest_len)
     }
 
     // ---- epoch pins, retention, and epoch GC ----
@@ -292,18 +344,14 @@ impl DiskCatalog {
     fn unpin(&self, epoch: u64) {
         let _io = self.io.write();
         self.retention.unpin(epoch);
-        self.gc_retained_locked(None);
+        self.gc_retained_locked();
     }
 
     /// Deletes retained files no pin can still need (supersede epoch at
     /// or below the GC horizon) and reports the horizon to retention
-    /// subscribers. With `table` set, additionally sweeps on-disk
-    /// retained debris of that table this instance never created (a
-    /// crashed process's leftovers) — safe exactly when the table has
-    /// just been committed, which is when callers pass it. Failed
-    /// deletes are counted ([`DiskCatalog::gc_failed_deletes`]), never
-    /// silently dropped.
-    fn gc_retained_locked(&self, table: Option<&str>) {
+    /// subscribers. Failed deletes are counted
+    /// ([`DiskCatalog::gc_failed_deletes`]), never silently dropped.
+    fn gc_retained_locked(&self) {
         let (horizon, freed) = self.retention.collect();
         for file in freed {
             self.remove_counted(&self.dir.join(file));
@@ -312,15 +360,30 @@ impl DiskCatalog {
         // observable one is bounded by the committed epoch.
         self.retention
             .notify(horizon.min(self.epoch.load(Ordering::SeqCst)));
-        let Some(safe) = table else { return };
-        let Ok(files) = naming::scan(&self.dir) else {
-            return;
-        };
-        for (path, f) in files {
-            if f.stem == safe && f.retained.is_some_and(|e| e <= horizon) {
-                self.remove_counted(&path);
+    }
+
+    /// Runs the filesystem steps of the next commit, passing them its
+    /// epoch `c` (callers hold the io write lock). On success the epoch
+    /// advances and GC runs. On failure, whatever the steps moved into
+    /// the retained namespace at `c` moves back before the error
+    /// returns — a retained manifest copy lands on the identical live
+    /// bytes — so the committed version stays readable with no debris.
+    /// Steps that land a new file remove it again themselves
+    /// ([`DiskCatalog::publish_segment`]).
+    fn commit_locked(&self, steps: impl FnOnce(u64) -> Result<u64>) -> Result<u64> {
+        let c = self.epoch.load(Ordering::SeqCst) + 1;
+        let result = steps(c);
+        if result.is_ok() {
+            self.epoch.store(c, Ordering::SeqCst);
+            self.gc_retained_locked();
+        } else {
+            for file in self.retention.forget(c) {
+                if fs::rename(self.path(&file, Some(c)), self.path(&file, None)).is_err() {
+                    self.gc_failed.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
+        result
     }
 
     /// Removes a file whose absence is fine but whose *failed* removal
@@ -335,7 +398,7 @@ impl DiskCatalog {
         }
     }
 
-    /// Retained-file (or orphan-prune) deletes that have failed on this
+    /// Retained-file (or recovery) deletes that have failed on this
     /// instance — epoch-GC debt that would otherwise accumulate
     /// invisibly. Surfaced per refresh run via
     /// `RunMetrics::gc_failed_deletes`.
@@ -382,9 +445,8 @@ impl DiskCatalog {
             let file = naming::segment(safe, seg.id);
             match fs::rename(self.path(&file, None), self.path(&file, Some(c))) {
                 Ok(()) => self.retention.retain(file, c),
-                // Already missing (an earlier crash window): nothing to
-                // retain; readers of the old version fall back to any
-                // retained copy that verifies.
+                // Already missing (the table is corrupt): nothing to
+                // retain, and a rewrite replaces it.
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => return Err(e.into()),
             }
@@ -420,8 +482,7 @@ impl DiskCatalog {
 
     /// Loads `name`'s manifest as of `pin` (`None` = the live version),
     /// returning it with its raw bytes (whose length is part of the
-    /// table's stored size, and which unpinned reads compare across
-    /// retry attempts). A pinned reader gets the version retention
+    /// table's stored size). A pinned reader gets the version retention
     /// resolves for it; a table created after the pin is
     /// [`EngineError::UnknownTable`].
     fn manifest_at(&self, name: &str, safe: &str, pin: Option<u64>) -> Result<(Manifest, Vec<u8>)> {
@@ -442,12 +503,7 @@ impl DiskCatalog {
 
     /// Raw bytes of one segment as of `pin` — the oldest retained copy
     /// superseding the pin, else the live file — verified (length +
-    /// checksum) against the manifest entry. On a primary failure,
-    /// every on-disk retained copy of the segment file (this
-    /// instance's and any crashed process's), oldest supersession
-    /// first, is tried against the same entry — checksums make
-    /// acceptance exact. This is the crash-recovery and
-    /// cross-handle-race fallback.
+    /// checksum) against the manifest entry.
     fn read_segment_bytes_at(
         &self,
         name: &str,
@@ -457,41 +513,13 @@ impl DiskCatalog {
     ) -> Result<Vec<u8>> {
         let file = naming::segment(safe, seg.id);
         let retained = pin.and_then(|e| self.retention.superseding(&file, e));
-        let primary = match fs::read(self.path(&file, retained)) {
+        match fs::read(self.path(&file, retained)) {
             Ok(raw) => self.verify_segment(name, seg, raw),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(EngineError::Corrupt(
                 format!("{name}: segment {} missing", seg.id),
             )),
-            Err(e) => return Err(e.into()),
-        };
-        primary.or_else(|err| {
-            let mut copies: Vec<(u64, PathBuf)> = naming::scan(&self.dir)
-                .unwrap_or_default()
-                .into_iter()
-                .filter(|(_, f)| f.stem == safe && f.kind == Kind::Segment(seg.id))
-                .filter_map(|(path, f)| Some((f.retained?, path)))
-                .collect();
-            copies.sort();
-            copies
-                .into_iter()
-                .find_map(|(_, path)| self.verify_segment(name, seg, fs::read(path).ok()?).ok())
-                .ok_or(err)
-        })
-    }
-
-    /// Removes every live segment file of `safe` whose id is not in
-    /// `keep` (crash orphans and stale leftovers; callers have just
-    /// committed a manifest, so anything unreferenced is dead).
-    /// Retained-namespace files are untouched — epoch GC owns those.
-    /// Failed removals are counted, not swallowed.
-    fn prune_segments(&self, safe: &str, keep: &[u64]) -> Result<()> {
-        for (path, f) in naming::scan(&self.dir)? {
-            let dead = matches!(f.kind, Kind::Segment(id) if !keep.contains(&id));
-            if dead && f.stem == safe && f.retained.is_none() {
-                self.remove_counted(&path);
-            }
+            Err(e) => Err(e.into()),
         }
-        Ok(())
     }
 
     /// Whether a table exists (has a committed manifest).
@@ -514,39 +542,30 @@ impl DiskCatalog {
     /// 4. epoch GC deletes whatever no pin still needs (immediately,
     ///    when nothing is pinned).
     ///
-    /// Dying before step 3 leaves the old version readable: the live
-    /// manifest still describes the retained segment bytes, which the
-    /// read path falls back to by checksum. Dying after step 3 leaves
-    /// the new version live, plus retained debris the next commit of
-    /// this table sweeps.
+    /// Dying before step 3 leaves the live manifest describing the
+    /// retained segment bytes, which the next open restores. Dying
+    /// after step 3 leaves the new version live, plus retained debris
+    /// the next open deletes. Failing without dying undoes steps 1–2.
     fn rewrite_locked(&self, name: &str, safe: &str, table: &Table) -> Result<u64> {
-        let c = self.epoch.load(Ordering::SeqCst) + 1;
-        match self.manifest_at(name, safe, None) {
-            Ok((old, raw)) => self.retain_version_locked(safe, &old, &raw, c)?,
+        let old = match self.manifest_at(name, safe, None) {
+            Ok(version) => Some(version),
             // No committed version to retain (creation, or a corrupt
-            // manifest being rewritten over — the recovery path).
-            Err(EngineError::UnknownTable(_)) | Err(EngineError::Corrupt(_)) => {
-                self.retention.born(safe, c);
-            }
+            // manifest being rewritten over).
+            Err(EngineError::UnknownTable(_)) | Err(EngineError::Corrupt(_)) => None,
             Err(e) => return Err(e),
-        }
-        let seg = self.write_segment(safe, 0, table)?;
-        let manifest_len = self.commit_manifest(
-            safe,
-            &Manifest {
-                segments: vec![seg],
-            },
-        )?;
-        self.epoch.store(c, Ordering::SeqCst);
-        self.gc_retained_locked(Some(safe));
-        self.prune_segments(safe, &[0])?;
-        Ok(seg.bytes + manifest_len)
+        };
+        self.commit_locked(|c| {
+            match &old {
+                Some((old, raw)) => self.retain_version_locked(safe, old, raw, c)?,
+                None => self.retention.born(safe, c),
+            }
+            self.publish_segment(safe, Manifest::default(), table)
+        })
     }
 
     /// Persists `table` under `name` in the canonical single-segment form,
-    /// replacing any previous version and pruning stale segments (an MV
-    /// recompute replaces the old contents). Returns bytes written
-    /// (segment plus manifest).
+    /// replacing any previous version (an MV recompute replaces the old
+    /// contents). Returns bytes written (segment plus manifest).
     pub fn write_table(&self, name: &str, table: &Table) -> Result<u64> {
         let started = Instant::now();
         let safe = naming::stem(name);
@@ -566,8 +585,8 @@ impl DiskCatalog {
     /// rewritten manifest).
     ///
     /// The segment file is fully written (tmp + rename) *before* the
-    /// manifest commit references it, so a crash mid-append leaves the
-    /// prior version readable and the new segment invisible.
+    /// manifest commit references it, so a crash or a failure mid-append
+    /// leaves the prior version readable and the new segment invisible.
     pub fn append_table(&self, name: &str, rows: &Table) -> Result<u64> {
         if rows.num_rows() == 0 {
             return Ok(0);
@@ -577,18 +596,14 @@ impl DiskCatalog {
         let len = {
             let _io = self.io.write();
             self.claim_name(&safe, name)?;
-            let (mut manifest, raw) = self.manifest_at(name, &safe, None)?;
+            let (manifest, raw) = self.manifest_at(name, &safe, None)?;
             // An append leaves every committed segment in place; only
             // the manifest is superseded, so only it needs retaining
             // (and only while pins are live — the swap is atomic).
-            let c = self.epoch.load(Ordering::SeqCst) + 1;
-            self.retain_manifest_locked(&safe, &raw, c)?;
-            let seg = self.write_segment(&safe, manifest.next_id(), rows)?;
-            manifest.segments.push(seg);
-            let manifest_len = self.commit_manifest(&safe, &manifest)?;
-            self.epoch.store(c, Ordering::SeqCst);
-            self.gc_retained_locked(Some(&safe));
-            seg.bytes + manifest_len
+            self.commit_locked(|c| {
+                self.retain_manifest_locked(&safe, &raw, c)?;
+                self.publish_segment(&safe, manifest, rows)
+            })?
         };
         self.pacer.write(started, len);
         Ok(len)
@@ -609,7 +624,7 @@ impl DiskCatalog {
     }
 
     /// Collapses `name` back to the canonical single-segment form,
-    /// pruning the replaced segments. A no-op (returning 0) when the table
+    /// retiring the replaced segments. A no-op (returning 0) when the table
     /// is already canonical; otherwise returns bytes written.
     pub fn compact(&self, name: &str) -> Result<u64> {
         let started = Instant::now();
@@ -662,77 +677,24 @@ impl DiskCatalog {
         }
     }
 
-    /// Runs `attempt` under the io read lock against `name`'s stem and
-    /// manifest as of `pin`. Unpinned attempts that fail verification
-    /// are retried while the live manifest keeps changing under them (a
-    /// writer on another handle), up to the retry cap — exhaustion is the typed
-    /// [`EngineError::ReadContention`], while a failing attempt over a
-    /// *stable* manifest is genuine [`EngineError::Corrupt`]. Pinned
-    /// attempts never retry: a pin's files are held on disk for its
-    /// lifetime.
+    /// Runs `read` under the io read lock against `name`'s stem and
+    /// manifest as of `pin`. The lock makes it atomic against this
+    /// handle's writers, and the handle owns the directory, so a
+    /// verification failure is genuine [`EngineError::Corrupt`].
     fn with_manifest<T>(
         &self,
         name: &str,
         pin: Option<u64>,
-        mut attempt: impl FnMut(&str, &Manifest, &[u8]) -> Result<T>,
+        read: impl FnOnce(&str, &Manifest, &[u8]) -> Result<T>,
     ) -> Result<T> {
         let safe = &naming::stem(name);
-        let mut attempts = 0u32;
-        loop {
-            let (result, manifest_raw) = {
-                let _io = self.io.read();
-                let (manifest, raw) = self.manifest_at(name, safe, pin)?;
-                let result = attempt(safe, &manifest, &raw);
-                (result, raw)
-            };
-            match result {
-                Ok(v) => return Ok(v),
-                Err(err @ EngineError::Corrupt(_)) if pin.is_none() => {
-                    attempts += 1;
-                    if attempts > self.read_retry_cap {
-                        return Err(EngineError::ReadContention {
-                            table: name.to_string(),
-                            attempts,
-                        });
-                    }
-                    let changed = |raw: &[u8]| {
-                        fs::read(self.path(&naming::manifest(safe), None))
-                            .map(|now| now != raw)
-                            .unwrap_or(true)
-                    };
-                    if changed(&manifest_raw) {
-                        // A cross-handle writer committed: back off
-                        // briefly so a hot writer cannot starve the
-                        // reader, then try the new manifest.
-                        std::thread::sleep(Duration::from_micros(100));
-                        continue;
-                    }
-                    // Possibly mid-commit (segment swapped, manifest not
-                    // yet renamed): give the writer a beat, then decide.
-                    std::thread::sleep(Duration::from_micros(500));
-                    if changed(&manifest_raw) {
-                        continue;
-                    }
-                    // Stable manifest: genuine corruption.
-                    return Err(err);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let _io = self.io.read();
+        let (manifest, raw) = self.manifest_at(name, safe, pin)?;
+        read(safe, &manifest, &raw)
     }
 
     /// Loads the table stored under `name`: its segments, verified and
     /// concatenated in manifest order.
-    ///
-    /// Within one catalog instance, the internal I/O lock makes reads
-    /// atomic against writers outright. Against writers on *other*
-    /// handles to the same directory, a rewrite swaps segment contents
-    /// before its manifest commit lands, so one attempt can catch a
-    /// manifest/segment pair from two committed states and fail
-    /// verification; the two cases are told apart across attempts — a
-    /// manifest that changed since the failed attempt means a concurrent
-    /// writer (retry against the new manifest), a stable one means the
-    /// corruption is real and surfaces as [`EngineError::Corrupt`].
     pub fn read_table(&self, name: &str) -> Result<Table> {
         self.read_table_at(name, None)
     }
@@ -784,10 +746,9 @@ impl DiskCatalog {
     /// first, then each segment in manifest order — keyed by *live* file
     /// name (pinned reads of retained copies report the same keys, so
     /// byte-identity comparisons stay file-for-file). Every segment's
-    /// bytes are verified against its manifest entry, so a cross-handle
-    /// rewrite mid-walk retries instead of returning a torn mix of two
-    /// committed states. This is what the differential suites compare
-    /// for the byte-identity-after-compact contract.
+    /// bytes are verified against its manifest entry. This is what the
+    /// differential suites compare for the byte-identity-after-compact
+    /// contract.
     pub fn stored_file_bytes(&self, name: &str) -> Result<Vec<(String, Vec<u8>)>> {
         self.stored_file_bytes_at(name, None)
     }
@@ -805,39 +766,44 @@ impl DiskCatalog {
         })
     }
 
-    /// Deletes a stored table — manifest and every segment file, including
-    /// crash orphans (no error if absent). With pins live, the committed
-    /// version moves to the retained namespace instead, so pinned
-    /// readers keep seeing it until the last pin drops; the live
+    /// Deletes a stored table — manifest and every segment file it
+    /// references (no error if absent). With pins live, the committed
+    /// version moves to the retained namespace instead, as a commit, so
+    /// pinned readers keep seeing it until the last pin drops; the live
     /// namespace is empty either way. Dropping releases the name's stem
     /// claim for reuse.
     pub fn drop_table(&self, name: &str) -> Result<()> {
         let safe = naming::stem(name);
         let _io = self.io.write();
-        let retained = match self.manifest_at(name, &safe, None) {
-            Ok(version) if self.retention.pinned() => Some(version),
-            Ok(_) | Err(EngineError::UnknownTable(_)) | Err(EngineError::Corrupt(_)) => None,
+        let live = match self.manifest_at(name, &safe, None) {
+            Ok(version) => Some(version),
+            // A corrupt manifest's segments are unknown: the next open
+            // deletes them once the manifest is gone.
+            Err(EngineError::UnknownTable(_)) | Err(EngineError::Corrupt(_)) => None,
             Err(e) => return Err(e),
         };
-        let c = self.epoch.load(Ordering::SeqCst) + 1;
-        if let Some((manifest, raw)) = &retained {
-            self.retain_version_locked(&safe, manifest, raw, c)?;
-        }
-        match fs::remove_file(self.path(&naming::manifest(&safe), None)) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
-            _ => {}
-        }
-        if retained.is_some() {
-            self.epoch.store(c, Ordering::SeqCst);
-        }
-        {
-            let mut names = self.names.lock();
-            if names.get(&safe).is_some_and(|o| o == name) {
-                names.remove(&safe);
+        let remove_manifest = || match fs::remove_file(self.path(&naming::manifest(&safe), None)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(EngineError::Io(e)),
+            _ => Ok(0),
+        };
+        match live {
+            Some((manifest, raw)) if self.retention.pinned() => {
+                self.commit_locked(|c| {
+                    self.retain_version_locked(&safe, &manifest, &raw, c)?;
+                    remove_manifest()
+                })?;
+            }
+            live => {
+                remove_manifest()?;
+                for seg in live.iter().flat_map(|(m, _)| &m.segments) {
+                    self.remove_counted(&self.path(&naming::segment(&safe, seg.id), None));
+                }
             }
         }
-        self.prune_segments(&safe, &[])?;
-        self.gc_retained_locked(Some(&safe));
+        let mut names = self.names.lock();
+        if names.get(&safe).is_some_and(|o| o == name) {
+            names.remove(&safe);
+        }
         Ok(())
     }
 
@@ -854,9 +820,9 @@ impl DiskCatalog {
     /// at or before the pinned epoch: tables created after the pin are
     /// absent, tables dropped after the pin are still listed (their
     /// pinned version remains readable through the retained namespace).
-    /// Names are the logical names registered on this instance's write
-    /// paths; tables only ever written by another process list under
-    /// their sanitized file stem (identical for already-path-safe
+    /// Names are the logical names registered on this handle's write
+    /// paths; tables not written since the directory was opened list
+    /// under their sanitized file stem (identical for already-path-safe
     /// names).
     fn tables_at(&self, pin: Option<u64>) -> Result<Vec<String>> {
         let _io = self.io.read();
@@ -895,8 +861,8 @@ impl DiskCatalog {
 /// (epoch GC runs on drop). As a [`TableSource`], it gives a plan
 /// pinned-epoch scans.
 ///
-/// Pinned reads never retry and never contend with the refresh-run
-/// lock; they serialize only against the short filesystem critical
+/// Pinned reads never contend with the refresh-run lock; they
+/// serialize only against the short filesystem critical
 /// section of a committing writer.
 #[derive(Debug)]
 pub struct EpochPin<'a> {

@@ -6,11 +6,15 @@
 //! superseded copy kept for pinned readers is `<file>~<epoch>`
 //! ([`retained_name`]), and a file being written is `<file>.tmp` until
 //! its rename. Stems never contain `.` or `~`, so every name parses
-//! unambiguously, and a `.tmp` file never parses as a catalog file.
+//! unambiguously.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// The file whose lock marks the directory as owned by one open
+/// catalog.
+pub(super) const LOCK: &str = "LOCK";
 
 /// Which file of a table a name denotes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +23,9 @@ pub(super) enum Kind {
     Manifest,
     /// `<stem>.<id>.seg`.
     Segment(u64),
+    /// A live file's `<file>.tmp`, left behind by a writer that died
+    /// before its rename.
+    Tmp,
 }
 
 /// A parsed catalog file name.
@@ -79,9 +86,17 @@ pub fn parse_retained(file: &str) -> Option<(&str, u64)> {
     suffix.parse::<u64>().ok().map(|epoch| (base, epoch))
 }
 
-/// Parses one file name; `None` for anything that is not a live or
-/// retained table file (`.tmp` files, the observation sidecar).
+/// Parses one file name; `None` for anything that is not a live,
+/// retained or `.tmp` table file (the lock file, the observation
+/// sidecar).
 pub(super) fn parse(file: &str) -> Option<FileName> {
+    if let Some(live) = file.strip_suffix(".tmp") {
+        let f = parse(live).filter(|f| f.retained.is_none())?;
+        return Some(FileName {
+            kind: Kind::Tmp,
+            ..f
+        });
+    }
     let (live, retained) = match parse_retained(file) {
         Some((live, epoch)) => (live, Some(epoch)),
         None => (file, None),
@@ -136,10 +151,12 @@ mod tests {
             parse(&retained_name(&manifest(&s), 9)),
             name(&s, Kind::Manifest, Some(9))
         );
+        assert_eq!(parse(&tmp(&manifest(&s))), name(&s, Kind::Tmp, None));
+        assert_eq!(parse(&tmp(&segment(&s, 4))), name(&s, Kind::Tmp, None));
         for other in [
-            tmp(&manifest(&s)),
-            tmp(&segment(&s, 0)),
+            "LOCK".to_string(),
             "observations.scst".to_string(),
+            tmp("observations.scst"),
             "t.x.seg".to_string(),
             "t.sctb~".to_string(),
             "nodot".to_string(),

@@ -120,6 +120,15 @@ impl Retention {
         (horizon, freed)
     }
 
+    /// Takes the files retained at `epoch` — a commit that failed
+    /// before it landed — out of the index, returning their live names
+    /// so the commit can move them back.
+    pub(super) fn forget(&self, epoch: u64) -> Vec<String> {
+        let mut index = self.index.lock();
+        let forgotten = index.retained.extract_if(.., |(_, e)| *e == epoch);
+        forgotten.map(|(file, _)| file).collect()
+    }
+
     pub(super) fn subscribe(
         &self,
         hook: impl Fn(u64) + Send + Sync + 'static,

@@ -1,3 +1,5 @@
+use std::time::Duration;
+
 use super::*;
 use crate::table::TableBuilder;
 use crate::types::{DataType, Value};
@@ -8,6 +10,30 @@ fn sample(range: std::ops::Range<i64>) -> Table {
         t.push_row(vec![Value::Int64(i)]).unwrap();
     }
     t
+}
+
+/// Every file in the catalog's directory that is neither its lock nor a
+/// live file of a stored table: retained copies, `.tmp` files and
+/// unreferenced segments. Planted directories are not files.
+fn debris(cat: &DiskCatalog) -> Vec<String> {
+    let mut live = vec![naming::LOCK.to_string()];
+    for table in cat.list().unwrap() {
+        live.extend(
+            cat.stored_file_bytes(&table)
+                .unwrap()
+                .into_iter()
+                .map(|(f, _)| f),
+        );
+    }
+    let mut out: Vec<String> = fs::read_dir(cat.dir())
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.metadata().unwrap().is_file())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|f| !live.contains(f))
+        .collect();
+    out.sort();
+    out
 }
 
 #[test]
@@ -88,7 +114,7 @@ fn compact_restores_canonical_bytes() {
     }
     // Compacting a canonical table is a no-op.
     assert_eq!(cat.compact("b").unwrap(), 0);
-    // The replaced segment files are pruned.
+    // The replaced segment files are gone.
     assert!(!dir.path().join("b.1.seg").exists());
     assert!(!dir.path().join("b.2.seg").exists());
 }
@@ -187,6 +213,10 @@ fn version_1_manifest_is_an_unsupported_version_not_a_checksum_failure() {
     assert_eq!(raw[4..6], [2, 0]);
     raw[4] = 1;
     fs::write(&manifest, &raw).unwrap();
+    // Open's recovery leaves a stem whose manifest does not decode alone.
+    drop(cat);
+    let cat = DiskCatalog::open(dir.path()).unwrap();
+    assert!(dir.path().join("t.0.seg").exists());
     for result in [cat.read_table("t").map(drop), cat.size_of("t").map(drop)] {
         match result {
             Err(EngineError::Corrupt(msg)) => {
@@ -239,14 +269,104 @@ fn uncommitted_segment_is_invisible() {
     cat.write_table("t", &sample(0..20)).unwrap();
     let manifest_before = fs::read(dir.path().join("t.sctb")).unwrap();
     cat.append_table("t", &sample(20..30)).unwrap();
-    // "Crash": roll the manifest back; the appended segment is now an
-    // orphan.
+    // "Crash": roll the manifest back (the append's commit was lost,
+    // its segment is now an orphan), with a torn `.tmp` beside it.
     fs::write(dir.path().join("t.sctb"), &manifest_before).unwrap();
+    fs::write(dir.path().join("t.2.seg.tmp"), b"torn").unwrap();
+    drop(cat);
+    let cat = DiskCatalog::open(dir.path()).unwrap();
     assert_eq!(cat.read_table("t").unwrap(), sample(0..20));
     assert_eq!(cat.row_count("t").unwrap(), 20);
-    // The next rewrite prunes the orphan.
-    cat.write_table("t", &sample(0..20)).unwrap();
+    // Open deleted the orphan and the `.tmp`.
     assert!(!dir.path().join("t.1.seg").exists());
+    assert_eq!(debris(&cat), Vec::<String>::new());
+    assert_eq!(cat.retained_file_count().unwrap(), 0);
+}
+
+#[test]
+fn lost_drop_is_finished_at_open() {
+    // A crash inside `drop_table` after the manifest went but before
+    // the segments did.
+    let dir = tempfile::tempdir().unwrap();
+    let cat = DiskCatalog::open(dir.path()).unwrap();
+    cat.write_table("t", &sample(0..5)).unwrap();
+    cat.append_table("t", &sample(5..7)).unwrap();
+    cat.write_table("keep", &sample(0..3)).unwrap();
+    fs::remove_file(dir.path().join("t.sctb")).unwrap();
+    drop(cat);
+    let cat = DiskCatalog::open(dir.path()).unwrap();
+    assert_eq!(cat.list().unwrap(), vec!["keep"]);
+    assert!(!dir.path().join("t.0.seg").exists());
+    assert!(!dir.path().join("t.1.seg").exists());
+    assert_eq!(debris(&cat), Vec::<String>::new());
+    assert_eq!(cat.retained_file_count().unwrap(), 0);
+    assert_eq!(cat.read_table("keep").unwrap(), sample(0..3));
+}
+
+#[test]
+fn a_directory_has_one_owner_at_a_time() {
+    let dir = tempfile::tempdir().unwrap();
+    let cat = DiskCatalog::open(dir.path()).unwrap();
+    cat.write_table("t", &sample(0..4)).unwrap();
+    match DiskCatalog::open(dir.path()) {
+        Err(EngineError::CatalogLocked(locked)) => assert_eq!(locked, dir.path()),
+        other => panic!("expected CatalogLocked, got {other:?}"),
+    }
+    assert!(matches!(
+        DiskCatalog::open_throttled(dir.path(), Throttle::fast()),
+        Err(EngineError::CatalogLocked(_))
+    ));
+    // The live handle is unaffected; once it drops, the directory
+    // reopens in the same process.
+    assert_eq!(cat.read_table("t").unwrap(), sample(0..4));
+    drop(cat);
+    let cat = DiskCatalog::open(dir.path()).unwrap();
+    assert_eq!(cat.read_table("t").unwrap(), sample(0..4));
+}
+
+#[test]
+fn failed_commits_leave_the_prior_version_and_no_debris() {
+    // A directory planted where a commit writes its `.tmp` makes that
+    // write fail without a crash: first the new segment's, then the
+    // manifest's, for a rewrite and for an append, unpinned and with a
+    // pin live (which makes the commit retain a manifest copy too).
+    let cases = [
+        (false, "t.0.seg.tmp"),
+        (false, "t.sctb.tmp"),
+        (true, "t.2.seg.tmp"),
+        (true, "t.sctb.tmp"),
+    ];
+    for pinned in [false, true] {
+        for (append, plant) in cases {
+            let case = format!("pinned {pinned}, append {append}, plant {plant}");
+            let dir = tempfile::tempdir().unwrap();
+            let cat = DiskCatalog::open(dir.path()).unwrap();
+            cat.write_table("t", &sample(0..10)).unwrap();
+            cat.append_table("t", &sample(10..15)).unwrap();
+            let before = cat.stored_file_bytes("t").unwrap();
+            let pin = pinned.then(|| cat.pin());
+            fs::create_dir(dir.path().join(plant)).unwrap();
+            let result = if append {
+                cat.append_table("t", &sample(15..20))
+            } else {
+                cat.write_table("t", &sample(100..120))
+            };
+            assert!(result.is_err(), "{case}: the commit must fail");
+            assert_eq!(cat.stored_file_bytes("t").unwrap(), before, "{case}");
+            assert_eq!(cat.read_table("t").unwrap(), sample(0..15), "{case}");
+            assert_eq!(cat.retained_file_count().unwrap(), 0, "{case}");
+            assert_eq!(debris(&cat), Vec::<String>::new(), "{case}");
+            if let Some(pin) = &pin {
+                assert_eq!(pin.read_table("t").unwrap(), sample(0..15), "{case}");
+            }
+            drop(pin);
+            // With the plant gone, the next commit succeeds.
+            fs::remove_dir(dir.path().join(plant)).unwrap();
+            cat.append_table("t", &sample(15..20)).unwrap();
+            assert_eq!(cat.read_table("t").unwrap(), sample(0..20), "{case}");
+            assert_eq!(debris(&cat), Vec::<String>::new(), "{case}");
+        }
+    }
 }
 
 #[test]
@@ -376,25 +496,39 @@ fn rewrite_crash_windows_keep_a_readable_version() {
         0,
         "a completed unpinned rewrite GCs its retained files"
     );
+    let new_seg_bytes = fs::read(&seg).unwrap();
+    let reopen = |cat: DiskCatalog| {
+        drop(cat);
+        let cat = DiskCatalog::open(dir.path()).unwrap();
+        assert_eq!(cat.retained_file_count().unwrap(), 0);
+        assert_eq!(debris(&cat), Vec::<String>::new());
+        cat
+    };
 
     // Crash window 2: old segment renamed into the retained
     // namespace and the new segment landed, but the manifest commit
-    // was lost — the old manifest plus the retained copy must serve
-    // the old version.
+    // was lost — open restores the retained copy the old manifest
+    // needs. A torn older copy is tried first and deleted.
     fs::write(&manifest_path, &old_manifest).unwrap();
+    fs::write(dir.path().join("t.0.seg~3"), b"torn").unwrap();
     fs::write(dir.path().join("t.0.seg~9"), &old_seg_bytes).unwrap();
+    let cat = reopen(cat);
     assert_eq!(cat.read_table("t").unwrap(), v_old);
 
     // Crash window 1: old segment already renamed away, new segment
     // never written.
-    fs::remove_file(&seg).unwrap();
+    fs::rename(&seg, dir.path().join("t.0.seg~4")).unwrap();
+    let cat = reopen(cat);
     assert_eq!(cat.read_table("t").unwrap(), v_old);
 
-    // Recovery: the next rewrite restores normal service and sweeps
-    // the retained debris (no pins are live).
+    // After the manifest commit: the new version is live, and its
+    // superseded copies are debris.
     cat.write_table("t", &v_new).unwrap();
+    fs::write(dir.path().join("t.0.seg~5"), &old_seg_bytes).unwrap();
+    fs::write(dir.path().join("t.sctb~5"), &old_manifest).unwrap();
+    let cat = reopen(cat);
     assert_eq!(cat.read_table("t").unwrap(), v_new);
-    assert_eq!(cat.retained_file_count().unwrap(), 0);
+    assert_eq!(fs::read(&seg).unwrap(), new_seg_bytes);
 }
 
 #[test]
@@ -573,102 +707,6 @@ fn failed_gc_deletes_are_counted() {
     // The table itself stays fully serviceable.
     assert_eq!(cat.read_table("t").unwrap(), sample(10..30));
     fs::remove_dir(&retained).unwrap();
-}
-
-#[test]
-fn retry_exhaustion_under_churn_is_typed_contention() {
-    use std::sync::atomic::AtomicBool;
-    let dir = tempfile::tempdir().unwrap();
-    let reader = DiskCatalog::open(dir.path())
-        .unwrap()
-        .with_read_retry_cap(3);
-    let writer = DiskCatalog::open(dir.path()).unwrap();
-    writer.write_table("t", &sample(0..50)).unwrap();
-    // Permanently corrupt segment 0 (same length, flipped byte):
-    // every read attempt fails verification...
-    let seg = dir.path().join("t.0.seg");
-    let mut bytes = fs::read(&seg).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    fs::write(&seg, &bytes).unwrap();
-    // ...while a hot writer keeps committing appends, so the
-    // manifest keeps changing under the reader and the retry loop
-    // runs to its cap instead of concluding "corrupt".
-    let stop = AtomicBool::new(false);
-    let contention = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            while !stop.load(Ordering::Relaxed) {
-                writer.append_table("t", &sample(0..1)).unwrap();
-            }
-        });
-        // The churn thread commits continuously; retry until the
-        // reader observes cap exhaustion (each failed read is Err
-        // either way — never a torn table).
-        let mut contention = None;
-        for _ in 0..50 {
-            match reader.read_table("t") {
-                Ok(_) => panic!("corrupt segment must never read Ok"),
-                Err(e @ EngineError::ReadContention { .. }) => {
-                    contention = Some(e);
-                    break;
-                }
-                Err(EngineError::Corrupt(_)) => continue,
-                Err(e) => panic!("unexpected error {e:?}"),
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        contention
-    });
-    match contention {
-        Some(EngineError::ReadContention { table, attempts }) => {
-            assert_eq!(table, "t");
-            assert_eq!(attempts, 4, "cap of 3 retries fails on attempt 4");
-        }
-        _ => panic!("never saw ReadContention under sustained churn"),
-    }
-}
-
-#[test]
-fn concurrent_reads_survive_rewrites() {
-    // A reader racing in-place canonical rewrites (the ingest-vs-
-    // refresh pattern). The writer runs on its OWN handle over the same
-    // directory, so the internal I/O lock cannot serialize the race
-    // away — this exercises the cross-handle machinery for real: the
-    // retained-copy fallback during a swap and the manifest-changed
-    // read retry. Every read is a committed version or, when a hot
-    // writer outlasts the retry budget, the typed ReadContention —
-    // never Corrupt, never a torn table.
-    let dir = tempfile::tempdir().unwrap();
-    let cat = DiskCatalog::open(dir.path()).unwrap();
-    let writer_cat = DiskCatalog::open(dir.path()).unwrap();
-    cat.write_table("t", &sample(0..100)).unwrap();
-    let versions: Vec<Table> = (0..8).map(|v| sample(v..v + 100)).collect();
-    let succeeded = std::thread::scope(|scope| {
-        let writer_versions = versions.clone();
-        scope.spawn(move || {
-            for _ in 0..40 {
-                for v in &writer_versions {
-                    writer_cat.write_table("t", v).unwrap();
-                }
-            }
-        });
-        let mut succeeded = 0;
-        for _ in 0..300 {
-            match cat.read_table("t") {
-                Ok(got) => {
-                    assert!(
-                        got == sample(0..100) || versions.contains(&got),
-                        "read returned a never-committed state"
-                    );
-                    succeeded += 1;
-                }
-                Err(EngineError::ReadContention { .. }) => {}
-                Err(e) => panic!("a racing read failed with {e:?}"),
-            }
-        }
-        succeeded
-    });
-    assert!(succeeded > 0, "no read succeeded");
 }
 
 #[test]

@@ -112,13 +112,6 @@ impl MemoryCatalog {
         Some(t)
     }
 
-    /// Releases everything.
-    pub fn clear(&self) {
-        let mut g = self.inner.lock();
-        g.tables.clear();
-        g.used = 0;
-    }
-
     /// Names of resident tables, sorted.
     pub fn list(&self) -> Vec<String> {
         let mut names: Vec<String> = self.inner.lock().tables.keys().cloned().collect();
@@ -195,18 +188,6 @@ mod tests {
             cat.insert("t", table_of_size(1)),
             Err(EngineError::TableExists(_))
         ));
-    }
-
-    #[test]
-    fn clear_releases_everything() {
-        let cat = MemoryCatalog::new(1000);
-        cat.insert("a", table_of_size(5)).unwrap();
-        cat.insert("b", table_of_size(5)).unwrap();
-        cat.clear();
-        assert!(cat.is_empty());
-        assert_eq!(cat.used(), 0);
-        // Peak survives clear (it is a run-level statistic).
-        assert_eq!(cat.peak(), 80);
     }
 
     #[test]

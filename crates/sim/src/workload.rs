@@ -160,24 +160,6 @@ impl SimWorkload {
             .build_problem(&sizes, config.memory_budget, |_| None)
     }
 
-    /// Total bytes read from external storage by the unoptimized run
-    /// (base reads plus every parent-output read).
-    pub fn total_disk_read_bytes(&self) -> u64 {
-        self.graph
-            .node_ids()
-            .map(|v| {
-                let n = self.graph.node(v);
-                let parent_bytes: u64 = self
-                    .graph
-                    .parents(v)
-                    .iter()
-                    .map(|&p| self.graph.node(p).output_bytes)
-                    .sum();
-                n.base_read_bytes + parent_bytes
-            })
-            .sum()
-    }
-
     /// Total bytes written (every node's output).
     pub fn total_write_bytes(&self) -> u64 {
         self.graph.payloads().iter().map(|n| n.output_bytes).sum()
@@ -203,8 +185,6 @@ mod tests {
     #[test]
     fn byte_totals() {
         let w = w();
-        // Reads: a: 1000; b: 100 (from a); c: 200 + 100 + 50.
-        assert_eq!(w.total_disk_read_bytes(), 1000 + 100 + 350);
         assert_eq!(w.total_write_bytes(), 175);
         assert_eq!(w.len(), 3);
         assert!(!w.is_empty());

@@ -58,15 +58,6 @@ impl DatasetSpec {
         }
     }
 
-    /// Bytes a scan of `table` must read for a *year-scoped* MV update:
-    /// the whole table unpartitioned, roughly one of five year partitions
-    /// when partitioned (TPC-DS covers 1998–2002).
-    pub fn fact_scan_bytes(&self, table: FactTable) -> u64 {
-        let full = Self::fact_fraction(table) * self.scale_gb * GB;
-        let scan = if self.partitioned { full / 5.0 } else { full };
-        scan as u64
-    }
-
     /// The paper's Memory Catalog sizing convention: a percentage of the
     /// dataset size (Figure 10 uses 1.6 %, Figure 11 sweeps 0.4–6.4 %).
     pub fn memory_budget(&self, percent: f64) -> u64 {
@@ -119,30 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn partitioning_shrinks_fact_scans_fivefold() {
-        let flat = DatasetSpec::tpcds(100.0);
-        let part = DatasetSpec::tpcds_partitioned(100.0);
-        for t in FactTable::all() {
-            assert_eq!(part.fact_scan_bytes(t) * 5, flat.fact_scan_bytes(t));
-        }
-    }
-
-    #[test]
     fn fact_fractions_are_dominant_but_below_one() {
         let total: f64 = FactTable::all()
             .into_iter()
             .map(DatasetSpec::fact_fraction)
             .sum();
         assert!(total > 0.7 && total < 1.0);
-    }
-
-    #[test]
-    fn scan_bytes_scale_linearly() {
-        let small = DatasetSpec::tpcds(10.0);
-        let big = DatasetSpec::tpcds(1000.0);
-        assert_eq!(
-            small.fact_scan_bytes(FactTable::StoreSales) * 100,
-            big.fact_scan_bytes(FactTable::StoreSales)
-        );
     }
 }

@@ -130,21 +130,6 @@ fn perturb(mut values: Vec<Value>, rng: &mut StdRng) -> Vec<Value> {
     values
 }
 
-/// Rough in-memory size of one row of `table`, used to turn delta
-/// fractions into byte annotations.
-fn avg_row_bytes(table: &Table) -> u64 {
-    if table.num_rows() == 0 {
-        return 0;
-    }
-    table.byte_size() / table.num_rows() as u64
-}
-
-/// Returns the byte size a delta of `fraction` of `table` would have —
-/// handy for sizing Memory Catalog budgets in tests and benches.
-pub fn delta_fraction_bytes(table: &Table, fraction: f64) -> u64 {
-    (avg_row_bytes(table) as f64 * table.num_rows() as f64 * fraction) as u64
-}
-
 /// The join-hub churn scenario: seeded insert-only streams against the
 /// *fact* (probe-side) tables of a join-hub pipeline while every
 /// dimension (build-side) table stays untouched — exactly the shape the
@@ -328,17 +313,6 @@ mod tests {
             .build();
         let d = generate_delta(&empty, &UpdateStreamSpec::mixed(0.5, 0.5, 0.5), 1);
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn delta_fraction_bytes_scales() {
-        let ds = TinyTpcds::generate(0.3, 7);
-        let sales = ds.table("store_sales").unwrap();
-        let five = delta_fraction_bytes(sales, 0.05);
-        let ten = delta_fraction_bytes(sales, 0.10);
-        assert!(five > 0);
-        assert!(ten > five);
-        assert!(ten <= sales.byte_size());
     }
 
     #[test]

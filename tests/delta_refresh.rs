@@ -567,21 +567,18 @@ fn concurrent_ingest_during_refresh_never_double_applies() {
     Controller::new(&disk, &mem).refresh(&mvs, &plan).unwrap();
 
     // Δ1 pends normally; Δ2 is ingested from another thread while the
-    // refresh consuming Δ1 is in flight. Ingestion goes through an
-    // unthrottled handle on the same directory (the throttle models the
-    // refresh's device budget; a real ingest path has its own), so Δ2
-    // lands squarely inside `warm`'s paced read — before `late_sales`
-    // reads the base. Bases are untouched by refresh runs, so both
-    // streams are deterministic regardless of timing.
-    let fast = DiskCatalog::open(dir.path()).unwrap();
-    let sales = fast.read_table("store_sales").unwrap();
-    store
-        .ingest(
-            &fast,
-            "store_sales",
-            generate_delta(&sales, &UpdateStreamSpec::inserts(0.04), 21),
-        )
-        .unwrap();
+    // refresh consuming Δ1 is in flight, through the same (throttled)
+    // handle: its read of store_sales queues on the modeled read
+    // channel right behind `catalog_sales` — ahead of `web_sales` — so
+    // Δ2 lands squarely inside `warm`'s paced reads, before
+    // `late_sales` reads the base. Both deltas are generated before the
+    // run from bases no refresh touches, so both streams are
+    // deterministic regardless of timing.
+    let sales = disk.read_table("store_sales").unwrap();
+    let delta_1 = generate_delta(&sales, &UpdateStreamSpec::inserts(0.04), 21);
+    store.ingest(&disk, "store_sales", delta_1).unwrap();
+    let sales = disk.read_table("store_sales").unwrap();
+    let delta_2 = generate_delta(&sales, &UpdateStreamSpec::inserts(0.03), 22);
     std::thread::scope(|scope| {
         let refresh_thread = scope.spawn(|| {
             Controller::new(&disk, &mem)
@@ -593,14 +590,7 @@ fn concurrent_ingest_during_refresh_never_double_applies() {
                 .unwrap()
         });
         std::thread::sleep(std::time::Duration::from_millis(30));
-        let sales = fast.read_table("store_sales").unwrap();
-        store
-            .ingest(
-                &fast,
-                "store_sales",
-                generate_delta(&sales, &UpdateStreamSpec::inserts(0.03), 22),
-            )
-            .unwrap();
+        store.ingest(&disk, "store_sales", delta_2).unwrap();
         refresh_thread.join().unwrap();
     });
     // If Δ2 landed mid-run it is already in the recomputed MVs and the

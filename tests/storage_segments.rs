@@ -14,10 +14,10 @@
 //!    meaningful).
 //! 3. **Integrity** — a crash between segment write and manifest commit
 //!    leaves the prior version readable (the orphan segment is
-//!    invisible and later pruned), and *any* single-byte corruption of
-//!    any stored file — manifest or segment — is rejected at read time
-//!    (the mutation check at the end of every case proves the
-//!    length/checksum/row-count verification actually bites).
+//!    invisible, and the next open deletes it), and *any* single-byte
+//!    corruption of any stored file — manifest or segment — is rejected
+//!    at read time (the mutation check at the end of every case proves
+//!    the length/checksum/row-count verification actually bites).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -108,6 +108,8 @@ proptest! {
                     model_segs = 1;
                 }
                 Op::Reopen => {
+                    // A directory has one owner: the old handle goes first.
+                    drop((cat_a, cat_b));
                     cat_a = DiskCatalog::open(dir_a.path()).unwrap();
                     cat_b = DiskCatalog::open(dir_b.path()).unwrap();
                 }
@@ -136,14 +138,17 @@ proptest! {
         }
 
         // Crash simulation: an appended segment whose manifest commit
-        // never landed must be invisible — the prior version stays fully
-        // readable — and the next rewrite prunes the orphan.
+        // never landed must be invisible after a reopen — the prior
+        // version stays fully readable, byte for byte — and the reopen
+        // deletes the orphan.
         let manifest_path = dir_a.path().join("t.sctb");
         let manifest_before = std::fs::read(&manifest_path).unwrap();
         let orphan_n = rng.gen_range(1..8);
         let orphan_rows = rows(&mut rng, orphan_n);
         cat_a.append_table("t", &orphan_rows).unwrap();
         std::fs::write(&manifest_path, &manifest_before).unwrap();
+        drop(cat_a);
+        let cat_a = DiskCatalog::open(dir_a.path()).unwrap();
         prop_assert_eq!(
             &cat_a.read_table("t").unwrap(),
             &expected,
@@ -151,18 +156,23 @@ proptest! {
             seed
         );
         prop_assert_eq!(cat_a.segment_count("t").unwrap(), model_segs);
-        cat_a.write_table("t", &expected).unwrap();
-        let live: Vec<String> = cat_a
+        prop_assert_eq!(
+            cat_a.stored_file_bytes("t").unwrap(),
+            cat_b.stored_file_bytes("t").unwrap()
+        );
+        prop_assert_eq!(cat_a.retained_file_count().unwrap(), 0);
+        let mut live: Vec<String> = cat_a
             .stored_file_bytes("t")
             .unwrap()
             .into_iter()
             .map(|(name, _)| name)
             .collect();
+        live.push("LOCK".to_string());
         for entry in std::fs::read_dir(dir_a.path()).unwrap() {
             let file = entry.unwrap().file_name().to_string_lossy().into_owned();
             prop_assert!(
                 live.contains(&file),
-                "seed {}: orphan '{}' survived the rewrite",
+                "seed {}: orphan '{}' survived the reopen",
                 seed,
                 file
             );
