@@ -174,28 +174,6 @@ impl Column {
             }),
         }
     }
-
-    /// A hashable/comparable key for row `i`, used by joins and group-bys.
-    pub fn key(&self, row: usize) -> RowKey {
-        match self {
-            Column::Int64(v) => RowKey::Int(v[row]),
-            Column::Float64(v) => RowKey::Float(v[row].to_bits()),
-            Column::Utf8(v) => RowKey::Str(v[row].clone()),
-            Column::Bool(v) => RowKey::Int(v[row] as i64),
-            Column::Date(v) => RowKey::Int(v[row] as i64),
-        }
-    }
-}
-
-/// Hashable key for join/group-by equality (floats compare by bit pattern).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum RowKey {
-    /// Integer-like key (ints, bools, dates).
-    Int(i64),
-    /// Float key compared by raw bits.
-    Float(u64),
-    /// String key.
-    Str(String),
 }
 
 #[cfg(test)]
@@ -246,17 +224,6 @@ mod tests {
     fn as_bool_checks_type() {
         assert!(Column::Bool(vec![true]).as_bool().is_ok());
         assert!(Column::Int64(vec![1]).as_bool().is_err());
-    }
-
-    #[test]
-    fn keys_are_equal_for_equal_values() {
-        let c = Column::Float64(vec![1.5, 1.5, 2.0]);
-        assert_eq!(c.key(0), c.key(1));
-        assert_ne!(c.key(0), c.key(2));
-        let d = Column::Date(vec![100, 100]);
-        assert_eq!(d.key(0), d.key(1));
-        let s = Column::Utf8(vec!["x".into()]);
-        assert_eq!(s.key(0), RowKey::Str("x".into()));
     }
 
     #[test]

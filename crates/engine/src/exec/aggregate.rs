@@ -1,7 +1,7 @@
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::column::{Column, RowKey};
+use super::keys::{GroupIndex, Keys};
+use crate::column::Column;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::types::DataType;
@@ -48,33 +48,6 @@ impl AggFunc {
     }
 }
 
-/// Running state of one aggregate over one group.
-#[derive(Debug, Clone, Copy)]
-struct AggState {
-    count: i64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl AggState {
-    fn new() -> Self {
-        AggState {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    fn update(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-}
-
 /// Hash aggregation: groups `input` by the named key columns and computes
 /// `(func, input column, output name)` aggregates per group.
 ///
@@ -104,52 +77,89 @@ pub fn aggregate(
         fields.push(Field::new(name.clone(), func.output_type(col.data_type())?));
     }
 
-    // Group rows.
-    let mut groups: HashMap<Vec<RowKey>, (usize, Vec<AggState>)> = HashMap::new();
-    let mut group_order: Vec<Vec<RowKey>> = Vec::new();
-    for row in 0..input.num_rows() {
-        let key: Vec<RowKey> = key_cols.iter().map(|c| c.key(row)).collect();
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            group_order.push(key);
-            (row, vec![AggState::new(); aggs.len()])
-        });
-        for (state, col) in entry.1.iter_mut().zip(&agg_cols) {
-            // Count works on any type; numeric states need a numeric view.
-            let v = col.value(row).as_f64().unwrap_or(0.0);
-            state.update(v);
-        }
-    }
+    // Group rows: dense ids in first-seen order.
+    let sources = [Keys::new(key_cols.clone(), input.num_rows())];
+    let mut groups = GroupIndex::default();
+    let ids = groups.intern_all(&sources, 0);
+    let n = groups.len();
 
-    // Emit one row per group in first-seen order (deterministic output).
-    let mut columns: Vec<Column> = fields
-        .iter()
-        .map(|f| Column::with_capacity(f.dtype, groups.len()))
-        .collect();
-    for key in &group_order {
-        let (first_row, states) = &groups[key];
-        for (i, kc) in key_cols.iter().enumerate() {
-            columns[i].push(kc.value(*first_row))?;
-        }
-        for (j, ((func, _, _), state)) in aggs.iter().zip(states).enumerate() {
-            let out_idx = group_by.len() + j;
-            let dtype = fields[out_idx].dtype;
-            let scalar = match func {
-                AggFunc::Count => state.count as f64,
-                AggFunc::Sum => state.sum,
-                AggFunc::Min => state.min,
-                AggFunc::Max => state.max,
-                AggFunc::Avg => state.sum / state.count.max(1) as f64,
-            };
-            let value = match dtype {
-                DataType::Int64 => crate::types::Value::Int64(scalar as i64),
-                DataType::Float64 => crate::types::Value::Float64(scalar),
-                DataType::Date => crate::types::Value::Date(scalar as i32),
-                _ => unreachable!("validated output type"),
-            };
-            columns[out_idx].push(value)?;
-        }
+    // Emit one row per group in first-seen order (deterministic output):
+    // keys gathered from each group's first row, aggregates folded over
+    // the input in row order.
+    let first: Vec<usize> = groups.first_rows().iter().map(|&(_, row)| row).collect();
+    let mut columns: Vec<Column> = key_cols.iter().map(|c| c.take(&first)).collect();
+    for ((func, _, _), col) in aggs.iter().zip(&agg_cols) {
+        let dtype = fields[columns.len()].dtype;
+        let sum = || fold_groups(col, &ids, n, 0.0, |acc, v| acc + v);
+        let count = || fold_groups(col, &ids, n, 0.0, |acc, _| acc + 1.0);
+        let values = match func {
+            AggFunc::Count => count(),
+            AggFunc::Sum => sum(),
+            AggFunc::Min => fold_groups(col, &ids, n, f64::INFINITY, f64::min),
+            AggFunc::Max => fold_groups(col, &ids, n, f64::NEG_INFINITY, f64::max),
+            AggFunc::Avg => sum()
+                .into_iter()
+                .zip(count())
+                .map(|(sum, count)| sum / count.max(1.0))
+                .collect(),
+        };
+        columns.push(numeric_column(dtype, values, "aggregate")?);
     }
     Table::new(Arc::new(Schema::new(fields)?), columns)
+}
+
+/// Folds `col`'s values, read as `f64`, into one accumulator per group in
+/// row order; `ids[row]` is the row's group. Non-numeric columns read as
+/// 0.0 (only `Count`, which ignores values, accepts them).
+fn fold_groups(
+    col: &Column,
+    ids: &[usize],
+    groups: usize,
+    init: f64,
+    step: impl Fn(f64, f64) -> f64,
+) -> Vec<f64> {
+    fn run<T: Copy>(
+        acc: &mut [f64],
+        ids: &[usize],
+        v: &[T],
+        as_f64: impl Fn(T) -> f64,
+        step: impl Fn(f64, f64) -> f64,
+    ) {
+        for (&g, &x) in ids.iter().zip(v) {
+            acc[g] = step(acc[g], as_f64(x));
+        }
+    }
+    let mut acc = vec![init; groups];
+    match col {
+        Column::Int64(v) => run(&mut acc, ids, v, |x| x as f64, step),
+        Column::Float64(v) => run(&mut acc, ids, v, |x| x, step),
+        Column::Date(v) => run(&mut acc, ids, v, |x| x as f64, step),
+        Column::Utf8(_) | Column::Bool(_) => {
+            for &g in ids {
+                acc[g] = step(acc[g], 0.0);
+            }
+        }
+    }
+    acc
+}
+
+/// An aggregate's output column from its `f64` accumulators, cast to the
+/// output type (`Int64` and `Date` truncate); `context` names the operator
+/// in the error for a non-numeric type with values to emit.
+pub(super) fn numeric_column(dtype: DataType, values: Vec<f64>, context: &str) -> Result<Column> {
+    Ok(match dtype {
+        DataType::Int64 => Column::Int64(values.into_iter().map(|x| x as i64).collect()),
+        DataType::Float64 => Column::Float64(values),
+        DataType::Date => Column::Date(values.into_iter().map(|x| x as i32).collect()),
+        other if values.is_empty() => Column::empty(other),
+        other => {
+            return Err(EngineError::TypeMismatch {
+                expected: "numeric".into(),
+                got: other.to_string(),
+                context: context.into(),
+            })
+        }
+    })
 }
 
 #[cfg(test)]

@@ -28,10 +28,11 @@
 //!   recomputation would perform (`Avg` cannot be resumed from its stored
 //!   quotient and is not mergeable).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::column::{Column, RowKey};
+use super::aggregate::numeric_column;
+use super::keys::{GroupIndex, Keys};
+use crate::column::Column;
 use crate::exec::{self, AggFunc};
 use crate::expr::Expr;
 use crate::schema::{Field, Schema};
@@ -188,8 +189,14 @@ impl TableDelta {
 
     /// Applies the delta to `table`, batch by batch: each batch first
     /// removes its `deletes` (full-row equality, first occurrence), then
-    /// appends its `inserts`.
+    /// appends its `inserts`. An insert-only delta is one concatenation.
     pub fn apply(&self, table: &Table) -> Result<Table> {
+        if !self.has_deletes() {
+            let parts: Vec<&Table> = std::iter::once(table)
+                .chain(self.batches.iter().map(|b| &b.inserts))
+                .collect();
+            return Table::concat(&parts);
+        }
         let mut current = table.clone();
         for batch in &self.batches {
             current = apply_batch(&current, batch)?;
@@ -207,20 +214,27 @@ impl TableDelta {
         fields.push(Field::new(DELTA_BATCH_COLUMN, DataType::Int64));
         fields.push(Field::new(DELTA_DEL_COLUMN, DataType::Bool));
         let schema = Arc::new(Schema::new(fields)?);
-        let mut out = Table::empty(schema);
+        let rows = self.insert_rows() + self.delete_rows();
+        let mut columns: Vec<Column> = self
+            .schema
+            .fields()
+            .iter()
+            .map(|f| Column::with_capacity(f.dtype, rows))
+            .collect();
+        let mut batch_idx: Vec<i64> = Vec::with_capacity(rows);
+        let mut is_del: Vec<bool> = Vec::with_capacity(rows);
         for (i, batch) in self.batches.iter().enumerate() {
-            for (part, is_del) in [(&batch.deletes, true), (&batch.inserts, false)] {
-                for row in 0..part.num_rows() {
-                    let mut values: Vec<Value> = (0..part.num_columns())
-                        .map(|c| part.value(row, c))
-                        .collect();
-                    values.push(Value::Int64(i as i64));
-                    values.push(Value::Bool(is_del));
-                    out.push_row(values)?;
+            for (part, del) in [(&batch.deletes, true), (&batch.inserts, false)] {
+                for (dst, src) in columns.iter_mut().zip(part.columns()) {
+                    dst.extend(src)?;
                 }
+                batch_idx.resize(batch_idx.len() + part.num_rows(), i as i64);
+                is_del.resize(is_del.len() + part.num_rows(), del);
             }
         }
-        Ok(out)
+        columns.push(Column::Int64(batch_idx));
+        columns.push(Column::Bool(is_del));
+        Table::new(schema, columns)
     }
 
     /// Decodes a table produced by [`TableDelta::to_table`].
@@ -240,49 +254,47 @@ impl TableDelta {
             ));
         }
         let schema = Arc::new(Schema::new(fields[..ncols - 2].to_vec())?);
-        let batch_col = encoded.column(ncols - 2);
-        let del_col = encoded.column(ncols - 1);
+        let rows = encoded.num_rows();
         // Every batch the encoder wrote is non-empty, so a valid index
         // is below the row count; anything else (including a negative
         // index) is a corrupt encoding, not a reason to preallocate an
         // attacker-chosen number of batches.
-        for r in 0..encoded.num_rows() {
-            match batch_col.value(r) {
-                Value::Int64(b) if 0 <= b && (b as usize) < encoded.num_rows() => {}
-                v => {
-                    return Err(EngineError::InvalidPlan(format!(
-                        "encoded delta batch index {v:?} out of range"
-                    )))
-                }
-            }
+        let out_of_range = |v: Value| {
+            EngineError::InvalidPlan(format!("encoded delta batch index {v:?} out of range"))
+        };
+        let batch_idx: &[i64] = match encoded.column(ncols - 2) {
+            Column::Int64(v) => v,
+            _ if rows == 0 => &[],
+            other => return Err(out_of_range(other.value(0))),
+        };
+        if let Some(&b) = batch_idx.iter().find(|&&b| b < 0 || b as usize >= rows) {
+            return Err(out_of_range(Value::Int64(b)));
         }
-        let n_batches = (0..encoded.num_rows())
-            .map(|r| match batch_col.value(r) {
-                Value::Int64(b) => b as usize + 1,
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0);
-        // One pass: bucket every row into its batch's delete/insert side.
-        let mut parts: Vec<DeltaBatch> = (0..n_batches)
-            .map(|_| DeltaBatch {
-                deletes: Table::empty(schema.clone()),
-                inserts: Table::empty(schema.clone()),
-            })
-            .collect();
-        for row in 0..encoded.num_rows() {
-            let Value::Int64(b) = batch_col.value(row) else {
-                continue;
-            };
-            let values: Vec<Value> = (0..ncols - 2).map(|c| encoded.value(row, c)).collect();
-            match del_col.value(row) {
-                Value::Bool(true) => parts[b as usize].deletes.push_row(values)?,
-                _ => parts[b as usize].inserts.push_row(values)?,
-            }
+        let is_del: &[bool] = match encoded.column(ncols - 1) {
+            Column::Bool(v) => v,
+            _ => &[],
+        };
+        let n_batches = batch_idx.iter().max().map_or(0, |&b| b as usize + 1);
+        // One pass: bucket every row into its batch's delete/insert side,
+        // then gather each side's rows column by column.
+        let mut sides: Vec<[Vec<usize>; 2]> = vec![[Vec::new(), Vec::new()]; n_batches];
+        for (row, &b) in batch_idx.iter().enumerate() {
+            let insert = is_del.get(row) != Some(&true);
+            sides[b as usize][usize::from(insert)].push(row);
         }
-        let mut delta = TableDelta::empty(schema);
-        for part in parts {
-            delta.push_batch(part)?;
+        let part = |rows: &[usize]| {
+            let columns = encoded.columns()[..ncols - 2]
+                .iter()
+                .map(|c| c.take(rows))
+                .collect();
+            Table::new(schema.clone(), columns)
+        };
+        let mut delta = TableDelta::empty(schema.clone());
+        for [deletes, inserts] in &sides {
+            delta.push_batch(DeltaBatch {
+                deletes: part(deletes)?,
+                inserts: part(inserts)?,
+            })?;
         }
         Ok(delta)
     }
@@ -294,20 +306,27 @@ fn apply_batch(table: &Table, batch: &DeltaBatch) -> Result<Table> {
     let mut current = if batch.deletes.num_rows() > 0 {
         // Budget how many occurrences of each row-value to drop, then walk
         // the table once keeping everything else.
-        let mut budget: HashMap<Vec<RowKey>, usize> = HashMap::new();
+        let sources = [Keys::rows(&batch.deletes), Keys::rows(table)];
+        let mut deleted = GroupIndex::default();
+        let mut budget: Vec<usize> = Vec::new();
         for row in 0..batch.deletes.num_rows() {
-            *budget.entry(row_key(&batch.deletes, row)).or_insert(0) += 1;
+            let (g, new) = deleted.intern(&sources, 0, row);
+            if new {
+                budget.push(0);
+            }
+            budget[g] += 1;
         }
+        let mut remaining = batch.deletes.num_rows();
         let mut keep = vec![true; table.num_rows()];
         for (row, k) in keep.iter_mut().enumerate() {
-            if budget.is_empty() {
+            if remaining == 0 {
                 break;
             }
-            if let Some(remaining) = budget.get_mut(&row_key(table, row)) {
-                *k = false;
-                *remaining -= 1;
-                if *remaining == 0 {
-                    budget.remove(&row_key(table, row));
+            if let Some(g) = deleted.find(&sources, 1, row) {
+                if budget[g] > 0 {
+                    *k = false;
+                    budget[g] -= 1;
+                    remaining -= 1;
                 }
             }
         }
@@ -319,13 +338,6 @@ fn apply_batch(table: &Table, batch: &DeltaBatch) -> Result<Table> {
         current = Table::concat(&[&current, &batch.inserts])?;
     }
     Ok(current)
-}
-
-/// The full-row key used for delete matching.
-fn row_key(table: &Table, row: usize) -> Vec<RowKey> {
-    (0..table.num_columns())
-        .map(|c| table.column(c).key(row))
-        .collect()
 }
 
 /// Propagates a delta through a filter: both row-sets of every batch pass
@@ -474,131 +486,106 @@ pub fn merge_aggregate(
         });
     }
 
-    /// Accumulator resumed from (or started beyond) the stored output.
-    #[derive(Clone, Copy)]
-    struct Resumed {
-        acc: f64,
-        seen: bool,
-    }
-
-    // One accumulator per (group, aggregate): existing groups resume from
-    // the stored scalar, new groups start fresh.
-    let mut states: HashMap<Vec<RowKey>, Vec<Resumed>> = HashMap::new();
-    let mut existing_order: Vec<Vec<RowKey>> = Vec::with_capacity(current.num_rows());
-    for row in 0..current.num_rows() {
-        let key: Vec<RowKey> = (0..group_by.len())
-            .map(|c| current.column(c).key(row))
-            .collect();
-        let resumed: Vec<Resumed> = aggs
+    // One accumulator per (aggregate, group): groups of the stored output
+    // resume from their stored scalar, groups first seen in the delta
+    // start from their first value.
+    let nkeys = group_by.len();
+    let ins = |b: usize| &delta.batches()[b].inserts;
+    let mut sources = vec![Keys::new(
+        current.columns()[..nkeys].iter().collect(),
+        current.num_rows(),
+    )];
+    let mut agg_cols: Vec<Vec<&Column>> = Vec::with_capacity(delta.batches().len());
+    for b in 0..delta.batches().len() {
+        let key_cols = group_by
             .iter()
-            .enumerate()
-            .map(|(j, _)| Resumed {
-                acc: current
-                    .value(row, group_by.len() + j)
-                    .as_f64()
-                    .unwrap_or(0.0),
-                seen: true,
-            })
-            .collect();
-        existing_order.push(key.clone());
-        states.insert(key, resumed);
+            .map(|g| ins(b).column_by_name(g))
+            .collect::<Result<_>>()?;
+        sources.push(Keys::new(key_cols, ins(b).num_rows()));
+        agg_cols.push(
+            aggs.iter()
+                .map(|(_, c, _)| ins(b).column_by_name(c))
+                .collect::<Result<_>>()?,
+        );
     }
+    let mut groups = GroupIndex::with_capacity(current.num_rows());
+    let mut acc: Vec<Vec<f64>> = vec![Vec::with_capacity(current.num_rows()); aggs.len()];
+    let mut stored_group = Vec::with_capacity(current.num_rows());
+    for row in 0..current.num_rows() {
+        let (g, new) = groups.intern(&sources, 0, row);
+        for (j, acc) in acc.iter_mut().enumerate() {
+            let v = numeric_at(current.column(nkeys + j), row);
+            // A repeated stored key keeps the last stored value, as the
+            // map it replaces did.
+            if new {
+                acc.push(v);
+            } else {
+                acc[g] = v;
+            }
+        }
+        stored_group.push(g);
+    }
+    let stored_groups = groups.len();
 
     // Fold the delta inserts, batch by batch, in row order — the same
     // left-to-right order a full recomputation would see after the inserts
     // landed at the end of the input.
-    let mut new_order: Vec<Vec<RowKey>> = Vec::new();
-    let mut new_key_rows: Vec<(usize, usize)> = Vec::new(); // (batch, row) of first sighting
-    for (b, batch) in delta.batches().iter().enumerate() {
-        let ins = &batch.inserts;
-        let key_cols: Vec<&Column> = group_by
-            .iter()
-            .map(|g| ins.column_by_name(g))
-            .collect::<Result<_>>()?;
-        let agg_cols: Vec<&Column> = aggs
-            .iter()
-            .map(|(_, c, _)| ins.column_by_name(c))
-            .collect::<Result<_>>()?;
-        for row in 0..ins.num_rows() {
-            let key: Vec<RowKey> = key_cols.iter().map(|c| c.key(row)).collect();
-            let entry = states.entry(key.clone()).or_insert_with(|| {
-                new_order.push(key);
-                new_key_rows.push((b, row));
-                vec![
-                    Resumed {
-                        acc: 0.0,
-                        seen: false
-                    };
-                    aggs.len()
-                ]
-            });
-            for ((state, col), (func, _, _)) in entry.iter_mut().zip(&agg_cols).zip(aggs) {
-                let v = col.value(row).as_f64().unwrap_or(0.0);
-                let acc = if state.seen {
-                    match func {
-                        AggFunc::Count => state.acc + 1.0,
-                        AggFunc::Sum => state.acc + v,
-                        AggFunc::Min => state.acc.min(v),
-                        AggFunc::Max => state.acc.max(v),
-                        AggFunc::Avg => unreachable!("rejected above"),
-                    }
-                } else {
-                    match func {
+    for (b, cols) in agg_cols.iter().enumerate() {
+        for row in 0..ins(b).num_rows() {
+            let (g, new) = groups.intern(&sources, b + 1, row);
+            for ((acc, col), (func, _, _)) in acc.iter_mut().zip(cols).zip(aggs) {
+                let v = numeric_at(col, row);
+                if new {
+                    acc.push(match func {
                         AggFunc::Count => 1.0,
                         _ => v,
-                    }
+                    });
+                    continue;
+                }
+                acc[g] = match func {
+                    AggFunc::Count => acc[g] + 1.0,
+                    AggFunc::Sum => acc[g] + v,
+                    AggFunc::Min => acc[g].min(v),
+                    AggFunc::Max => acc[g].max(v),
+                    AggFunc::Avg => unreachable!("rejected above"),
                 };
-                *state = Resumed { acc, seen: true };
             }
         }
     }
 
     // Existing groups in stored order (updated in place), then new groups
-    // in first-seen delta order.
-    let mut columns: Vec<Column> = current
-        .schema()
-        .fields()
-        .iter()
-        .map(|f| Column::with_capacity(f.dtype, current.num_rows() + new_order.len()))
-        .collect();
-    let emit =
-        |columns: &mut Vec<Column>, key_values: Vec<Value>, resumed: &[Resumed]| -> Result<()> {
-            for (i, v) in key_values.into_iter().enumerate() {
-                columns[i].push(v)?;
-            }
-            for (j, state) in resumed.iter().enumerate() {
-                let out_idx = group_by.len() + j;
-                let value = match current.schema().fields()[out_idx].dtype {
-                    DataType::Int64 => Value::Int64(state.acc as i64),
-                    DataType::Float64 => Value::Float64(state.acc),
-                    DataType::Date => Value::Date(state.acc as i32),
-                    other => {
-                        return Err(EngineError::TypeMismatch {
-                            expected: "numeric".into(),
-                            got: other.to_string(),
-                            context: "merge_aggregate".into(),
-                        })
-                    }
-                };
-                columns[out_idx].push(value)?;
-            }
-            Ok(())
-        };
-    for (row, key) in existing_order.iter().enumerate() {
-        let resumed = &states[key];
-        let key_values: Vec<Value> = (0..group_by.len()).map(|c| current.value(row, c)).collect();
-        emit(&mut columns, key_values, resumed)?;
+    // in first-seen delta order, their keys gathered from the batch that
+    // first saw them.
+    let mut columns: Vec<Column> = current.columns()[..nkeys].to_vec();
+    // New groups are numbered in (batch, row) order, so each batch's
+    // first sightings are one run.
+    for run in groups.first_rows()[stored_groups..].chunk_by(|a, b| a.0 == b.0) {
+        let rows: Vec<usize> = run.iter().map(|&(_, row)| row).collect();
+        for (dst, key) in columns.iter_mut().zip(sources[run[0].0].columns()) {
+            dst.extend(&key.take(&rows))?;
+        }
     }
-    for (key, &(b, row)) in new_order.iter().zip(&new_key_rows) {
-        let resumed = &states[key];
-        let ins = &delta.batches()[b].inserts;
-        let key_values: Vec<Value> = group_by
-            .iter()
-            .map(|g| Ok(ins.column_by_name(g)?.value(row)))
-            .collect::<Result<_>>()?;
-        emit(&mut columns, key_values, resumed)?;
+    let order: Vec<usize> = stored_group
+        .into_iter()
+        .chain(stored_groups..groups.len())
+        .collect();
+    for (j, acc) in acc.iter().enumerate() {
+        let values = order.iter().map(|&g| acc[g]).collect();
+        let dtype = current.schema().fields()[nkeys + j].dtype;
+        columns.push(numeric_column(dtype, values, "merge_aggregate")?);
     }
     Table::new(current.schema().clone(), columns)
+}
+
+/// The value at `row` read as `f64` (`Int64` and `Date` widen; other types
+/// read as 0.0).
+fn numeric_at(col: &Column, row: usize) -> f64 {
+    match col {
+        Column::Int64(v) => v[row] as f64,
+        Column::Float64(v) => v[row],
+        Column::Date(v) => v[row] as f64,
+        Column::Utf8(_) | Column::Bool(_) => 0.0,
+    }
 }
 
 /// Merges an **insert-only** input delta into the stored result of a
@@ -618,11 +605,7 @@ pub fn merge_distinct(current: &Table, delta: &TableDelta) -> Result<Table> {
             "cannot merge deletions into a distinct".into(),
         ));
     }
-    let mut seen: HashSet<Vec<RowKey>> = HashSet::with_capacity(current.num_rows());
-    for row in 0..current.num_rows() {
-        seen.insert(row_key(current, row));
-    }
-    let mut out = current.clone();
+    let mut sources = vec![Keys::rows(current)];
     for batch in delta.batches() {
         let ins = &batch.inserts;
         if **ins.schema() != **current.schema() {
@@ -632,13 +615,22 @@ pub fn merge_distinct(current: &Table, delta: &TableDelta) -> Result<Table> {
                 context: "merge_distinct".into(),
             });
         }
-        for row in 0..ins.num_rows() {
-            if seen.insert(row_key(ins, row)) {
-                out.push_row((0..ins.num_columns()).map(|c| ins.value(row, c)).collect())?;
-            }
-        }
+        sources.push(Keys::rows(ins));
     }
-    Ok(out)
+    let mut seen = GroupIndex::with_capacity(current.num_rows());
+    seen.intern_all(&sources, 0);
+    let stored = seen.len();
+    for b in 1..sources.len() {
+        seen.intern_all(&sources, b);
+    }
+    // Rows first seen in the delta, one run per batch, in delta order.
+    let mut appended = Vec::new();
+    for run in seen.first_rows()[stored..].chunk_by(|a, b| a.0 == b.0) {
+        let rows: Vec<usize> = run.iter().map(|&(_, row)| row).collect();
+        appended.push(delta.batches()[run[0].0 - 1].inserts.take_rows(&rows)?);
+    }
+    let parts: Vec<&Table> = std::iter::once(current).chain(&appended).collect();
+    Table::concat(&parts)
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::column::{Column, RowKey};
+use super::keys::{JoinIndex, Keys};
+use crate::column::Column;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
-use crate::types::{DataType, Value};
 use crate::{EngineError, Result};
 
 /// Join type. The S/C workloads (select-project-join units from TPC-DS)
@@ -43,31 +42,21 @@ pub fn hash_join(
         .map(|(_, r)| right.column_by_name(r))
         .collect::<Result<_>>()?;
 
-    // Build side: right table.
-    let mut build: HashMap<Vec<RowKey>, Vec<usize>> = HashMap::with_capacity(right.num_rows());
-    for row in 0..right.num_rows() {
-        let key: Vec<RowKey> = right_keys.iter().map(|c| c.key(row)).collect();
-        build.entry(key).or_default().push(row);
-    }
-
-    // Probe side: left table.
-    let mut left_idx: Vec<usize> = Vec::new();
-    let mut right_idx: Vec<Option<usize>> = Vec::new();
+    // Build side: right table. Probe side: left table, in row order, each
+    // row's matches in build-row order.
+    let build = JoinIndex::build(Keys::new(right_keys, right.num_rows()));
+    let probe = Keys::new(left_keys, left.num_rows());
+    let mut left_idx: Vec<usize> = Vec::with_capacity(left.num_rows());
+    let mut right_idx: Vec<Option<usize>> = Vec::with_capacity(left.num_rows());
     for row in 0..left.num_rows() {
-        let key: Vec<RowKey> = left_keys.iter().map(|c| c.key(row)).collect();
-        match build.get(&key) {
-            Some(matches) => {
-                for &r in matches {
-                    left_idx.push(row);
-                    right_idx.push(Some(r));
-                }
-            }
-            None => {
-                if join_type == JoinType::Left {
-                    left_idx.push(row);
-                    right_idx.push(None);
-                }
-            }
+        let before = right_idx.len();
+        for r in build.matches(&probe, row) {
+            left_idx.push(row);
+            right_idx.push(Some(r));
+        }
+        if join_type == JoinType::Left && right_idx.len() == before {
+            left_idx.push(row);
+            right_idx.push(None);
         }
     }
 
@@ -94,26 +83,24 @@ pub fn hash_join(
     Table::new(Arc::new(Schema::new(fields)?), columns)
 }
 
-/// Gathers rows where present, null-filling gaps (left-join misses).
+/// Gathers rows where present, null-filling gaps (left-join misses) with
+/// the type's null: 0 / 0.0 / "" / false / day 0.
 fn take_optional(c: &Column, indices: &[Option<usize>]) -> Column {
-    let mut out = Column::with_capacity(c.data_type(), indices.len());
-    for idx in indices {
-        let v = match idx {
-            Some(i) => c.value(*i),
-            None => null_of(c.data_type()),
-        };
-        out.push(v).expect("type-consistent by construction");
+    fn gather<T: Clone>(v: &[T], indices: &[Option<usize>], null: T) -> Vec<T> {
+        indices
+            .iter()
+            .map(|i| match i {
+                Some(i) => v[*i].clone(),
+                None => null.clone(),
+            })
+            .collect()
     }
-    out
-}
-
-fn null_of(dtype: DataType) -> Value {
-    match dtype {
-        DataType::Int64 => Value::Int64(0),
-        DataType::Float64 => Value::Float64(0.0),
-        DataType::Utf8 => Value::Utf8(String::new()),
-        DataType::Bool => Value::Bool(false),
-        DataType::Date => Value::Date(0),
+    match c {
+        Column::Int64(v) => Column::Int64(gather(v, indices, 0)),
+        Column::Float64(v) => Column::Float64(gather(v, indices, 0.0)),
+        Column::Utf8(v) => Column::Utf8(gather(v, indices, String::new())),
+        Column::Bool(v) => Column::Bool(gather(v, indices, false)),
+        Column::Date(v) => Column::Date(gather(v, indices, 0)),
     }
 }
 
@@ -121,6 +108,7 @@ fn null_of(dtype: DataType) -> Value {
 mod tests {
     use super::*;
     use crate::table::TableBuilder;
+    use crate::types::{DataType, Value};
 
     fn orders() -> Table {
         let mut t = TableBuilder::new()

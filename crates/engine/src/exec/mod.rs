@@ -5,6 +5,9 @@
 mod aggregate;
 pub mod delta;
 mod join;
+#[cfg(test)]
+mod key_props;
+mod keys;
 mod project;
 mod sort;
 

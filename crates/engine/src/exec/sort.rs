@@ -1,7 +1,7 @@
 use std::cmp::Ordering;
-use std::collections::HashSet;
 
-use crate::column::{Column, RowKey};
+use super::keys::{GroupIndex, Keys};
+use crate::column::Column;
 use crate::table::Table;
 use crate::Result;
 
@@ -74,16 +74,10 @@ pub fn limit(input: &Table, n: usize) -> Result<Table> {
 /// only append new values after the existing ones (see
 /// [`super::merge_distinct`]).
 pub fn distinct(input: &Table) -> Result<Table> {
-    let mut seen: HashSet<Vec<RowKey>> = HashSet::with_capacity(input.num_rows());
-    let mut take = Vec::new();
-    for row in 0..input.num_rows() {
-        let key: Vec<RowKey> = (0..input.num_columns())
-            .map(|c| input.column(c).key(row))
-            .collect();
-        if seen.insert(key) {
-            take.push(row);
-        }
-    }
+    let sources = [Keys::rows(input)];
+    let mut seen = GroupIndex::default();
+    seen.intern_all(&sources, 0);
+    let take: Vec<usize> = seen.first_rows().iter().map(|&(_, row)| row).collect();
     input.take_rows(&take)
 }
 

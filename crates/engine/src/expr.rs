@@ -1,4 +1,11 @@
 //! Scalar expressions evaluated column-at-a-time over a [`Table`].
+//!
+//! A binary operator reads a referenced column by borrow, and a literal
+//! operand stays one scalar rather than a full-length column; only the
+//! result of an operator is materialized.
+
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 use crate::column::Column;
 use crate::table::Table;
@@ -135,21 +142,24 @@ impl Expr {
 
     /// Evaluates the expression over every row of `table`.
     pub fn evaluate(&self, table: &Table) -> Result<Column> {
-        match self {
-            Expr::Column(name) => Ok(table.column_by_name(name)?.clone()),
-            Expr::Literal(v) => {
-                let mut c = Column::with_capacity(v.data_type(), table.num_rows());
-                for _ in 0..table.num_rows() {
-                    c.push(v.clone())?;
-                }
-                Ok(c)
-            }
+        Ok(match self.operand(table)? {
+            Operand::Column(c) => c.into_owned(),
+            Operand::Scalar(v) => broadcast(v, table.num_rows()),
+        })
+    }
+
+    /// The expression's value over `table` without copying a referenced
+    /// column or expanding a literal.
+    fn operand<'a>(&'a self, table: &'a Table) -> Result<Operand<'a>> {
+        Ok(match self {
+            Expr::Column(name) => Operand::Column(Cow::Borrowed(table.column_by_name(name)?)),
+            Expr::Literal(v) => Operand::Scalar(v),
             Expr::Binary { left, op, right } => {
-                let l = left.evaluate(table)?;
-                let r = right.evaluate(table)?;
-                eval_binary(&l, *op, &r)
+                let l = left.operand(table)?;
+                let r = right.operand(table)?;
+                Operand::Column(Cow::Owned(eval_binary(&l, *op, &r, table.num_rows())?))
             }
-        }
+        })
     }
 
     /// The output type of this expression over `table`'s schema, without
@@ -200,115 +210,193 @@ fn type_err(l: DataType, r: DataType, context: &str) -> EngineError {
     }
 }
 
-fn eval_binary(l: &Column, op: BinOp, r: &Column) -> Result<Column> {
-    use BinOp::*;
-    debug_assert_eq!(l.len(), r.len());
-    match op {
-        Add | Sub | Mul | Div => eval_arith(l, op, r),
-        Eq | Ne | Lt | Le | Gt | Ge => eval_cmp(l, op, r),
-        And | Or => {
-            let a = l.as_bool()?;
-            let b = r.as_bool()?;
-            let out = a
-                .iter()
-                .zip(b)
-                .map(|(&x, &y)| if op == And { x && y } else { x || y })
-                .collect();
-            Ok(Column::Bool(out))
+/// One side of a binary operator: a column (borrowed from the table or
+/// computed by a sub-expression) or a literal that stays scalar.
+enum Operand<'a> {
+    Column(Cow<'a, Column>),
+    Scalar(&'a Value),
+}
+
+impl Operand<'_> {
+    fn data_type(&self) -> DataType {
+        match self {
+            Operand::Column(c) => c.data_type(),
+            Operand::Scalar(v) => v.data_type(),
         }
     }
 }
 
-fn eval_arith(l: &Column, op: BinOp, r: &Column) -> Result<Column> {
-    // Fast path: Int64 ⊕ Int64 stays integral (except division).
-    if let (Column::Int64(a), Column::Int64(b)) = (l, r) {
-        match op {
-            BinOp::Add => {
-                return Ok(Column::Int64(
-                    a.iter().zip(b).map(|(x, y)| x.wrapping_add(*y)).collect(),
-                ))
-            }
-            BinOp::Sub => {
-                return Ok(Column::Int64(
-                    a.iter().zip(b).map(|(x, y)| x.wrapping_sub(*y)).collect(),
-                ))
-            }
-            BinOp::Mul => {
-                return Ok(Column::Int64(
-                    a.iter().zip(b).map(|(x, y)| x.wrapping_mul(*y)).collect(),
-                ))
-            }
-            BinOp::Div => {}
-            _ => unreachable!("eval_arith only receives arithmetic ops"),
-        }
+/// `v` repeated `rows` times.
+fn broadcast(v: &Value, rows: usize) -> Column {
+    match v {
+        Value::Int64(x) => Column::Int64(vec![*x; rows]),
+        Value::Float64(x) => Column::Float64(vec![*x; rows]),
+        Value::Utf8(x) => Column::Utf8(vec![x.clone(); rows]),
+        Value::Bool(x) => Column::Bool(vec![*x; rows]),
+        Value::Date(x) => Column::Date(vec![*x; rows]),
     }
-    let a = numeric_view(l)?;
-    let b = numeric_view(r)?;
-    let out: Result<Vec<f64>> = a
-        .iter()
-        .zip(&b)
-        .map(|(&x, &y)| match op {
-            BinOp::Add => Ok(x + y),
-            BinOp::Sub => Ok(x - y),
-            BinOp::Mul => Ok(x * y),
-            BinOp::Div => {
-                if y == 0.0 {
-                    Err(EngineError::Arithmetic("division by zero".into()))
-                } else {
-                    Ok(x / y)
-                }
-            }
-            _ => unreachable!("arith op"),
-        })
-        .collect();
-    Ok(Column::Float64(out?))
 }
 
-fn numeric_view(c: &Column) -> Result<Vec<f64>> {
-    match c {
-        Column::Int64(v) => Ok(v.iter().map(|&x| x as f64).collect()),
-        Column::Float64(v) => Ok(v.clone()),
-        Column::Date(v) => Ok(v.iter().map(|&x| x as f64).collect()),
-        other => Err(EngineError::TypeMismatch {
-            expected: "numeric".into(),
-            got: other.data_type().to_string(),
-            context: "arithmetic".into(),
+/// A typed view of one operand: a slice of every row, or one value.
+enum Side<'a, T: Clone> {
+    Rows(Cow<'a, [T]>),
+    Scalar(T),
+}
+
+impl<'a, T: Clone> Side<'a, T> {
+    /// `f` applied row by row to `self` and `other`, over `rows` rows.
+    fn zip<U: Clone, R>(
+        &self,
+        other: &Side<'_, U>,
+        rows: usize,
+        f: impl Fn(&T, &U) -> R,
+    ) -> Vec<R> {
+        match (self, other) {
+            (Side::Rows(a), Side::Rows(b)) => {
+                a.iter().zip(b.iter()).map(|(x, y)| f(x, y)).collect()
+            }
+            (Side::Rows(a), Side::Scalar(y)) => a.iter().map(|x| f(x, y)).collect(),
+            (Side::Scalar(x), Side::Rows(b)) => b.iter().map(|y| f(x, y)).collect(),
+            (Side::Scalar(x), Side::Scalar(y)) => (0..rows).map(|_| f(x, y)).collect(),
+        }
+    }
+}
+
+fn int64_side<'a>(o: &'a Operand<'_>) -> Option<Side<'a, i64>> {
+    match o {
+        Operand::Column(c) => match c.as_ref() {
+            Column::Int64(v) => Some(Side::Rows(Cow::Borrowed(v))),
+            _ => None,
+        },
+        Operand::Scalar(Value::Int64(x)) => Some(Side::Scalar(*x)),
+        Operand::Scalar(_) => None,
+    }
+}
+
+fn utf8_side<'a>(o: &'a Operand<'_>) -> Option<Side<'a, String>> {
+    match o {
+        Operand::Column(c) => match c.as_ref() {
+            Column::Utf8(v) => Some(Side::Rows(Cow::Borrowed(v))),
+            _ => None,
+        },
+        Operand::Scalar(Value::Utf8(x)) => Some(Side::Scalar(x.clone())),
+        Operand::Scalar(_) => None,
+    }
+}
+
+/// A boolean view; fails for non-bool operands.
+fn bool_side<'a>(o: &'a Operand<'_>) -> Result<Side<'a, bool>> {
+    match o {
+        Operand::Column(c) => Ok(Side::Rows(Cow::Borrowed(c.as_bool()?))),
+        Operand::Scalar(Value::Bool(x)) => Ok(Side::Scalar(*x)),
+        Operand::Scalar(v) => Err(EngineError::TypeMismatch {
+            expected: "Bool".into(),
+            got: v.data_type().to_string(),
+            context: "predicate".into(),
         }),
     }
 }
 
-fn eval_cmp(l: &Column, op: BinOp, r: &Column) -> Result<Column> {
-    use std::cmp::Ordering;
-    let decide = |ord: Ordering| -> bool {
-        match op {
-            BinOp::Eq => ord == Ordering::Equal,
-            BinOp::Ne => ord != Ordering::Equal,
-            BinOp::Lt => ord == Ordering::Less,
-            BinOp::Le => ord != Ordering::Greater,
-            BinOp::Gt => ord == Ordering::Greater,
-            BinOp::Ge => ord != Ordering::Less,
-            _ => unreachable!("cmp op"),
-        }
+/// A numeric view as `f64` (`Int64` and `Date` widen; `Float64` columns
+/// are borrowed); fails for other types.
+fn f64_side<'a>(o: &'a Operand<'_>) -> Result<Side<'a, f64>> {
+    let side = match o {
+        Operand::Column(c) => match c.as_ref() {
+            Column::Int64(v) => Some(Side::Rows(v.iter().map(|&x| x as f64).collect())),
+            Column::Float64(v) => Some(Side::Rows(Cow::Borrowed(v.as_slice()))),
+            Column::Date(v) => Some(Side::Rows(v.iter().map(|&x| x as f64).collect())),
+            _ => None,
+        },
+        Operand::Scalar(v) => v.as_f64().map(Side::Scalar),
     };
+    side.ok_or_else(|| EngineError::TypeMismatch {
+        expected: "numeric".into(),
+        got: o.data_type().to_string(),
+        context: "arithmetic".into(),
+    })
+}
+
+fn eval_binary(l: &Operand<'_>, op: BinOp, r: &Operand<'_>, rows: usize) -> Result<Column> {
+    use BinOp::*;
+    match op {
+        Add | Sub | Mul | Div => eval_arith(l, op, r, rows),
+        Eq | Ne | Lt | Le | Gt | Ge => eval_cmp(l, op, r, rows),
+        And | Or => {
+            let a = bool_side(l)?;
+            let b = bool_side(r)?;
+            Ok(Column::Bool(if op == And {
+                a.zip(&b, rows, |&x, &y| x && y)
+            } else {
+                a.zip(&b, rows, |&x, &y| x || y)
+            }))
+        }
+    }
+}
+
+fn eval_arith(l: &Operand<'_>, op: BinOp, r: &Operand<'_>, rows: usize) -> Result<Column> {
+    // Fast path: Int64 ⊕ Int64 stays integral (except division).
+    if op != BinOp::Div {
+        if let (Some(a), Some(b)) = (int64_side(l), int64_side(r)) {
+            return Ok(Column::Int64(match op {
+                BinOp::Add => a.zip(&b, rows, |x, y| x.wrapping_add(*y)),
+                BinOp::Sub => a.zip(&b, rows, |x, y| x.wrapping_sub(*y)),
+                BinOp::Mul => a.zip(&b, rows, |x, y| x.wrapping_mul(*y)),
+                _ => unreachable!("eval_arith only receives arithmetic ops"),
+            }));
+        }
+    }
+    let a = f64_side(l)?;
+    let b = f64_side(r)?;
+    Ok(Column::Float64(match op {
+        BinOp::Add => a.zip(&b, rows, |x, y| x + y),
+        BinOp::Sub => a.zip(&b, rows, |x, y| x - y),
+        BinOp::Mul => a.zip(&b, rows, |x, y| x * y),
+        BinOp::Div => {
+            let zero = match &b {
+                Side::Rows(v) => v.contains(&0.0),
+                Side::Scalar(y) => *y == 0.0 && rows > 0,
+            };
+            if zero {
+                return Err(EngineError::Arithmetic("division by zero".into()));
+            }
+            a.zip(&b, rows, |x, y| x / y)
+        }
+        _ => unreachable!("arith op"),
+    }))
+}
+
+fn eval_cmp(l: &Operand<'_>, op: BinOp, r: &Operand<'_>, rows: usize) -> Result<Column> {
     // String comparisons are lexicographic; everything else numeric.
-    if let (Column::Utf8(a), Column::Utf8(b)) = (l, r) {
-        return Ok(Column::Bool(
-            a.iter().zip(b).map(|(x, y)| decide(x.cmp(y))).collect(),
-        ));
+    if let (Some(a), Some(b)) = (utf8_side(l), utf8_side(r)) {
+        return Ok(compare(&a, op, &b, rows, Ord::cmp));
     }
-    if let (Column::Bool(a), Column::Bool(b)) = (l, r) {
-        return Ok(Column::Bool(
-            a.iter().zip(b).map(|(x, y)| decide(x.cmp(y))).collect(),
-        ));
+    if l.data_type() == DataType::Bool && r.data_type() == DataType::Bool {
+        return Ok(compare(&bool_side(l)?, op, &bool_side(r)?, rows, Ord::cmp));
     }
-    let a = numeric_view(l)?;
-    let b = numeric_view(r)?;
-    Ok(Column::Bool(
-        a.iter()
-            .zip(&b)
-            .map(|(x, y)| decide(x.partial_cmp(y).unwrap_or(Ordering::Equal)))
-            .collect(),
-    ))
+    let a = f64_side(l)?;
+    let b = f64_side(r)?;
+    Ok(compare(&a, op, &b, rows, |x, y| {
+        x.partial_cmp(y).unwrap_or(Ordering::Equal)
+    }))
+}
+
+/// `a op b` row by row under the ordering `cmp`.
+fn compare<T: Clone>(
+    a: &Side<'_, T>,
+    op: BinOp,
+    b: &Side<'_, T>,
+    rows: usize,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> Column {
+    Column::Bool(match op {
+        BinOp::Eq => a.zip(b, rows, |x, y| cmp(x, y) == Ordering::Equal),
+        BinOp::Ne => a.zip(b, rows, |x, y| cmp(x, y) != Ordering::Equal),
+        BinOp::Lt => a.zip(b, rows, |x, y| cmp(x, y) == Ordering::Less),
+        BinOp::Le => a.zip(b, rows, |x, y| cmp(x, y) != Ordering::Greater),
+        BinOp::Gt => a.zip(b, rows, |x, y| cmp(x, y) == Ordering::Greater),
+        BinOp::Ge => a.zip(b, rows, |x, y| cmp(x, y) != Ordering::Less),
+        _ => unreachable!("cmp op"),
+    })
 }
 
 #[cfg(test)]
@@ -367,6 +455,57 @@ mod tests {
     fn division_by_zero_errors() {
         let t = table();
         assert!(Expr::col("a").div(Expr::lit(0i64)).evaluate(&t).is_err());
+        // A zero literal divisor errors only when there is a row to divide.
+        let empty = Table::empty(t.schema().clone());
+        assert_eq!(
+            Expr::col("a")
+                .div(Expr::lit(0i64))
+                .evaluate(&empty)
+                .unwrap(),
+            Column::Float64(vec![])
+        );
+        // A zero in a divisor column errors wherever it sits.
+        let zero_b = Expr::col("b").sub(Expr::lit(3.0f64));
+        assert!(Expr::col("a").div(zero_b).evaluate(&t).is_err());
+    }
+
+    #[test]
+    fn literals_stay_scalar_on_either_side() {
+        let t = table();
+        assert_eq!(
+            Expr::lit(10i64).sub(Expr::col("a")).evaluate(&t).unwrap(),
+            Column::Int64(vec![9, 5])
+        );
+        assert_eq!(
+            Expr::lit(2i64).mul(Expr::lit(3i64)).evaluate(&t).unwrap(),
+            Column::Int64(vec![6, 6])
+        );
+        assert_eq!(
+            Expr::lit("x").lt(Expr::col("s")).evaluate(&t).unwrap(),
+            Column::Bool(vec![false, true])
+        );
+        assert_eq!(
+            Expr::lit(true)
+                .and(Expr::col("a").gt(Expr::lit(1i64)))
+                .evaluate(&t)
+                .unwrap(),
+            Column::Bool(vec![false, true])
+        );
+        // Int64 ⊕ Int64 wraps, as the column kernel always has.
+        assert_eq!(
+            Expr::col("a")
+                .add(Expr::lit(i64::MAX))
+                .evaluate(&t)
+                .unwrap(),
+            Column::Int64(vec![i64::MIN, i64::MIN + 4])
+        );
+        // Type errors do not depend on the row count.
+        let empty = Table::empty(t.schema().clone());
+        assert!(Expr::lit("x").add(Expr::col("a")).evaluate(&empty).is_err());
+        assert!(Expr::lit(1i64)
+            .and(Expr::col("a"))
+            .evaluate(&empty)
+            .is_err());
     }
 
     #[test]

@@ -156,7 +156,18 @@ impl Table {
         let first = tables
             .first()
             .ok_or_else(|| EngineError::InvalidPlan("concat requires at least one table".into()))?;
-        let mut out = Table::empty(first.schema.clone());
+        let rows = tables.iter().map(|t| t.num_rows).sum();
+        let columns = first
+            .schema
+            .fields()
+            .iter()
+            .map(|f| Column::with_capacity(f.dtype, rows))
+            .collect();
+        let mut out = Table {
+            schema: first.schema.clone(),
+            columns,
+            num_rows: 0,
+        };
         for t in tables {
             if t.schema != first.schema {
                 return Err(EngineError::TypeMismatch {
