@@ -13,7 +13,7 @@ use sc_engine::controller::Controller;
 use sc_engine::exec::{self, AggFunc};
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
-use sc_engine::storage::{format, DiskCatalog, MemoryCatalog};
+use sc_engine::storage::{format, DiskCatalog};
 use sc_engine::{DataType, Table, TableBuilder, Value};
 use sc_workload::engine_mvs::sales_pipeline;
 use sc_workload::tpcds::TinyTpcds;
@@ -113,7 +113,6 @@ fn bench_refresh(c: &mut Criterion) {
     TinyTpcds::generate(0.5, 42)
         .load_into(&disk)
         .expect("ingests");
-    let mem = MemoryCatalog::new(64 << 20);
     let mvs = sales_pipeline();
     let order: Vec<NodeId> = (0..mvs.len()).map(NodeId).collect();
     let baseline = Plan::unoptimized(order.clone());
@@ -121,7 +120,7 @@ fn bench_refresh(c: &mut Criterion) {
         order,
         flagged: sc_core::FlagSet::from_nodes(mvs.len(), [NodeId(0), NodeId(5), NodeId(6)]),
     };
-    let controller = Controller::new(&disk, &mem);
+    let controller = Controller::new(&disk, 64 << 20);
     let mut g = c.benchmark_group("controller_refresh");
     g.sample_size(20);
     g.bench_function("baseline_9mv", |b| {

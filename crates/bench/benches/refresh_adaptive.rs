@@ -28,7 +28,7 @@ use sc_engine::controller::{Controller, CostProvenance, MvDefinition, RefreshCon
 use sc_engine::exec::{AggFunc, TableDelta};
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
-use sc_engine::storage::{DeltaStore, DiskCatalog, MemoryCatalog, ObservationStore};
+use sc_engine::storage::{DeltaStore, DiskCatalog, ObservationStore};
 use sc_engine::{DataType, RunMetrics, Table, TableBuilder, Value};
 
 const BASE_ROWS: usize = 40_000;
@@ -121,8 +121,7 @@ impl AdaptiveBench {
             .expect("writes");
         let mvs = vec![wide_agg()];
         let plan = Plan::unoptimized((0..mvs.len()).map(NodeId).collect());
-        let mem = MemoryCatalog::new(64 << 20);
-        Controller::new(&disk, &mem)
+        Controller::new(&disk, 64 << 20)
             .refresh(&mvs, &plan)
             .expect("baseline materialization");
 
@@ -175,8 +174,7 @@ impl AdaptiveBench {
         self.restore();
         let store = DeltaStore::new();
         store.append("events", self.delta.clone()).expect("appends");
-        let mem = MemoryCatalog::new(64 << 20);
-        let mut controller = Controller::new(&self.disk, &mem)
+        let mut controller = Controller::new(&self.disk, 64 << 20)
             .with_delta_store(&store)
             .with_cost_model(fast_storage())
             .with_refresh_config(RefreshConfig::default().with_refresh_mode(RefreshMode::Auto));

@@ -41,7 +41,7 @@ use sc_engine::controller::{Controller, MvDefinition, RefreshConfig};
 use sc_engine::exec::{AggFunc, TableDelta};
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
-use sc_engine::storage::{DeltaStore, DiskCatalog, MemoryCatalog, Throttle};
+use sc_engine::storage::{DeltaStore, DiskCatalog, Throttle};
 use sc_workload::tpcds::TinyTpcds;
 use sc_workload::updates::{generate_delta, UpdateStreamSpec};
 
@@ -166,8 +166,7 @@ impl DeltaBench {
             .load_into(&disk)
             .expect("ingests");
         let plan = Plan::unoptimized((0..mvs.len()).map(NodeId).collect());
-        let mem = MemoryCatalog::new(64 << 20);
-        Controller::new(&disk, &mem)
+        Controller::new(&disk, 64 << 20)
             .refresh(&mvs, &plan)
             .expect("baseline materialization");
 
@@ -221,8 +220,7 @@ impl DeltaBench {
         store
             .append("store_sales", self.delta.clone())
             .expect("appends");
-        let mem = MemoryCatalog::new(64 << 20);
-        Controller::new(&self.disk, &mem)
+        Controller::new(&self.disk, 64 << 20)
             .with_delta_store(&store)
             .with_refresh_config(RefreshConfig::default().with_refresh_mode(mode))
             .refresh(&self.mvs, &self.plan)

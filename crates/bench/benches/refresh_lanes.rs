@@ -19,7 +19,7 @@ use sc_dag::{Dag, NodeId};
 use sc_engine::controller::{Controller, MvDefinition};
 use sc_engine::expr::Expr;
 use sc_engine::plan::LogicalPlan;
-use sc_engine::storage::{DiskCatalog, MemoryCatalog, Throttle};
+use sc_engine::storage::{DiskCatalog, Throttle};
 use sc_workload::engine_mvs::sales_pipeline;
 use sc_workload::tpcds::TinyTpcds;
 
@@ -40,13 +40,13 @@ fn bench_sales_pipeline(c: &mut Criterion) {
     TinyTpcds::generate(0.5, 42)
         .load_into(&disk)
         .expect("ingests");
-    let mem = MemoryCatalog::new(64 << 20);
     let mvs = sales_pipeline();
     let order: Vec<NodeId> = (0..mvs.len()).map(NodeId).collect();
     let unoptimized = Plan::unoptimized(order);
+    let budget = 64 << 20;
 
     // Profile once, then derive the S/C plan the optimizer would pick.
-    let profile = Controller::new(&disk, &mem)
+    let profile = Controller::new(&disk, budget)
         .refresh(&mvs, &unoptimized)
         .expect("profiles");
     // The profile ran in MV order, so node i's size is profile.nodes[i]'s.
@@ -58,7 +58,7 @@ fn bench_sales_pipeline(c: &mut Criterion) {
     )
     .expect("acyclic");
     let problem = CostModel::paper()
-        .build_problem(&sizes, mem.budget(), |_| None)
+        .build_problem(&sizes, budget, |_| None)
         .expect("valid problem");
     let sc_plan = ScOptimizer::default()
         .optimize(&problem)
@@ -73,7 +73,7 @@ fn bench_sales_pipeline(c: &mut Criterion) {
         for lanes in [1usize, 2, 4] {
             g.bench_with_input(BenchmarkId::from_parameter(lanes), &lanes, |b, &lanes| {
                 b.iter(|| {
-                    Controller::new(&disk, &mem)
+                    Controller::new(&disk, budget)
                         .with_lanes(lanes)
                         .refresh(&mvs, plan)
                         .expect("refreshes")
@@ -90,7 +90,6 @@ fn bench_wide_ingest(c: &mut Criterion) {
     TinyTpcds::generate(0.5, 42)
         .load_into(&disk)
         .expect("ingests");
-    let mem = MemoryCatalog::new(64 << 20);
     let mvs: Vec<MvDefinition> = (0..4)
         .map(|i| {
             MvDefinition::new(
@@ -108,7 +107,7 @@ fn bench_wide_ingest(c: &mut Criterion) {
     for lanes in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::from_parameter(lanes), &lanes, |b, &lanes| {
             b.iter(|| {
-                Controller::new(&disk, &mem)
+                Controller::new(&disk, 64 << 20)
                     .with_lanes(lanes)
                     .refresh(&mvs, &plan)
                     .expect("refreshes")

@@ -24,7 +24,7 @@ use sc_dag::NodeId;
 use sc_engine::controller::{Controller, MvDefinition};
 use sc_engine::expr::Expr;
 use sc_engine::plan::LogicalPlan;
-use sc_engine::storage::{DiskCatalog, MemoryCatalog};
+use sc_engine::storage::DiskCatalog;
 use sc_engine::{DataType, Table, TableBuilder, Value};
 
 fn base_rows(n: i64) -> Table {
@@ -55,8 +55,7 @@ fn bench_refresh_readers(c: &mut Criterion) {
     disk.write_table("base", &base_rows(5_000)).expect("writes");
     let mvs = pipeline();
     let plan = Plan::unoptimized((0..mvs.len()).map(NodeId).collect());
-    let mem = MemoryCatalog::new(64 << 20);
-    Controller::new(&disk, &mem)
+    Controller::new(&disk, 64 << 20)
         .refresh(&mvs, &plan)
         .expect("baseline materialization");
 
@@ -82,8 +81,7 @@ fn bench_refresh_readers(c: &mut Criterion) {
             let mvs = &mvs;
             let plan = &plan;
             scope.spawn(move || {
-                let mem = MemoryCatalog::new(64 << 20);
-                let controller = Controller::new(disk, &mem);
+                let controller = Controller::new(disk, 64 << 20);
                 // Refresh before testing `stop`: in smoke mode the
                 // one-iteration reader can finish before this thread's
                 // first check, and it must still have read under a commit.
@@ -114,8 +112,7 @@ fn bench_refresh_readers(c: &mut Criterion) {
     // bytes across one more refresh, and GC leaves nothing behind.
     let snap = disk.pin();
     let before = snap.stored_file_bytes("mv_pos").expect("pinned bytes");
-    let mem = MemoryCatalog::new(64 << 20);
-    Controller::new(&disk, &mem)
+    Controller::new(&disk, 64 << 20)
         .refresh(&mvs, &plan)
         .expect("final refresh");
     assert_eq!(

@@ -11,7 +11,7 @@ use sc_bench::print_header;
 use sc_core::Plan;
 use sc_dag::NodeId;
 use sc_engine::controller::Controller;
-use sc_engine::storage::{DiskCatalog, MemoryCatalog, Throttle};
+use sc_engine::storage::{DiskCatalog, Throttle};
 use sc_sim::{SimConfig, SimNode, SimWorkload, Simulator};
 use sc_workload::engine_mvs::fact_join_mv;
 use sc_workload::tpcds::TinyTpcds;
@@ -35,9 +35,9 @@ fn main() {
         TinyTpcds::generate(scale, 42)
             .load_into(&disk)
             .expect("ingest");
-        let mem = MemoryCatalog::new(1); // unused: nothing flagged
         let mvs = vec![fact_join_mv()];
-        let metrics = Controller::new(&disk, &mem)
+        // A 1-byte Memory Catalog: unused, nothing is flagged.
+        let metrics = Controller::new(&disk, 1)
             .refresh(&mvs, &Plan::unoptimized(vec![NodeId(0)]))
             .expect("refresh");
         let n = &metrics.nodes[0];

@@ -10,6 +10,13 @@
 //! its materialization has finished, so every MV is always fully persisted
 //! by the end of the run — S/C never weakens the SLA.
 //!
+//! The Memory Catalog is the run's own: a map of resident entries that
+//! lives exactly as long as the run, into which only the
+//! [`sc_core::CatalogStep`]s of [`sc_core::AdmissionReplay`] put or take
+//! entries. The replay is the one budget accounting — it decides every
+//! admit and fallback and reports the run's peak — so the map can never
+//! disagree with it, and nothing admitted can outlive its run.
+//!
 //! ## Execution lanes
 //!
 //! One executor runs every refresh: `lanes` lanes ([`RefreshConfig`]) —
@@ -21,19 +28,16 @@
 //! plan positions of the computed prefix, earliest in plan order first.
 //! The paper issues MV statements sequentially on one compute lane; that
 //! is `lanes = 1`, whose window is zero: nodes start and write strictly
-//! in `plan.order`. Two invariants hold at every lane count:
+//! in `plan.order`.
 //!
-//! * **Catalog actions follow `plan.order`.** A flagged node enters the
-//!   Memory Catalog — or, if it would overflow the budget, falls back to
-//!   a blocking write — when the computed plan-order prefix reaches it,
-//!   and an entry is released when the prefix passes its last consumer
-//!   (admit first, then release). The catalog thus replays the
-//!   optimizer's model exactly, even when compute finishes out of order.
-//! * **Every run ends with a drained catalog**, and every MV persisted.
-//!
-//! MV contents are a pure function of their inputs, so runs at any lane
-//! count produce byte-identical tables, flag outcomes and peak catalog
-//! usage.
+//! Catalog actions follow `plan.order` at every lane count: the replay
+//! decides a flagged node — admit, or fall back to a blocking write if it
+//! would overflow the budget — when the computed plan-order prefix
+//! reaches it, and releases an entry when the prefix passes its last
+//! consumer (admit first, then release), even when compute finishes out
+//! of order. MV contents are a pure function of their inputs, so runs at
+//! any lane count produce byte-identical tables, flag outcomes and peak
+//! catalog usage.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -47,7 +51,7 @@ use sc_dag::NodeId;
 
 use crate::exec::TableDelta;
 use crate::plan::{DeltaSource, LogicalPlan, TableSource};
-use crate::storage::{DeltaStore, DiskCatalog, MemoryCatalog, Observation, ObservationStore};
+use crate::storage::{DeltaStore, DiskCatalog, Observation, ObservationStore};
 use crate::table::Table;
 use crate::{EngineError, Result};
 
@@ -187,8 +191,11 @@ pub struct RunMetrics {
     /// Per-node breakdowns, in plan-order (regardless of the wall-clock
     /// completion order under parallel execution).
     pub nodes: Vec<NodeMetrics>,
-    /// Peak Memory Catalog usage observed during the run.
+    /// Peak Memory Catalog usage during the run (the admission replay's
+    /// peak).
     pub peak_memory_bytes: u64,
+    /// The Memory Catalog budget `M` the run was held to.
+    pub memory_budget_bytes: u64,
     /// Seconds spent at the end of the run waiting for the background
     /// materializer to drain.
     pub final_drain_s: f64,
@@ -218,10 +225,11 @@ impl RunMetrics {
     }
 }
 
-/// Executes MV refresh runs against a disk catalog + memory catalog pair.
+/// Executes MV refresh runs against a disk catalog, each run with its own
+/// Memory Catalog of `budget` bytes.
 pub struct Controller<'a> {
     disk: &'a DiskCatalog,
-    memory: &'a MemoryCatalog,
+    budget: u64,
     cost_model: CostModel,
     refresh: RefreshConfig,
     deltas: Option<&'a DeltaStore>,
@@ -244,9 +252,20 @@ fn snapshot_batches(snapshot: &HashMap<String, TableDelta>, table: &str) -> usiz
     snapshot.get(table).map_or(0, |d| d.batches().len())
 }
 
-/// Table resolver that prefers the Memory Catalog and accounts read time.
+/// A run's Memory Catalog: resident entries by catalog name.
+type Resident = HashMap<String, Arc<Table>>;
+
+/// Locks `m`. Every update of a run's shared state leaves it valid for
+/// what a poisoned run still does with it: record the error and wind
+/// down.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Table resolver that prefers the run's Memory Catalog and accounts read
+/// time.
 struct RunSource<'a> {
-    memory: &'a MemoryCatalog,
+    resident: &'a Mutex<Resident>,
     disk: &'a DiskCatalog,
     read_s: Cell<f64>,
     memory_reads: Cell<usize>,
@@ -257,9 +276,9 @@ struct RunSource<'a> {
 }
 
 impl<'a> RunSource<'a> {
-    fn new(memory: &'a MemoryCatalog, disk: &'a DiskCatalog) -> Self {
+    fn new(resident: &'a Mutex<Resident>, disk: &'a DiskCatalog) -> Self {
         RunSource {
-            memory,
+            resident,
             disk,
             read_s: Cell::new(0.0),
             memory_reads: Cell::new(0),
@@ -271,7 +290,8 @@ impl<'a> RunSource<'a> {
 
 impl TableSource for RunSource<'_> {
     fn table(&self, name: &str) -> Result<Arc<Table>> {
-        if let Some(t) = self.memory.get(name) {
+        let resident = lock(self.resident).get(name).cloned();
+        if let Some(t) = resident {
             self.memory_reads.set(self.memory_reads.get() + 1);
             return Ok(t);
         }
@@ -454,7 +474,7 @@ enum LaneTask {
     Write(BlockingWrite),
 }
 
-/// The mutable half of a run: scheduling and Memory Catalog state, which
+/// The mutable half of a run: scheduling and catalog accounting, which
 /// every lane updates — under [`Run::state`]'s lock — with the outcome of
 /// the task it just finished.
 struct RunState {
@@ -464,7 +484,8 @@ struct RunState {
     /// The start rule: which node a free lane computes next.
     dispatch: Dispatch,
     /// The plan-order catalog accounting, against the *effective* flags
-    /// (skipped nodes never enter the catalog).
+    /// (skipped nodes never enter the catalog): the only decider of what
+    /// [`Run::resident`] holds.
     replay: sc_core::AdmissionReplay,
     computed: Vec<bool>,
     /// Catalog payload size per computed node.
@@ -496,6 +517,9 @@ struct Run<'r> {
     index: HashMap<&'r str, usize>,
     children: Vec<Vec<usize>>,
     state: Mutex<RunState>,
+    /// The run's Memory Catalog. Lanes read it while computing, outside
+    /// `state`'s lock; only `replay`'s steps write it.
+    resident: Mutex<Resident>,
     /// Signalled whenever `state` changed: lanes wait on it for tasks,
     /// the caller for the materializer to drain.
     wake: Condvar,
@@ -503,9 +527,7 @@ struct Run<'r> {
 
 impl Run<'_> {
     fn lock(&self) -> MutexGuard<'_, RunState> {
-        // Every update leaves the state valid for what a poisoned run
-        // still does with it: record the error and wind down.
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
+        lock(&self.state)
     }
 
     /// Records `error` (the first one wins) and wakes everyone to wind
@@ -579,7 +601,7 @@ impl Run<'_> {
     /// A lane computed `idx`: route its output, then apply the plan-order
     /// catalog actions the newly computed prefix implies.
     fn on_computed(&self, st: &mut RunState, idx: usize, node: ComputedNode) -> Result<()> {
-        let (mvs, dp, memory) = (self.mvs, self.dp, self.ctrl.memory);
+        let (mvs, dp) = (self.mvs, self.dp);
         st.computed[idx] = true;
         st.dispatch.computed(idx);
         st.sizes[idx] = node.payload(dp.delta_payload[idx]).byte_size();
@@ -611,7 +633,7 @@ impl Run<'_> {
         for step in steps {
             let (cand, admit) = match step {
                 sc_core::CatalogStep::Release { node } => {
-                    memory.remove(&self.entry_name(node));
+                    lock(&self.resident).remove(&self.entry_name(node));
                     continue;
                 }
                 sc_core::CatalogStep::Decide { node, admit, .. } => (node, admit),
@@ -619,17 +641,9 @@ impl Run<'_> {
             let node = st.awaiting_admission[cand]
                 .take()
                 .expect("a decision only fixes after the node computed");
-            let payload = Arc::clone(node.payload(dp.delta_payload[cand]));
-            // The catalog mirrors the accounting, so a modeled admit fits
-            // — unless a caller parked entries of its own there; the
-            // catalog has the last word.
-            let admitted = admit
-                && match memory.insert(&self.entry_name(cand), payload) {
-                    Ok(()) => true,
-                    Err(EngineError::MemoryBudgetExceeded { .. }) => false,
-                    Err(e) => return Err(e),
-                };
-            if admitted {
+            if admit {
+                let payload = Arc::clone(node.payload(dp.delta_payload[cand]));
+                lock(&self.resident).insert(self.entry_name(cand), payload);
                 self.background(st, cand, node.output)?;
                 let metrics = self.node_metrics(cand, &node.stats, 0.0, true);
                 self.publish(st, cand, metrics);
@@ -665,6 +679,64 @@ impl Run<'_> {
             .disk
             .persist_table(name, &node.output, self.dp.append[idx])?;
         Ok(w.elapsed().as_secs_f64())
+    }
+
+    /// Computes one node on a lane: runs the node's plan — full or
+    /// incremental per the fixed delta plan — and spills the published
+    /// delta to storage when some incremental consumer must read it from
+    /// there. Skipped nodes return an empty placeholder so the readiness
+    /// machinery stays uniform.
+    fn compute(&self, idx: usize) -> Result<ComputedNode> {
+        let (dp, disk) = (self.dp, self.ctrl.disk);
+        let mut stats = ComputedStats::default();
+        if dp.modes[idx] == NodeMode::Skipped {
+            return Ok(ComputedNode {
+                output: Arc::new(Table::empty(crate::schema::Schema::empty())),
+                delta_table: None,
+                stats,
+            });
+        }
+        let mv = &self.mvs[idx];
+        let source = RunSource::new(&self.resident, disk);
+        let started = Instant::now();
+        let (output, delta) = if dp.modes[idx] == NodeMode::Incremental {
+            let deltas = RunDeltaSource {
+                pending: self.snapshot,
+                index: &self.index,
+                source: &source,
+            };
+            let inc = execute_incremental(mv, &source, &deltas, dp.append[idx])?;
+            stats.delta_bytes = inc.delta_bytes;
+            (Arc::new(inc.output), inc.delta)
+        } else {
+            (Arc::new(mv.plan.execute(&source)?), None)
+        };
+        let elapsed = started.elapsed().as_secs_f64();
+        stats.read_s = source.read_s.get();
+        stats.compute_s = (elapsed - stats.read_s).max(0.0);
+        stats.memory_reads = source.memory_reads.get();
+        stats.disk_reads = source.disk_reads.get();
+        // Encode the published delta once for spill and/or catalog.
+        let delta_table = match &delta {
+            Some(d) if dp.spill[idx] || dp.delta_payload[idx] => Some(Arc::new(d.to_table()?)),
+            _ => None,
+        };
+        if dp.spill[idx] {
+            let w = Instant::now();
+            disk.write_table(
+                &delta_entry_name(&mv.name),
+                delta_table.as_ref().expect("spill implies published delta"),
+            )?;
+            stats.spill_write_s = w.elapsed().as_secs_f64();
+        }
+        (stats.output_bytes, stats.rows, stats.appended_bytes) =
+            self.ctrl
+                .stored_output_metrics(&mv.name, &output, dp.append[idx]);
+        Ok(ComputedNode {
+            output,
+            delta_table,
+            stats,
+        })
     }
 
     /// The next task for a free lane: a queued blocking write, else the
@@ -715,8 +787,7 @@ impl Run<'_> {
             };
             let outcome = match task {
                 LaneTask::Compute(idx) => self
-                    .ctrl
-                    .compute_node(self.mvs, &self.index, self.dp, self.snapshot, idx)
+                    .compute(idx)
                     .and_then(|node| self.on_computed(&mut self.lock(), idx, node)),
                 LaneTask::Write(BlockingWrite {
                     idx,
@@ -757,11 +828,12 @@ impl Run<'_> {
 }
 
 impl<'a> Controller<'a> {
-    /// Creates a controller over the two catalogs.
-    pub fn new(disk: &'a DiskCatalog, memory: &'a MemoryCatalog) -> Self {
+    /// Creates a controller over `disk` whose runs each hold a Memory
+    /// Catalog of `budget` bytes (the paper's `M`).
+    pub fn new(disk: &'a DiskCatalog, budget: u64) -> Self {
         Controller {
             disk,
-            memory,
+            budget,
             cost_model: CostModel::paper(),
             refresh: RefreshConfig::default(),
             deltas: None,
@@ -899,20 +971,14 @@ impl<'a> Controller<'a> {
             .map(|mv| self.disk.segment_count(&mv.name).unwrap_or(0))
             .collect();
         let mut result = self.execute(mvs, plan, &edges, &dp, &pre_segments, snapshot.as_ref());
-        if result.is_err() {
-            // A failed run must not leave admitted entries behind: they
-            // would shrink the budget for — and collide with — every
-            // subsequent refresh on this catalog pair.
-            for mv in mvs {
-                self.memory.remove(&mv.name);
-                self.memory.remove(&delta_entry_name(&mv.name));
-            }
-        }
-        // Spilled delta files are transient, scoped to this run: a stale
+        // Spilled delta files are transient, scoped to one run: a stale
         // one would be mistaken for a parent delta by the next refresh.
-        for (i, mv) in mvs.iter().enumerate() {
-            if dp.publishes[i] {
-                let _ = self.disk.drop_table(&delta_entry_name(&mv.name));
+        // Every MV's is checked, not only this run's publishers', so a
+        // spill left by a process that died mid-run is reclaimed too.
+        for mv in mvs {
+            let spill = delta_entry_name(&mv.name);
+            if self.disk.contains(&spill) {
+                let _ = self.disk.drop_table(&spill);
             }
         }
         if let Ok(run) = &mut result {
@@ -1059,69 +1125,6 @@ impl<'a> Controller<'a> {
         )
     }
 
-    /// Computes one node on a lane: runs the node's plan — full or
-    /// incremental per the fixed delta plan — and spills the published
-    /// delta to storage when some incremental consumer must read it from
-    /// there. Skipped nodes return an empty placeholder so the readiness
-    /// machinery stays uniform.
-    fn compute_node(
-        &self,
-        mvs: &[MvDefinition],
-        index: &HashMap<&str, usize>,
-        dp: &ModePlan,
-        snapshot: Option<&HashMap<String, TableDelta>>,
-        idx: usize,
-    ) -> Result<ComputedNode> {
-        let mut stats = ComputedStats::default();
-        if dp.modes[idx] == NodeMode::Skipped {
-            return Ok(ComputedNode {
-                output: Arc::new(Table::empty(crate::schema::Schema::empty())),
-                delta_table: None,
-                stats,
-            });
-        }
-        let mv = &mvs[idx];
-        let source = RunSource::new(self.memory, self.disk);
-        let started = Instant::now();
-        let (output, delta) = if dp.modes[idx] == NodeMode::Incremental {
-            let deltas = RunDeltaSource {
-                pending: snapshot,
-                index,
-                source: &source,
-            };
-            let inc = execute_incremental(mv, &source, &deltas, dp.append[idx])?;
-            stats.delta_bytes = inc.delta_bytes;
-            (Arc::new(inc.output), inc.delta)
-        } else {
-            (Arc::new(mv.plan.execute(&source)?), None)
-        };
-        let elapsed = started.elapsed().as_secs_f64();
-        stats.read_s = source.read_s.get();
-        stats.compute_s = (elapsed - stats.read_s).max(0.0);
-        stats.memory_reads = source.memory_reads.get();
-        stats.disk_reads = source.disk_reads.get();
-        // Encode the published delta once for spill and/or catalog.
-        let delta_table = match &delta {
-            Some(d) if dp.spill[idx] || dp.delta_payload[idx] => Some(Arc::new(d.to_table()?)),
-            _ => None,
-        };
-        if dp.spill[idx] {
-            let w = Instant::now();
-            self.disk.write_table(
-                &delta_entry_name(&mv.name),
-                delta_table.as_ref().expect("spill implies published delta"),
-            )?;
-            stats.spill_write_s = w.elapsed().as_secs_f64();
-        }
-        (stats.output_bytes, stats.rows, stats.appended_bytes) =
-            self.stored_output_metrics(&mv.name, &output, dp.append[idx]);
-        Ok(ComputedNode {
-            output,
-            delta_table,
-            stats,
-        })
-    }
-
     /// The refresh executor (§III-C): `lanes` lanes — the calling thread
     /// plus `lanes - 1` scoped workers — take queued blocking writes and
     /// the nodes [`sc_core::Dispatch`] lets start, and one background
@@ -1138,13 +1141,14 @@ impl<'a> Controller<'a> {
     /// nodes strictly in `plan.order`: the paper's sequential controller
     /// is this executor with a pool of one.
     ///
-    /// The Memory Catalog is driven by [`sc_core::AdmissionReplay`]: a
-    /// flagged node is admitted (or falls back to a blocking write) when
-    /// the computed prefix reaches it, and an entry is released when the
-    /// prefix passes its last consumer — admit first, then release, in
-    /// plan order. Catalog contents therefore depend only on the plan and
-    /// the output sizes, never on which lane finished first: flag
-    /// outcomes and `peak_memory_bytes` are the same at every lane count.
+    /// The run's Memory Catalog is driven by [`sc_core::AdmissionReplay`]
+    /// alone: a flagged node is admitted (or falls back to a blocking
+    /// write) when the computed prefix reaches it, and an entry is
+    /// released when the prefix passes its last consumer — admit first,
+    /// then release, in plan order. Catalog contents therefore depend only
+    /// on the plan and the output sizes, never on which lane finished
+    /// first: flag outcomes and `peak_memory_bytes` (the replay's peak)
+    /// are the same at every lane count.
     fn execute(
         &self,
         mvs: &[MvDefinition],
@@ -1184,7 +1188,7 @@ impl<'a> Controller<'a> {
                     &plan.order,
                     &dp.flagged,
                     &parents,
-                    self.memory.budget(),
+                    self.budget,
                 ),
                 computed: vec![false; n],
                 sizes: vec![0; n],
@@ -1195,10 +1199,10 @@ impl<'a> Controller<'a> {
                 bg_pending: 0,
                 error: None,
             }),
+            resident: Mutex::new(HashMap::new()),
             wake: Condvar::new(),
         };
 
-        self.memory.reset_peak();
         let run_started = Instant::now();
         let final_drain_s = std::thread::scope(|scope| {
             scope.spawn(|| run.materialize(bg_rx));
@@ -1230,7 +1234,8 @@ impl<'a> Controller<'a> {
         Ok(RunMetrics {
             total_s: run_started.elapsed().as_secs_f64(),
             nodes,
-            peak_memory_bytes: self.memory.peak(),
+            peak_memory_bytes: st.replay.peak(),
+            memory_budget_bytes: self.budget,
             final_drain_s,
             gc_failed_deletes: 0,
             observation_save_error: None,
@@ -1375,12 +1380,11 @@ mod tests {
         mvs
     }
 
-    fn setup(budget: u64) -> (tempfile::TempDir, DiskCatalog, MemoryCatalog) {
+    fn setup() -> (tempfile::TempDir, DiskCatalog) {
         let dir = tempfile::tempdir().unwrap();
         let disk = DiskCatalog::open(dir.path()).unwrap();
         disk.write_table("base", &base_table(500)).unwrap();
-        let mem = MemoryCatalog::new(budget);
-        (dir, disk, mem)
+        (dir, disk)
     }
 
     fn plan_for(mvs: &[MvDefinition], flagged: &[usize]) -> Plan {
@@ -1393,16 +1397,17 @@ mod tests {
 
     #[test]
     fn unflagged_run_materializes_everything() {
-        let (_dir, disk, mem) = setup(1 << 20);
+        let (_dir, disk) = setup();
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[]);
-        let metrics = Controller::new(&disk, &mem).refresh(&mvs, &plan).unwrap();
+        let metrics = Controller::new(&disk, 1 << 20)
+            .refresh(&mvs, &plan)
+            .unwrap();
         assert_eq!(metrics.nodes.len(), 3);
         for mv in &mvs {
             assert!(disk.contains(&mv.name), "{} must be persisted", mv.name);
         }
         assert_eq!(metrics.peak_memory_bytes, 0);
-        assert!(mem.is_empty());
         // Unflagged nodes pay blocking writes.
         assert!(metrics.nodes.iter().all(|n| n.write_s >= 0.0 && !n.flagged));
         // mv2/mv3 read mv1 from disk.
@@ -1411,14 +1416,14 @@ mod tests {
 
     #[test]
     fn flagged_run_produces_identical_tables() {
-        let (_dir1, disk1, mem1) = setup(1 << 20);
-        let (_dir2, disk2, mem2) = setup(1 << 20);
+        let (_dir1, disk1) = setup();
+        let (_dir2, disk2) = setup();
         let mvs = fig4_workload();
 
-        Controller::new(&disk1, &mem1)
+        Controller::new(&disk1, 1 << 20)
             .refresh(&mvs, &plan_for(&mvs, &[]))
             .unwrap();
-        Controller::new(&disk2, &mem2)
+        Controller::new(&disk2, 1 << 20)
             .refresh(&mvs, &plan_for(&mvs, &[0]))
             .unwrap();
 
@@ -1434,10 +1439,12 @@ mod tests {
 
     #[test]
     fn flagged_node_served_from_memory_and_released() {
-        let (_dir, disk, mem) = setup(1 << 20);
+        let (_dir, disk) = setup();
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[0]);
-        let metrics = Controller::new(&disk, &mem).refresh(&mvs, &plan).unwrap();
+        let metrics = Controller::new(&disk, 1 << 20)
+            .refresh(&mvs, &plan)
+            .unwrap();
         // mv1 flagged: no blocking write, consumers read from memory.
         assert!(metrics.nodes[0].flagged);
         assert_eq!(metrics.nodes[0].write_s, 0.0);
@@ -1445,17 +1452,17 @@ mod tests {
         assert_eq!(metrics.nodes[1].disk_reads, 0);
         assert_eq!(metrics.nodes[2].memory_reads, 1);
         // Released at the end; still persisted.
-        assert!(mem.is_empty());
         assert!(disk.contains("mv1"));
         assert!(metrics.peak_memory_bytes > 0);
     }
 
     #[test]
     fn memory_pressure_falls_back_to_disk() {
-        let (_dir, disk, mem) = setup(16); // comically small budget
+        let (_dir, disk) = setup();
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[0]);
-        let metrics = Controller::new(&disk, &mem).refresh(&mvs, &plan).unwrap();
+        // A comically small budget.
+        let metrics = Controller::new(&disk, 16).refresh(&mvs, &plan).unwrap();
         assert!(metrics.nodes[0].fell_back);
         assert!(!metrics.nodes[0].flagged);
         assert!(disk.contains("mv1"));
@@ -1465,9 +1472,9 @@ mod tests {
 
     #[test]
     fn rejects_invalid_plans() {
-        let (_dir, disk, mem) = setup(1 << 20);
+        let (_dir, disk) = setup();
         let mvs = fig4_workload();
-        let c = Controller::new(&disk, &mem);
+        let c = Controller::new(&disk, 1 << 20);
         // Wrong length.
         let bad = Plan {
             order: vec![NodeId(0)],
@@ -1508,11 +1515,10 @@ mod tests {
     fn missing_base_table_fails_cleanly() {
         let dir = tempfile::tempdir().unwrap();
         let disk = DiskCatalog::open(dir.path()).unwrap();
-        let mem = MemoryCatalog::new(1 << 20);
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[]);
         assert!(matches!(
-            Controller::new(&disk, &mem).refresh(&mvs, &plan),
+            Controller::new(&disk, 1 << 20).refresh(&mvs, &plan),
             Err(EngineError::UnknownTable(_))
         ));
     }
@@ -1520,9 +1526,18 @@ mod tests {
     #[test]
     fn failed_run_drains_catalog_and_allows_retry() {
         // mv1 is flagged and admitted, then mv_bad fails on a missing
-        // table: the admitted entry must not leak — a leaked entry would
-        // shrink the budget and make the retry's insert collide.
-        let (_dir, disk, mem) = setup(1 << 20);
+        // table. The admitted entry dies with its run, so a retry on the
+        // same directory gets the whole budget: it flags the same nodes
+        // and peaks at the same bytes as a first run on a fresh one.
+        let good = fig4_workload();
+        let good_plan = plan_for(&good, &[0]);
+        let (_fresh_dir, fresh) = setup();
+        let first = Controller::new(&fresh, 1 << 20)
+            .refresh(&good, &good_plan)
+            .unwrap();
+        assert!(first.nodes[0].flagged && first.peak_memory_bytes > 0);
+
+        let (_dir, disk) = setup();
         let mut mvs = fig4_workload();
         mvs.push(MvDefinition::new(
             "mv_bad",
@@ -1530,23 +1545,34 @@ mod tests {
         ));
         let bad_plan = plan_for(&mvs, &[0]);
         for lanes in [1usize, 4] {
-            let c = Controller::new(&disk, &mem).with_lanes(lanes);
+            let c = Controller::new(&disk, 1 << 20).with_lanes(lanes);
             assert!(matches!(
                 c.refresh(&mvs, &bad_plan),
                 Err(EngineError::UnknownTable(_))
             ));
-            assert!(
-                mem.is_empty(),
-                "{lanes}-lane failed run must drain the catalog"
-            );
         }
-        // A valid workload on the same catalogs succeeds afterwards.
-        let good = fig4_workload();
-        let metrics = Controller::new(&disk, &mem)
-            .refresh(&good, &plan_for(&good, &[0]))
+        let retry = Controller::new(&disk, 1 << 20)
+            .refresh(&good, &good_plan)
             .unwrap();
-        assert!(metrics.nodes[0].flagged);
-        assert!(mem.is_empty());
+        let flags = |m: &RunMetrics| m.nodes.iter().map(|n| n.flagged).collect::<Vec<_>>();
+        assert_eq!(flags(&retry), flags(&first));
+        assert_eq!(retry.peak_memory_bytes, first.peak_memory_bytes);
+    }
+
+    #[test]
+    fn every_run_reclaims_a_stale_delta_spill() {
+        // A process that died between a delta spill and the end of its
+        // run leaves `mv1#delta` committed. mv1 then runs Full — it
+        // publishes no delta — and the run still drops the spill.
+        let (_dir, disk) = setup();
+        let mvs = fig4_workload();
+        let stale = delta_entry_name("mv1");
+        disk.write_table(&stale, &base_table(3)).unwrap();
+        let m = Controller::new(&disk, 1 << 20)
+            .refresh(&mvs, &plan_for(&mvs, &[0]))
+            .unwrap();
+        assert_eq!(m.nodes[0].mode, NodeMode::Full);
+        assert!(!disk.contains(&stale), "stale spill reclaimed");
     }
 
     #[test]
@@ -1562,13 +1588,12 @@ mod tests {
         };
         let disk = DiskCatalog::open_throttled(dir.path(), slow).unwrap();
         disk.write_table("base", &base_table(4000)).unwrap();
-        let mem = MemoryCatalog::new(1 << 22);
         let mvs = fig4_workload();
 
-        let base = Controller::new(&disk, &mem)
+        let base = Controller::new(&disk, 1 << 22)
             .refresh(&mvs, &plan_for(&mvs, &[]))
             .unwrap();
-        let sc = Controller::new(&disk, &mem)
+        let sc = Controller::new(&disk, 1 << 22)
             .refresh(&mvs, &plan_for(&mvs, &[0]))
             .unwrap();
         assert!(
@@ -1577,14 +1602,13 @@ mod tests {
             sc.total_s,
             base.total_s
         );
-        assert!(mem.is_empty());
     }
 
     #[test]
     fn run_metrics_sums() {
-        let (_dir, disk, mem) = setup(1 << 20);
+        let (_dir, disk) = setup();
         let mvs = fig4_workload();
-        let m = Controller::new(&disk, &mem)
+        let m = Controller::new(&disk, 1 << 20)
             .refresh(&mvs, &plan_for(&mvs, &[]))
             .unwrap();
         assert!(m.total_read_s() >= 0.0);
@@ -1596,13 +1620,15 @@ mod tests {
     #[test]
     fn four_lanes_match_one_lane_outputs() {
         for flags in [vec![], vec![0usize]] {
-            let (_dir1, disk1, mem1) = setup(1 << 20);
-            let (_dir2, disk2, mem2) = setup(1 << 20);
+            let (_dir1, disk1) = setup();
+            let (_dir2, disk2) = setup();
             let mvs = fig4_workload();
             let plan = plan_for(&mvs, &flags);
 
-            let one = Controller::new(&disk1, &mem1).refresh(&mvs, &plan).unwrap();
-            let four = Controller::new(&disk2, &mem2)
+            let one = Controller::new(&disk1, 1 << 20)
+                .refresh(&mvs, &plan)
+                .unwrap();
+            let four = Controller::new(&disk2, 1 << 20)
                 .with_lanes(4)
                 .refresh(&mvs, &plan)
                 .unwrap();
@@ -1623,17 +1649,16 @@ mod tests {
                     mv.name
                 );
             }
-            assert!(mem2.is_empty(), "4-lane run must drain the catalog");
         }
     }
 
     #[test]
     fn three_lane_wide_workload_all_flag_patterns() {
         for flags in [vec![], vec![0usize, 1, 2, 3], vec![0, 2]] {
-            let (_dir, disk, mem) = setup(4 << 20);
+            let (_dir, disk) = setup();
             let mvs = wide_workload();
             let plan = plan_for(&mvs, &flags);
-            let m = Controller::new(&disk, &mem)
+            let m = Controller::new(&disk, 4 << 20)
                 .with_lanes(3)
                 .refresh(&mvs, &plan)
                 .unwrap();
@@ -1641,7 +1666,6 @@ mod tests {
             for mv in &mvs {
                 assert!(disk.contains(&mv.name), "{} must be persisted", mv.name);
             }
-            assert!(mem.is_empty());
             // The sink consumed every wi; row conservation holds.
             let sink = m.nodes.iter().find(|n| n.name == "sink").unwrap();
             let parts: usize = m
@@ -1656,24 +1680,23 @@ mod tests {
 
     #[test]
     fn two_lanes_respect_memory_pressure_fallback() {
-        let (_dir, disk, mem) = setup(16);
+        let (_dir, disk) = setup();
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[0]);
-        let m = Controller::new(&disk, &mem)
+        let m = Controller::new(&disk, 16)
             .with_lanes(2)
             .refresh(&mvs, &plan)
             .unwrap();
         assert!(m.nodes[0].fell_back);
         assert!(!m.nodes[0].flagged);
         assert!(disk.contains("mv1"));
-        assert!(mem.is_empty());
     }
 
     #[test]
     fn four_lanes_reject_invalid_plans_too() {
-        let (_dir, disk, mem) = setup(1 << 20);
+        let (_dir, disk) = setup();
         let mvs = fig4_workload();
-        let c = Controller::new(&disk, &mem).with_lanes(4);
+        let c = Controller::new(&disk, 1 << 20).with_lanes(4);
         let bad = Plan {
             order: vec![NodeId(1), NodeId(0), NodeId(2)],
             flagged: FlagSet::none(3),
@@ -1688,11 +1711,10 @@ mod tests {
     fn two_lane_missing_base_table_fails_cleanly() {
         let dir = tempfile::tempdir().unwrap();
         let disk = DiskCatalog::open(dir.path()).unwrap();
-        let mem = MemoryCatalog::new(1 << 20);
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[]);
         assert!(matches!(
-            Controller::new(&disk, &mem)
+            Controller::new(&disk, 1 << 20)
                 .with_lanes(2)
                 .refresh(&mvs, &plan),
             Err(EngineError::UnknownTable(_))
@@ -1716,7 +1738,6 @@ mod tests {
         };
         let disk = DiskCatalog::open_throttled(dir.path(), slow).unwrap();
         disk.write_table("base", &base_table(4000)).unwrap();
-        let mem = MemoryCatalog::new(1 << 22);
         let mvs: Vec<MvDefinition> = (0..4)
             .map(|i| {
                 MvDefinition::new(
@@ -1727,8 +1748,10 @@ mod tests {
             .collect();
         let plan = plan_for(&mvs, &[]);
 
-        let one = Controller::new(&disk, &mem).refresh(&mvs, &plan).unwrap();
-        let four = Controller::new(&disk, &mem)
+        let one = Controller::new(&disk, 1 << 22)
+            .refresh(&mvs, &plan)
+            .unwrap();
+        let four = Controller::new(&disk, 1 << 22)
             .with_lanes(4)
             .refresh(&mvs, &plan)
             .unwrap();
@@ -1775,21 +1798,23 @@ mod tests {
         let plan = plan_for(&mvs, &[0, 2]);
 
         // Measure hub_p's output size with a roomy budget first.
-        let (_dir0, disk0, mem0) = setup(64 << 20);
-        let probe = Controller::new(&disk0, &mem0).refresh(&mvs, &plan).unwrap();
+        let (_dir0, disk0) = setup();
+        let probe = Controller::new(&disk0, 64 << 20)
+            .refresh(&mvs, &plan)
+            .unwrap();
         let hub_bytes = probe.nodes[0].output_bytes;
         let tight = hub_bytes + hub_bytes / 4; // fits one hub, not two
 
-        let (_dir1, disk1, mem1) = setup(tight);
-        let one = Controller::new(&disk1, &mem1).refresh(&mvs, &plan).unwrap();
+        let (_dir1, disk1) = setup();
+        let one = Controller::new(&disk1, tight).refresh(&mvs, &plan).unwrap();
         assert!(
             one.nodes[0].flagged && one.nodes[2].flagged,
             "one lane admits both in turn"
         );
 
         for _ in 0..10 {
-            let (_dir2, disk2, mem2) = setup(tight);
-            let four = Controller::new(&disk2, &mem2)
+            let (_dir2, disk2) = setup();
+            let four = Controller::new(&disk2, tight)
                 .with_lanes(4)
                 .refresh(&mvs, &plan)
                 .unwrap();
@@ -1806,7 +1831,6 @@ mod tests {
                     a.name
                 );
             }
-            assert!(mem2.is_empty());
         }
     }
 
@@ -1849,10 +1873,10 @@ mod tests {
 
     #[test]
     fn one_lane_starts_nodes_strictly_in_plan_order() {
-        let (_dir, disk, mem) = setup(4 << 20);
+        let (_dir, disk) = setup();
         let (mvs, plan) = fan_workload(9);
         let log = Mutex::new(Vec::new());
-        let mut c = Controller::new(&disk, &mem);
+        let mut c = Controller::new(&disk, 4 << 20);
         c.dispatch_log = Some(&log);
         c.refresh(&mvs, &plan).unwrap();
         // Every node started exactly when all earlier plan positions had
@@ -1863,7 +1887,7 @@ mod tests {
 
     #[test]
     fn run_ahead_is_bounded_by_the_derived_window() {
-        let (_dir, disk, mem) = setup(4 << 20);
+        let (_dir, disk) = setup();
         let (mvs, plan) = fan_workload(20);
         let window = sc_core::run_ahead_window(3);
         assert!(
@@ -1871,7 +1895,7 @@ mod tests {
             "the workload must outrun the window"
         );
         let log = Mutex::new(Vec::new());
-        let mut c = Controller::new(&disk, &mem).with_lanes(3);
+        let mut c = Controller::new(&disk, 4 << 20).with_lanes(3);
         c.dispatch_log = Some(&log);
         let m = c.refresh(&mvs, &plan).unwrap();
         assert_eq!(m.nodes.len(), mvs.len());
@@ -1904,8 +1928,8 @@ mod tests {
         };
         let mut peaks = Vec::new();
         for lanes in [1usize, 2, 4] {
-            let (_dir, disk, mem) = setup(4 << 20);
-            let m = Controller::new(&disk, &mem)
+            let (_dir, disk) = setup();
+            let m = Controller::new(&disk, 4 << 20)
                 .with_lanes(lanes)
                 .refresh(&mvs, &plan)
                 .unwrap();
@@ -1915,10 +1939,9 @@ mod tests {
                 sizes[v.index()] = node.output_bytes;
             }
             let mut replay =
-                sc_core::AdmissionReplay::new(&plan.order, &plan.flagged, &parents, mem.budget());
+                sc_core::AdmissionReplay::new(&plan.order, &plan.flagged, &parents, 4 << 20);
             replay.advance(&vec![true; mvs.len()], &sizes);
             assert_eq!(m.peak_memory_bytes, replay.peak(), "lanes={lanes}");
-            assert!(mem.is_empty());
             peaks.push(m.peak_memory_bytes);
         }
         assert!(peaks[0] > 0);
@@ -1974,18 +1997,17 @@ mod tests {
                 let disk = DiskCatalog::open(dir.path()).unwrap();
                 disk.write_table("base", &delta_rows(0..400)).unwrap();
                 disk.write_table("side", &delta_rows(0..50)).unwrap();
-                let mem = MemoryCatalog::new(8 << 20);
-                Controller::new(&disk, &mem)
+                Controller::new(&disk, 8 << 20)
                     .with_lanes(lanes)
                     .refresh(&mvs, &plan)
                     .unwrap();
-                disks.push((disk, mem));
+                disks.push(disk);
             }
 
             // Same churn on both systems; one refreshes incrementally.
             let full_store = DeltaStore::new();
             let inc_store = DeltaStore::new();
-            for ((disk, _), store) in disks.iter().zip([&full_store, &inc_store]) {
+            for (disk, store) in disks.iter().zip([&full_store, &inc_store]) {
                 store
                     .ingest(
                         disk,
@@ -1995,16 +2017,16 @@ mod tests {
                     .unwrap();
             }
 
-            let (disk_full, mem_full) = &disks[0];
-            let full = Controller::new(disk_full, mem_full)
+            let disk_full = &disks[0];
+            let full = Controller::new(disk_full, 8 << 20)
                 .with_delta_store(&full_store)
                 .with_refresh_config(
                     RefreshConfig::with_lanes(lanes).with_refresh_mode(RefreshMode::AlwaysFull),
                 )
                 .refresh(&mvs, &plan)
                 .unwrap();
-            let (disk_inc, mem_inc) = &disks[1];
-            let inc = Controller::new(disk_inc, mem_inc)
+            let disk_inc = &disks[1];
+            let inc = Controller::new(disk_inc, 8 << 20)
                 .with_delta_store(&inc_store)
                 .with_refresh_config(
                     RefreshConfig::with_lanes(lanes)
@@ -2036,7 +2058,6 @@ mod tests {
                 "untouched branch must be skipped"
             );
             assert!(by_name(&inc, "big_rows").delta_bytes > 0);
-            assert!(mem_inc.is_empty());
             assert!(inc_store.is_empty(), "successful refresh consumes the log");
             // Spilled delta files must not survive the run.
             assert!(!disk_inc.contains(&delta_entry_name("big_rows")));
@@ -2048,13 +2069,15 @@ mod tests {
         // An attached-but-empty log means "no delta tracking", not "skip
         // everything": profiling runs must observe real work, and the
         // active snapshot still catches batches ingested mid-run.
-        let (_dir, disk, mem) = setup(1 << 20);
+        let (_dir, disk) = setup();
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[]);
-        Controller::new(&disk, &mem).refresh(&mvs, &plan).unwrap();
+        Controller::new(&disk, 1 << 20)
+            .refresh(&mvs, &plan)
+            .unwrap();
 
         let store = DeltaStore::new();
-        let m = Controller::new(&disk, &mem)
+        let m = Controller::new(&disk, 1 << 20)
             .with_delta_store(&store)
             .refresh(&mvs, &plan)
             .unwrap();
@@ -2077,10 +2100,9 @@ mod tests {
         let disk = DiskCatalog::open(dir.path()).unwrap();
         disk.write_table("base", &delta_rows(0..400)).unwrap();
         disk.write_table("side", &delta_rows(0..50)).unwrap();
-        let mem = MemoryCatalog::new(8 << 20);
         let mvs = delta_workload();
         let plan = plan_for(&mvs, &[0]);
-        let c = Controller::new(&disk, &mem);
+        let c = Controller::new(&disk, 8 << 20);
         let probe = c.refresh(&mvs, &plan).unwrap();
         let full_flag_peak = probe.peak_memory_bytes;
         assert!(full_flag_peak > 0);
@@ -2093,7 +2115,7 @@ mod tests {
                 crate::exec::TableDelta::insert_only(delta_rows(400..420)),
             )
             .unwrap();
-        let inc = Controller::new(&disk, &mem)
+        let inc = Controller::new(&disk, 8 << 20)
             .with_delta_store(&store)
             .with_refresh_config(
                 RefreshConfig::default().with_refresh_mode(RefreshMode::AlwaysIncremental),
@@ -2109,7 +2131,6 @@ mod tests {
             "delta-sized reservation ({}) must be far below the full table ({full_flag_peak})",
             inc.peak_memory_bytes
         );
-        assert!(mem.is_empty());
     }
 
     #[test]
@@ -2122,10 +2143,9 @@ mod tests {
         let disk = DiskCatalog::open(dir.path()).unwrap();
         disk.write_table("base", &delta_rows(0..400)).unwrap();
         disk.write_table("side", &delta_rows(0..50)).unwrap();
-        let mem = MemoryCatalog::new(8 << 20);
         let good = delta_workload();
         let good_plan = plan_for(&good, &[]);
-        Controller::new(&disk, &mem)
+        Controller::new(&disk, 8 << 20)
             .refresh(&good, &good_plan)
             .unwrap();
 
@@ -2143,7 +2163,7 @@ mod tests {
         let mut doomed = delta_workload();
         doomed.push(MvDefinition::new("boom", LogicalPlan::scan("no_such")));
         let doomed_plan = plan_for(&doomed, &[]);
-        let err = Controller::new(&disk, &mem)
+        let err = Controller::new(&disk, 8 << 20)
             .with_delta_store(&store)
             .with_refresh_config(
                 RefreshConfig::default().with_refresh_mode(RefreshMode::AlwaysIncremental),
@@ -2155,7 +2175,7 @@ mod tests {
 
         // Retry on the good set: every delta-reached node recomputes in
         // full; results match a system that never failed.
-        let retry = Controller::new(&disk, &mem)
+        let retry = Controller::new(&disk, 8 << 20)
             .with_delta_store(&store)
             .refresh(&good, &good_plan)
             .unwrap();
@@ -2167,8 +2187,7 @@ mod tests {
         let disk2 = DiskCatalog::open(dir2.path()).unwrap();
         disk2.write_table("base", &delta_rows(0..400)).unwrap();
         disk2.write_table("side", &delta_rows(0..50)).unwrap();
-        let mem2 = MemoryCatalog::new(8 << 20);
-        Controller::new(&disk2, &mem2)
+        Controller::new(&disk2, 8 << 20)
             .refresh(&good, &good_plan)
             .unwrap();
         let base2 = disk2.read_table("base").unwrap();
@@ -2176,7 +2195,7 @@ mod tests {
         disk2
             .write_table("base", &delta.apply(&base2).unwrap())
             .unwrap();
-        Controller::new(&disk2, &mem2)
+        Controller::new(&disk2, 8 << 20)
             .refresh(&good, &good_plan)
             .unwrap();
         for mv in &good {
@@ -2200,10 +2219,9 @@ mod tests {
         let disk = DiskCatalog::open(dir.path()).unwrap();
         disk.write_table("base", &delta_rows(0..2000)).unwrap();
         disk.write_table("side", &delta_rows(0..50)).unwrap();
-        let mem = MemoryCatalog::new(8 << 20);
         let mvs = delta_workload();
         let plan = plan_for(&mvs, &[]);
-        let c = Controller::new(&disk, &mem);
+        let c = Controller::new(&disk, 8 << 20);
         c.refresh(&mvs, &plan).unwrap();
 
         let store = DeltaStore::new();
@@ -2214,7 +2232,7 @@ mod tests {
                 crate::exec::TableDelta::insert_only(delta_rows(2000..2040)),
             )
             .unwrap();
-        let auto = Controller::new(&disk, &mem)
+        let auto = Controller::new(&disk, 8 << 20)
             .with_delta_store(&store)
             .refresh(&mvs, &plan)
             .unwrap();
@@ -2255,7 +2273,7 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        let auto = Controller::new(&disk, &mem)
+        let auto = Controller::new(&disk, 8 << 20)
             .with_delta_store(&store)
             .refresh(&mvs, &plan)
             .unwrap();

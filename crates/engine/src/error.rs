@@ -28,15 +28,6 @@ pub enum EngineError {
     },
     /// Division by zero or a similar arithmetic fault.
     Arithmetic(String),
-    /// Creating a table in the Memory Catalog would exceed its budget.
-    MemoryBudgetExceeded {
-        /// Bytes the insert asked for.
-        requested: u64,
-        /// Bytes already resident.
-        used: u64,
-        /// The catalog's configured budget `M`.
-        budget: u64,
-    },
     /// The on-disk file was not a valid table (corrupt or truncated).
     Corrupt(String),
     /// The catalog directory is already owned by another open handle
@@ -72,7 +63,6 @@ impl EngineError {
             EngineError::TableExists(_) => "table_exists",
             EngineError::ArityMismatch { .. } => "arity_mismatch",
             EngineError::Arithmetic(_) => "arithmetic",
-            EngineError::MemoryBudgetExceeded { .. } => "memory_budget_exceeded",
             EngineError::Corrupt(_) => "corrupt",
             EngineError::CatalogLocked(_) => "catalog_locked",
             EngineError::NameCollision { .. } => "name_collision",
@@ -86,8 +76,15 @@ impl EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::TypeMismatch { expected, got, context } => {
-                write!(f, "type mismatch in {context}: expected {expected}, got {got}")
+            EngineError::TypeMismatch {
+                expected,
+                got,
+                context,
+            } => {
+                write!(
+                    f,
+                    "type mismatch in {context}: expected {expected}, got {got}"
+                )
             }
             EngineError::UnknownColumn(c) => write!(f, "unknown column '{c}'"),
             EngineError::UnknownTable(t) => write!(f, "unknown table '{t}'"),
@@ -96,10 +93,6 @@ impl fmt::Display for EngineError {
                 write!(f, "arity mismatch: expected {expected}, got {got}")
             }
             EngineError::Arithmetic(m) => write!(f, "arithmetic error: {m}"),
-            EngineError::MemoryBudgetExceeded { requested, used, budget } => write!(
-                f,
-                "memory catalog budget exceeded: requested {requested} B with {used}/{budget} B used"
-            ),
             EngineError::Corrupt(m) => write!(f, "corrupt table file: {m}"),
             EngineError::CatalogLocked(dir) => write!(
                 f,
@@ -158,14 +151,6 @@ mod tests {
                 "arity",
             ),
             (EngineError::Arithmetic("div by zero".into()), "arithmetic"),
-            (
-                EngineError::MemoryBudgetExceeded {
-                    requested: 10,
-                    used: 5,
-                    budget: 8,
-                },
-                "budget exceeded",
-            ),
             (EngineError::Corrupt("bad magic".into()), "corrupt"),
             (
                 EngineError::CatalogLocked("/data/sc".into()),

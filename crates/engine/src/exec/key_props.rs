@@ -2,18 +2,20 @@
 //! nested-loop / `BTreeMap` reference, on small random tables whose key
 //! columns mix the three key classes (`Int64`/`Date`/`Bool` as one
 //! integer, `Float64` by bits with ±0.0 and NaN, `Utf8` by bytes). Every
-//! case runs twice, the second time with every row hash forced equal, so
-//! the equality check behind a hash collision decides each lookup.
+//! case runs three times: under two hash seeds, whose outputs must agree
+//! byte for byte, and with every row hash forced equal, so the equality
+//! check behind a hash collision decides each lookup.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use super::keys::with_constant_hash;
+use super::keys::{with_constant_hash, with_hash_seed};
 use super::{
     aggregate, distinct, hash_join, merge_aggregate, merge_distinct, AggFunc, DeltaBatch, JoinType,
     TableDelta,
 };
+use crate::storage::format::encode;
 use crate::table::{Table, TableBuilder};
 use crate::types::{DataType, Value};
 
@@ -288,7 +290,8 @@ fn gen_delta(
     delta
 }
 
-fn check_joins(g: &mut Gen) {
+/// Checks every join shape of one case; appends each output to `outs`.
+fn check_joins(g: &mut Gen, outs: &mut Vec<Table>) {
     // Key pairs across classes: some can match (Int64 ⋈ Date, Bool ⋈
     // Int64), some never can (Int64 ⋈ Float64, Utf8 ⋈ Int64).
     let pairs = [
@@ -323,10 +326,13 @@ fn check_joins(g: &mut Gen) {
             ref_join(&left, &right, &on, how),
             "{how:?} on {on:?}"
         );
+        outs.push(out);
     }
 }
 
-fn check_groups(g: &mut Gen) {
+/// Checks every grouping operator of one case; appends each output to
+/// `outs`.
+fn check_groups(g: &mut Gen, outs: &mut Vec<Table>) {
     let mut cols: Vec<(String, DataType, bool)> = (0..g.below(3))
         .map(|i| (format!("k{i}"), g.pick(&KEY_TYPES), true))
         .collect();
@@ -374,11 +380,14 @@ fn check_groups(g: &mut Gen) {
     }
     let merged = merge_distinct(&stored_distinct, &delta).unwrap();
     assert_eq!(canon(&merged), ref_distinct(&grown));
+    outs.extend([stored, stored_distinct, grown, merged]);
 
     // Deletes: first-occurrence removal by full-row equality, and the
     // single-table encoding round-trips every batch.
     let delta = gen_delta(g, &t, &cols, true);
-    assert_eq!(canon(&delta.apply(&t).unwrap()), ref_apply(&t, &delta));
+    let applied = delta.apply(&t).unwrap();
+    assert_eq!(canon(&applied), ref_apply(&t, &delta));
+    outs.push(applied);
     let decoded = TableDelta::from_table(&delta.to_table().unwrap()).unwrap();
     assert_eq!(decoded.batches().len(), delta.batches().len());
     for (a, b) in decoded.batches().iter().zip(delta.batches()) {
@@ -392,17 +401,15 @@ proptest! {
 
     #[test]
     fn hash_operators_match_the_naive_reference(seed in 0u64..u64::MAX) {
-        for constant in [false, true] {
-            let run = || {
-                let mut g = Gen(seed);
-                check_joins(&mut g);
-                check_groups(&mut g);
-            };
-            if constant {
-                with_constant_hash(run);
-            } else {
-                run();
-            }
-        }
+        let run = || {
+            let mut g = Gen(seed);
+            let mut outs = Vec::new();
+            check_joins(&mut g, &mut outs);
+            check_groups(&mut g, &mut outs);
+            outs.iter().map(|t| encode(t).to_vec()).collect::<Vec<_>>()
+        };
+        let seeded = with_hash_seed(seed, run);
+        prop_assert!(with_hash_seed(!seed, run) == seeded, "output moved with the hash seed");
+        prop_assert!(with_constant_hash(run) == seeded, "output moved under collisions");
     }
 }

@@ -2,10 +2,15 @@
 //! distincts, the aggregate merge and delta delete matching.
 //!
 //! Key columns are hashed in place, a column at a time, into one `u64`
-//! per row ([`Keys`]). The hash only narrows the search: two rows are the
-//! same key when every key cell is equal, checked against the source
-//! columns, so a hash collision never merges two keys. Cell equality
-//! keeps three classes apart:
+//! per row ([`Keys`]), starting from a random seed drawn once per process,
+//! so keys that arrive over the wire cannot be chosen to collide and turn
+//! a join or group-by quadratic. No output depends on the seed: matches
+//! and groups come out in row order.
+//!
+//! The hash only narrows the search: two rows are the same key when every
+//! key cell is equal, checked against the source columns, so a hash
+//! collision never merges two keys. Cell equality keeps three classes
+//! apart:
 //!
 //! * `Int64`, `Bool` and `Date` compare as one `i64` (an `Int64 ⋈ Date`
 //!   join matches `5` with day `5`);
@@ -22,8 +27,10 @@
 //! and can compare rows of different tables, which is what lets the
 //! merge operators resume a stored result.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 use crate::column::Column;
 
@@ -50,8 +57,21 @@ fn finish(mut h: u64) -> u64 {
     h ^ (h >> 33)
 }
 
-fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = bytes.len() as u64;
+/// The process's hash seed: one draw from std's randomly keyed hasher.
+fn seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    #[cfg(test)]
+    if let Some(seed) = SEED_OVERRIDE.with(|c| c.get()) {
+        return seed;
+    }
+    *SEED.get_or_init(|| RandomState::new().hash_one(0u64))
+}
+
+/// Hashes a string's bytes from `seed`. The length is folded into the
+/// start state as well, so strings that differ only by trailing NULs in
+/// the zero-padded tail never collide, whatever the seed.
+fn hash_bytes(seed: u64, bytes: &[u8]) -> u64 {
+    let mut h = seed ^ bytes.len() as u64;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         h = mix(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
@@ -64,6 +84,20 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 thread_local! {
     static CONSTANT_HASH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static SEED_OVERRIDE: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with `seed` in place of the process's hash seed.
+#[cfg(test)]
+pub(crate) fn with_hash_seed<T>(seed: u64, f: impl FnOnce() -> T) -> T {
+    struct Reset(Option<u64>);
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            SEED_OVERRIDE.with(|c| c.set(self.0));
+        }
+    }
+    let _reset = Reset(SEED_OVERRIDE.with(|c| c.replace(Some(seed))));
+    f()
 }
 
 /// Runs `f` with every row hash forced to one value, so every lookup
@@ -115,7 +149,8 @@ pub(crate) struct Keys<'a> {
 impl<'a> Keys<'a> {
     /// Hashes `rows` rows of `cols` (no columns: every row is one key).
     pub(crate) fn new(cols: Vec<&'a Column>, rows: usize) -> Self {
-        let mut hashes = vec![0u64; rows];
+        let seed = seed();
+        let mut hashes = vec![seed; rows];
         for col in &cols {
             debug_assert_eq!(col.len(), rows);
             match col {
@@ -125,7 +160,7 @@ impl<'a> Keys<'a> {
                 Column::Float64(v) => fold(&mut hashes, v, f64::to_bits),
                 Column::Utf8(v) => {
                     for (h, s) in hashes.iter_mut().zip(v) {
-                        *h = mix(*h, hash_bytes(s.as_bytes()));
+                        *h = mix(*h, hash_bytes(seed, s.as_bytes()));
                     }
                 }
             }
@@ -324,6 +359,21 @@ mod tests {
         let s = Column::Utf8(vec!["x".into(), "x".into(), "y".into()]);
         assert!(same(&s, 0, &s, 1));
         assert!(!same(&s, 0, &s, 2));
+    }
+
+    #[test]
+    fn the_seed_moves_every_row_hash() {
+        let hashes = |seed, col: &Column| with_hash_seed(seed, || Keys::new(vec![col], 2).hashes);
+        for col in [
+            Column::Int64(vec![7, 8]),
+            Column::Utf8(vec!["a".into(), "long enough to chunk".into()]),
+        ] {
+            let (a, b) = (hashes(1, &col), hashes(2, &col));
+            assert!(a.iter().zip(&b).all(|(x, y)| x != y), "{col:?}");
+        }
+        // The string hash itself is seeded, and keeps the length apart.
+        assert_ne!(hash_bytes(1, b"abc"), hash_bytes(2, b"abc"));
+        assert_ne!(hash_bytes(1, b"a"), hash_bytes(1, b"a\0"));
     }
 
     #[test]

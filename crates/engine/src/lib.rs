@@ -12,16 +12,16 @@
 //! * a [`storage::DiskCatalog`] persisting tables in a self-describing
 //!   columnar file format, with an optional bandwidth/latency
 //!   [`storage::Throttle`] calibrated to the paper's disk;
-//! * a bounded [`storage::MemoryCatalog`] with peak-usage accounting;
 //! * an append-only delta log ([`storage::DeltaStore`]) and delta-aware
 //!   operators ([`exec::delta`]) enabling *incremental* MV maintenance:
 //!   refreshes apply only what changed, byte-identical to recomputation;
 //! * a [`controller::Controller`] that performs an MV refresh run for a
-//!   given [`sc_core::Plan`]: flagged nodes are created directly in memory,
-//!   materialized to storage in the background (in parallel with downstream
-//!   work, §III-C), and released once all their consumers finish; per node
-//!   it chooses full recompute vs delta maintenance vs skipping
-//!   ([`sc_core::RefreshMode`]).
+//!   given [`sc_core::Plan`]: flagged nodes are created directly in the
+//!   run's bounded Memory Catalog — admitted, and released once all their
+//!   consumers finish, by [`sc_core::AdmissionReplay`], the one budget
+//!   accounting — and materialized to storage in the background (in
+//!   parallel with downstream work, §III-C); per node it chooses full
+//!   recompute vs delta maintenance vs skipping ([`sc_core::RefreshMode`]).
 //!
 //! ```
 //! use sc_engine::prelude::*;
@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::expr::Expr;
     pub use crate::plan::{AggExpr, JoinType, LogicalPlan};
     pub use crate::schema::{Field, Schema};
-    pub use crate::storage::{DeltaStore, DiskCatalog, MemoryCatalog, ObservationStore, Throttle};
+    pub use crate::storage::{DeltaStore, DiskCatalog, ObservationStore, Throttle};
     pub use crate::table::{Table, TableBuilder};
     pub use crate::types::{DataType, Value};
 }

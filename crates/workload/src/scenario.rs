@@ -408,7 +408,6 @@ mod tests {
     use sc_core::Plan;
     use sc_dag::NodeId;
     use sc_engine::controller::Controller;
-    use sc_engine::storage::MemoryCatalog;
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::sales_pipeline(0.2, 42, 8 << 20).with_churn(ChurnRound::inserts(
@@ -499,9 +498,10 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let disk = DiskCatalog::open(dir.path()).unwrap();
         s.load_tables(&disk).unwrap();
-        let mem = MemoryCatalog::new(8 << 20);
         let plan = Plan::unoptimized((0..s.mvs.len()).map(NodeId).collect());
-        let metrics = Controller::new(&disk, &mem).refresh(&s.mvs, &plan).unwrap();
+        let metrics = Controller::new(&disk, 8 << 20)
+            .refresh(&s.mvs, &plan)
+            .unwrap();
         let store = DeltaStore::new();
 
         // A sidecar recorded against some other workload: its node names
@@ -540,9 +540,10 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let disk = DiskCatalog::open(dir.path()).unwrap();
         s.load_tables(&disk).unwrap();
-        let mem = MemoryCatalog::new(8 << 20);
         let plan = Plan::unoptimized((0..s.mvs.len()).map(NodeId).collect());
-        let metrics = Controller::new(&disk, &mem).refresh(&s.mvs, &plan).unwrap();
+        let metrics = Controller::new(&disk, 8 << 20)
+            .refresh(&s.mvs, &plan)
+            .unwrap();
         let store = DeltaStore::new();
         s.ingest_round(0, &disk, &store).unwrap();
 

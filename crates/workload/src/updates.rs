@@ -350,15 +350,15 @@ mod tests {
         use sc_core::Plan;
         use sc_dag::NodeId;
         use sc_engine::controller::Controller;
-        use sc_engine::storage::MemoryCatalog;
 
         let dir = tempfile::tempdir().unwrap();
         let disk = sc_engine::storage::DiskCatalog::open(dir.path()).unwrap();
         TinyTpcds::generate(0.3, 7).load_into(&disk).unwrap();
         let mvs = sales_pipeline();
-        let mem = MemoryCatalog::new(64 << 20);
         let plan = Plan::unoptimized((0..mvs.len()).map(NodeId).collect());
-        let metrics = Controller::new(&disk, &mem).refresh(&mvs, &plan).unwrap();
+        let metrics = Controller::new(&disk, 64 << 20)
+            .refresh(&mvs, &plan)
+            .unwrap();
         let mirror = |store: &DeltaStore| {
             mirror_workload(&mvs, &metrics, &disk, &store.snapshot(), None).unwrap()
         };

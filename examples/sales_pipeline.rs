@@ -69,13 +69,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = sys
         .dependency_graph()?
         .map(|_, name| (name.clone(), sizes[name.as_str()]));
-    let problem = CostModel::paper().build_problem(&graph, sys.memory().budget(), |_| None)?;
+    let problem = CostModel::paper().build_problem(&graph, sys.memory_budget(), |_| None)?;
     println!("\nplan: {}", plan.summary(&problem));
     println!(
         "speedup: {:.2}x (peak memory {} / {} bytes)",
         baseline.total_s / optimized.total_s,
         optimized.peak_memory_bytes,
-        sys.memory().budget()
+        sys.memory_budget()
     );
     Ok(())
 }

@@ -53,7 +53,7 @@ impl RefreshReport {
     pub fn explain(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "refresh of {} MVs ({}): {:.3}s end-to-end, peak memory {} bytes\n",
+            "refresh of {} MVs ({}): {:.3}s end-to-end, peak memory {} of {} bytes\n",
             self.metrics.nodes.len(),
             if self.profiled {
                 "profiling run, plan cached for next refresh"
@@ -62,6 +62,7 @@ impl RefreshReport {
             },
             self.metrics.total_s,
             self.metrics.peak_memory_bytes,
+            self.metrics.memory_budget_bytes,
         ));
         out.push_str(&format!(
             "{:<20} {:<12} {:<6} {:>10} {:>10} {:>4} {:>8} {:>8} {:>8} {:>4}  why\n",
@@ -177,6 +178,7 @@ mod tests {
                     NodeMetrics::skipped("quiet"),
                 ],
                 peak_memory_bytes: 2048,
+                memory_budget_bytes: 4096,
                 final_drain_s: 0.0,
                 gc_failed_deletes: 0,
                 observation_save_error: None,
@@ -193,7 +195,7 @@ mod tests {
         assert!(text.contains("applied the propagated delta"));
         assert!(text.contains("cost model"));
         assert!(text.contains("no pending change reaches it"));
-        assert!(text.contains("peak memory 2048"));
+        assert!(text.contains("peak memory 2048 of 4096 bytes"));
         assert!(
             text.contains("42 B persisted by appending"),
             "append totals surface: {text}"

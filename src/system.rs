@@ -32,7 +32,7 @@ use sc_engine::controller::{Controller, MvDefinition, RefreshConfig, RunMetrics}
 use sc_engine::exec::TableDelta;
 use sc_engine::plan::LogicalPlan;
 use sc_engine::storage::{
-    DeltaStore, DiskCatalog, EpochPin, MemoryCatalog, ObservationStore, Throttle, SIDECAR_FILE,
+    DeltaStore, DiskCatalog, EpochPin, ObservationStore, Throttle, SIDECAR_FILE,
 };
 use sc_engine::{EngineError, Table};
 use sc_workload::ScenarioSpec;
@@ -215,7 +215,7 @@ impl ScSessionBuilder {
         });
         Ok(ScSession {
             disk,
-            memory: MemoryCatalog::new(self.memory_budget),
+            memory_budget: self.memory_budget,
             cost: self.cost,
             refresh: self.refresh,
             deltas: DeltaStore::new(),
@@ -244,20 +244,21 @@ struct CachedPlan {
 }
 
 /// Plan-lifecycle state. The mutex around it doubles as the refresh run
-/// lock: concurrent [`ScSession::refresh`] calls serialize (the Memory
-/// Catalog accounting models one run at a time), while ingestion and
-/// reads proceed concurrently.
+/// lock: concurrent [`ScSession::refresh`] calls serialize (each run holds
+/// a Memory Catalog of the whole budget `M`, so two at once would hold
+/// twice that), while ingestion and reads proceed concurrently.
 struct Planner {
     cached: Option<CachedPlan>,
 }
 
-/// The S/C session: a disk catalog (external storage), a bounded Memory
-/// Catalog, a delta log, the registered MV definitions, and a managed
-/// optimizer plan — all behind interior mutability, so the session can be
-/// shared across threads as an `Arc<ScSession>`.
+/// The S/C session: a disk catalog (external storage), the Memory Catalog
+/// budget each refresh run is held to, a delta log, the registered MV
+/// definitions, and a managed optimizer plan — all behind interior
+/// mutability, so the session can be shared across threads as an
+/// `Arc<ScSession>`.
 pub struct ScSession {
     disk: DiskCatalog,
-    memory: MemoryCatalog,
+    memory_budget: u64,
     cost: CostModel,
     refresh: RefreshConfig,
     deltas: DeltaStore,
@@ -320,9 +321,10 @@ impl ScSession {
         &self.disk
     }
 
-    /// The Memory Catalog.
-    pub fn memory(&self) -> &MemoryCatalog {
-        &self.memory
+    /// The Memory Catalog budget `M`, in bytes, that every refresh run
+    /// is held to.
+    pub fn memory_budget(&self) -> u64 {
+        self.memory_budget
     }
 
     /// A snapshot of the registered MV definitions, in registration
@@ -426,7 +428,7 @@ impl ScSession {
         let graph = Self::graph_of(mvs)?.map(|_, name| (name.clone(), sizes[name.as_str()]));
         Ok(self
             .cost
-            .build_problem(&graph, self.memory.budget(), |_| None)?)
+            .build_problem(&graph, self.memory_budget, |_| None)?)
     }
 
     /// The pending delta log (changes ingested since the last refresh).
@@ -483,7 +485,7 @@ impl ScSession {
         // (every MV recomputes), and keeping the snapshot machinery active
         // means a batch ingested *during* this run is detected and
         // poisons the log instead of being double-applied next refresh.
-        let mut controller = Controller::new(&self.disk, &self.memory)
+        let mut controller = Controller::new(&self.disk, self.memory_budget)
             .with_cost_model(self.cost.clone())
             .with_refresh_config(self.refresh)
             .with_delta_store(&self.deltas);
@@ -731,7 +733,6 @@ mod tests {
         assert_eq!(baseline.nodes.len(), 9);
         assert_eq!(optimized.nodes.len(), 9);
         assert!(plan.flagged.count() > 0);
-        assert!(sys.memory().is_empty(), "memory catalog drained after run");
         for mv in sys.mvs() {
             assert!(sys.disk().contains(&mv.name));
         }
@@ -943,7 +944,6 @@ mod tests {
             .collect();
         assert!(skipped.contains(&"catalog_by_item"));
         assert!(skipped.contains(&"web_by_item"));
-        assert!(sys.memory().is_empty());
 
         // With the log drained, the next refresh recomputes as before.
         let again = sys.refresh_with_plan(&plan).unwrap();
@@ -951,6 +951,19 @@ mod tests {
             .nodes
             .iter()
             .all(|n| n.mode == sc_core::NodeMode::Full));
+    }
+
+    #[test]
+    fn explain_header_carries_the_session_budget() {
+        let (_dir, sys) = session();
+        let report = sys.refresh().unwrap();
+        let peak = report.metrics.peak_memory_bytes;
+        assert_eq!(report.metrics.memory_budget_bytes, sys.memory_budget());
+        let header = report.explain().lines().next().unwrap().to_string();
+        assert!(
+            header.ends_with(&format!("peak memory {peak} of {} bytes", 8 << 20)),
+            "{header}"
+        );
     }
 
     #[test]

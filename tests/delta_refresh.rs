@@ -21,7 +21,7 @@ use sc_engine::controller::{Controller, MvDefinition, RefreshConfig};
 use sc_engine::exec::AggFunc;
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
-use sc_engine::storage::{DeltaStore, DiskCatalog, MemoryCatalog};
+use sc_engine::storage::{DeltaStore, DiskCatalog};
 use sc_workload::engine_mvs::sales_pipeline;
 use sc_workload::tpcds::TinyTpcds;
 use sc_workload::updates::{generate_delta, JoinHubChurn, UpdateStreamSpec};
@@ -86,7 +86,7 @@ fn plan_for(mvs: &[MvDefinition], flagged: &[usize]) -> Plan {
 struct Rig {
     _dir: tempfile::TempDir,
     disk: DiskCatalog,
-    mem: MemoryCatalog,
+    budget: u64,
     store: DeltaStore,
 }
 
@@ -97,7 +97,7 @@ fn rig(budget: u64) -> Rig {
     Rig {
         _dir: dir,
         disk,
-        mem: MemoryCatalog::new(budget),
+        budget,
         store: DeltaStore::new(),
     }
 }
@@ -109,7 +109,7 @@ fn refresh(
     lanes: usize,
     mode: RefreshMode,
 ) -> sc_engine::RunMetrics {
-    Controller::new(&r.disk, &r.mem)
+    Controller::new(&r.disk, r.budget)
         .with_delta_store(&r.store)
         .with_refresh_config(RefreshConfig::with_lanes(lanes).with_refresh_mode(mode))
         .refresh(mvs, plan)
@@ -174,7 +174,6 @@ fn incremental_refresh_is_byte_identical_across_update_streams() {
                 mv_tables(&inc, &mvs),
                 "round {round}, lanes {lanes}: stored MVs must be row-identical"
             );
-            assert!(full.mem.is_empty() && inc.mem.is_empty());
             assert!(fm.nodes.iter().all(|n| n.mode == NodeMode::Full));
             let mode_of = |m: &sc_engine::RunMetrics, name: &str| {
                 m.nodes.iter().find(|n| n.name == name).unwrap().mode
@@ -310,7 +309,6 @@ fn delta_payload_admission_fits_where_full_tables_cannot() {
         );
         assert!(hub.delta_bytes > 0);
         assert!(im.peak_memory_bytes <= budget, "budget is never exceeded");
-        assert!(r.mem.is_empty());
     }
 
     // The same flag under a full refresh cannot fit and falls back.
@@ -371,7 +369,7 @@ fn join_hub_pipeline_maintained_incrementally_and_byte_identical() {
             ] {
                 assert_eq!(node(skipped).mode, NodeMode::Skipped, "{skipped}");
             }
-            assert!(inc.mem.is_empty() && inc.store.is_empty());
+            assert!(inc.store.is_empty());
             // The hub's fan-out delta lands as an appended segment.
             assert!(node("enriched_sales").appended_bytes > 0);
             assert_eq!(
@@ -428,7 +426,7 @@ fn auto_picks_delta_join_for_wide_hub() {
         hub.output_bytes
     );
     assert_eq!(node("web_by_item").mode, NodeMode::Skipped);
-    assert!(r.store.is_empty() && r.mem.is_empty());
+    assert!(r.store.is_empty());
 }
 
 /// Churning a *dimension* (build side) forces the hub — and transitively
@@ -517,7 +515,6 @@ fn spilled_delta_is_read_back_when_consumer_is_off_catalog() {
     assert_eq!(mv_file_bytes(&full, &mvs), mv_file_bytes(&inc, &mvs));
     // The spill is transient: gone once the run ends.
     assert!(!inc.disk.contains("hot_sales#delta"));
-    assert!(inc.mem.is_empty());
 }
 
 /// A batch ingested *while* a refresh runs may already be baked into the
@@ -541,7 +538,6 @@ fn concurrent_ingest_during_refresh_never_double_applies() {
     };
     let disk = DiskCatalog::open_throttled(dir.path(), slow).unwrap();
     TinyTpcds::generate(0.4, 42).load_into(&disk).unwrap();
-    let mem = MemoryCatalog::new(32 << 20);
     let store = DeltaStore::new();
     let mvs = vec![
         // ~100 KB of throttled reads (~100 ms) before anything else runs.
@@ -564,7 +560,9 @@ fn concurrent_ingest_during_refresh_never_double_applies() {
         ),
     ];
     let plan = plan_for(&mvs, &[]);
-    Controller::new(&disk, &mem).refresh(&mvs, &plan).unwrap();
+    Controller::new(&disk, 32 << 20)
+        .refresh(&mvs, &plan)
+        .unwrap();
 
     // Δ1 pends normally; Δ2 is ingested from another thread while the
     // refresh consuming Δ1 is in flight, through the same (throttled)
@@ -581,7 +579,7 @@ fn concurrent_ingest_during_refresh_never_double_applies() {
     let delta_2 = generate_delta(&sales, &UpdateStreamSpec::inserts(0.03), 22);
     std::thread::scope(|scope| {
         let refresh_thread = scope.spawn(|| {
-            Controller::new(&disk, &mem)
+            Controller::new(&disk, 32 << 20)
                 .with_delta_store(&store)
                 .with_refresh_config(
                     RefreshConfig::with_lanes(1).with_refresh_mode(RefreshMode::AlwaysFull),
@@ -596,7 +594,7 @@ fn concurrent_ingest_during_refresh_never_double_applies() {
     // If Δ2 landed mid-run it is already in the recomputed MVs and the
     // log must be poisoned; either way the retry must not double-apply.
     if store.is_poisoned() {
-        let retry = Controller::new(&disk, &mem)
+        let retry = Controller::new(&disk, 32 << 20)
             .with_delta_store(&store)
             .with_refresh_config(
                 RefreshConfig::with_lanes(1).with_refresh_mode(RefreshMode::AlwaysIncremental),
@@ -608,7 +606,7 @@ fn concurrent_ingest_during_refresh_never_double_applies() {
             "poisoned log must force full recomputes"
         );
     } else {
-        Controller::new(&disk, &mem)
+        Controller::new(&disk, 32 << 20)
             .with_delta_store(&store)
             .with_refresh_config(
                 RefreshConfig::with_lanes(1).with_refresh_mode(RefreshMode::AlwaysIncremental),
@@ -621,7 +619,7 @@ fn concurrent_ingest_during_refresh_never_double_applies() {
     // Control: same bases, same two streams, refreshed serially with no
     // concurrency. The victim must converge to exactly this state.
     let control = rig(32 << 20);
-    Controller::new(&control.disk, &control.mem)
+    Controller::new(&control.disk, control.budget)
         .refresh(&mvs, &plan)
         .unwrap();
     for seed in [21u64, 22] {
@@ -752,7 +750,7 @@ fn poisoned_log_retry_recomputes_join_hub_instead_of_double_applying() {
     let mut doomed = sales_pipeline();
     doomed.push(MvDefinition::new("boom", LogicalPlan::scan("no_such")));
     let doomed_plan = plan_for(&doomed, &[]);
-    let err = Controller::new(&victim.disk, &victim.mem)
+    let err = Controller::new(&victim.disk, victim.budget)
         .with_delta_store(&victim.store)
         .with_refresh_config(
             RefreshConfig::with_lanes(1).with_refresh_mode(RefreshMode::AlwaysIncremental),

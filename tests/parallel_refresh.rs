@@ -94,10 +94,6 @@ fn n_lane_refresh_is_byte_identical_to_one_lane_and_the_oracle() {
                     "{lanes} lanes, {budget} bytes: '{name}' differs from the oracle"
                 );
             }
-            assert!(
-                sys.memory().is_empty(),
-                "{lanes}-lane run must drain the catalog"
-            );
         }
     }
 }

@@ -26,7 +26,7 @@ use sc_engine::controller::{Controller, CostProvenance, MvDefinition};
 use sc_engine::exec::{AggFunc, TableDelta};
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
-use sc_engine::storage::{DeltaStore, DiskCatalog, MemoryCatalog, ObservationStore, SIDECAR_FILE};
+use sc_engine::storage::{DeltaStore, DiskCatalog, ObservationStore, SIDECAR_FILE};
 use sc_engine::{DataType, Table, TableBuilder, Value};
 use sc_sim::{SimConfig, SimNode, SimWorkload, Simulator};
 use sc_workload::engine_mvs::sales_pipeline;
@@ -248,7 +248,6 @@ fn doomed_run_and_poisoned_retry_teach_nothing() {
     let dir = tempfile::tempdir().unwrap();
     let disk = DiskCatalog::open(dir.path()).unwrap();
     disk.write_table("events", &events_rows(2_000, 0)).unwrap();
-    let mem = MemoryCatalog::new(1 << 20);
     let store = DeltaStore::new();
     let obs = ObservationStore::new();
     let mvs = vec![
@@ -266,7 +265,7 @@ fn doomed_run_and_poisoned_retry_teach_nothing() {
         flagged: FlagSet::none(2),
     };
     let run = |mvs: &[MvDefinition], plan: &Plan| {
-        Controller::new(&disk, &mem)
+        Controller::new(&disk, 1 << 20)
             .with_delta_store(&store)
             .with_observations(&obs)
             .refresh(mvs, plan)
@@ -393,7 +392,6 @@ fn child_decision_prices_post_update_parent_size() {
         base.push_row(vec![Value::Int64(i)]).unwrap();
     }
     disk.write_table("src", &base).unwrap();
-    let mem = MemoryCatalog::new(1 << 20);
     let store = DeltaStore::new();
     let pass_all = || Expr::col("v").ge(Expr::lit(0i64));
     let mvs = vec![
@@ -411,7 +409,7 @@ fn child_decision_prices_post_update_parent_size() {
         disk_latency_s: 0.0,
     };
     let run = || {
-        Controller::new(&disk, &mem)
+        Controller::new(&disk, 1 << 20)
             .with_delta_store(&store)
             .with_cost_model(cm.clone())
             .refresh(&mvs, &plan)

@@ -53,7 +53,7 @@ fn builder_defaults_are_the_documented_ones() {
         .build()
         .unwrap();
 
-    assert_eq!(defaulted.memory().budget(), explicit.memory().budget());
+    assert_eq!(defaulted.memory_budget(), explicit.memory_budget());
     assert_eq!(defaulted.refresh_config(), explicit.refresh_config());
 
     load_and_register(&defaulted);

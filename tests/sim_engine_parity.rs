@@ -394,5 +394,4 @@ fn concurrent_ingest_during_refresh_matches_sequential() {
             "'{name_a}' diverged between the concurrent and sequential rigs"
         );
     }
-    assert!(concurrent.memory().is_empty());
 }
