@@ -9,12 +9,11 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use sc_core::Plan;
 use sc_dag::NodeId;
-use sc_engine::controller::Controller;
 use sc_engine::exec::{self, AggFunc};
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
 use sc_engine::storage::{format, DiskCatalog};
-use sc_engine::{DataType, Table, TableBuilder, Value};
+use sc_engine::{DataType, ScSession, Table, TableBuilder, Value};
 use sc_workload::engine_mvs::sales_pipeline;
 use sc_workload::tpcds::TinyTpcds;
 
@@ -109,25 +108,31 @@ fn bench_read_path(c: &mut Criterion) {
 
 fn bench_refresh(c: &mut Criterion) {
     let dir = tempfile::tempdir().expect("tempdir");
-    let disk = DiskCatalog::open(dir.path()).expect("opens");
+    let session = ScSession::builder()
+        .storage_dir(dir.path())
+        .runtime_feedback(false)
+        .build()
+        .expect("opens");
     TinyTpcds::generate(0.5, 42)
-        .load_into(&disk)
+        .load_into(session.disk())
         .expect("ingests");
-    let mvs = sales_pipeline();
-    let order: Vec<NodeId> = (0..mvs.len()).map(NodeId).collect();
+    for mv in sales_pipeline() {
+        session.register_mv(mv).expect("registers");
+    }
+    let n = session.mv_count();
+    let order: Vec<NodeId> = (0..n).map(NodeId).collect();
     let baseline = Plan::unoptimized(order.clone());
     let flagged = Plan {
         order,
-        flagged: sc_core::FlagSet::from_nodes(mvs.len(), [NodeId(0), NodeId(5), NodeId(6)]),
+        flagged: sc_core::FlagSet::from_nodes(n, [NodeId(0), NodeId(5), NodeId(6)]),
     };
-    let controller = Controller::new(&disk, 64 << 20);
     let mut g = c.benchmark_group("controller_refresh");
     g.sample_size(20);
     g.bench_function("baseline_9mv", |b| {
-        b.iter(|| controller.refresh(&mvs, &baseline).expect("refreshes"))
+        b.iter(|| session.refresh_with_plan(&baseline).expect("refreshes"))
     });
     g.bench_function("flagged_9mv", |b| {
-        b.iter(|| controller.refresh(&mvs, &flagged).expect("refreshes"))
+        b.iter(|| session.refresh_with_plan(&flagged).expect("refreshes"))
     });
     g.finish();
 }

@@ -14,54 +14,58 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use sc_core::{CostModel, Plan, ScOptimizer};
-use sc_dag::{Dag, NodeId};
-use sc_engine::controller::{Controller, MvDefinition};
+use sc_core::Plan;
+use sc_dag::NodeId;
+use sc_engine::controller::MvDefinition;
 use sc_engine::expr::Expr;
 use sc_engine::plan::LogicalPlan;
-use sc_engine::storage::{DiskCatalog, Throttle};
+use sc_engine::storage::Throttle;
+use sc_engine::ScSession;
 use sc_workload::engine_mvs::sales_pipeline;
 use sc_workload::tpcds::TinyTpcds;
 
-/// ~25 MB/s read, ~18 MB/s write: slow enough that the DAG's structure,
-/// not the host's NVMe, decides the timings.
-fn slow_disk(dir: &std::path::Path) -> DiskCatalog {
-    let slow = Throttle {
-        read_bps: 25e6,
-        write_bps: 18e6,
-        latency_s: 1e-3,
-    };
-    DiskCatalog::open_throttled(dir, slow).expect("opens")
+const LANES: [usize; 3] = [1, 2, 4];
+
+/// A session at `lanes` lanes over a fresh directory holding the TinyTpcds
+/// tables at scale 0.5 and `mvs`, on ~25 MB/s read, ~18 MB/s write
+/// storage: slow enough that the DAG's structure, not the host's NVMe,
+/// decides the timings.
+fn slow_session(lanes: usize, mvs: &[MvDefinition]) -> (tempfile::TempDir, ScSession) {
+    let dir = tempfile::tempdir().expect("tempdir");
+    let session = ScSession::builder()
+        .storage_dir(dir.path())
+        .throttle(Throttle {
+            read_bps: 25e6,
+            write_bps: 18e6,
+            latency_s: 1e-3,
+        })
+        .lanes(lanes)
+        .runtime_feedback(false)
+        .build()
+        .expect("opens");
+    TinyTpcds::generate(0.5, 42)
+        .load_into(session.disk())
+        .expect("ingests");
+    for mv in mvs {
+        session.register_mv(mv.clone()).expect("registers");
+    }
+    (dir, session)
 }
 
 fn bench_sales_pipeline(c: &mut Criterion) {
-    let dir = tempfile::tempdir().expect("tempdir");
-    let disk = slow_disk(dir.path());
-    TinyTpcds::generate(0.5, 42)
-        .load_into(&disk)
-        .expect("ingests");
     let mvs = sales_pipeline();
-    let order: Vec<NodeId> = (0..mvs.len()).map(NodeId).collect();
-    let unoptimized = Plan::unoptimized(order);
-    let budget = 64 << 20;
+    let sessions: Vec<_> = LANES.iter().map(|&l| slow_session(l, &mvs)).collect();
+    let unoptimized = Plan::unoptimized((0..mvs.len()).map(NodeId).collect());
 
-    // Profile once, then derive the S/C plan the optimizer would pick.
-    let profile = Controller::new(&disk, budget)
-        .refresh(&mvs, &unoptimized)
-        .expect("profiles");
-    // The profile ran in MV order, so node i's size is profile.nodes[i]'s.
-    let sizes = Dag::from_parts(
-        mvs.iter()
-            .zip(&profile.nodes)
-            .map(|(mv, n)| (mv.name.clone(), n.output_bytes)),
-        Controller::dependencies(&mvs),
-    )
-    .expect("acyclic");
-    let problem = CostModel::paper()
-        .build_problem(&sizes, budget, |_| None)
-        .expect("valid problem");
-    let sc_plan = ScOptimizer::default()
-        .optimize(&problem)
+    // Profile (and so materialize) once per session, then derive the S/C
+    // plan the optimizer would pick.
+    let profiles: Vec<_> = sessions
+        .iter()
+        .map(|(_, s)| s.refresh_with_plan(&unoptimized).expect("profiles"))
+        .collect();
+    let sc_plan = sessions[0]
+        .1
+        .optimize_from(&profiles[0])
         .expect("optimizes");
 
     for (group, plan) in [
@@ -70,14 +74,9 @@ fn bench_sales_pipeline(c: &mut Criterion) {
     ] {
         let mut g = c.benchmark_group(group);
         g.sample_size(10);
-        for lanes in [1usize, 2, 4] {
-            g.bench_with_input(BenchmarkId::from_parameter(lanes), &lanes, |b, &lanes| {
-                b.iter(|| {
-                    Controller::new(&disk, budget)
-                        .with_lanes(lanes)
-                        .refresh(&mvs, plan)
-                        .expect("refreshes")
-                })
+        for (lanes, (_, session)) in LANES.iter().zip(&sessions) {
+            g.bench_with_input(BenchmarkId::from_parameter(lanes), plan, |b, plan| {
+                b.iter(|| session.refresh_with_plan(plan).expect("refreshes"))
             });
         }
         g.finish();
@@ -85,11 +84,6 @@ fn bench_sales_pipeline(c: &mut Criterion) {
 }
 
 fn bench_wide_ingest(c: &mut Criterion) {
-    let dir = tempfile::tempdir().expect("tempdir");
-    let disk = slow_disk(dir.path());
-    TinyTpcds::generate(0.5, 42)
-        .load_into(&disk)
-        .expect("ingests");
     let mvs: Vec<MvDefinition> = (0..4)
         .map(|i| {
             MvDefinition::new(
@@ -99,19 +93,14 @@ fn bench_wide_ingest(c: &mut Criterion) {
             )
         })
         .collect();
-    let order: Vec<NodeId> = (0..mvs.len()).map(NodeId).collect();
-    let plan = Plan::unoptimized(order);
+    let plan = Plan::unoptimized((0..mvs.len()).map(NodeId).collect());
 
     let mut g = c.benchmark_group("wide_ingest");
     g.sample_size(10);
-    for lanes in [1usize, 2, 4] {
-        g.bench_with_input(BenchmarkId::from_parameter(lanes), &lanes, |b, &lanes| {
-            b.iter(|| {
-                Controller::new(&disk, 64 << 20)
-                    .with_lanes(lanes)
-                    .refresh(&mvs, &plan)
-                    .expect("refreshes")
-            })
+    for lanes in LANES {
+        let (_dir, session) = slow_session(lanes, &mvs);
+        g.bench_with_input(BenchmarkId::from_parameter(lanes), &plan, |b, plan| {
+            b.iter(|| session.refresh_with_plan(plan).expect("refreshes"))
         });
     }
     g.finish();

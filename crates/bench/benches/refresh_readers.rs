@@ -21,11 +21,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use sc_core::Plan;
 use sc_dag::NodeId;
-use sc_engine::controller::{Controller, MvDefinition};
+use sc_engine::controller::MvDefinition;
 use sc_engine::expr::Expr;
 use sc_engine::plan::LogicalPlan;
-use sc_engine::storage::DiskCatalog;
-use sc_engine::{DataType, Table, TableBuilder, Value};
+use sc_engine::{DataType, ScSession, Table, TableBuilder, Value};
 
 fn base_rows(n: i64) -> Table {
     let mut t = TableBuilder::new()
@@ -51,12 +50,21 @@ fn pipeline() -> Vec<MvDefinition> {
 
 fn bench_refresh_readers(c: &mut Criterion) {
     let dir = tempfile::tempdir().expect("tempdir");
-    let disk = DiskCatalog::open(dir.path()).expect("opens");
-    disk.write_table("base", &base_rows(5_000)).expect("writes");
-    let mvs = pipeline();
-    let plan = Plan::unoptimized((0..mvs.len()).map(NodeId).collect());
-    Controller::new(&disk, 64 << 20)
-        .refresh(&mvs, &plan)
+    let session = ScSession::builder()
+        .storage_dir(dir.path())
+        .runtime_feedback(false)
+        .build()
+        .expect("opens");
+    session
+        .disk()
+        .write_table("base", &base_rows(5_000))
+        .expect("writes");
+    for mv in pipeline() {
+        session.register_mv(mv).expect("registers");
+    }
+    let plan = Plan::unoptimized((0..session.mv_count()).map(NodeId).collect());
+    session
+        .refresh_with_plan(&plan)
         .expect("baseline materialization");
 
     let mut g = c.benchmark_group("refresh_readers");
@@ -65,7 +73,7 @@ fn bench_refresh_readers(c: &mut Criterion) {
     // Quiet system: pin, read, unpin — the serving tier's steady state.
     g.bench_function("pin_read_quiet", |b| {
         b.iter(|| {
-            let snap = disk.pin();
+            let snap = session.snapshot();
             snap.read_table("mv_pos").expect("pinned read")
         })
     });
@@ -76,18 +84,16 @@ fn bench_refresh_readers(c: &mut Criterion) {
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let refresher = {
-            let disk = &disk;
+            let session = &session;
             let stop = &stop;
-            let mvs = &mvs;
             let plan = &plan;
             scope.spawn(move || {
-                let controller = Controller::new(disk, 64 << 20);
                 // Refresh before testing `stop`: in smoke mode the
                 // one-iteration reader can finish before this thread's
                 // first check, and it must still have read under a commit.
                 let mut runs = 0u64;
                 loop {
-                    controller.refresh(mvs, plan).expect("background refresh");
+                    session.refresh_with_plan(plan).expect("background refresh");
                     runs += 1;
                     if stop.load(Ordering::Relaxed) {
                         break runs;
@@ -97,7 +103,7 @@ fn bench_refresh_readers(c: &mut Criterion) {
         };
         g.bench_function("pin_read_during_refresh", |b| {
             b.iter(|| {
-                let snap = disk.pin();
+                let snap = session.snapshot();
                 snap.read_table("mv_pos")
                     .expect("pinned read under refresh")
             })
@@ -110,19 +116,17 @@ fn bench_refresh_readers(c: &mut Criterion) {
 
     // Smoke-mode correctness rider: a pin taken now rereads identical
     // bytes across one more refresh, and GC leaves nothing behind.
-    let snap = disk.pin();
+    let snap = session.snapshot();
     let before = snap.stored_file_bytes("mv_pos").expect("pinned bytes");
-    Controller::new(&disk, 64 << 20)
-        .refresh(&mvs, &plan)
-        .expect("final refresh");
+    session.refresh_with_plan(&plan).expect("final refresh");
     assert_eq!(
         snap.stored_file_bytes("mv_pos").expect("pinned reread"),
         before,
         "pinned snapshot must reread byte-identical state across a refresh"
     );
     drop(snap);
-    assert_eq!(disk.retained_file_count().expect("dir scan"), 0);
-    assert_eq!(disk.gc_failed_deletes(), 0);
+    assert_eq!(session.disk().retained_file_count().expect("dir scan"), 0);
+    assert_eq!(session.disk().gc_failed_deletes(), 0);
 }
 
 criterion_group!(benches, bench_refresh_readers);

@@ -10,8 +10,8 @@
 use sc_bench::print_header;
 use sc_core::Plan;
 use sc_dag::NodeId;
-use sc_engine::controller::Controller;
-use sc_engine::storage::{DiskCatalog, Throttle};
+use sc_engine::storage::Throttle;
+use sc_engine::ScSession;
 use sc_sim::{SimConfig, SimNode, SimWorkload, Simulator};
 use sc_workload::engine_mvs::fact_join_mv;
 use sc_workload::tpcds::TinyTpcds;
@@ -30,15 +30,20 @@ fn main() {
     ]);
     for scale in [0.5, 1.0, 2.0, 4.0] {
         let dir = tempfile::tempdir().expect("tempdir");
-        let disk =
-            DiskCatalog::open_throttled(dir.path(), Throttle::paper_disk()).expect("open catalog");
-        TinyTpcds::generate(scale, 42)
-            .load_into(&disk)
-            .expect("ingest");
-        let mvs = vec![fact_join_mv()];
         // A 1-byte Memory Catalog: unused, nothing is flagged.
-        let metrics = Controller::new(&disk, 1)
-            .refresh(&mvs, &Plan::unoptimized(vec![NodeId(0)]))
+        let session = ScSession::builder()
+            .storage_dir(dir.path())
+            .throttle(Throttle::paper_disk())
+            .memory_budget(1)
+            .runtime_feedback(false)
+            .build()
+            .expect("open session");
+        TinyTpcds::generate(scale, 42)
+            .load_into(session.disk())
+            .expect("ingest");
+        session.register_mv(fact_join_mv()).expect("register");
+        let metrics = session
+            .refresh_with_plan(&Plan::unoptimized(vec![NodeId(0)]))
             .expect("refresh");
         let n = &metrics.nodes[0];
         let total = n.read_s + n.compute_s + n.write_s;

@@ -1,5 +1,6 @@
 //! The S/C **Controller** (§III): executes an MV refresh run according to
-//! the optimizer's plan.
+//! the optimizer's plan. It is crate-private: [`crate::ScSession`] builds
+//! one per run, so the session is the only writer on the refresh path.
 //!
 //! For each node in the plan's execution order the controller runs the
 //! node's logical plan, reading inputs from the Memory Catalog when present
@@ -80,8 +81,8 @@ pub struct RefreshConfig {
     /// Number of compute lanes (worker threads) executing DAG nodes.
     /// `1` is the paper's sequential controller: strict `plan.order`.
     pub lanes: usize,
-    /// Full-vs-incremental maintenance policy, effective only when a
-    /// [`DeltaStore`] is attached ([`Controller::with_delta_store`]).
+    /// Full-vs-incremental maintenance policy, effective when changes
+    /// pend in the delta log (over an empty log every MV recomputes).
     pub refresh_mode: RefreshMode,
 }
 
@@ -226,13 +227,14 @@ impl RunMetrics {
 }
 
 /// Executes MV refresh runs against a disk catalog, each run with its own
-/// Memory Catalog of `budget` bytes.
-pub struct Controller<'a> {
+/// Memory Catalog of `budget` bytes. Crate-private: the session is the
+/// only caller.
+pub(crate) struct Controller<'a> {
     disk: &'a DiskCatalog,
     budget: u64,
     cost_model: CostModel,
     refresh: RefreshConfig,
-    deltas: Option<&'a DeltaStore>,
+    deltas: &'a DeltaStore,
     observations: Option<&'a ObservationStore>,
     /// Test probe: `(plan position, computed prefix)` of every compute
     /// task, in dispatch order.
@@ -317,7 +319,7 @@ impl TableSource for RunSource<'_> {
 /// Catalog first, spilled storage file second) — so delta reads are
 /// delta-sized I/O on the same channels as everything else.
 struct RunDeltaSource<'a, 'b> {
-    pending: Option<&'b HashMap<String, TableDelta>>,
+    pending: &'b HashMap<String, TableDelta>,
     /// MV name -> node index for MVs in the current run.
     index: &'b HashMap<&'b str, usize>,
     source: &'b RunSource<'a>,
@@ -330,7 +332,7 @@ impl DeltaSource for RunDeltaSource<'_, '_> {
             return TableDelta::from_table(&encoded);
         }
         self.pending
-            .and_then(|m| m.get(name))
+            .get(name)
             .cloned()
             .ok_or_else(|| EngineError::UnknownTable(format!("{name} (pending delta)")))
     }
@@ -512,7 +514,7 @@ struct Run<'r> {
     dp: &'r ModePlan,
     /// Segment counts of the stored MVs before the run (0 when absent).
     pre_segments: &'r [usize],
-    snapshot: Option<&'r HashMap<String, TableDelta>>,
+    snapshot: &'r HashMap<String, TableDelta>,
     /// MV name -> node index.
     index: HashMap<&'r str, usize>,
     children: Vec<Vec<usize>>,
@@ -829,26 +831,21 @@ impl Run<'_> {
 
 impl<'a> Controller<'a> {
     /// Creates a controller over `disk` whose runs each hold a Memory
-    /// Catalog of `budget` bytes (the paper's `M`).
-    pub fn new(disk: &'a DiskCatalog, budget: u64) -> Self {
+    /// Catalog of `budget` bytes (the paper's `M`) and maintain MVs from
+    /// the pending changes in `deltas` (per
+    /// [`RefreshConfig::refresh_mode`]). A successful refresh consumes
+    /// the log; over an empty log every MV recomputes.
+    pub(crate) fn new(disk: &'a DiskCatalog, budget: u64, deltas: &'a DeltaStore) -> Self {
         Controller {
             disk,
             budget,
             cost_model: CostModel::paper(),
             refresh: RefreshConfig::default(),
-            deltas: None,
+            deltas,
             observations: None,
             #[cfg(test)]
             dispatch_log: None,
         }
-    }
-
-    /// Attaches the pending delta log, enabling incremental maintenance
-    /// (per [`RefreshConfig::refresh_mode`]). A successful refresh consumes
-    /// the log.
-    pub fn with_delta_store(mut self, deltas: &'a DeltaStore) -> Self {
-        self.deltas = Some(deltas);
-        self
     }
 
     /// Attaches a runtime-observation store: [`RefreshMode::Auto`]
@@ -859,7 +856,7 @@ impl<'a> Controller<'a> {
     /// map — and neither do fallback-mode nodes (poisoned-log or
     /// unsupported-shape full recomputes), whose costs do not represent
     /// the node's steady-state behavior.
-    pub fn with_observations(mut self, observations: &'a ObservationStore) -> Self {
+    pub(crate) fn with_observations(mut self, observations: &'a ObservationStore) -> Self {
         self.observations = Some(observations);
         self
     }
@@ -867,39 +864,15 @@ impl<'a> Controller<'a> {
     /// Overrides the cost model [`RefreshMode::Auto`] consults when
     /// deciding whether a node is maintained incrementally or recomputed
     /// ([`CostModel::incremental_refresh_wins`]); the paper's by default.
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
+    pub(crate) fn with_cost_model(mut self, cost_model: CostModel) -> Self {
         self.cost_model = cost_model;
         self
     }
 
     /// Overrides the parallelism settings.
-    pub fn with_refresh_config(mut self, refresh: RefreshConfig) -> Self {
+    pub(crate) fn with_refresh_config(mut self, refresh: RefreshConfig) -> Self {
         self.refresh = refresh;
         self
-    }
-
-    /// Shorthand for [`Controller::with_refresh_config`].
-    pub fn with_lanes(self, lanes: usize) -> Self {
-        self.with_refresh_config(RefreshConfig::with_lanes(lanes))
-    }
-
-    /// Derives the dependency edges among `mvs` (an edge `i -> j` when MV
-    /// `j` scans MV `i`'s output).
-    pub fn dependencies(mvs: &[MvDefinition]) -> Vec<(usize, usize)> {
-        let index: HashMap<&str, usize> = mvs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.as_str(), i))
-            .collect();
-        let mut edges = Vec::new();
-        for (j, mv) in mvs.iter().enumerate() {
-            for input in mv.plan.input_tables() {
-                if let Some(&i) = index.get(input.as_str()) {
-                    edges.push((i, j));
-                }
-            }
-        }
-        edges
     }
 
     /// Checks that the plan covers exactly the MV set and that its order
@@ -921,7 +894,7 @@ impl<'a> Controller<'a> {
             }
             seen[v.index()] = true;
         }
-        let edges = Self::dependencies(mvs);
+        let edges = dependencies(mvs);
         let mut pos = vec![0usize; n];
         for (p, &v) in plan.order.iter().enumerate() {
             pos[v.index()] = p;
@@ -938,27 +911,27 @@ impl<'a> Controller<'a> {
     }
 
     /// Performs the refresh run described by `plan` over `mvs`.
-    pub fn refresh(&self, mvs: &[MvDefinition], plan: &Plan) -> Result<RunMetrics> {
+    pub(crate) fn refresh(&self, mvs: &[MvDefinition], plan: &Plan) -> Result<RunMetrics> {
         let edges = self.validate(mvs, plan)?;
         let gc_debt_before = self.disk.gc_failed_deletes();
         // Work from a point-in-time snapshot of the delta log: every node
         // sees the same pending batches even if ingestion continues while
         // the run executes, and only the snapshotted prefix is consumed.
-        let snapshot = self.deltas.map(|s| s.snapshot());
+        let snapshot = self.deltas.snapshot();
         // Mode planning, fixed before execution so lane timing cannot
         // change what a refresh computes.
         let mode = self.refresh.refresh_mode;
-        let facts = snapshot
-            .as_ref()
-            .filter(|_| mode != RefreshMode::AlwaysFull)
-            .and_then(|pending| {
+        let facts = match mode {
+            RefreshMode::AlwaysFull => None,
+            _ => {
                 let observations = self.observations.filter(|_| mode == RefreshMode::Auto);
-                mode_facts(mvs, self.disk, pending, observations)
-            });
+                mode_facts(mvs, self.disk, &snapshot, observations)
+            }
+        };
         let policy = Policy {
             mode,
             tracking: facts.is_some(),
-            poisoned: self.deltas.is_some_and(DeltaStore::is_poisoned),
+            poisoned: self.deltas.is_poisoned(),
         };
         let dp = sc_core::modes::plan(
             facts.as_deref().unwrap_or_default(),
@@ -970,7 +943,7 @@ impl<'a> Controller<'a> {
             .iter()
             .map(|mv| self.disk.segment_count(&mv.name).unwrap_or(0))
             .collect();
-        let mut result = self.execute(mvs, plan, &edges, &dp, &pre_segments, snapshot.as_ref());
+        let mut result = self.execute(mvs, plan, &edges, &dp, &pre_segments, &snapshot);
         // Spilled delta files are transient, scoped to one run: a stale
         // one would be mistaken for a parent delta by the next refresh.
         // Every MV's is checked, not only this run's publishers', so a
@@ -984,37 +957,36 @@ impl<'a> Controller<'a> {
         if let Ok(run) = &mut result {
             run.gc_failed_deletes = self.disk.gc_failed_deletes() - gc_debt_before;
         }
-        if let Some(store) = self.deltas {
-            match (&result, &snapshot) {
-                // Every MV is now current: retire the consumed prefix. But
-                // executions read *live* bases — a batch ingested after the
-                // snapshot may already be baked into an MV this run
-                // recomputed in full (or probed through a delta-join's
-                // build side), and it still pends; applying it again next
-                // run would double-count it, so poison the log and let the
-                // next run recompute the delta-reached MVs instead.
-                (Ok(_), Some(snap)) => {
-                    let contaminated = self.concurrent_ingest_contaminates(mvs, &dp, snap, store);
-                    store.consume(snap);
-                    if contaminated {
-                        store.mark_poisoned();
-                    }
+        let store = self.deltas;
+        match &result {
+            // Every MV is now current: retire the consumed prefix. But
+            // executions read *live* bases — a batch ingested after the
+            // snapshot may already be baked into an MV this run
+            // recomputed in full (or probed through a delta-join's build
+            // side), and it still pends; applying it again next run would
+            // double-count it, so poison the log and let the next run
+            // recompute the delta-reached MVs instead.
+            Ok(_) => {
+                let contaminated = self.concurrent_ingest_contaminates(mvs, &dp, &snapshot, store);
+                store.consume(&snapshot);
+                if contaminated {
+                    store.mark_poisoned();
                 }
-                // Some MVs may already hold applied deltas while the log
-                // still pends: force full recomputes until it drains. A
-                // failed run is also conservatively poisoned when batches
-                // arrived mid-run (unknown which nodes executed first).
-                (Err(_), Some(snap))
-                    if snap.values().any(|d| !d.is_empty())
-                        || store
-                            .tables()
-                            .iter()
-                            .any(|t| store.pending_batches(t) > snapshot_batches(snap, t)) =>
-                {
-                    store.mark_poisoned()
-                }
-                _ => {}
             }
+            // Some MVs may already hold applied deltas while the log still
+            // pends: force full recomputes until it drains. A failed run
+            // is also conservatively poisoned when batches arrived mid-run
+            // (unknown which nodes executed first).
+            Err(_)
+                if snapshot.values().any(|d| !d.is_empty())
+                    || store
+                        .tables()
+                        .iter()
+                        .any(|t| store.pending_batches(t) > snapshot_batches(&snapshot, t)) =>
+            {
+                store.mark_poisoned()
+            }
+            Err(_) => {}
         }
         // Feedback commit point: only a run that reached here with Ok —
         // catalogs written, delta log consumed — may teach the adaptive
@@ -1156,7 +1128,7 @@ impl<'a> Controller<'a> {
         edges: &[(usize, usize)],
         dp: &ModePlan,
         pre_segments: &[usize],
-        snapshot: Option<&HashMap<String, TableDelta>>,
+        snapshot: &HashMap<String, TableDelta>,
     ) -> Result<RunMetrics> {
         let n = mvs.len();
         let lanes = self.refresh.lanes.clamp(1, n.max(1));
@@ -1241,6 +1213,25 @@ impl<'a> Controller<'a> {
             observation_save_error: None,
         })
     }
+}
+
+/// Derives the dependency edges among `mvs` (an edge `i -> j` when MV
+/// `j` scans MV `i`'s output).
+pub fn dependencies(mvs: &[MvDefinition]) -> Vec<(usize, usize)> {
+    let index: HashMap<&str, usize> = mvs
+        .iter()
+        .enumerate()
+        .map(|(i, m)| (m.name.as_str(), i))
+        .collect();
+    let mut edges = Vec::new();
+    for (j, mv) in mvs.iter().enumerate() {
+        for input in mv.plan.input_tables() {
+            if let Some(&i) = index.get(input.as_str()) {
+                edges.push((i, j));
+            }
+        }
+    }
+    edges
 }
 
 /// The facts [`sc_core::modes::plan`] decides from for `mvs`, read from
@@ -1400,7 +1391,7 @@ mod tests {
         let (_dir, disk) = setup();
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[]);
-        let metrics = Controller::new(&disk, 1 << 20)
+        let metrics = Controller::new(&disk, 1 << 20, &DeltaStore::new())
             .refresh(&mvs, &plan)
             .unwrap();
         assert_eq!(metrics.nodes.len(), 3);
@@ -1420,10 +1411,10 @@ mod tests {
         let (_dir2, disk2) = setup();
         let mvs = fig4_workload();
 
-        Controller::new(&disk1, 1 << 20)
+        Controller::new(&disk1, 1 << 20, &DeltaStore::new())
             .refresh(&mvs, &plan_for(&mvs, &[]))
             .unwrap();
-        Controller::new(&disk2, 1 << 20)
+        Controller::new(&disk2, 1 << 20, &DeltaStore::new())
             .refresh(&mvs, &plan_for(&mvs, &[0]))
             .unwrap();
 
@@ -1442,7 +1433,7 @@ mod tests {
         let (_dir, disk) = setup();
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[0]);
-        let metrics = Controller::new(&disk, 1 << 20)
+        let metrics = Controller::new(&disk, 1 << 20, &DeltaStore::new())
             .refresh(&mvs, &plan)
             .unwrap();
         // mv1 flagged: no blocking write, consumers read from memory.
@@ -1462,7 +1453,9 @@ mod tests {
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[0]);
         // A comically small budget.
-        let metrics = Controller::new(&disk, 16).refresh(&mvs, &plan).unwrap();
+        let metrics = Controller::new(&disk, 16, &DeltaStore::new())
+            .refresh(&mvs, &plan)
+            .unwrap();
         assert!(metrics.nodes[0].fell_back);
         assert!(!metrics.nodes[0].flagged);
         assert!(disk.contains("mv1"));
@@ -1474,7 +1467,8 @@ mod tests {
     fn rejects_invalid_plans() {
         let (_dir, disk) = setup();
         let mvs = fig4_workload();
-        let c = Controller::new(&disk, 1 << 20);
+        let deltas = DeltaStore::new();
+        let c = Controller::new(&disk, 1 << 20, &deltas);
         // Wrong length.
         let bad = Plan {
             order: vec![NodeId(0)],
@@ -1507,7 +1501,7 @@ mod tests {
     #[test]
     fn dependencies_derived_from_scans() {
         let mvs = fig4_workload();
-        let deps = Controller::dependencies(&mvs);
+        let deps = dependencies(&mvs);
         assert_eq!(deps, vec![(0, 1), (0, 2)]);
     }
 
@@ -1518,7 +1512,7 @@ mod tests {
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[]);
         assert!(matches!(
-            Controller::new(&disk, 1 << 20).refresh(&mvs, &plan),
+            Controller::new(&disk, 1 << 20, &DeltaStore::new()).refresh(&mvs, &plan),
             Err(EngineError::UnknownTable(_))
         ));
     }
@@ -1532,7 +1526,7 @@ mod tests {
         let good = fig4_workload();
         let good_plan = plan_for(&good, &[0]);
         let (_fresh_dir, fresh) = setup();
-        let first = Controller::new(&fresh, 1 << 20)
+        let first = Controller::new(&fresh, 1 << 20, &DeltaStore::new())
             .refresh(&good, &good_plan)
             .unwrap();
         assert!(first.nodes[0].flagged && first.peak_memory_bytes > 0);
@@ -1545,13 +1539,15 @@ mod tests {
         ));
         let bad_plan = plan_for(&mvs, &[0]);
         for lanes in [1usize, 4] {
-            let c = Controller::new(&disk, 1 << 20).with_lanes(lanes);
+            let deltas = DeltaStore::new();
+            let c = Controller::new(&disk, 1 << 20, &deltas)
+                .with_refresh_config(RefreshConfig::with_lanes(lanes));
             assert!(matches!(
                 c.refresh(&mvs, &bad_plan),
                 Err(EngineError::UnknownTable(_))
             ));
         }
-        let retry = Controller::new(&disk, 1 << 20)
+        let retry = Controller::new(&disk, 1 << 20, &DeltaStore::new())
             .refresh(&good, &good_plan)
             .unwrap();
         let flags = |m: &RunMetrics| m.nodes.iter().map(|n| n.flagged).collect::<Vec<_>>();
@@ -1568,7 +1564,7 @@ mod tests {
         let mvs = fig4_workload();
         let stale = delta_entry_name("mv1");
         disk.write_table(&stale, &base_table(3)).unwrap();
-        let m = Controller::new(&disk, 1 << 20)
+        let m = Controller::new(&disk, 1 << 20, &DeltaStore::new())
             .refresh(&mvs, &plan_for(&mvs, &[0]))
             .unwrap();
         assert_eq!(m.nodes[0].mode, NodeMode::Full);
@@ -1590,10 +1586,10 @@ mod tests {
         disk.write_table("base", &base_table(4000)).unwrap();
         let mvs = fig4_workload();
 
-        let base = Controller::new(&disk, 1 << 22)
+        let base = Controller::new(&disk, 1 << 22, &DeltaStore::new())
             .refresh(&mvs, &plan_for(&mvs, &[]))
             .unwrap();
-        let sc = Controller::new(&disk, 1 << 22)
+        let sc = Controller::new(&disk, 1 << 22, &DeltaStore::new())
             .refresh(&mvs, &plan_for(&mvs, &[0]))
             .unwrap();
         assert!(
@@ -1608,7 +1604,7 @@ mod tests {
     fn run_metrics_sums() {
         let (_dir, disk) = setup();
         let mvs = fig4_workload();
-        let m = Controller::new(&disk, 1 << 20)
+        let m = Controller::new(&disk, 1 << 20, &DeltaStore::new())
             .refresh(&mvs, &plan_for(&mvs, &[]))
             .unwrap();
         assert!(m.total_read_s() >= 0.0);
@@ -1625,11 +1621,11 @@ mod tests {
             let mvs = fig4_workload();
             let plan = plan_for(&mvs, &flags);
 
-            let one = Controller::new(&disk1, 1 << 20)
+            let one = Controller::new(&disk1, 1 << 20, &DeltaStore::new())
                 .refresh(&mvs, &plan)
                 .unwrap();
-            let four = Controller::new(&disk2, 1 << 20)
-                .with_lanes(4)
+            let four = Controller::new(&disk2, 1 << 20, &DeltaStore::new())
+                .with_refresh_config(RefreshConfig::with_lanes(4))
                 .refresh(&mvs, &plan)
                 .unwrap();
 
@@ -1658,8 +1654,8 @@ mod tests {
             let (_dir, disk) = setup();
             let mvs = wide_workload();
             let plan = plan_for(&mvs, &flags);
-            let m = Controller::new(&disk, 4 << 20)
-                .with_lanes(3)
+            let m = Controller::new(&disk, 4 << 20, &DeltaStore::new())
+                .with_refresh_config(RefreshConfig::with_lanes(3))
                 .refresh(&mvs, &plan)
                 .unwrap();
             assert_eq!(m.nodes.len(), 5);
@@ -1683,8 +1679,8 @@ mod tests {
         let (_dir, disk) = setup();
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[0]);
-        let m = Controller::new(&disk, 16)
-            .with_lanes(2)
+        let m = Controller::new(&disk, 16, &DeltaStore::new())
+            .with_refresh_config(RefreshConfig::with_lanes(2))
             .refresh(&mvs, &plan)
             .unwrap();
         assert!(m.nodes[0].fell_back);
@@ -1696,7 +1692,9 @@ mod tests {
     fn four_lanes_reject_invalid_plans_too() {
         let (_dir, disk) = setup();
         let mvs = fig4_workload();
-        let c = Controller::new(&disk, 1 << 20).with_lanes(4);
+        let deltas = DeltaStore::new();
+        let c = Controller::new(&disk, 1 << 20, &deltas)
+            .with_refresh_config(RefreshConfig::with_lanes(4));
         let bad = Plan {
             order: vec![NodeId(1), NodeId(0), NodeId(2)],
             flagged: FlagSet::none(3),
@@ -1714,8 +1712,8 @@ mod tests {
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[]);
         assert!(matches!(
-            Controller::new(&disk, 1 << 20)
-                .with_lanes(2)
+            Controller::new(&disk, 1 << 20, &DeltaStore::new())
+                .with_refresh_config(RefreshConfig::with_lanes(2))
                 .refresh(&mvs, &plan),
             Err(EngineError::UnknownTable(_))
         ));
@@ -1748,11 +1746,11 @@ mod tests {
             .collect();
         let plan = plan_for(&mvs, &[]);
 
-        let one = Controller::new(&disk, 1 << 22)
+        let one = Controller::new(&disk, 1 << 22, &DeltaStore::new())
             .refresh(&mvs, &plan)
             .unwrap();
-        let four = Controller::new(&disk, 1 << 22)
-            .with_lanes(4)
+        let four = Controller::new(&disk, 1 << 22, &DeltaStore::new())
+            .with_refresh_config(RefreshConfig::with_lanes(4))
             .refresh(&mvs, &plan)
             .unwrap();
         assert!(
@@ -1799,14 +1797,16 @@ mod tests {
 
         // Measure hub_p's output size with a roomy budget first.
         let (_dir0, disk0) = setup();
-        let probe = Controller::new(&disk0, 64 << 20)
+        let probe = Controller::new(&disk0, 64 << 20, &DeltaStore::new())
             .refresh(&mvs, &plan)
             .unwrap();
         let hub_bytes = probe.nodes[0].output_bytes;
         let tight = hub_bytes + hub_bytes / 4; // fits one hub, not two
 
         let (_dir1, disk1) = setup();
-        let one = Controller::new(&disk1, tight).refresh(&mvs, &plan).unwrap();
+        let one = Controller::new(&disk1, tight, &DeltaStore::new())
+            .refresh(&mvs, &plan)
+            .unwrap();
         assert!(
             one.nodes[0].flagged && one.nodes[2].flagged,
             "one lane admits both in turn"
@@ -1814,8 +1814,8 @@ mod tests {
 
         for _ in 0..10 {
             let (_dir2, disk2) = setup();
-            let four = Controller::new(&disk2, tight)
-                .with_lanes(4)
+            let four = Controller::new(&disk2, tight, &DeltaStore::new())
+                .with_refresh_config(RefreshConfig::with_lanes(4))
                 .refresh(&mvs, &plan)
                 .unwrap();
             assert_eq!(one.peak_memory_bytes, four.peak_memory_bytes);
@@ -1876,7 +1876,8 @@ mod tests {
         let (_dir, disk) = setup();
         let (mvs, plan) = fan_workload(9);
         let log = Mutex::new(Vec::new());
-        let mut c = Controller::new(&disk, 4 << 20);
+        let deltas = DeltaStore::new();
+        let mut c = Controller::new(&disk, 4 << 20, &deltas);
         c.dispatch_log = Some(&log);
         c.refresh(&mvs, &plan).unwrap();
         // Every node started exactly when all earlier plan positions had
@@ -1895,7 +1896,9 @@ mod tests {
             "the workload must outrun the window"
         );
         let log = Mutex::new(Vec::new());
-        let mut c = Controller::new(&disk, 4 << 20).with_lanes(3);
+        let deltas = DeltaStore::new();
+        let mut c = Controller::new(&disk, 4 << 20, &deltas)
+            .with_refresh_config(RefreshConfig::with_lanes(3));
         c.dispatch_log = Some(&log);
         let m = c.refresh(&mvs, &plan).unwrap();
         assert_eq!(m.nodes.len(), mvs.len());
@@ -1921,7 +1924,7 @@ mod tests {
         let (mvs, plan) = fan_workload(9);
         let parents: Vec<Vec<usize>> = {
             let mut p = vec![Vec::new(); mvs.len()];
-            for (i, j) in Controller::dependencies(&mvs) {
+            for (i, j) in dependencies(&mvs) {
                 p[j].push(i);
             }
             p
@@ -1929,8 +1932,8 @@ mod tests {
         let mut peaks = Vec::new();
         for lanes in [1usize, 2, 4] {
             let (_dir, disk) = setup();
-            let m = Controller::new(&disk, 4 << 20)
-                .with_lanes(lanes)
+            let m = Controller::new(&disk, 4 << 20, &DeltaStore::new())
+                .with_refresh_config(RefreshConfig::with_lanes(lanes))
                 .refresh(&mvs, &plan)
                 .unwrap();
             // The model, replayed from the run's own output sizes.
@@ -1997,8 +2000,8 @@ mod tests {
                 let disk = DiskCatalog::open(dir.path()).unwrap();
                 disk.write_table("base", &delta_rows(0..400)).unwrap();
                 disk.write_table("side", &delta_rows(0..50)).unwrap();
-                Controller::new(&disk, 8 << 20)
-                    .with_lanes(lanes)
+                Controller::new(&disk, 8 << 20, &DeltaStore::new())
+                    .with_refresh_config(RefreshConfig::with_lanes(lanes))
                     .refresh(&mvs, &plan)
                     .unwrap();
                 disks.push(disk);
@@ -2018,16 +2021,14 @@ mod tests {
             }
 
             let disk_full = &disks[0];
-            let full = Controller::new(disk_full, 8 << 20)
-                .with_delta_store(&full_store)
+            let full = Controller::new(disk_full, 8 << 20, &full_store)
                 .with_refresh_config(
                     RefreshConfig::with_lanes(lanes).with_refresh_mode(RefreshMode::AlwaysFull),
                 )
                 .refresh(&mvs, &plan)
                 .unwrap();
             let disk_inc = &disks[1];
-            let inc = Controller::new(disk_inc, 8 << 20)
-                .with_delta_store(&inc_store)
+            let inc = Controller::new(disk_inc, 8 << 20, &inc_store)
                 .with_refresh_config(
                     RefreshConfig::with_lanes(lanes)
                         .with_refresh_mode(RefreshMode::AlwaysIncremental),
@@ -2072,13 +2073,12 @@ mod tests {
         let (_dir, disk) = setup();
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[]);
-        Controller::new(&disk, 1 << 20)
+        Controller::new(&disk, 1 << 20, &DeltaStore::new())
             .refresh(&mvs, &plan)
             .unwrap();
 
         let store = DeltaStore::new();
-        let m = Controller::new(&disk, 1 << 20)
-            .with_delta_store(&store)
+        let m = Controller::new(&disk, 1 << 20, &store)
             .refresh(&mvs, &plan)
             .unwrap();
         assert!(
@@ -2102,7 +2102,8 @@ mod tests {
         disk.write_table("side", &delta_rows(0..50)).unwrap();
         let mvs = delta_workload();
         let plan = plan_for(&mvs, &[0]);
-        let c = Controller::new(&disk, 8 << 20);
+        let deltas = DeltaStore::new();
+        let c = Controller::new(&disk, 8 << 20, &deltas);
         let probe = c.refresh(&mvs, &plan).unwrap();
         let full_flag_peak = probe.peak_memory_bytes;
         assert!(full_flag_peak > 0);
@@ -2115,8 +2116,7 @@ mod tests {
                 crate::exec::TableDelta::insert_only(delta_rows(400..420)),
             )
             .unwrap();
-        let inc = Controller::new(&disk, 8 << 20)
-            .with_delta_store(&store)
+        let inc = Controller::new(&disk, 8 << 20, &store)
             .with_refresh_config(
                 RefreshConfig::default().with_refresh_mode(RefreshMode::AlwaysIncremental),
             )
@@ -2145,7 +2145,7 @@ mod tests {
         disk.write_table("side", &delta_rows(0..50)).unwrap();
         let good = delta_workload();
         let good_plan = plan_for(&good, &[]);
-        Controller::new(&disk, 8 << 20)
+        Controller::new(&disk, 8 << 20, &DeltaStore::new())
             .refresh(&good, &good_plan)
             .unwrap();
 
@@ -2163,8 +2163,7 @@ mod tests {
         let mut doomed = delta_workload();
         doomed.push(MvDefinition::new("boom", LogicalPlan::scan("no_such")));
         let doomed_plan = plan_for(&doomed, &[]);
-        let err = Controller::new(&disk, 8 << 20)
-            .with_delta_store(&store)
+        let err = Controller::new(&disk, 8 << 20, &store)
             .with_refresh_config(
                 RefreshConfig::default().with_refresh_mode(RefreshMode::AlwaysIncremental),
             )
@@ -2175,8 +2174,7 @@ mod tests {
 
         // Retry on the good set: every delta-reached node recomputes in
         // full; results match a system that never failed.
-        let retry = Controller::new(&disk, 8 << 20)
-            .with_delta_store(&store)
+        let retry = Controller::new(&disk, 8 << 20, &store)
             .refresh(&good, &good_plan)
             .unwrap();
         assert!(retry.nodes.iter().all(|n| n.mode != NodeMode::Incremental));
@@ -2187,7 +2185,7 @@ mod tests {
         let disk2 = DiskCatalog::open(dir2.path()).unwrap();
         disk2.write_table("base", &delta_rows(0..400)).unwrap();
         disk2.write_table("side", &delta_rows(0..50)).unwrap();
-        Controller::new(&disk2, 8 << 20)
+        Controller::new(&disk2, 8 << 20, &DeltaStore::new())
             .refresh(&good, &good_plan)
             .unwrap();
         let base2 = disk2.read_table("base").unwrap();
@@ -2195,7 +2193,7 @@ mod tests {
         disk2
             .write_table("base", &delta.apply(&base2).unwrap())
             .unwrap();
-        Controller::new(&disk2, 8 << 20)
+        Controller::new(&disk2, 8 << 20, &DeltaStore::new())
             .refresh(&good, &good_plan)
             .unwrap();
         for mv in &good {
@@ -2221,7 +2219,8 @@ mod tests {
         disk.write_table("side", &delta_rows(0..50)).unwrap();
         let mvs = delta_workload();
         let plan = plan_for(&mvs, &[]);
-        let c = Controller::new(&disk, 8 << 20);
+        let deltas = DeltaStore::new();
+        let c = Controller::new(&disk, 8 << 20, &deltas);
         c.refresh(&mvs, &plan).unwrap();
 
         let store = DeltaStore::new();
@@ -2232,8 +2231,7 @@ mod tests {
                 crate::exec::TableDelta::insert_only(delta_rows(2000..2040)),
             )
             .unwrap();
-        let auto = Controller::new(&disk, 8 << 20)
-            .with_delta_store(&store)
+        let auto = Controller::new(&disk, 8 << 20, &store)
             .refresh(&mvs, &plan)
             .unwrap();
         assert_eq!(auto.nodes[0].mode, NodeMode::Incremental);
@@ -2273,8 +2271,7 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        let auto = Controller::new(&disk, 8 << 20)
-            .with_delta_store(&store)
+        let auto = Controller::new(&disk, 8 << 20, &store)
             .refresh(&mvs, &plan)
             .unwrap();
         assert_eq!(auto.nodes[0].mode, NodeMode::Full);

@@ -1,7 +1,7 @@
 use std::fmt;
 
-/// Errors produced by the execution engine, the storage catalogs, and the
-/// refresh controller.
+/// Errors produced by the execution engine, the storage catalogs, the
+/// refresh controller, and the session that owns them.
 #[derive(Debug)]
 pub enum EngineError {
     /// A value or column had the wrong type for an operation.
@@ -48,6 +48,14 @@ pub enum EngineError {
     InvalidPlan(String),
     /// A background materialization worker failed.
     Materialize(String),
+    /// The S/C optimizer rejected its input.
+    Opt(sc_core::OptError),
+    /// The MV dependency graph could not be built.
+    Dag(sc_dag::DagError),
+    /// An MV with this name is already registered with the session.
+    DuplicateMv(String),
+    /// The session builder was not given a storage directory.
+    MissingStorageDir,
 }
 
 impl EngineError {
@@ -69,6 +77,10 @@ impl EngineError {
             EngineError::Io(_) => "io",
             EngineError::InvalidPlan(_) => "invalid_plan",
             EngineError::Materialize(_) => "materialize",
+            EngineError::Opt(_) => "opt",
+            EngineError::Dag(_) => "dag",
+            EngineError::DuplicateMv(_) => "duplicate_mv",
+            EngineError::MissingStorageDir => "missing_storage_dir",
         }
     }
 }
@@ -106,6 +118,12 @@ impl fmt::Display for EngineError {
             EngineError::Io(e) => write!(f, "io error: {e}"),
             EngineError::InvalidPlan(m) => write!(f, "invalid refresh plan: {m}"),
             EngineError::Materialize(m) => write!(f, "materialization failed: {m}"),
+            EngineError::Opt(e) => write!(f, "optimizer: {e}"),
+            EngineError::Dag(e) => write!(f, "dag: {e}"),
+            EngineError::DuplicateMv(n) => write!(f, "duplicate MV '{n}'"),
+            EngineError::MissingStorageDir => {
+                write!(f, "ScSessionBuilder::storage_dir was never called")
+            }
         }
     }
 }
@@ -122,6 +140,18 @@ impl std::error::Error for EngineError {
 impl From<std::io::Error> for EngineError {
     fn from(e: std::io::Error) -> Self {
         EngineError::Io(e)
+    }
+}
+
+impl From<sc_core::OptError> for EngineError {
+    fn from(e: sc_core::OptError) -> Self {
+        EngineError::Opt(e)
+    }
+}
+
+impl From<sc_dag::DagError> for EngineError {
+    fn from(e: sc_dag::DagError) -> Self {
+        EngineError::Dag(e)
     }
 }
 
@@ -171,6 +201,15 @@ mod tests {
                 EngineError::Materialize("disk full".into()),
                 "materialization",
             ),
+            (EngineError::Opt(sc_core::OptError::ZeroBudget), "optimizer"),
+            (
+                EngineError::Dag(sc_dag::DagError::SelfLoop {
+                    node: sc_dag::NodeId(0),
+                }),
+                "dag",
+            ),
+            (EngineError::DuplicateMv("x".into()), "duplicate"),
+            (EngineError::MissingStorageDir, "storage_dir"),
         ];
         for (e, frag) in cases {
             assert!(e.to_string().contains(frag), "{e} missing '{frag}'");

@@ -15,13 +15,17 @@
 //! * an append-only delta log ([`storage::DeltaStore`]) and delta-aware
 //!   operators ([`exec::delta`]) enabling *incremental* MV maintenance:
 //!   refreshes apply only what changed, byte-identical to recomputation;
-//! * a [`controller::Controller`] that performs an MV refresh run for a
-//!   given [`sc_core::Plan`]: flagged nodes are created directly in the
-//!   run's bounded Memory Catalog — admitted, and released once all their
+//! * a refresh controller that performs an MV refresh run for a given
+//!   [`sc_core::Plan`]: flagged nodes are created directly in the run's
+//!   bounded Memory Catalog — admitted, and released once all their
 //!   consumers finish, by [`sc_core::AdmissionReplay`], the one budget
 //!   accounting — and materialized to storage in the background (in
 //!   parallel with downstream work, §III-C); per node it chooses full
-//!   recompute vs delta maintenance vs skipping ([`sc_core::RefreshMode`]).
+//!   recompute vs delta maintenance vs skipping ([`sc_core::RefreshMode`]);
+//! * the [`ScSession`] that owns all of the above — the one entry point
+//!   for refreshes and ingestion (the controller and the delta log's
+//!   mutators are crate-private) — and the [`RefreshReport`] a managed
+//!   refresh returns.
 //!
 //! ```
 //! use sc_engine::prelude::*;
@@ -52,8 +56,10 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod plan;
+mod report;
 /// Table schemas: named, typed fields.
 pub mod schema;
+mod session;
 pub mod storage;
 /// The columnar [`Table`] and its builder.
 pub mod table;
@@ -61,9 +67,11 @@ pub mod table;
 pub mod types;
 
 pub use column::Column;
-pub use controller::{Controller, CostProvenance, NodeMetrics, RefreshConfig, RunMetrics};
+pub use controller::{CostProvenance, NodeMetrics, RefreshConfig, RunMetrics};
 pub use error::EngineError;
+pub use report::RefreshReport;
 pub use schema::{Field, Schema};
+pub use session::{ScSession, ScSessionBuilder, ScSnapshot};
 pub use table::{Table, TableBuilder};
 pub use types::{DataType, Value};
 
@@ -73,7 +81,7 @@ pub type Result<T> = std::result::Result<T, EngineError>;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::column::Column;
-    pub use crate::controller::{Controller, RefreshConfig, RunMetrics};
+    pub use crate::controller::{RefreshConfig, RunMetrics};
     pub use crate::exec::{DeltaBatch, TableDelta};
     pub use crate::expr::Expr;
     pub use crate::plan::{AggExpr, JoinType, LogicalPlan};

@@ -1,8 +1,8 @@
 //! Structured refresh reports: what a managed [`crate::ScSession::refresh`]
 //! run did per node, and a human-readable `explain()` of *why*.
 
+use crate::controller::{CostProvenance, NodeMetrics, RunMetrics};
 use sc_core::{NodeMode, Plan};
-use sc_engine::controller::{CostProvenance, NodeMetrics, RunMetrics};
 
 /// Outcome of one managed refresh run ([`crate::ScSession::refresh`]).
 ///

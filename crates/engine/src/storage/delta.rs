@@ -1,13 +1,17 @@
 //! The append-only **delta log**: pending base-table changes accumulated
 //! between refresh runs.
 //!
-//! Ingestion is a two-step protocol (see [`DeltaStore::ingest`]): the
-//! change batch is applied to the authoritative base table in external
-//! storage immediately — the DBMS's tables are always current — and
-//! simultaneously appended here, so the next refresh run knows exactly
-//! what changed since each MV's last refresh. A successful refresh
-//! consumes the batches it ran from ([`DeltaStore::consume`]); a failed
-//! one leaves the log intact, and poisoned, so the changes are retried.
+//! Ingestion is a two-step protocol (see [`crate::ScSession::ingest_delta`]):
+//! the change batch is applied to the authoritative base table in
+//! external storage immediately — the DBMS's tables are always current —
+//! and simultaneously appended here, so the next refresh run knows
+//! exactly what changed since each MV's last refresh. A successful
+//! refresh consumes the batches it ran from; a failed one leaves the log
+//! intact, and poisoned, so the changes are retried.
+//!
+//! The log's writers are crate-private: the session that owns it is the
+//! only way in, and its refresh runs the only way out. Everyone else
+//! reads it through [`crate::ScSession::delta_store`].
 
 use std::collections::HashMap;
 
@@ -26,14 +30,13 @@ use crate::Result;
 ///
 /// The controller works from a [`DeltaStore::snapshot`] taken at refresh
 /// start, so batches ingested *during* a run are neither partially applied
-/// nor lost: a successful run [`DeltaStore::consume`]s exactly the
-/// snapshotted prefix. A *failed* run marks the log **poisoned**: some MVs
-/// may already hold their incrementally-applied contents while the log
-/// still pends, and re-applying a delta is not idempotent — so the next
-/// refresh recomputes every delta-reached MV from its (authoritative,
-/// already-updated) base tables, which is always correct. Consuming the
-/// log clears the poison.
-#[derive(Debug, Default)]
+/// nor lost: a successful run consumes exactly the snapshotted prefix. A
+/// *failed* run marks the log **poisoned**: some MVs may already hold
+/// their incrementally-applied contents while the log still pends, and
+/// re-applying a delta is not idempotent — so the next refresh recomputes
+/// every delta-reached MV from its (authoritative, already-updated) base
+/// tables, which is always correct. Consuming the log clears the poison.
+#[derive(Debug)]
 pub struct DeltaStore {
     inner: Mutex<Inner>,
 }
@@ -46,12 +49,16 @@ struct Inner {
 
 impl DeltaStore {
     /// An empty log.
-    pub fn new() -> Self {
-        DeltaStore::default()
+    pub(crate) fn new() -> Self {
+        DeltaStore {
+            inner: Mutex::default(),
+        }
     }
 
-    /// Appends `delta`'s batches to `table`'s pending log.
-    pub fn append(&self, table: &str, delta: TableDelta) -> Result<()> {
+    /// Appends `delta`'s batches to `table`'s pending log without
+    /// touching storage.
+    #[cfg(test)]
+    pub(crate) fn append(&self, table: &str, delta: TableDelta) -> Result<()> {
         let mut g = self.inner.lock();
         match g.pending.get_mut(table) {
             Some(existing) => existing.extend(delta)?,
@@ -116,14 +123,14 @@ impl DeltaStore {
 
     /// Marks the log poisoned (called by the controller when a refresh
     /// fails after deltas may have been applied to some MVs).
-    pub fn mark_poisoned(&self) {
+    pub(crate) fn mark_poisoned(&self) {
         self.inner.lock().poisoned = true;
     }
 
     /// Consumes exactly the batches captured in `snapshot` — batches
     /// ingested after the snapshot survive for the next refresh — and
     /// clears the poison flag (every MV is consistent again).
-    pub fn consume(&self, snapshot: &HashMap<String, TableDelta>) {
+    pub(crate) fn consume(&self, snapshot: &HashMap<String, TableDelta>) {
         let mut g = self.inner.lock();
         for (table, snap) in snapshot {
             let consumed = snap.batches().len();
@@ -148,7 +155,7 @@ impl DeltaStore {
     /// batch (it would bake the delta into a recomputed MV and then apply
     /// it again next run). The lock also serializes concurrent ingests
     /// against the same table's read-modify-write.
-    pub fn ingest(&self, disk: &DiskCatalog, table: &str, delta: TableDelta) -> Result<()> {
+    pub(crate) fn ingest(&self, disk: &DiskCatalog, table: &str, delta: TableDelta) -> Result<()> {
         let mut g = self.inner.lock();
         let base = disk.read_table(table)?;
         disk.write_table(table, &delta.apply(&base)?)?;

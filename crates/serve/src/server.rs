@@ -620,20 +620,10 @@ fn serve_connection(
     let _ = reader.join();
 }
 
-fn engine_error(err: impl Into<ScError>) -> WireError {
-    let err = err.into();
-    let kind = match &err {
-        ScError::Engine(e) => e.kind().to_string(),
-        ScError::Opt(_) => "opt".into(),
-        ScError::Dag(_) => "dag".into(),
-        ScError::DuplicateMv(_) => "duplicate_mv".into(),
-        ScError::NameCollision { .. } => "name_collision".into(),
-        ScError::MissingStorageDir => "missing_storage_dir".into(),
-        ScError::Scenario(_) => "scenario".into(),
-    };
+fn engine_error(err: ScError) -> WireError {
     WireError {
         code: ErrorCode::Engine,
-        kind,
+        kind: err.kind().into(),
         message: err.to_string(),
     }
 }
@@ -741,6 +731,43 @@ fn execute(
             m.merge_cache(&cache.stats());
             m.encode_into(&mut f);
             Ok((OpClass::Stats, Arc::new(vec![f])))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Clients match on the wire kind, so each session error keeps the
+    /// kind string it has always shipped.
+    #[test]
+    fn wire_error_kinds_are_stable() {
+        let cases = [
+            (ScError::Opt(sc::core::OptError::ZeroBudget), "opt"),
+            (
+                ScError::Dag(sc::dag::DagError::SelfLoop {
+                    node: sc::dag::NodeId(0),
+                }),
+                "dag",
+            ),
+            (ScError::DuplicateMv("mv".into()), "duplicate_mv"),
+            (
+                ScError::NameCollision {
+                    name: "mv.a".into(),
+                    existing: "mv_a".into(),
+                },
+                "name_collision",
+            ),
+            (ScError::MissingStorageDir, "missing_storage_dir"),
+            (ScError::UnknownTable("t".into()), "unknown_table"),
+        ];
+        for (err, kind) in cases {
+            let message = err.to_string();
+            let wire = engine_error(err);
+            assert_eq!(wire.code, ErrorCode::Engine);
+            assert_eq!(wire.kind, kind);
+            assert_eq!(wire.message, message);
         }
     }
 }

@@ -156,7 +156,7 @@ pub struct Expectation {
 pub struct CorpusCase {
     /// Corpus file the case was parsed from.
     pub file: String,
-    /// The scenario, ready for `ScSession::from_spec` / the simulator.
+    /// The scenario, ready for [`ScenarioSpec::open`] / the simulator.
     pub spec: ScenarioSpec,
     /// Pinned per-MV refresh decisions (possibly empty).
     pub expectations: Vec<Expectation>,
@@ -1093,7 +1093,7 @@ expect ranked full unsupported_shape
         let case = parse_str(GOOD, "good.scn").unwrap();
         let dir = tempfile::tempdir().unwrap();
         let disk = sc_engine::storage::DiskCatalog::open(dir.path()).unwrap();
-        case.spec.load_tables(&disk).unwrap();
+        case.spec.tables.load_into(&disk).unwrap();
         let t = disk.read_table("items").unwrap();
         assert_eq!(t.num_rows(), 2);
         // The parsed plans run: `cheap` keeps the one row under 5.0.

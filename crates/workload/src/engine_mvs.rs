@@ -147,35 +147,44 @@ pub fn sales_pipeline() -> Vec<MvDefinition> {
 mod tests {
     use super::*;
     use crate::tpcds::TinyTpcds;
-    use sc_core::{CostModel, Plan, ScOptimizer};
-    use sc_dag::{Dag, NodeId};
-    use sc_engine::controller::Controller;
-    use sc_engine::storage::DiskCatalog;
+    use sc_core::Plan;
+    use sc_dag::NodeId;
+    use sc_engine::controller::dependencies;
+    use sc_engine::ScSession;
 
-    fn setup() -> (tempfile::TempDir, DiskCatalog) {
+    /// A session with a 1 MiB Memory Catalog over TinyTpcds at scale 0.3,
+    /// with `mvs` registered.
+    fn setup(mvs: Vec<MvDefinition>) -> (tempfile::TempDir, ScSession) {
         let dir = tempfile::tempdir().unwrap();
-        let disk = DiskCatalog::open(dir.path()).unwrap();
-        TinyTpcds::generate(0.3, 42).load_into(&disk).unwrap();
-        (dir, disk)
+        let session = ScSession::builder()
+            .storage_dir(dir.path())
+            .memory_budget(1 << 20)
+            .runtime_feedback(false)
+            .build()
+            .unwrap();
+        TinyTpcds::generate(0.3, 42)
+            .load_into(session.disk())
+            .unwrap();
+        for mv in mvs {
+            session.register_mv(mv).unwrap();
+        }
+        (dir, session)
     }
 
     #[test]
     fn fact_join_runs() {
-        let (_dir, disk) = setup();
-        let mvs = vec![fact_join_mv()];
+        let (_dir, session) = setup(vec![fact_join_mv()]);
         let plan = Plan::unoptimized(vec![NodeId(0)]);
-        let m = Controller::new(&disk, 64 << 20)
-            .refresh(&mvs, &plan)
-            .unwrap();
+        let m = session.refresh_with_plan(&plan).unwrap();
         assert!(m.nodes[0].rows > 0);
-        assert!(disk.contains("fact_join"));
+        assert!(session.disk().contains("fact_join"));
     }
 
     #[test]
     fn sales_pipeline_structure() {
         let mvs = sales_pipeline();
         assert_eq!(mvs.len(), 9);
-        let deps = Controller::dependencies(&mvs);
+        let deps = dependencies(&mvs);
         // enriched_sales feeds three consumers.
         let hub_children = deps.iter().filter(|&&(i, _)| i == 0).count();
         assert_eq!(hub_children, 3);
@@ -187,35 +196,22 @@ mod tests {
 
     #[test]
     fn pipeline_runs_and_optimized_run_matches_baseline_output() {
-        let (_dir, disk) = setup();
-        let mvs = sales_pipeline();
-        let order: Vec<NodeId> = (0..mvs.len()).map(NodeId).collect();
-        let controller = Controller::new(&disk, 64 << 20);
+        let (_dir, session) = setup(sales_pipeline());
+        let mvs = session.mvs();
 
         // Baseline run, then profile -> optimize -> optimized run.
-        let baseline = controller.refresh(&mvs, &Plan::unoptimized(order)).unwrap();
-        // The run is in MV order, so node i's size is baseline.nodes[i]'s.
-        let graph = Dag::from_parts(
-            mvs.iter()
-                .zip(&baseline.nodes)
-                .map(|(mv, n)| (mv.name.clone(), n.output_bytes)),
-            Controller::dependencies(&mvs),
-        )
-        .unwrap();
-        let problem = CostModel::paper()
-            .build_problem(&graph, 1 << 20, |_| None)
-            .unwrap();
-        let plan = ScOptimizer::default().optimize(&problem).unwrap();
+        let baseline = session.baseline_refresh().unwrap();
+        let plan = session.optimize_from(&baseline).unwrap();
         assert!(plan.flagged.count() > 0, "something must be worth flagging");
 
         let baseline_tables: Vec<_> = mvs
             .iter()
-            .map(|mv| disk.read_table(&mv.name).unwrap())
+            .map(|mv| session.disk().read_table(&mv.name).unwrap())
             .collect();
-        let optimized = controller.refresh(&mvs, &plan).unwrap();
+        let optimized = session.refresh_with_plan(&plan).unwrap();
         assert_eq!(optimized.nodes.len(), mvs.len());
         for (mv, before) in mvs.iter().zip(baseline_tables) {
-            let after = disk.read_table(&mv.name).unwrap();
+            let after = session.disk().read_table(&mv.name).unwrap();
             assert_eq!(before, after, "optimization must not change {}", mv.name);
         }
     }

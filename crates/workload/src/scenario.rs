@@ -1,7 +1,7 @@
 //! Unified **scenario specifications**: one value describing base tables,
 //! the MV DAG, a churn schedule, and the engine/sim configuration — the
-//! single source of truth from which both the real engine (`sc`'s
-//! `ScSession::from_spec`) and the simulator construct their rigs.
+//! single source of truth from which both the real engine
+//! ([`ScenarioSpec::open`]) and the simulator construct their rigs.
 //!
 //! Before this module, engine/sim parity was held only by tests: `sc-sim`
 //! re-declared lane counts, refresh modes, budgets, and per-node churn
@@ -13,11 +13,12 @@
 //! its annotated [`sc_sim::SimWorkload`] from the very same value.
 
 use std::collections::HashSet;
+use std::path::Path;
 
 use sc_core::RefreshMode;
 use sc_engine::controller::{MvDefinition, RefreshConfig, RunMetrics};
-use sc_engine::storage::{DeltaStore, DiskCatalog, ObservationStore, Throttle};
-use sc_engine::{DataType, Table, TableBuilder, Value};
+use sc_engine::storage::{DiskCatalog, ObservationStore, Throttle};
+use sc_engine::{DataType, ScSession, Table, TableBuilder, Value};
 use sc_sim::{SimConfig, SimWorkload};
 
 use crate::corpus::ScenarioError;
@@ -146,12 +147,13 @@ impl ChurnRound {
     }
 
     /// Generates this round's delta per table from the table's *current*
-    /// stored contents and ingests it (base updated + delta logged).
-    pub fn ingest_into(&self, disk: &DiskCatalog, store: &DeltaStore) -> sc_engine::Result<()> {
+    /// stored contents and ingests it through `session` (base updated +
+    /// delta logged).
+    pub fn ingest_into(&self, session: &ScSession) -> sc_engine::Result<()> {
         for (i, table) in self.tables.iter().enumerate() {
-            let base = disk.read_table(table)?;
+            let base = session.disk().read_table(table)?;
             let delta = generate_delta(&base, &self.stream, self.seed.wrapping_add(i as u64));
-            store.ingest(disk, table, delta)?;
+            session.ingest_delta(table, delta)?;
         }
         Ok(())
     }
@@ -206,9 +208,9 @@ impl ScenarioConfig {
 ///
 /// Consumers:
 ///
-/// * the engine — `ScSession::from_spec` in the `sc` crate opens a
-///   session, loads [`ScenarioSpec::tables`], registers
-///   [`ScenarioSpec::mvs`], and applies the config;
+/// * the engine — [`ScenarioSpec::open`] opens a session, loads
+///   [`ScenarioSpec::tables`], registers [`ScenarioSpec::mvs`], and
+///   applies the config;
 /// * churn — [`ScenarioSpec::ingest_round`] replays the schedule against
 ///   the session's catalogs;
 /// * the simulator — [`ScenarioSpec::sim_config`] and
@@ -330,19 +332,31 @@ impl ScenarioSpec {
         cfg
     }
 
-    /// Generates the base tables into `disk`.
-    pub fn load_tables(&self, disk: &DiskCatalog) -> sc_engine::Result<()> {
-        self.tables.load_into(disk)
+    /// Opens a session from this spec: storage under `dir`, the spec's
+    /// budget/lanes/mode/throttle applied, its base tables loaded, and its
+    /// MV DAG registered. The same spec value drives the simulator
+    /// ([`ScenarioSpec::sim_config`] / [`ScenarioSpec::mirror`]), so an
+    /// engine rig and its simulation twin cannot drift apart.
+    pub fn open(&self, dir: impl AsRef<Path>) -> sc_engine::Result<ScSession> {
+        let mut builder = ScSession::builder()
+            .storage_dir(dir)
+            .memory_budget(self.config.memory_budget)
+            .refresh_config(self.refresh_config())
+            .runtime_feedback(self.config.runtime_feedback);
+        if let Some(t) = self.config.throttle {
+            builder = builder.throttle(t);
+        }
+        let session = builder.build()?;
+        self.tables.load_into(session.disk())?;
+        for mv in &self.mvs {
+            session.register_mv(mv.clone())?;
+        }
+        Ok(session)
     }
 
     /// Applies churn round `round` (0-based index into
-    /// [`ScenarioSpec::churn`]) against the catalogs.
-    pub fn ingest_round(
-        &self,
-        round: usize,
-        disk: &DiskCatalog,
-        store: &DeltaStore,
-    ) -> sc_engine::Result<()> {
+    /// [`ScenarioSpec::churn`]) through `session`.
+    pub fn ingest_round(&self, round: usize, session: &ScSession) -> sc_engine::Result<()> {
         let r = self.churn.get(round).ok_or_else(|| {
             sc_engine::EngineError::InvalidPlan(format!(
                 "scenario '{}' has {} churn rounds, round {round} requested",
@@ -350,13 +364,13 @@ impl ScenarioSpec {
                 self.churn.len()
             ))
         })?;
-        r.ingest_into(disk, store)
+        r.ingest_into(session)
     }
 
     /// Mirrors this scenario's engine state into an annotated
     /// [`SimWorkload`] ([`mirror_workload`]): `metrics` must come from a
-    /// full profiling refresh of the spec's MVs on `disk`, and `store`
-    /// holds the pending churn the next refresh will see. Combined with
+    /// full profiling refresh of the spec's MVs in `session`, whose delta
+    /// log holds the pending churn the next refresh will see. Combined with
     /// [`ScenarioSpec::sim_config`], this is the entire simulator rig —
     /// derived, not re-declared.
     ///
@@ -375,9 +389,8 @@ impl ScenarioSpec {
     /// would let a mismatched sidecar pass for an empty one.
     pub fn mirror(
         &self,
-        disk: &DiskCatalog,
+        session: &ScSession,
         metrics: &RunMetrics,
-        store: &DeltaStore,
         observations: Option<&ObservationStore>,
     ) -> Result<SimWorkload, ScenarioError> {
         let known: HashSet<&str> = self.mvs.iter().map(|m| m.name.as_str()).collect();
@@ -395,8 +408,8 @@ impl ScenarioSpec {
         Ok(mirror_workload(
             &self.mvs,
             metrics,
-            disk,
-            &store.snapshot(),
+            session.disk(),
+            &session.delta_store().snapshot(),
             observations,
         )?)
     }
@@ -405,9 +418,6 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_core::Plan;
-    use sc_dag::NodeId;
-    use sc_engine::controller::Controller;
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::sales_pipeline(0.2, 42, 8 << 20).with_churn(ChurnRound::inserts(
@@ -421,18 +431,18 @@ mod tests {
     fn loads_tables_and_replays_churn() {
         let s = spec();
         let dir = tempfile::tempdir().unwrap();
-        let disk = DiskCatalog::open(dir.path()).unwrap();
-        s.load_tables(&disk).unwrap();
+        let session = s.open(dir.path()).unwrap();
+        let disk = session.disk();
         assert!(disk.contains("store_sales"));
+        assert_eq!(session.mv_count(), s.mvs.len());
         let before = disk.read_table("store_sales").unwrap().num_rows();
 
-        let store = DeltaStore::new();
-        s.ingest_round(0, &disk, &store).unwrap();
-        assert!(!store.is_empty());
+        s.ingest_round(0, &session).unwrap();
+        assert!(!session.delta_store().is_empty());
         let after = disk.read_table("store_sales").unwrap().num_rows();
         assert_eq!(after, before + (before as f64 * 0.05).round() as usize);
         // Out-of-range rounds error instead of silently doing nothing.
-        assert!(s.ingest_round(1, &disk, &store).is_err());
+        assert!(s.ingest_round(1, &session).is_err());
     }
 
     #[test]
@@ -494,15 +504,10 @@ mod tests {
 
     #[test]
     fn mirror_rejects_a_stale_sidecar() {
-        let s = spec();
+        let s = spec().with_runtime_feedback(false);
         let dir = tempfile::tempdir().unwrap();
-        let disk = DiskCatalog::open(dir.path()).unwrap();
-        s.load_tables(&disk).unwrap();
-        let plan = Plan::unoptimized((0..s.mvs.len()).map(NodeId).collect());
-        let metrics = Controller::new(&disk, 8 << 20)
-            .refresh(&s.mvs, &plan)
-            .unwrap();
-        let store = DeltaStore::new();
+        let session = s.open(dir.path()).unwrap();
+        let metrics = session.baseline_refresh().unwrap();
 
         // A sidecar recorded against some other workload: its node names
         // don't exist in this spec, so mirroring must refuse it.
@@ -521,7 +526,7 @@ mod tests {
                 write_s: 0.1,
             },
         );
-        match s.mirror(&disk, &metrics, &store, Some(&stale)) {
+        match s.mirror(&session, &metrics, Some(&stale)) {
             Err(crate::corpus::ScenarioError::StaleObservation { scenario, mv }) => {
                 assert_eq!(scenario, "sales_pipeline");
                 assert_eq!(mv, "mv_from_another_life");
@@ -530,26 +535,22 @@ mod tests {
         }
         // An empty sidecar (and one naming only spec MVs) is fine.
         assert!(s
-            .mirror(&disk, &metrics, &store, Some(&ObservationStore::new()))
+            .mirror(&session, &metrics, Some(&ObservationStore::new()))
             .is_ok());
     }
 
     #[test]
     fn mirror_matches_manual_mirror() {
-        let s = spec();
+        let s = spec().with_runtime_feedback(false);
         let dir = tempfile::tempdir().unwrap();
-        let disk = DiskCatalog::open(dir.path()).unwrap();
-        s.load_tables(&disk).unwrap();
-        let plan = Plan::unoptimized((0..s.mvs.len()).map(NodeId).collect());
-        let metrics = Controller::new(&disk, 8 << 20)
-            .refresh(&s.mvs, &plan)
-            .unwrap();
-        let store = DeltaStore::new();
-        s.ingest_round(0, &disk, &store).unwrap();
+        let session = s.open(dir.path()).unwrap();
+        let metrics = session.baseline_refresh().unwrap();
+        s.ingest_round(0, &session).unwrap();
 
-        let w = s.mirror(&disk, &metrics, &store, None).unwrap();
+        let w = s.mirror(&session, &metrics, None).unwrap();
         assert_eq!(w.len(), s.mvs.len());
-        let manual = mirror_workload(&s.mvs, &metrics, &disk, &store.snapshot(), None).unwrap();
+        let pending = session.delta_store().snapshot();
+        let manual = mirror_workload(&s.mvs, &metrics, session.disk(), &pending, None).unwrap();
         for (a, b) in w
             .graph
             .node_ids()

@@ -17,9 +17,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sc_core::Feed;
-use sc_engine::controller::{mode_facts, Controller, MvDefinition, RunMetrics};
+use sc_engine::controller::{dependencies, mode_facts, MvDefinition, RunMetrics};
 use sc_engine::exec::{DeltaBatch, TableDelta};
-use sc_engine::storage::{DeltaStore, DiskCatalog, ObservationStore};
+use sc_engine::storage::{DiskCatalog, ObservationStore};
 use sc_engine::{Table, Value};
 use sc_sim::{SimChurn, SimNode, SimWorkload};
 
@@ -130,56 +130,6 @@ fn perturb(mut values: Vec<Value>, rng: &mut StdRng) -> Vec<Value> {
     values
 }
 
-/// The join-hub churn scenario: seeded insert-only streams against the
-/// *fact* (probe-side) tables of a join-hub pipeline while every
-/// dimension (build-side) table stays untouched — exactly the shape the
-/// delta-join rule maintains incrementally and byte-identically.
-#[derive(Debug, Clone)]
-pub struct JoinHubChurn {
-    /// Fact tables receiving insert-only churn each round.
-    pub fact_tables: Vec<String>,
-    /// Fraction of each fact table's current rows appended per round.
-    pub insert_fraction: f64,
-}
-
-impl JoinHubChurn {
-    /// A scenario churning `fact_tables` by `insert_fraction` per round.
-    pub fn new(
-        fact_tables: impl IntoIterator<Item = impl Into<String>>,
-        insert_fraction: f64,
-    ) -> Self {
-        JoinHubChurn {
-            fact_tables: fact_tables.into_iter().map(Into::into).collect(),
-            insert_fraction,
-        }
-    }
-
-    /// The `sales_pipeline` scenario: `store_sales` churns, the `item` /
-    /// `date_dim` / `customer` dimensions stay static.
-    pub fn store_sales(insert_fraction: f64) -> Self {
-        JoinHubChurn::new(["store_sales"], insert_fraction)
-    }
-
-    /// Generates one seeded churn round against every fact table's
-    /// *current* stored contents and ingests it (base updated + delta
-    /// logged). Streams are deterministic per `(self, stored state, seed)`,
-    /// so two catalogs holding identical bases receive identical churn.
-    pub fn ingest_round(
-        &self,
-        disk: &DiskCatalog,
-        store: &DeltaStore,
-        seed: u64,
-    ) -> sc_engine::Result<()> {
-        let spec = UpdateStreamSpec::inserts(self.insert_fraction);
-        for (i, table) in self.fact_tables.iter().enumerate() {
-            let base = disk.read_table(table)?;
-            let delta = generate_delta(&base, &spec, seed.wrapping_add(i as u64));
-            store.ingest(disk, table, delta)?;
-        }
-        Ok(())
-    }
-}
-
 /// Mirrors an engine MV workload into a [`SimWorkload`], so the simulator
 /// predicts the same per-node refresh decisions (mode and reason) as the
 /// engine's controller.
@@ -227,7 +177,7 @@ pub fn mirror_workload(
         });
         node
     });
-    SimWorkload::from_parts(nodes.collect::<Vec<_>>(), Controller::dependencies(mvs))
+    SimWorkload::from_parts(nodes.collect::<Vec<_>>(), dependencies(mvs))
 }
 
 /// Annotates every node of a simulated workload with churn at a global
@@ -247,7 +197,9 @@ pub fn churned(workload: &SimWorkload, delta_fraction: f64, seed: u64) -> SimWor
 mod tests {
     use super::*;
     use crate::tpcds::TinyTpcds;
+    use crate::ChurnRound;
     use sc_core::RefreshMode;
+    use sc_engine::ScSession;
     use sc_sim::{SimConfig, SimNode, Simulator};
 
     #[test]
@@ -315,52 +267,57 @@ mod tests {
         assert!(d.is_empty());
     }
 
+    /// A session over TinyTpcds at scale 0.3 with `sales_pipeline`
+    /// registered and runtime feedback off.
+    fn session(dir: &std::path::Path) -> ScSession {
+        let session = ScSession::builder()
+            .storage_dir(dir)
+            .runtime_feedback(false)
+            .build()
+            .unwrap();
+        TinyTpcds::generate(0.3, 7)
+            .load_into(session.disk())
+            .unwrap();
+        for mv in crate::engine_mvs::sales_pipeline() {
+            session.register_mv(mv).unwrap();
+        }
+        session
+    }
+
     #[test]
     fn join_hub_churn_is_deterministic_across_rigs() {
-        let mk = || {
-            let dir = tempfile::tempdir().unwrap();
-            let disk = sc_engine::storage::DiskCatalog::open(dir.path()).unwrap();
-            TinyTpcds::generate(0.3, 7).load_into(&disk).unwrap();
-            (dir, disk, DeltaStore::new())
-        };
-        let (_d1, disk1, store1) = mk();
-        let (_d2, disk2, store2) = mk();
-        let churn = JoinHubChurn::store_sales(0.05);
+        let (d1, d2) = (tempfile::tempdir().unwrap(), tempfile::tempdir().unwrap());
+        let (s1, s2) = (session(d1.path()), session(d2.path()));
         for round in 0..2u64 {
-            churn.ingest_round(&disk1, &store1, round).unwrap();
-            churn.ingest_round(&disk2, &store2, round).unwrap();
+            let churn = ChurnRound::inserts(["store_sales"], 0.05, round);
+            churn.ingest_into(&s1).unwrap();
+            churn.ingest_into(&s2).unwrap();
         }
+        let (log1, log2) = (s1.delta_store(), s2.delta_store());
         assert_eq!(
-            store1.pending("store_sales").unwrap(),
-            store2.pending("store_sales").unwrap()
+            log1.pending("store_sales").unwrap(),
+            log2.pending("store_sales").unwrap()
         );
-        assert_eq!(store1.pending("store_sales").unwrap().batches().len(), 2);
-        assert!(!store1.pending("store_sales").unwrap().has_deletes());
+        assert_eq!(log1.pending("store_sales").unwrap().batches().len(), 2);
+        assert!(!log1.pending("store_sales").unwrap().has_deletes());
         assert_eq!(
-            disk1.read_table("store_sales").unwrap(),
-            disk2.read_table("store_sales").unwrap()
+            s1.disk().read_table("store_sales").unwrap(),
+            s2.disk().read_table("store_sales").unwrap()
         );
         // Dimensions stay untouched.
-        assert!(store1.pending("item").is_none());
+        assert!(log1.pending("item").is_none());
     }
 
     #[test]
     fn mirror_workload_annotates_join_hub_shapes() {
-        use crate::engine_mvs::sales_pipeline;
-        use sc_core::Plan;
-        use sc_dag::NodeId;
-        use sc_engine::controller::Controller;
-
         let dir = tempfile::tempdir().unwrap();
-        let disk = sc_engine::storage::DiskCatalog::open(dir.path()).unwrap();
-        TinyTpcds::generate(0.3, 7).load_into(&disk).unwrap();
-        let mvs = sales_pipeline();
-        let plan = Plan::unoptimized((0..mvs.len()).map(NodeId).collect());
-        let metrics = Controller::new(&disk, 64 << 20)
-            .refresh(&mvs, &plan)
-            .unwrap();
-        let mirror = |store: &DeltaStore| {
-            mirror_workload(&mvs, &metrics, &disk, &store.snapshot(), None).unwrap()
+        let session = session(dir.path());
+        let disk = session.disk();
+        let mvs = session.mvs();
+        let metrics = session.baseline_refresh().unwrap();
+        let mirror = || {
+            let pending = session.delta_store().snapshot();
+            mirror_workload(&mvs, &metrics, disk, &pending, None).unwrap()
         };
         let facts = |w: &SimWorkload, name: &str| {
             w.graph
@@ -374,23 +331,20 @@ mod tests {
 
         // An empty log: the engine tracks no deltas, so nothing is
         // annotated.
-        let quiet = DeltaStore::new();
-        assert!(mirror(&quiet)
-            .graph
-            .payloads()
-            .iter()
-            .all(|n| n.churn.is_none()));
+        assert!(mirror().graph.payloads().iter().all(|n| n.churn.is_none()));
 
-        let fact_churn = DeltaStore::new();
-        JoinHubChurn::store_sales(0.05)
-            .ingest_round(&disk, &fact_churn, 1)
+        ChurnRound::inserts(["store_sales"], 0.05, 1)
+            .ingest_into(&session)
             .unwrap();
-        let w = mirror(&fact_churn);
+        let w = mirror();
         // The join hub: churn reaches its spine, the dimensions are its
         // static build side (base tables, so bytes only — no build
         // parents).
         let hub = facts(&w, "enriched_sales");
-        assert_eq!(hub.churn.bytes, fact_churn.pending_bytes("store_sales"));
+        assert_eq!(
+            hub.churn.bytes,
+            session.delta_store().pending_bytes("store_sales")
+        );
         assert!(hub.churn.spine && !hub.churn.build);
         assert!(hub.maintainable && hub.publishes && hub.exists);
         assert!(hub.parents.is_empty());
@@ -404,12 +358,13 @@ mod tests {
         assert_eq!(facts(&w, "web_by_item").churn, Default::default());
         assert!(!facts(&w, "cross_channel").maintainable);
 
-        // A churned *dimension* is churn on the hub's build side.
-        let dim_churn = DeltaStore::new();
-        JoinHubChurn::new(["item"], 0.05)
-            .ingest_round(&disk, &dim_churn, 2)
+        // A churned *dimension* is churn on the hub's build side (the
+        // refresh first drains the fact churn).
+        session.baseline_refresh().unwrap();
+        ChurnRound::inserts(["item"], 0.05, 2)
+            .ingest_into(&session)
             .unwrap();
-        let hub = facts(&mirror(&dim_churn), "enriched_sales");
+        let hub = facts(&mirror(), "enriched_sales");
         assert!(hub.churn.build && !hub.churn.spine);
     }
 

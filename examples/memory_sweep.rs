@@ -9,7 +9,7 @@
 //!
 //! This experiment is simulator-only (paper-scale data); for engine+sim
 //! rigs driven from one shared value, see `sc_workload::ScenarioSpec`
-//! and `ScSession::from_spec` in the `quickstart` example's docs.
+//! and `ScenarioSpec::open`.
 
 use sc::prelude::*;
 use sc_core::ScOptimizer;

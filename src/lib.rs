@@ -17,18 +17,19 @@
 //!   selection, MA-DFS scheduling, alternating optimization);
 //! * [`dag`] — the DAG substrate;
 //! * [`engine`] — a mini columnar warehouse: expressions, operators, a
-//!   columnar file format, disk/memory catalogs, the append-only delta
-//!   log, and the refresh controller (one lane-pool executor sized by
-//!   [`sc_engine::RefreshConfig`] / [`ScSessionBuilder::lanes`] — one
-//!   lane is the paper's sequential walk; per-node full, incremental, or
-//!   skipped maintenance via [`sc_core::RefreshMode`]);
+//!   columnar file format, the disk catalog, the append-only delta log,
+//!   the refresh controller (one lane-pool executor sized by
+//!   [`ScSessionBuilder::lanes`] — one lane is the paper's sequential
+//!   walk; per-node full, incremental, or skipped maintenance via
+//!   [`sc_core::RefreshMode`]), and the [`ScSession`] that owns them all
+//!   and is the only way to refresh or ingest;
 //! * [`sim`] — a discrete-event simulator for paper-scale experiments
 //!   (10 GB–1 TB, clusters, LRU baselines, churn scenarios);
 //! * [`workload`] — TPC-DS-style data and the paper's workloads, plus
 //!   the §VI-H synthetic DAG generator, seeded update streams
 //!   ([`sc_workload::updates`]), and unified engine/sim scenario specs
-//!   ([`sc_workload::ScenarioSpec`], consumed by
-//!   [`ScSession::from_spec`]).
+//!   ([`sc_workload::ScenarioSpec`], opened as a session by
+//!   [`ScenarioSpec::open`](sc_workload::ScenarioSpec::open)).
 //!
 //! A separate (not re-exported) crate, `sc-serve`, layers a concurrent
 //! TCP query-serving front end over this façade: epoch-pinned reads and
@@ -37,8 +38,10 @@
 //! refreshed `Arc<ScSession>` and hand it to `sc_serve::Server::start`;
 //! see `examples/serve.rs`.
 //!
-//! The crate's own façade is [`ScSession`] (long-lived, `Arc`-shareable,
-//! plan-managing) plus the [`RefreshReport`] a managed refresh returns.
+//! The façade is [`ScSession`] (long-lived, `Arc`-shareable,
+//! plan-managing) plus the [`RefreshReport`] a managed refresh returns;
+//! both live in `sc-engine` and are re-exported here, with [`ScError`]
+//! as the name of their one error type, [`sc_engine::EngineError`].
 //!
 //! ## Quickstart
 //!
@@ -87,11 +90,14 @@ pub use sc_engine as engine;
 pub use sc_sim as sim;
 pub use sc_workload as workload;
 
-mod report;
+#[cfg(test)]
 mod system;
 
-pub use report::RefreshReport;
-pub use system::{ScError, ScSession, ScSessionBuilder, ScSnapshot};
+pub use sc_engine::{RefreshReport, ScSession, ScSessionBuilder, ScSnapshot};
+
+/// The session's error type: every failure a session call can report is
+/// an [`sc_engine::EngineError`].
+pub type ScError = sc_engine::EngineError;
 
 /// Commonly used items across the workspace.
 pub mod prelude {

@@ -64,7 +64,8 @@ fn corpus(lens: &str) -> Vec<CorpusCase> {
 
 fn rig(spec: &ScenarioSpec) -> (tempfile::TempDir, ScSession) {
     let dir = tempfile::tempdir().unwrap();
-    let session = ScSession::from_spec(dir.path(), spec)
+    let session = spec
+        .open(dir.path())
         .unwrap_or_else(|e| panic!("scenario '{}' failed to open: {e}", spec.name));
     (dir, session)
 }
@@ -114,11 +115,8 @@ fn lens_byte_identity_incremental_vs_full() {
         for round in 0..spec.churn.len() {
             // Both rigs' base tables are identical here, so the seeded
             // generator derives the same delta batches for each.
-            spec.ingest_round(round, inc.disk(), inc.delta_store())
-                .unwrap();
-            reference
-                .ingest_round(round, refr.disk(), refr.delta_store())
-                .unwrap();
+            spec.ingest_round(round, &inc).unwrap();
+            reference.ingest_round(round, &refr).unwrap();
             inc.refresh_with_plan(&plan).unwrap();
             refr.refresh_with_plan(&plan).unwrap();
             if spec.compact_due(round) {
@@ -161,22 +159,14 @@ fn lens_mode_parity_and_pinned_expectations() {
         let (_d, session) = rig(spec);
         let baseline = session.baseline_refresh().unwrap();
         for round in 0..spec.churn.len() {
-            spec.ingest_round(round, session.disk(), session.delta_store())
-                .unwrap();
+            spec.ingest_round(round, &session).unwrap();
         }
         let plan = full_plan(spec);
 
         // Mirror and predict *before* the engine refresh drains the log,
         // from the observation sidecar the engine's Auto consults.
         let sidecar = ObservationStore::load(session.disk().dir().join(SIDECAR_FILE));
-        let mirrored = spec
-            .mirror(
-                session.disk(),
-                &baseline,
-                session.delta_store(),
-                Some(&sidecar),
-            )
-            .unwrap();
+        let mirrored = spec.mirror(&session, &baseline, Some(&sidecar)).unwrap();
         let sim: HashMap<String, (NodeMode, ModeReason)> = Simulator::new(spec.sim_config())
             .run(&mirrored, &plan)
             .unwrap()
@@ -272,10 +262,8 @@ fn lens_fragmented_vs_compacted() {
         comp.baseline_refresh().unwrap();
         let plan = full_plan(spec);
         for round in 0..spec.churn.len() {
-            spec.ingest_round(round, frag.disk(), frag.delta_store())
-                .unwrap();
-            spec.ingest_round(round, comp.disk(), comp.delta_store())
-                .unwrap();
+            spec.ingest_round(round, &frag).unwrap();
+            spec.ingest_round(round, &comp).unwrap();
             frag.refresh_with_plan(&plan).unwrap();
             comp.refresh_with_plan(&plan).unwrap();
             comp.compact_mvs().unwrap();

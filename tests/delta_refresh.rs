@@ -12,19 +12,28 @@
 //! incrementally reserves only its delta in the Memory Catalog, so flags
 //! survive budgets that could never hold the full table. The third is
 //! *O(delta) persistence*: append-path nodes report delta-sized
-//! `appended_bytes` where a full refresh rewrites the whole MV.
+//! `appended_bytes` where a full refresh rewrites the whole MV — at every
+//! MV size, for a fixed delta.
+//!
+//! Every rig is a session with one refresh mode and one lane count. An
+//! incremental rig's first refresh runs over an empty delta log, so it
+//! materializes every MV in full, exactly like the always-full reference.
+
+use std::ops::Deref;
 
 use sc_core::FlagSet;
 use sc_core::{ModeReason, NodeMode, Plan, RefreshMode};
 use sc_dag::NodeId;
-use sc_engine::controller::{Controller, MvDefinition, RefreshConfig};
+use sc_engine::controller::MvDefinition;
 use sc_engine::exec::AggFunc;
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
-use sc_engine::storage::{DeltaStore, DiskCatalog};
+use sc_engine::storage::Throttle;
+use sc_engine::{RunMetrics, ScSession, Table};
 use sc_workload::engine_mvs::sales_pipeline;
 use sc_workload::tpcds::TinyTpcds;
-use sc_workload::updates::{generate_delta, JoinHubChurn, UpdateStreamSpec};
+use sc_workload::updates::{generate_delta, UpdateStreamSpec};
+use sc_workload::{ChurnRound, TpchSpec};
 
 /// A workload mixing every maintenance shape over the TinyTpcds tables:
 /// row-wise filter chains (delete-safe), a chained filter over an MV, two
@@ -83,37 +92,61 @@ fn plan_for(mvs: &[MvDefinition], flagged: &[usize]) -> Plan {
     }
 }
 
+/// A session refreshing on `lanes` lanes under `mode`, its storage in a
+/// directory of its own.
 struct Rig {
+    session: ScSession,
     _dir: tempfile::TempDir,
-    disk: DiskCatalog,
-    budget: u64,
-    store: DeltaStore,
 }
 
-fn rig(budget: u64) -> Rig {
-    let dir = tempfile::tempdir().unwrap();
-    let disk = DiskCatalog::open(dir.path()).unwrap();
-    TinyTpcds::generate(0.4, 42).load_into(&disk).unwrap();
-    Rig {
-        _dir: dir,
-        disk,
-        budget,
-        store: DeltaStore::new(),
+impl Deref for Rig {
+    type Target = ScSession;
+
+    fn deref(&self) -> &ScSession {
+        &self.session
     }
 }
 
-fn refresh(
-    r: &Rig,
-    mvs: &[MvDefinition],
-    plan: &Plan,
+fn session_rig(
+    budget: u64,
     lanes: usize,
     mode: RefreshMode,
-) -> sc_engine::RunMetrics {
-    Controller::new(&r.disk, r.budget)
-        .with_delta_store(&r.store)
-        .with_refresh_config(RefreshConfig::with_lanes(lanes).with_refresh_mode(mode))
-        .refresh(mvs, plan)
-        .unwrap()
+    throttle: Option<Throttle>,
+    mvs: &[MvDefinition],
+) -> Rig {
+    let dir = tempfile::tempdir().unwrap();
+    let mut builder = ScSession::builder()
+        .storage_dir(dir.path())
+        .memory_budget(budget)
+        .lanes(lanes)
+        .refresh_mode(mode)
+        .runtime_feedback(false);
+    if let Some(t) = throttle {
+        builder = builder.throttle(t);
+    }
+    let session = builder.build().unwrap();
+    for mv in mvs {
+        session.register_mv(mv.clone()).unwrap();
+    }
+    Rig { session, _dir: dir }
+}
+
+/// A rig over the TinyTpcds tables at scale 0.4 with `mvs` registered.
+fn rig(budget: u64, lanes: usize, mode: RefreshMode, mvs: &[MvDefinition]) -> Rig {
+    let r = session_rig(budget, lanes, mode, None, mvs);
+    TinyTpcds::generate(0.4, 42).load_into(r.disk()).unwrap();
+    r
+}
+
+fn refresh(r: &Rig, plan: &Plan) -> RunMetrics {
+    r.refresh_with_plan(plan).unwrap()
+}
+
+/// Ingests a seeded `spec` stream against `table`'s current contents.
+fn churn(r: &Rig, table: &str, spec: &UpdateStreamSpec, seed: u64) {
+    let base = r.disk().read_table(table).unwrap();
+    r.ingest_delta(table, generate_delta(&base, spec, seed))
+        .unwrap();
 }
 
 /// Stored files (name, bytes) backing one table.
@@ -122,22 +155,20 @@ type StoredFiles = Vec<(String, Vec<u8>)>;
 /// Raw stored bytes of every file (manifest + segments) backing every MV.
 fn mv_file_bytes(r: &Rig, mvs: &[MvDefinition]) -> Vec<(String, StoredFiles)> {
     mvs.iter()
-        .map(|mv| (mv.name.clone(), r.disk.stored_file_bytes(&mv.name).unwrap()))
+        .map(|mv| {
+            (
+                mv.name.clone(),
+                r.disk().stored_file_bytes(&mv.name).unwrap(),
+            )
+        })
         .collect()
 }
 
 /// Logical stored contents of every MV (layout-independent).
-fn mv_tables(r: &Rig, mvs: &[MvDefinition]) -> Vec<(String, sc_engine::Table)> {
+fn mv_tables(r: &Rig, mvs: &[MvDefinition]) -> Vec<(String, Table)> {
     mvs.iter()
-        .map(|mv| (mv.name.clone(), r.disk.read_table(&mv.name).unwrap()))
+        .map(|mv| (mv.name.clone(), r.disk().read_table(&mv.name).unwrap()))
         .collect()
-}
-
-/// Compacts every MV back to the canonical single-segment form.
-fn compact_all(r: &Rig, mvs: &[MvDefinition]) {
-    for mv in mvs {
-        r.disk.compact(&mv.name).unwrap();
-    }
 }
 
 /// Three seeded churn rounds — insert-only, then mixed with updates and
@@ -148,10 +179,10 @@ fn incremental_refresh_is_byte_identical_across_update_streams() {
     for lanes in [1usize, 4] {
         let mvs = mixed_workload();
         let plan = plan_for(&mvs, &[0]);
-        let full = rig(32 << 20);
-        let inc = rig(32 << 20);
-        refresh(&full, &mvs, &plan, lanes, RefreshMode::AlwaysFull);
-        refresh(&inc, &mvs, &plan, lanes, RefreshMode::AlwaysFull);
+        let full = rig(32 << 20, lanes, RefreshMode::AlwaysFull, &mvs);
+        let inc = rig(32 << 20, lanes, RefreshMode::AlwaysIncremental, &mvs);
+        refresh(&full, &plan);
+        refresh(&inc, &plan);
 
         let rounds = [
             UpdateStreamSpec::inserts(0.05),
@@ -162,12 +193,10 @@ fn incremental_refresh_is_byte_identical_across_update_streams() {
             // Identical churn lands on both rigs (bases were identical, so
             // the seeded stream is too).
             for r in [&full, &inc] {
-                let sales = r.disk.read_table("store_sales").unwrap();
-                let delta = generate_delta(&sales, spec, round as u64 + 99);
-                r.store.ingest(&r.disk, "store_sales", delta).unwrap();
+                churn(r, "store_sales", spec, round as u64 + 99);
             }
-            let fm = refresh(&full, &mvs, &plan, lanes, RefreshMode::AlwaysFull);
-            let im = refresh(&inc, &mvs, &plan, lanes, RefreshMode::AlwaysIncremental);
+            let fm = refresh(&full, &plan);
+            let im = refresh(&inc, &plan);
 
             assert_eq!(
                 mv_tables(&full, &mvs),
@@ -175,9 +204,8 @@ fn incremental_refresh_is_byte_identical_across_update_streams() {
                 "round {round}, lanes {lanes}: stored MVs must be row-identical"
             );
             assert!(fm.nodes.iter().all(|n| n.mode == NodeMode::Full));
-            let mode_of = |m: &sc_engine::RunMetrics, name: &str| {
-                m.nodes.iter().find(|n| n.name == name).unwrap().mode
-            };
+            let mode_of =
+                |m: &RunMetrics, name: &str| m.nodes.iter().find(|n| n.name == name).unwrap().mode;
             // The untouched branch skips; the join hub delta-joins and the
             // aggregate merges whenever the stream is insert-only (round 1
             // carries deletes, which neither joins nor aggregates absorb).
@@ -219,9 +247,9 @@ fn incremental_refresh_is_byte_identical_across_update_streams() {
         // The equality contract's second half: after compacting the
         // fragmented rig back to canonical form, every file is
         // byte-identical to the always-full reference.
-        assert!(inc.disk.segment_count("hot_sales").unwrap() > 1);
-        compact_all(&inc, &mvs);
-        assert_eq!(inc.disk.segment_count("hot_sales").unwrap(), 1);
+        assert!(inc.disk().segment_count("hot_sales").unwrap() > 1);
+        inc.compact_mvs().unwrap();
+        assert_eq!(inc.disk().segment_count("hot_sales").unwrap(), 1);
         assert_eq!(
             mv_file_bytes(&full, &mvs),
             mv_file_bytes(&inc, &mvs),
@@ -237,20 +265,17 @@ fn incremental_refresh_is_byte_identical_across_update_streams() {
 fn deletes_propagate_through_filter_chains_only() {
     let mvs = mixed_workload();
     let plan = plan_for(&mvs, &[]);
-    let full = rig(32 << 20);
-    let inc = rig(32 << 20);
-    refresh(&full, &mvs, &plan, 1, RefreshMode::AlwaysFull);
-    refresh(&inc, &mvs, &plan, 1, RefreshMode::AlwaysFull);
+    let full = rig(32 << 20, 1, RefreshMode::AlwaysFull, &mvs);
+    let inc = rig(32 << 20, 1, RefreshMode::AlwaysIncremental, &mvs);
+    refresh(&full, &plan);
+    refresh(&inc, &plan);
 
     let spec = UpdateStreamSpec::mixed(0.0, 0.0, 0.05); // pure deletes
     for r in [&full, &inc] {
-        let sales = r.disk.read_table("store_sales").unwrap();
-        r.store
-            .ingest(&r.disk, "store_sales", generate_delta(&sales, &spec, 5))
-            .unwrap();
+        churn(r, "store_sales", &spec, 5);
     }
-    refresh(&full, &mvs, &plan, 1, RefreshMode::AlwaysFull);
-    let im = refresh(&inc, &mvs, &plan, 1, RefreshMode::AlwaysIncremental);
+    refresh(&full, &plan);
+    let im = refresh(&inc, &plan);
     assert_eq!(mv_file_bytes(&full, &mvs), mv_file_bytes(&inc, &mvs));
 
     let mode_of = |name: &str| im.nodes.iter().find(|n| n.name == name).unwrap().mode;
@@ -277,30 +302,21 @@ fn delta_payload_admission_fits_where_full_tables_cannot() {
         .into_iter()
         .filter(|mv| mv.name != "hot_enriched") // keep every consumer incremental
         .collect();
-    let probe_rig = rig(1 << 30);
-    let probe_plan = plan_for(&mvs, &[0]);
-    let probe = refresh(&probe_rig, &mvs, &probe_plan, 1, RefreshMode::AlwaysFull);
-    let hub_bytes = probe.nodes[0].output_bytes;
+    let plan = plan_for(&mvs, &[0]);
+    let probe_rig = rig(1 << 30, 1, RefreshMode::AlwaysFull, &mvs);
+    let hub_bytes = refresh(&probe_rig, &plan).nodes[0].output_bytes;
 
     // Budget: a tenth of the hub — no full-table flag can ever fit.
     let budget = hub_bytes / 10;
-    let r = rig(budget);
-    let plan = plan_for(&mvs, &[0]);
-    refresh(&r, &mvs, &plan, 1, RefreshMode::AlwaysFull);
-
-    let sales = r.disk.read_table("store_sales").unwrap();
-    let delta = generate_delta(&sales, &UpdateStreamSpec::inserts(0.02), 3);
-    r.store.ingest(&r.disk, "store_sales", delta).unwrap();
-
     for lanes in [1usize, 4] {
-        // Re-ingest for the second lane round (the first refresh consumed
-        // the log).
-        if r.store.is_empty() {
-            let sales = r.disk.read_table("store_sales").unwrap();
-            let delta = generate_delta(&sales, &UpdateStreamSpec::inserts(0.02), 4);
-            r.store.ingest(&r.disk, "store_sales", delta).unwrap();
-        }
-        let im = refresh(&r, &mvs, &plan, lanes, RefreshMode::AlwaysIncremental);
+        let r = rig(budget, lanes, RefreshMode::AlwaysIncremental, &mvs);
+        // The first refresh recomputes in full (the log is empty): the
+        // same flag cannot fit and falls back.
+        let fm = refresh(&r, &plan);
+        assert!(fm.nodes[0].fell_back, "full table cannot fit the budget");
+
+        churn(&r, "store_sales", &UpdateStreamSpec::inserts(0.02), 3);
+        let im = refresh(&r, &plan);
         let hub = &im.nodes[0];
         assert_eq!(hub.mode, NodeMode::Incremental);
         assert!(
@@ -310,18 +326,6 @@ fn delta_payload_admission_fits_where_full_tables_cannot() {
         assert!(hub.delta_bytes > 0);
         assert!(im.peak_memory_bytes <= budget, "budget is never exceeded");
     }
-
-    // The same flag under a full refresh cannot fit and falls back.
-    let sales = r.disk.read_table("store_sales").unwrap();
-    r.store
-        .ingest(
-            &r.disk,
-            "store_sales",
-            generate_delta(&sales, &UpdateStreamSpec::inserts(0.02), 5),
-        )
-        .unwrap();
-    let fm = refresh(&r, &mvs, &plan, 1, RefreshMode::AlwaysFull);
-    assert!(fm.nodes[0].fell_back, "full table cannot fit the budget");
 }
 
 /// The acceptance-criterion scenario: the `enriched_sales` join hub (fact
@@ -333,17 +337,17 @@ fn join_hub_pipeline_maintained_incrementally_and_byte_identical() {
     for lanes in [1usize, 4] {
         let mvs = sales_pipeline();
         let plan = plan_for(&mvs, &[0]); // flag the hub
-        let full = rig(64 << 20);
-        let inc = rig(64 << 20);
-        refresh(&full, &mvs, &plan, lanes, RefreshMode::AlwaysFull);
-        refresh(&inc, &mvs, &plan, lanes, RefreshMode::AlwaysFull);
+        let full = rig(64 << 20, lanes, RefreshMode::AlwaysFull, &mvs);
+        let inc = rig(64 << 20, lanes, RefreshMode::AlwaysIncremental, &mvs);
+        refresh(&full, &plan);
+        refresh(&inc, &plan);
 
-        let churn = JoinHubChurn::store_sales(0.04);
         for round in 0..2u64 {
-            churn.ingest_round(&full.disk, &full.store, round).unwrap();
-            churn.ingest_round(&inc.disk, &inc.store, round).unwrap();
-            refresh(&full, &mvs, &plan, lanes, RefreshMode::AlwaysFull);
-            let im = refresh(&inc, &mvs, &plan, lanes, RefreshMode::AlwaysIncremental);
+            let churn = ChurnRound::inserts(["store_sales"], 0.04, round);
+            churn.ingest_into(&full).unwrap();
+            churn.ingest_into(&inc).unwrap();
+            refresh(&full, &plan);
+            let im = refresh(&inc, &plan);
 
             assert_eq!(
                 mv_tables(&full, &mvs),
@@ -369,7 +373,7 @@ fn join_hub_pipeline_maintained_incrementally_and_byte_identical() {
             ] {
                 assert_eq!(node(skipped).mode, NodeMode::Skipped, "{skipped}");
             }
-            assert!(inc.store.is_empty());
+            assert!(inc.delta_store().is_empty());
             // The hub's fan-out delta lands as an appended segment.
             assert!(node("enriched_sales").appended_bytes > 0);
             assert_eq!(
@@ -378,12 +382,127 @@ fn join_hub_pipeline_maintained_incrementally_and_byte_identical() {
                 "one more segment per insert-only round"
             );
         }
-        compact_all(&inc, &mvs);
+        inc.compact_mvs().unwrap();
         assert_eq!(
             mv_file_bytes(&full, &mvs),
             mv_file_bytes(&inc, &mvs),
             "lanes {lanes}: compacted join-hub files must be byte-identical"
         );
+    }
+}
+
+/// The MV-size sweep: the join hub and its three direct consumers at
+/// growing TinyTpcds scales under a **fixed absolute delta** (400 fact
+/// rows at every scale). The append path must persist the hub in
+/// O(delta) bytes however large the MV grows.
+#[test]
+fn append_path_writes_o_delta_at_every_mv_size() {
+    const DELTA_ROWS: f64 = 400.0;
+    let mvs: Vec<MvDefinition> = sales_pipeline().into_iter().take(4).collect();
+    let plan = plan_for(&mvs, &[]);
+    for scale in [0.25f64, 0.5, 1.0] {
+        let r = session_rig(64 << 20, 1, RefreshMode::AlwaysIncremental, None, &mvs);
+        TinyTpcds::generate(scale, 42).load_into(r.disk()).unwrap();
+        refresh(&r, &plan);
+        let rows = r.disk().row_count("store_sales").unwrap() as f64;
+        churn(
+            &r,
+            "store_sales",
+            &UpdateStreamSpec::inserts(DELTA_ROWS / rows),
+            7,
+        );
+        let m = refresh(&r, &plan);
+        let hub = m.nodes.iter().find(|n| n.name == "enriched_sales").unwrap();
+        assert_eq!(hub.mode, NodeMode::Incremental, "scale {scale}");
+        assert!(
+            hub.appended_bytes > 0,
+            "scale {scale}: hub must persist via the append path"
+        );
+        assert!(
+            hub.appended_bytes < hub.output_bytes / 4,
+            "scale {scale}: append-path refresh must write O(delta) bytes, \
+             wrote {} of a {}-byte MV",
+            hub.appended_bytes,
+            hub.output_bytes
+        );
+    }
+}
+
+/// The TPC-H-shaped hubs under Zipf-skewed fact churn, in the star and
+/// the snowflake layout: a keyed inner-join hub (`priced`), a **left
+/// outer** join hub (`priced_outer`, null-filling unmatched parts through
+/// the delta rule), a mergeable aggregate over the inner hub
+/// (`brand_volume`) and a distinct merge (`supplier_mix`) all maintain
+/// incrementally, row-identical to recomputation.
+#[test]
+fn tpch_shaped_hubs_stay_incremental_under_fact_churn() {
+    let mvs = vec![
+        MvDefinition::new(
+            "priced",
+            LogicalPlan::scan("lineitem").join(
+                LogicalPlan::scan("part"),
+                vec![("l_partkey".into(), "p_partkey".into())],
+            ),
+        ),
+        MvDefinition::new(
+            "priced_outer",
+            LogicalPlan::scan("lineitem").left_join(
+                LogicalPlan::scan("part"),
+                vec![("l_partkey".into(), "p_partkey".into())],
+            ),
+        ),
+        MvDefinition::new(
+            "brand_volume",
+            LogicalPlan::scan("priced").aggregate(
+                vec!["p_brand".into()],
+                vec![
+                    AggExpr::new(AggFunc::Sum, "l_extendedprice", "revenue"),
+                    AggExpr::new(AggFunc::Count, "l_quantity", "n"),
+                ],
+            ),
+        ),
+        MvDefinition::new(
+            "supplier_mix",
+            LogicalPlan::scan("lineitem")
+                .join(
+                    LogicalPlan::scan("supplier"),
+                    vec![("l_suppkey".into(), "s_suppkey".into())],
+                )
+                .project(vec![(Expr::col("s_nation"), "s_nation".into())])
+                .distinct(),
+        ),
+    ];
+    let plan = plan_for(&mvs, &[]);
+    for snowflake in [false, true] {
+        let spec = TpchSpec {
+            seed: 42,
+            fact_rows: 6000,
+            parts: 120,
+            suppliers: 40,
+            customers: 200,
+            orders: 600,
+            zipf: 1.2,
+            snowflake,
+        };
+        let rigs = [RefreshMode::AlwaysFull, RefreshMode::AlwaysIncremental].map(|mode| {
+            let r = session_rig(64 << 20, 1, mode, None, &mvs);
+            spec.load_into(r.disk()).unwrap();
+            refresh(&r, &plan);
+            churn(&r, "lineitem", &UpdateStreamSpec::inserts(0.02), 7);
+            r
+        });
+        let [full, inc] = &rigs;
+        refresh(full, &plan);
+        let im = refresh(inc, &plan);
+        for hub in ["priced", "priced_outer", "brand_volume", "supplier_mix"] {
+            let node = im.nodes.iter().find(|n| n.name == hub).unwrap();
+            assert_eq!(
+                node.mode,
+                NodeMode::Incremental,
+                "snowflake {snowflake}: '{hub}' must maintain incrementally under fact churn"
+            );
+        }
+        assert_eq!(mv_tables(full, &mvs), mv_tables(inc, &mvs));
     }
 }
 
@@ -397,17 +516,18 @@ fn join_hub_pipeline_maintained_incrementally_and_byte_identical() {
 fn auto_picks_delta_join_for_wide_hub() {
     let mvs = sales_pipeline();
     let plan = plan_for(&mvs, &[0]);
-    let r = rig(64 << 20);
-    refresh(&r, &mvs, &plan, 1, RefreshMode::AlwaysFull);
+    let r = rig(64 << 20, 1, RefreshMode::Auto, &mvs);
+    refresh(&r, &plan);
     // The gap's defining shape: hub contents out-size the fact input.
     assert!(
-        r.disk.size_of("enriched_sales").unwrap() > r.disk.size_of("store_sales").unwrap(),
+        r.disk().size_of("enriched_sales").unwrap() > r.disk().size_of("store_sales").unwrap(),
         "scenario must reproduce the wide-hub shape"
     );
 
-    let churn = JoinHubChurn::store_sales(0.04);
-    churn.ingest_round(&r.disk, &r.store, 1).unwrap();
-    let auto = refresh(&r, &mvs, &plan, 1, RefreshMode::Auto);
+    ChurnRound::inserts(["store_sales"], 0.04, 1)
+        .ingest_into(&r)
+        .unwrap();
+    let auto = refresh(&r, &plan);
     let node = |name: &str| auto.nodes.iter().find(|n| n.name == name).unwrap();
     let hub = node("enriched_sales");
     assert_eq!(
@@ -426,7 +546,7 @@ fn auto_picks_delta_join_for_wide_hub() {
         hub.output_bytes
     );
     assert_eq!(node("web_by_item").mode, NodeMode::Skipped);
-    assert!(r.store.is_empty());
+    assert!(r.delta_store().is_empty());
 }
 
 /// Churning a *dimension* (build side) forces the hub — and transitively
@@ -436,17 +556,17 @@ fn auto_picks_delta_join_for_wide_hub() {
 fn build_side_churn_falls_back_to_full_recompute() {
     let mvs = sales_pipeline();
     let plan = plan_for(&mvs, &[]);
-    let full = rig(64 << 20);
-    let inc = rig(64 << 20);
-    refresh(&full, &mvs, &plan, 1, RefreshMode::AlwaysFull);
-    refresh(&inc, &mvs, &plan, 1, RefreshMode::AlwaysFull);
+    let full = rig(64 << 20, 1, RefreshMode::AlwaysFull, &mvs);
+    let inc = rig(64 << 20, 1, RefreshMode::AlwaysIncremental, &mvs);
+    refresh(&full, &plan);
+    refresh(&inc, &plan);
 
     // item feeds enriched_sales' build side.
-    let churn = JoinHubChurn::new(["item"], 0.05);
-    churn.ingest_round(&full.disk, &full.store, 9).unwrap();
-    churn.ingest_round(&inc.disk, &inc.store, 9).unwrap();
-    refresh(&full, &mvs, &plan, 1, RefreshMode::AlwaysFull);
-    let im = refresh(&inc, &mvs, &plan, 1, RefreshMode::AlwaysIncremental);
+    let churn = ChurnRound::inserts(["item"], 0.05, 9);
+    churn.ingest_into(&full).unwrap();
+    churn.ingest_into(&inc).unwrap();
+    refresh(&full, &plan);
+    let im = refresh(&inc, &plan);
     assert_eq!(mv_file_bytes(&full, &mvs), mv_file_bytes(&inc, &mvs));
 
     let node = |name: &str| im.nodes.iter().find(|n| n.name == name).unwrap();
@@ -470,20 +590,17 @@ fn build_side_churn_falls_back_to_full_recompute() {
 fn spilled_delta_is_read_back_when_consumer_is_off_catalog() {
     let mvs = mixed_workload();
     let plan = plan_for(&mvs, &[]); // nothing flagged: no catalog payloads
-    let full = rig(32 << 20);
-    let inc = rig(32 << 20);
-    refresh(&full, &mvs, &plan, 1, RefreshMode::AlwaysFull);
-    refresh(&inc, &mvs, &plan, 1, RefreshMode::AlwaysFull);
+    let full = rig(32 << 20, 1, RefreshMode::AlwaysFull, &mvs);
+    let inc = rig(32 << 20, 1, RefreshMode::AlwaysIncremental, &mvs);
+    refresh(&full, &plan);
+    refresh(&inc, &plan);
 
     let spec = UpdateStreamSpec::inserts(0.05);
     for r in [&full, &inc] {
-        let sales = r.disk.read_table("store_sales").unwrap();
-        r.store
-            .ingest(&r.disk, "store_sales", generate_delta(&sales, &spec, 17))
-            .unwrap();
+        churn(r, "store_sales", &spec, 17);
     }
-    refresh(&full, &mvs, &plan, 1, RefreshMode::AlwaysFull);
-    let im = refresh(&inc, &mvs, &plan, 1, RefreshMode::AlwaysIncremental);
+    refresh(&full, &plan);
+    let im = refresh(&inc, &plan);
     assert_eq!(mv_tables(&full, &mvs), mv_tables(&inc, &mvs));
 
     let node = |name: &str| im.nodes.iter().find(|n| n.name == name).unwrap();
@@ -511,10 +628,10 @@ fn spilled_delta_is_read_back_when_consumer_is_off_catalog() {
         "merge re-reads contents"
     );
     assert!(node("bulk_hot_sales").appended_bytes > 0);
-    compact_all(&inc, &mvs);
+    inc.compact_mvs().unwrap();
     assert_eq!(mv_file_bytes(&full, &mvs), mv_file_bytes(&inc, &mvs));
     // The spill is transient: gone once the run ends.
-    assert!(!inc.disk.contains("hot_sales#delta"));
+    assert!(!inc.disk().contains("hot_sales#delta"));
 }
 
 /// A batch ingested *while* a refresh runs may already be baked into the
@@ -524,28 +641,26 @@ fn spilled_delta_is_read_back_when_consumer_is_off_catalog() {
 /// interleaving, the system must converge to a clean control.
 #[test]
 fn concurrent_ingest_during_refresh_never_double_applies() {
-    use sc_engine::storage::Throttle;
-
     // Slow the victim's disk so the refresh run leaves a wide window for
-    // the concurrent ingest to land mid-run — and order the workload so a
-    // slow warm-up node delays the store_sales reader past that window,
-    // making the late node *bake in* the concurrently ingested batch.
-    let dir = tempfile::tempdir().unwrap();
+    // the concurrent ingest to land mid-run. The victim maintains
+    // incrementally, so the one node that recomputes in full is `warm`:
+    // a union (never delta-maintained) reached by the fact churn, which
+    // reads ~100 KB of throttled channel tables (~100 ms) before it reads
+    // `store_sales` live — late enough to *bake in* a batch ingested
+    // meanwhile.
     let slow = Throttle {
         read_bps: 1e6,
         write_bps: 4e6,
         latency_s: 1e-3,
     };
-    let disk = DiskCatalog::open_throttled(dir.path(), slow).unwrap();
-    TinyTpcds::generate(0.4, 42).load_into(&disk).unwrap();
-    let store = DeltaStore::new();
     let mvs = vec![
-        // ~100 KB of throttled reads (~100 ms) before anything else runs.
         MvDefinition::new(
             "warm",
-            LogicalPlan::scan("catalog_sales").union(LogicalPlan::scan("web_sales")),
+            LogicalPlan::scan("catalog_sales")
+                .union(LogicalPlan::scan("web_sales"))
+                .union(LogicalPlan::scan("store_sales")),
         ),
-        // Reads store_sales only after `warm` finishes.
+        // Delete-safe filter: maintains from the snapshotted delta alone.
         MvDefinition::new(
             "late_sales",
             LogicalPlan::scan("store_sales")
@@ -560,89 +675,65 @@ fn concurrent_ingest_during_refresh_never_double_applies() {
         ),
     ];
     let plan = plan_for(&mvs, &[]);
-    Controller::new(&disk, 32 << 20)
-        .refresh(&mvs, &plan)
+    let victim = session_rig(
+        32 << 20,
+        1,
+        RefreshMode::AlwaysIncremental,
+        Some(slow),
+        &mvs,
+    );
+    TinyTpcds::generate(0.4, 42)
+        .load_into(victim.disk())
         .unwrap();
+    refresh(&victim, &plan);
 
     // Δ1 pends normally; Δ2 is ingested from another thread while the
     // refresh consuming Δ1 is in flight, through the same (throttled)
-    // handle: its read of store_sales queues on the modeled read
-    // channel right behind `catalog_sales` — ahead of `web_sales` — so
-    // Δ2 lands squarely inside `warm`'s paced reads, before
-    // `late_sales` reads the base. Both deltas are generated before the
-    // run from bases no refresh touches, so both streams are
-    // deterministic regardless of timing.
-    let sales = disk.read_table("store_sales").unwrap();
+    // session, so it lands inside `warm`'s paced reads. Both deltas are
+    // generated before the run from bases no refresh touches, so both
+    // streams are deterministic regardless of timing.
+    let sales = victim.disk().read_table("store_sales").unwrap();
     let delta_1 = generate_delta(&sales, &UpdateStreamSpec::inserts(0.04), 21);
-    store.ingest(&disk, "store_sales", delta_1).unwrap();
-    let sales = disk.read_table("store_sales").unwrap();
+    victim.ingest_delta("store_sales", delta_1).unwrap();
+    let sales = victim.disk().read_table("store_sales").unwrap();
     let delta_2 = generate_delta(&sales, &UpdateStreamSpec::inserts(0.03), 22);
     std::thread::scope(|scope| {
-        let refresh_thread = scope.spawn(|| {
-            Controller::new(&disk, 32 << 20)
-                .with_delta_store(&store)
-                .with_refresh_config(
-                    RefreshConfig::with_lanes(1).with_refresh_mode(RefreshMode::AlwaysFull),
-                )
-                .refresh(&mvs, &plan)
-                .unwrap()
-        });
+        let refresh_thread = scope.spawn(|| refresh(&victim, &plan));
         std::thread::sleep(std::time::Duration::from_millis(30));
-        store.ingest(&disk, "store_sales", delta_2).unwrap();
+        victim.ingest_delta("store_sales", delta_2).unwrap();
         refresh_thread.join().unwrap();
     });
     // If Δ2 landed mid-run it is already in the recomputed MVs and the
     // log must be poisoned; either way the retry must not double-apply.
-    if store.is_poisoned() {
-        let retry = Controller::new(&disk, 32 << 20)
-            .with_delta_store(&store)
-            .with_refresh_config(
-                RefreshConfig::with_lanes(1).with_refresh_mode(RefreshMode::AlwaysIncremental),
-            )
-            .refresh(&mvs, &plan)
-            .unwrap();
+    let poisoned = victim.delta_store().is_poisoned();
+    let retry = refresh(&victim, &plan);
+    if poisoned {
         assert!(
             retry.nodes.iter().all(|n| n.mode != NodeMode::Incremental),
             "poisoned log must force full recomputes"
         );
-    } else {
-        Controller::new(&disk, 32 << 20)
-            .with_delta_store(&store)
-            .with_refresh_config(
-                RefreshConfig::with_lanes(1).with_refresh_mode(RefreshMode::AlwaysIncremental),
-            )
-            .refresh(&mvs, &plan)
-            .unwrap();
     }
-    assert!(store.is_empty() && !store.is_poisoned());
+    assert!(victim.delta_store().is_empty() && !victim.delta_store().is_poisoned());
 
     // Control: same bases, same two streams, refreshed serially with no
     // concurrency. The victim must converge to exactly this state.
-    let control = rig(32 << 20);
-    Controller::new(&control.disk, control.budget)
-        .refresh(&mvs, &plan)
-        .unwrap();
+    let control = rig(32 << 20, 1, RefreshMode::AlwaysFull, &mvs);
+    refresh(&control, &plan);
     for seed in [21u64, 22] {
-        let sales = control.disk.read_table("store_sales").unwrap();
         let frac = if seed == 21 { 0.04 } else { 0.03 };
-        control
-            .store
-            .ingest(
-                &control.disk,
-                "store_sales",
-                generate_delta(&sales, &UpdateStreamSpec::inserts(frac), seed),
-            )
-            .unwrap();
-        refresh(&control, &mvs, &plan, 1, RefreshMode::AlwaysFull);
-    }
-    for mv in &mvs {
-        assert_eq!(
-            disk.read_table(&mv.name).unwrap(),
-            control.disk.read_table(&mv.name).unwrap(),
-            "{} must converge to the serial control",
-            mv.name
+        churn(
+            &control,
+            "store_sales",
+            &UpdateStreamSpec::inserts(frac),
+            seed,
         );
+        refresh(&control, &plan);
     }
+    assert_eq!(
+        mv_tables(&victim, &mvs),
+        mv_tables(&control, &mvs),
+        "the victim must converge to the serial control"
+    );
 }
 
 /// Failure path shipped untested by PR 2: every unsupported shape under
@@ -687,10 +778,10 @@ fn unsupported_shapes_fall_back_rather_than_error() {
         ),
     ];
     let plan = plan_for(&mvs, &[0]);
-    let full = rig(32 << 20);
-    let inc = rig(32 << 20);
-    refresh(&full, &mvs, &plan, 1, RefreshMode::AlwaysFull);
-    refresh(&inc, &mvs, &plan, 1, RefreshMode::AlwaysFull);
+    let full = rig(32 << 20, 1, RefreshMode::AlwaysFull, &mvs);
+    let inc = rig(32 << 20, 1, RefreshMode::AlwaysIncremental, &mvs);
+    refresh(&full, &plan);
+    refresh(&inc, &plan);
 
     for (round, spec) in [
         UpdateStreamSpec::inserts(0.05),
@@ -701,15 +792,12 @@ fn unsupported_shapes_fall_back_rather_than_error() {
     {
         for r in [&full, &inc] {
             for table in ["store_sales", "catalog_sales"] {
-                let base = r.disk.read_table(table).unwrap();
-                r.store
-                    .ingest(&r.disk, table, generate_delta(&base, spec, 31))
-                    .unwrap();
+                churn(r, table, spec, 31);
             }
         }
-        refresh(&full, &mvs, &plan, 1, RefreshMode::AlwaysFull);
+        refresh(&full, &plan);
         // Must not error: unsupported shapes recompute.
-        let im = refresh(&inc, &mvs, &plan, 1, RefreshMode::AlwaysIncremental);
+        let im = refresh(&inc, &plan);
         assert_eq!(
             mv_file_bytes(&full, &mvs),
             mv_file_bytes(&inc, &mvs),
@@ -733,66 +821,55 @@ fn unsupported_shapes_fall_back_rather_than_error() {
 fn poisoned_log_retry_recomputes_join_hub_instead_of_double_applying() {
     let good = sales_pipeline();
     let good_plan = plan_for(&good, &[]);
-    let victim = rig(64 << 20);
-    let control = rig(64 << 20);
-    refresh(&victim, &good, &good_plan, 1, RefreshMode::AlwaysFull);
-    refresh(&control, &good, &good_plan, 1, RefreshMode::AlwaysFull);
+    let victim = rig(64 << 20, 1, RefreshMode::AlwaysIncremental, &good);
+    let control = rig(64 << 20, 1, RefreshMode::AlwaysIncremental, &good);
+    refresh(&victim, &good_plan);
+    refresh(&control, &good_plan);
 
-    let churn = JoinHubChurn::store_sales(0.03);
-    churn.ingest_round(&victim.disk, &victim.store, 5).unwrap();
-    churn
-        .ingest_round(&control.disk, &control.store, 5)
-        .unwrap();
+    let churn = ChurnRound::inserts(["store_sales"], 0.03, 5);
+    churn.ingest_into(&victim).unwrap();
+    churn.ingest_into(&control).unwrap();
 
     // Doomed run on the victim: the hub and its consumers maintain
     // incrementally (their applied deltas are persisted), then a final MV
     // scans a missing table and aborts the run.
-    let mut doomed = sales_pipeline();
-    doomed.push(MvDefinition::new("boom", LogicalPlan::scan("no_such")));
-    let doomed_plan = plan_for(&doomed, &[]);
-    let err = Controller::new(&victim.disk, victim.budget)
-        .with_delta_store(&victim.store)
-        .with_refresh_config(
-            RefreshConfig::with_lanes(1).with_refresh_mode(RefreshMode::AlwaysIncremental),
-        )
-        .refresh(&doomed, &doomed_plan);
-    assert!(err.is_err());
-    assert!(victim.store.is_poisoned(), "failed run must poison the log");
+    victim
+        .register_mv(MvDefinition::new("boom", LogicalPlan::scan("no_such")))
+        .unwrap();
+    let doomed_plan = plan_for(&victim.mvs(), &[]);
+    assert!(victim.refresh_with_plan(&doomed_plan).is_err());
+    assert!(
+        victim.delta_store().is_poisoned(),
+        "failed run must poison the log"
+    );
     // The hub's committed append survives the failure (appends are
     // atomic at the manifest commit), leaving it fragmented…
-    assert!(victim.disk.segment_count("enriched_sales").unwrap() > 1);
+    assert!(victim.disk().segment_count("enriched_sales").unwrap() > 1);
 
-    // Retry on the good set: no node may apply the delta a second time.
-    let retry = refresh(
-        &victim,
-        &good,
-        &good_plan,
-        1,
-        RefreshMode::AlwaysIncremental,
-    );
+    // Retry once the missing table exists: no node may apply the delta a
+    // second time.
+    let stub = sc_engine::TableBuilder::new()
+        .column("x", sc_engine::DataType::Int64)
+        .build();
+    victim.disk().write_table("no_such", &stub).unwrap();
+    let retry = refresh(&victim, &doomed_plan);
     assert!(
         retry.nodes.iter().all(|n| n.mode != NodeMode::Incremental),
         "poisoned log forces full recomputes"
     );
-    assert!(!victim.store.is_poisoned() && victim.store.is_empty());
+    assert!(!victim.delta_store().is_poisoned() && victim.delta_store().is_empty());
     // …and the full recompute collapses it back to canonical form.
-    assert_eq!(victim.disk.segment_count("enriched_sales").unwrap(), 1);
+    assert_eq!(victim.disk().segment_count("enriched_sales").unwrap(), 1);
 
     // The control rig refreshes once, cleanly (appending), then compacts.
-    refresh(
-        &control,
-        &good,
-        &good_plan,
-        1,
-        RefreshMode::AlwaysIncremental,
-    );
+    refresh(&control, &good_plan);
     assert_eq!(
         mv_tables(&victim, &good),
         mv_tables(&control, &good),
         "recovered pipeline must be row-identical to a system that never failed"
     );
-    compact_all(&victim, &good);
-    compact_all(&control, &good);
+    victim.compact_mvs().unwrap();
+    control.compact_mvs().unwrap();
     assert_eq!(
         mv_file_bytes(&victim, &good),
         mv_file_bytes(&control, &good),

@@ -31,12 +31,12 @@ use rand::{Rng, SeedableRng};
 
 use sc_core::{FlagSet, Plan, RefreshMode};
 use sc_dag::NodeId;
-use sc_engine::controller::{Controller, MvDefinition, RefreshConfig};
+use sc_engine::controller::MvDefinition;
 use sc_engine::exec::{AggFunc, SortKey};
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
-use sc_engine::storage::{self, DeltaStore, DiskCatalog};
-use sc_engine::{DataType, RunMetrics, Table, TableBuilder, Value};
+use sc_engine::storage;
+use sc_engine::{DataType, RunMetrics, ScSession, Table, TableBuilder, Value};
 use sc_workload::updates::{generate_delta, UpdateStreamSpec};
 
 /// One generated scenario: base tables, an MV DAG over them, a churn
@@ -201,38 +201,39 @@ fn build_case(seed: u64) -> Case {
     }
 }
 
+/// A session over the case's tables and MVs, refreshing on `lanes` lanes
+/// under `mode`.
 struct Rig {
+    session: ScSession,
     _dir: tempfile::TempDir,
-    disk: DiskCatalog,
-    budget: u64,
-    store: DeltaStore,
 }
 
-fn rig(case: &Case) -> Rig {
+fn rig(case: &Case, lanes: usize, mode: RefreshMode) -> Rig {
     let dir = tempfile::tempdir().unwrap();
-    let disk = DiskCatalog::open(dir.path()).unwrap();
+    let session = ScSession::builder()
+        .storage_dir(dir.path())
+        .memory_budget(case.budget)
+        .lanes(lanes)
+        .refresh_mode(mode)
+        .runtime_feedback(false)
+        .build()
+        .unwrap();
     for (name, table) in &case.tables {
-        disk.write_table(name, table).unwrap();
+        session.disk().write_table(name, table).unwrap();
     }
-    Rig {
-        _dir: dir,
-        disk,
-        budget: case.budget,
-        store: DeltaStore::new(),
+    for mv in &case.mvs {
+        session.register_mv(mv.clone()).unwrap();
     }
+    Rig { session, _dir: dir }
 }
 
-fn refresh(r: &Rig, case: &Case, plan: &Plan, lanes: usize, mode: RefreshMode) -> RunMetrics {
-    Controller::new(&r.disk, r.budget)
-        .with_delta_store(&r.store)
-        .with_refresh_config(RefreshConfig::with_lanes(lanes).with_refresh_mode(mode))
-        .refresh(&case.mvs, plan)
-        .unwrap()
+fn refresh(r: &Rig, plan: &Plan) -> RunMetrics {
+    r.session.refresh_with_plan(plan).unwrap()
 }
 
 /// All stored files (manifest + segments) backing one MV.
 fn mv_files(r: &Rig, name: &str) -> Vec<(String, Vec<u8>)> {
-    r.disk.stored_file_bytes(name).unwrap()
+    r.session.disk().stored_file_bytes(name).unwrap()
 }
 
 // The differential property: after every churn round, the always-full
@@ -252,13 +253,14 @@ proptest! {
             order: (0..case.mvs.len()).map(NodeId).collect(),
             flagged: FlagSet::from_nodes(case.mvs.len(), case.flagged.iter().map(|&i| NodeId(i))),
         };
-        let reference = rig(&case);
-        let inc1 = rig(&case);
-        let inc4 = rig(&case);
-        // First materialization is necessarily full on every rig.
-        refresh(&reference, &case, &plan, 1, RefreshMode::AlwaysFull);
-        refresh(&inc1, &case, &plan, 1, RefreshMode::AlwaysFull);
-        refresh(&inc4, &case, &plan, 4, RefreshMode::AlwaysFull);
+        let reference = rig(&case, 1, RefreshMode::AlwaysFull);
+        let inc1 = rig(&case, 1, RefreshMode::AlwaysIncremental);
+        let inc4 = rig(&case, 4, RefreshMode::AlwaysIncremental);
+        // First materialization is necessarily full on every rig: the
+        // incremental rigs' delta logs are still empty.
+        for r in [&reference, &inc1, &inc4] {
+            refresh(r, &plan);
+        }
 
         for (round, churn) in case.rounds.iter().enumerate() {
             // Identical churn lands on every rig: the bases are identical
@@ -266,18 +268,18 @@ proptest! {
             // identical too.
             for r in [&reference, &inc1, &inc4] {
                 for (table, spec) in churn {
-                    let base = r.disk.read_table(table).unwrap();
+                    let base = r.session.disk().read_table(table).unwrap();
                     let delta = generate_delta(&base, spec, seed ^ (round as u64 * 7919 + 13));
-                    r.store.ingest(&r.disk, table, delta).unwrap();
+                    r.session.ingest_delta(table, delta).unwrap();
                 }
             }
-            refresh(&reference, &case, &plan, 1, RefreshMode::AlwaysFull);
-            let m1 = refresh(&inc1, &case, &plan, 1, RefreshMode::AlwaysIncremental);
-            let m4 = refresh(&inc4, &case, &plan, 4, RefreshMode::AlwaysIncremental);
+            refresh(&reference, &plan);
+            let m1 = refresh(&inc1, &plan);
+            let m4 = refresh(&inc4, &plan);
 
-            let oracle = support::oracle_mv_bytes(&reference.disk, &case.mvs);
+            let oracle = support::oracle_mv_bytes(reference.session.disk(), &case.mvs);
             for (mv, (_, oracle_bytes)) in case.mvs.iter().zip(&oracle) {
-                let want = reference.disk.read_table(&mv.name).unwrap();
+                let want = reference.session.disk().read_table(&mv.name).unwrap();
                 prop_assert_eq!(
                     &storage::format::encode(&want)[..],
                     &oracle_bytes[..],
@@ -287,14 +289,14 @@ proptest! {
                 );
                 prop_assert_eq!(
                     &want,
-                    &inc1.disk.read_table(&mv.name).unwrap(),
+                    &inc1.session.disk().read_table(&mv.name).unwrap(),
                     "seed {} round {round}: 1-lane incremental diverged on {}",
                     seed,
                     mv.name
                 );
                 prop_assert_eq!(
                     &want,
-                    &inc4.disk.read_table(&mv.name).unwrap(),
+                    &inc4.session.disk().read_table(&mv.name).unwrap(),
                     "seed {} round {round}: 4-lane incremental diverged on {}",
                     seed,
                     mv.name
@@ -309,7 +311,7 @@ proptest! {
                     mv.name
                 );
                 prop_assert!(
-                    !inc1.disk.contains(&format!("{}#delta", mv.name)),
+                    !inc1.session.disk().contains(&format!("{}#delta", mv.name)),
                     "spill files are transient"
                 );
             }
@@ -318,15 +320,18 @@ proptest! {
                 prop_assert_eq!(a.mode, b.mode, "seed {} round {round}: {}", seed, a.name);
             }
             for r in [&reference, &inc1, &inc4] {
-                prop_assert!(r.store.is_empty(), "successful refresh consumes the log");
+                prop_assert!(
+                    r.session.delta_store().is_empty(),
+                    "successful refresh consumes the log"
+                );
             }
         }
         // The contract's second half: compaction restores the canonical
         // single-segment form, byte-identical to the reference.
         for mv in &case.mvs {
-            inc1.disk.compact(&mv.name).unwrap();
-            inc4.disk.compact(&mv.name).unwrap();
-            prop_assert_eq!(inc1.disk.segment_count(&mv.name).unwrap(), 1);
+            inc1.session.disk().compact(&mv.name).unwrap();
+            inc4.session.disk().compact(&mv.name).unwrap();
+            prop_assert_eq!(inc1.session.disk().segment_count(&mv.name).unwrap(), 1);
             let want = mv_files(&reference, &mv.name);
             prop_assert_eq!(
                 &want,

@@ -22,11 +22,11 @@
 use sc::ScSession;
 use sc_core::{CostModel, FlagSet, ModeReason, NodeMode, Plan, RefreshMode};
 use sc_dag::NodeId;
-use sc_engine::controller::{Controller, CostProvenance, MvDefinition};
+use sc_engine::controller::{CostProvenance, MvDefinition};
 use sc_engine::exec::{AggFunc, TableDelta};
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
-use sc_engine::storage::{DeltaStore, DiskCatalog, ObservationStore, SIDECAR_FILE};
+use sc_engine::storage::{ObservationStore, SIDECAR_FILE};
 use sc_engine::{DataType, Table, TableBuilder, Value};
 use sc_sim::{SimConfig, SimNode, SimWorkload, Simulator};
 use sc_workload::engine_mvs::sales_pipeline;
@@ -246,11 +246,17 @@ fn observed_compute_rate_flips_the_misranked_aggregate() {
 #[test]
 fn doomed_run_and_poisoned_retry_teach_nothing() {
     let dir = tempfile::tempdir().unwrap();
-    let disk = DiskCatalog::open(dir.path()).unwrap();
-    disk.write_table("events", &events_rows(2_000, 0)).unwrap();
-    let store = DeltaStore::new();
-    let obs = ObservationStore::new();
-    let mvs = vec![
+    let sys = ScSession::builder()
+        .storage_dir(dir.path())
+        .memory_budget(1 << 20)
+        .build()
+        .unwrap();
+    let aux = events_rows(10, 0);
+    sys.disk()
+        .write_table("events", &events_rows(2_000, 0))
+        .unwrap();
+    sys.disk().write_table("aux", &aux).unwrap();
+    for mv in [
         MvDefinition::new(
             "lows",
             LogicalPlan::scan("events").filter(Expr::col("v").le(Expr::lit(500.0f64))),
@@ -259,48 +265,45 @@ fn doomed_run_and_poisoned_retry_teach_nothing() {
             "highs",
             LogicalPlan::scan("events").filter(Expr::col("v").gt(Expr::lit(500.0f64))),
         ),
-    ];
+        // Runs last, reached by the churn, and also reads `aux` — which
+        // the doomed run loses.
+        MvDefinition::new(
+            "with_aux",
+            LogicalPlan::scan("events").union(LogicalPlan::scan("aux")),
+        ),
+    ] {
+        sys.register_mv(mv).unwrap();
+    }
     let plain = Plan {
-        order: vec![NodeId(0), NodeId(1)],
-        flagged: FlagSet::none(2),
-    };
-    let run = |mvs: &[MvDefinition], plan: &Plan| {
-        Controller::new(&disk, 1 << 20)
-            .with_delta_store(&store)
-            .with_observations(&obs)
-            .refresh(mvs, plan)
-    };
-
-    run(&mvs, &plain).unwrap();
-    assert!(!obs.is_empty(), "a healthy run must record");
-    let control = obs.encode();
-
-    // Pending churn, then a run that dies *after* real nodes executed
-    // with real measured work: a third MV over a missing table errors
-    // once the first two have already recomputed.
-    store
-        .ingest(
-            &disk,
-            "events",
-            TableDelta::insert_only(events_rows(50, 2_000)),
-        )
-        .unwrap();
-    let mut with_boom = mvs.clone();
-    with_boom.push(MvDefinition::new("boom", LogicalPlan::scan("no_such")));
-    let doomed_plan = Plan {
         order: vec![NodeId(0), NodeId(1), NodeId(2)],
         flagged: FlagSet::none(3),
     };
-    assert!(run(&with_boom, &doomed_plan).is_err());
-    assert_eq!(obs.encode(), control, "a doomed run must record nothing");
+    let sidecar = || std::fs::read(dir.path().join(SIDECAR_FILE)).unwrap();
+
+    sys.refresh_with_plan(&plain).unwrap();
     assert!(
-        store.is_poisoned(),
+        !ObservationStore::load(dir.path().join(SIDECAR_FILE)).is_empty(),
+        "a healthy run must record"
+    );
+    let control = sidecar();
+
+    // Pending churn, then a run that dies *after* real nodes executed
+    // with real measured work: the third MV's input is gone, so it errors
+    // once the first two have already maintained.
+    sys.ingest_delta("events", TableDelta::insert_only(events_rows(50, 2_000)))
+        .unwrap();
+    sys.disk().drop_table("aux").unwrap();
+    assert!(sys.refresh_with_plan(&plain).is_err());
+    assert_eq!(sidecar(), control, "a doomed run must record nothing");
+    assert!(
+        sys.delta_store().is_poisoned(),
         "failure with pending churn poisons the log"
     );
 
     // The retry recomputes under ModeReason::PoisonedLog — correct, but
     // not representative of a freely-chosen full run: still nothing.
-    let retry = run(&mvs, &plain).unwrap();
+    sys.disk().write_table("aux", &aux).unwrap();
+    let retry = sys.refresh_with_plan(&plain).unwrap();
     assert!(
         retry
             .nodes
@@ -309,21 +312,16 @@ fn doomed_run_and_poisoned_retry_teach_nothing() {
         "retry must run in poisoned-log mode: {retry:?}"
     );
     assert_eq!(
-        obs.encode(),
+        sidecar(),
         control,
         "failed run + retry must leave the sidecar byte-identical to a never-failed history"
     );
 
     // The log drained clean, so the next healthy run learns again.
-    store
-        .ingest(
-            &disk,
-            "events",
-            TableDelta::insert_only(events_rows(50, 2_050)),
-        )
+    sys.ingest_delta("events", TableDelta::insert_only(events_rows(50, 2_050)))
         .unwrap();
-    run(&mvs, &plain).unwrap();
-    assert_ne!(obs.encode(), control, "learning must resume after recovery");
+    sys.refresh_with_plan(&plain).unwrap();
+    assert_ne!(sidecar(), control, "learning must resume after recovery");
 }
 
 /// Satellite 2 regression: the drift baseline is *stored* sizes, so an
@@ -385,45 +383,50 @@ fn steady_appends_eventually_trigger_reprofile() {
 /// loudly instead of silently leaving the boundary.
 #[test]
 fn child_decision_prices_post_update_parent_size() {
-    let dir = tempfile::tempdir().unwrap();
-    let disk = DiskCatalog::open(dir.path()).unwrap();
-    let mut base = TableBuilder::new().column("v", DataType::Int64).build();
-    for i in 0..1_000 {
-        base.push_row(vec![Value::Int64(i)]).unwrap();
-    }
-    disk.write_table("src", &base).unwrap();
-    let store = DeltaStore::new();
-    let pass_all = || Expr::col("v").ge(Expr::lit(0i64));
-    let mvs = vec![
-        MvDefinition::new("p1", LogicalPlan::scan("src").filter(pass_all())),
-        MvDefinition::new("c1", LogicalPlan::scan("p1").filter(pass_all())),
-    ];
-    let plan = Plan {
-        order: vec![NodeId(0), NodeId(1)],
-        flagged: FlagSet::none(2),
-    };
     let cm = CostModel {
         disk_read_bps: 100e6,
         disk_write_bps: 100e6,
         mem_bps: 100e6,
         disk_latency_s: 0.0,
     };
-    let run = || {
-        Controller::new(&disk, 1 << 20)
-            .with_delta_store(&store)
-            .with_cost_model(cm.clone())
-            .refresh(&mvs, &plan)
+    let dir = tempfile::tempdir().unwrap();
+    let sys = ScSession::builder()
+        .storage_dir(dir.path())
+        .memory_budget(1 << 20)
+        .cost_model(cm.clone())
+        .runtime_feedback(false)
+        .build()
+        .unwrap();
+    let disk = sys.disk();
+    let mut base = TableBuilder::new().column("v", DataType::Int64).build();
+    for i in 0..1_000 {
+        base.push_row(vec![Value::Int64(i)]).unwrap();
+    }
+    disk.write_table("src", &base).unwrap();
+    let pass_all = || Expr::col("v").ge(Expr::lit(0i64));
+    sys.register_mv(MvDefinition::new(
+        "p1",
+        LogicalPlan::scan("src").filter(pass_all()),
+    ))
+    .unwrap();
+    sys.register_mv(MvDefinition::new(
+        "c1",
+        LogicalPlan::scan("p1").filter(pass_all()),
+    ))
+    .unwrap();
+    let plan = Plan {
+        order: vec![NodeId(0), NodeId(1)],
+        flagged: FlagSet::none(2),
     };
-    run().unwrap(); // materialize both levels
+    sys.refresh_with_plan(&plan).unwrap(); // materialize both levels
 
     let mut grow = TableBuilder::new().column("v", DataType::Int64).build();
     for i in 1_000..1_800 {
         grow.push_row(vec![Value::Int64(i)]).unwrap();
     }
-    store
-        .ingest(&disk, "src", TableDelta::insert_only(grow))
+    sys.ingest_delta("src", TableDelta::insert_only(grow))
         .unwrap();
-    let delta = store.pending_bytes("src");
+    let delta = sys.delta_store().pending_bytes("src");
     let parent = disk.size_of("p1").unwrap();
     let child = disk.size_of("c1").unwrap();
 
@@ -443,7 +446,7 @@ fn child_decision_prices_post_update_parent_size() {
     let src = disk.size_of("src").unwrap();
     assert!(cm.incremental_refresh_wins(src, parent, delta, 0, Some(delta), None));
 
-    let metrics = run().unwrap();
+    let metrics = sys.refresh_with_plan(&plan).unwrap();
     let mode = |name: &str| {
         metrics
             .nodes
@@ -513,12 +516,11 @@ fn mirror_annotates_sim_nodes_from_the_sidecar() {
         .with_refresh_mode(RefreshMode::AlwaysIncremental)
         .with_churn(sc_workload::ChurnRound::inserts(["store_sales"], 0.02, 7));
     let dir = tempfile::tempdir().unwrap();
-    let session = ScSession::from_spec(dir.path(), &spec).unwrap();
+    let session = spec.open(dir.path()).unwrap();
     let baseline = session.baseline_refresh().unwrap();
     // Pending churn: the decision facts (observations among them) only
     // matter — and are only mirrored — while the engine tracks deltas.
-    spec.ingest_round(0, session.disk(), session.delta_store())
-        .unwrap();
+    spec.ingest_round(0, &session).unwrap();
 
     // The profiling run persisted one full observation per node.
     let sidecar = ObservationStore::load(session.disk().dir().join(SIDECAR_FILE));
@@ -531,19 +533,10 @@ fn mirror_annotates_sim_nodes_from_the_sidecar() {
             .map(|n| n.churn.as_ref().expect("churn pends").facts.observed)
             .collect()
     };
-    let plain = spec
-        .mirror(session.disk(), &baseline, session.delta_store(), None)
-        .unwrap();
+    let plain = spec.mirror(&session, &baseline, None).unwrap();
     assert!(observed(&plain).iter().all(Option::is_none));
 
-    let warmed = spec
-        .mirror(
-            session.disk(),
-            &baseline,
-            session.delta_store(),
-            Some(&sidecar),
-        )
-        .unwrap();
+    let warmed = spec.mirror(&session, &baseline, Some(&sidecar)).unwrap();
     for (n, obs) in warmed.graph.payloads().iter().zip(observed(&warmed)) {
         let obs = obs.unwrap_or_else(|| panic!("{} must carry its sidecar summary", n.name));
         assert!(obs.has_compute(), "{}: {obs:?}", n.name);

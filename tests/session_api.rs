@@ -309,3 +309,49 @@ fn managed_refresh_matches_explicit_flow() {
         assert_eq!(a.output_bytes, b.output_bytes);
     }
 }
+
+/// `optimize_from` on a profile that skipped nodes sizes them by their
+/// stored files, like the managed refresh does: a skipped node whose
+/// stored size exceeds the budget is no free flag.
+#[test]
+fn optimize_from_sizes_skipped_nodes_by_their_stored_files() {
+    let dir = tempfile::tempdir().unwrap();
+    let budget = 1 << 10;
+    let sys = ScSession::builder()
+        .storage_dir(dir.path())
+        .memory_budget(budget)
+        .runtime_feedback(false)
+        .build()
+        .unwrap();
+    load_and_register(&sys);
+    sys.refresh().unwrap(); // materialize everything
+
+    // Churn only the fact branch: the profile skips the web branch.
+    let sales = sys.disk().read_table("store_sales").unwrap();
+    let grow = sales.take_rows(&(0..40).collect::<Vec<_>>()).unwrap();
+    sys.ingest_delta("store_sales", TableDelta::insert_only(grow))
+        .unwrap();
+    let profile = sys.baseline_refresh().unwrap();
+    let web = profile
+        .nodes
+        .iter()
+        .find(|n| n.name == "web_by_item")
+        .unwrap();
+    assert_eq!(web.mode, sc_core::NodeMode::Skipped);
+    let stored = sys.disk().size_of("web_by_item").unwrap();
+    assert!(
+        stored > budget,
+        "{stored} B must not fit a {budget} B budget"
+    );
+
+    let plan = sys.optimize_from(&profile).unwrap();
+    let web_idx = sys
+        .mvs()
+        .iter()
+        .position(|mv| mv.name == "web_by_item")
+        .unwrap();
+    assert!(
+        !plan.flagged.contains(sc_dag::NodeId(web_idx)),
+        "a skipped node is sized by its stored file, not zero: {plan:?}"
+    );
+}

@@ -6,7 +6,7 @@
 //! calls.
 //!
 //! Both rigs are constructed from *one spec value*: the engine via
-//! [`ScSession::from_spec`] (tables loaded, MVs registered, config
+//! [`ScenarioSpec::open`] (tables loaded, MVs registered, config
 //! applied), the simulator via [`ScenarioSpec::sim_config`] and
 //! [`ScenarioSpec::mirror`]. The mirror hands the simulator the engine's
 //! own decision facts — the same catalog sizes, pending log and (runtime
@@ -52,14 +52,7 @@ fn simulate(
     plan: &Plan,
 ) -> HashMap<String, Decision> {
     let sidecar = ObservationStore::load(session.disk().dir().join(SIDECAR_FILE));
-    let mirrored = spec
-        .mirror(
-            session.disk(),
-            baseline,
-            session.delta_store(),
-            Some(&sidecar),
-        )
-        .unwrap();
+    let mirrored = spec.mirror(session, baseline, Some(&sidecar)).unwrap();
     let report = Simulator::new(spec.sim_config())
         .run(&mirrored, plan)
         .unwrap();
@@ -98,14 +91,13 @@ fn assert_same_decisions(
 /// scenarios can assert they were not vacuous.
 fn assert_parity(spec: &ScenarioSpec, scenario: &str) -> HashMap<String, Decision> {
     let dir = tempfile::tempdir().unwrap();
-    let session = ScSession::from_spec(dir.path(), spec).unwrap();
+    let session = spec.open(dir.path()).unwrap();
     // Profiling refresh: every node executes, so mirrored compute times
     // and output sizes are real (and, with runtime feedback on, the
     // sidecar holds one observation per node).
     let baseline = session.baseline_refresh().unwrap();
     for round in 0..spec.churn.len() {
-        spec.ingest_round(round, session.disk(), session.delta_store())
-            .unwrap();
+        spec.ingest_round(round, &session).unwrap();
     }
 
     let plan = Plan::unoptimized((0..spec.mvs.len()).map(NodeId).collect());
@@ -129,14 +121,13 @@ fn parity_holds_on_fragmented_and_compacted_state() {
             spec = spec.with_compact_every(n);
         }
         let dir = tempfile::tempdir().unwrap();
-        let session = ScSession::from_spec(dir.path(), &spec).unwrap();
+        let session = spec.open(dir.path()).unwrap();
         let baseline = session.baseline_refresh().unwrap();
         let plan = Plan::unoptimized((0..spec.mvs.len()).map(NodeId).collect());
 
         // Round 0 is ingested and refreshed up front, leaving the hub
         // either fragmented (append landed) or compacted per the toggle.
-        spec.ingest_round(0, session.disk(), session.delta_store())
-            .unwrap();
+        spec.ingest_round(0, &session).unwrap();
         session.refresh_with_plan(&plan).unwrap();
         if spec.compact_due(0) {
             session.compact_mvs().unwrap();
@@ -150,8 +141,7 @@ fn parity_holds_on_fragmented_and_compacted_state() {
 
         // Round 1 pends; sim and engine must agree on every node's mode
         // regardless of the storage state round 0 left behind.
-        spec.ingest_round(1, session.disk(), session.delta_store())
-            .unwrap();
+        spec.ingest_round(1, &session).unwrap();
         let sim = simulate(&spec, &session, &baseline, &plan);
         let engine = session.refresh_with_plan(&plan).unwrap();
         let m = assert_same_decisions(&format!("compact_every={compact_every:?}"), &sim, &engine);
@@ -242,7 +232,7 @@ fn sim_predicts_engine_catalog_usage_at_every_lane_count() {
     // Size the budget from a probe: room for the hub plus a little.
     let probe_spec = base_spec(RefreshMode::AlwaysFull);
     let probe_dir = tempfile::tempdir().unwrap();
-    let probe = ScSession::from_spec(probe_dir.path(), &probe_spec).unwrap();
+    let probe = probe_spec.open(probe_dir.path()).unwrap();
     let hub_bytes = probe.baseline_refresh().unwrap().nodes[0].output_bytes;
     let n = probe_spec.mvs.len();
     let plan = Plan {
@@ -256,11 +246,9 @@ fn sim_predicts_engine_catalog_usage_at_every_lane_count() {
             .with_refresh_mode(RefreshMode::AlwaysFull)
             .with_lanes(lanes);
         let dir = tempfile::tempdir().unwrap();
-        let session = ScSession::from_spec(dir.path(), &spec).unwrap();
+        let session = spec.open(dir.path()).unwrap();
         let baseline = session.baseline_refresh().unwrap();
-        let mirrored = spec
-            .mirror(session.disk(), &baseline, session.delta_store(), None)
-            .unwrap();
+        let mirrored = spec.mirror(&session, &baseline, None).unwrap();
         let sim = Simulator::new(spec.sim_config())
             .run(&mirrored, &plan)
             .unwrap();
@@ -327,9 +315,9 @@ fn concurrent_ingest_during_refresh_matches_sequential() {
     let spec = ScenarioSpec::sales_pipeline(0.3, 42, 64 << 20);
 
     let dir_c = tempfile::tempdir().unwrap();
-    let concurrent = Arc::new(ScSession::from_spec(dir_c.path(), &spec).unwrap());
+    let concurrent = Arc::new(spec.open(dir_c.path()).unwrap());
     let dir_s = tempfile::tempdir().unwrap();
-    let sequential = ScSession::from_spec(dir_s.path(), &spec).unwrap();
+    let sequential = spec.open(dir_s.path()).unwrap();
 
     // First refresh materializes every MV (and caches a plan) on both.
     concurrent.refresh().unwrap();
