@@ -215,19 +215,25 @@ impl TableDelta {
         fields.push(Field::new(DELTA_DEL_COLUMN, DataType::Bool));
         let schema = Arc::new(Schema::new(fields)?);
         let rows = self.insert_rows() + self.delete_rows();
+        let parts: Vec<&Table> = self
+            .batches
+            .iter()
+            .flat_map(|batch| [&batch.deletes, &batch.inserts])
+            .collect();
         let mut columns: Vec<Column> = self
             .schema
             .fields()
             .iter()
-            .map(|f| Column::with_capacity(f.dtype, rows))
-            .collect();
+            .enumerate()
+            .map(|(c, f)| {
+                let column: Vec<&Column> = parts.iter().map(|t| t.column(c)).collect();
+                Column::concat(f.dtype, &column)
+            })
+            .collect::<Result<_>>()?;
         let mut batch_idx: Vec<i64> = Vec::with_capacity(rows);
         let mut is_del: Vec<bool> = Vec::with_capacity(rows);
         for (i, batch) in self.batches.iter().enumerate() {
             for (part, del) in [(&batch.deletes, true), (&batch.inserts, false)] {
-                for (dst, src) in columns.iter_mut().zip(part.columns()) {
-                    dst.extend(src)?;
-                }
                 batch_idx.resize(batch_idx.len() + part.num_rows(), i as i64);
                 is_del.resize(is_del.len() + part.num_rows(), del);
             }

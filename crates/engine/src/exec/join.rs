@@ -84,7 +84,7 @@ pub fn hash_join(
 }
 
 /// Gathers rows where present, null-filling gaps (left-join misses) with
-/// the type's null: 0 / 0.0 / "" / false / day 0.
+/// the type's null: 0 / 0.0 / "" (an empty span) / false / day 0.
 fn take_optional(c: &Column, indices: &[Option<usize>]) -> Column {
     fn gather<T: Clone>(v: &[T], indices: &[Option<usize>], null: T) -> Vec<T> {
         indices
@@ -98,7 +98,7 @@ fn take_optional(c: &Column, indices: &[Option<usize>]) -> Column {
     match c {
         Column::Int64(v) => Column::Int64(gather(v, indices, 0)),
         Column::Float64(v) => Column::Float64(gather(v, indices, 0.0)),
-        Column::Utf8(v) => Column::Utf8(gather(v, indices, String::new())),
+        Column::Utf8(v) => Column::Utf8(v.take_optional(indices)),
         Column::Bool(v) => Column::Bool(gather(v, indices, false)),
         Column::Date(v) => Column::Date(gather(v, indices, 0)),
     }

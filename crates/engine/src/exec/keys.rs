@@ -159,8 +159,8 @@ impl<'a> Keys<'a> {
                 Column::Date(v) => fold(&mut hashes, v, |x| x as i64 as u64),
                 Column::Float64(v) => fold(&mut hashes, v, f64::to_bits),
                 Column::Utf8(v) => {
-                    for (h, s) in hashes.iter_mut().zip(v) {
-                        *h = mix(*h, hash_bytes(seed, s.as_bytes()));
+                    for (row, h) in hashes.iter_mut().enumerate() {
+                        *h = mix(*h, hash_bytes(seed, v.bytes_at(row)));
                     }
                 }
             }
@@ -225,7 +225,7 @@ fn cell_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
     match (a, b) {
         (Column::Int64(x), Column::Int64(y)) => x[i] == y[j],
         (Column::Float64(x), Column::Float64(y)) => x[i].to_bits() == y[j].to_bits(),
-        (Column::Utf8(x), Column::Utf8(y)) => x[i] == y[j],
+        (Column::Utf8(x), Column::Utf8(y)) => x.bytes_at(i) == y.bytes_at(j),
         _ => matches!((int_of(a, i), int_of(b, j)), (Some(x), Some(y)) if x == y),
     }
 }
@@ -356,7 +356,7 @@ mod tests {
         assert!(!same(&c, 0, &c, 2));
         let d = Column::Date(vec![100, 100]);
         assert!(same(&d, 0, &d, 1));
-        let s = Column::Utf8(vec!["x".into(), "x".into(), "y".into()]);
+        let s = Column::Utf8(vec!["x", "x", "y"].into());
         assert!(same(&s, 0, &s, 1));
         assert!(!same(&s, 0, &s, 2));
     }
@@ -366,7 +366,7 @@ mod tests {
         let hashes = |seed, col: &Column| with_hash_seed(seed, || Keys::new(vec![col], 2).hashes);
         for col in [
             Column::Int64(vec![7, 8]),
-            Column::Utf8(vec!["a".into(), "long enough to chunk".into()]),
+            Column::Utf8(vec!["a", "long enough to chunk"].into()),
         ] {
             let (a, b) = (hashes(1, &col), hashes(2, &col));
             assert!(a.iter().zip(&b).all(|(x, y)| x != y), "{col:?}");
@@ -382,7 +382,7 @@ mod tests {
         let date = Column::Date(vec![5]);
         let boolean = Column::Bool(vec![true]);
         let float = Column::Float64(vec![5.0, 0.0, -0.0, f64::NAN]);
-        let text = Column::Utf8(vec!["5".into()]);
+        let text = Column::Utf8(vec!["5"].into());
         assert!(same(&int, 0, &date, 0), "Int64 and Date share a class");
         assert!(same(&int, 1, &boolean, 0), "Bool compares as 0/1");
         assert!(!same(&int, 0, &float, 0), "no cross-class equality");
@@ -427,8 +427,8 @@ mod tests {
 
     #[test]
     fn group_ids_are_dense_first_seen_and_cross_table() {
-        let stored = Column::Utf8(vec!["b".into(), "a".into()]);
-        let delta = Column::Utf8(vec!["a".into(), "c".into(), "c".into(), "b".into()]);
+        let stored = Column::Utf8(vec!["b", "a"].into());
+        let delta = Column::Utf8(vec!["a", "c", "c", "b"].into());
         for constant in [false, true] {
             let run = || {
                 let sources = [Keys::new(vec![&stored], 2), Keys::new(vec![&delta], 4)];

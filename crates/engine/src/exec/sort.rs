@@ -56,7 +56,7 @@ fn compare_rows(col: &Column, a: usize, b: usize) -> Ordering {
     match col {
         Column::Int64(v) => v[a].cmp(&v[b]),
         Column::Float64(v) => v[a].partial_cmp(&v[b]).unwrap_or(Ordering::Equal),
-        Column::Utf8(v) => v[a].cmp(&v[b]),
+        Column::Utf8(v) => v.bytes_at(a).cmp(v.bytes_at(b)),
         Column::Bool(v) => v[a].cmp(&v[b]),
         Column::Date(v) => v[a].cmp(&v[b]),
     }

@@ -7,7 +7,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use crate::column::Column;
+use crate::column::{Column, Utf8Column};
 use crate::table::Table;
 use crate::types::{DataType, Value};
 use crate::{EngineError, Result};
@@ -231,7 +231,7 @@ fn broadcast(v: &Value, rows: usize) -> Column {
     match v {
         Value::Int64(x) => Column::Int64(vec![*x; rows]),
         Value::Float64(x) => Column::Float64(vec![*x; rows]),
-        Value::Utf8(x) => Column::Utf8(vec![x.clone(); rows]),
+        Value::Utf8(x) => Column::Utf8(Utf8Column::repeat(x, rows)),
         Value::Bool(x) => Column::Bool(vec![*x; rows]),
         Value::Date(x) => Column::Date(vec![*x; rows]),
     }
@@ -273,13 +273,19 @@ fn int64_side<'a>(o: &'a Operand<'_>) -> Option<Side<'a, i64>> {
     }
 }
 
-fn utf8_side<'a>(o: &'a Operand<'_>) -> Option<Side<'a, String>> {
+/// A string view of one operand: a column's values, or one value.
+enum StrSide<'a> {
+    Rows(&'a Utf8Column),
+    Scalar(&'a str),
+}
+
+fn utf8_side<'a>(o: &'a Operand<'_>) -> Option<StrSide<'a>> {
     match o {
         Operand::Column(c) => match c.as_ref() {
-            Column::Utf8(v) => Some(Side::Rows(Cow::Borrowed(v))),
+            Column::Utf8(v) => Some(StrSide::Rows(v)),
             _ => None,
         },
-        Operand::Scalar(Value::Utf8(x)) => Some(Side::Scalar(x.clone())),
+        Operand::Scalar(Value::Utf8(x)) => Some(StrSide::Scalar(x)),
         Operand::Scalar(_) => None,
     }
 }
@@ -368,7 +374,7 @@ fn eval_arith(l: &Operand<'_>, op: BinOp, r: &Operand<'_>, rows: usize) -> Resul
 fn eval_cmp(l: &Operand<'_>, op: BinOp, r: &Operand<'_>, rows: usize) -> Result<Column> {
     // String comparisons are lexicographic; everything else numeric.
     if let (Some(a), Some(b)) = (utf8_side(l), utf8_side(r)) {
-        return Ok(compare(&a, op, &b, rows, Ord::cmp));
+        return Ok(compare_str(&a, op, &b, rows));
     }
     if l.data_type() == DataType::Bool && r.data_type() == DataType::Bool {
         return Ok(compare(&bool_side(l)?, op, &bool_side(r)?, rows, Ord::cmp));
@@ -396,6 +402,29 @@ fn compare<T: Clone>(
         BinOp::Gt => a.zip(b, rows, |x, y| cmp(x, y) == Ordering::Greater),
         BinOp::Ge => a.zip(b, rows, |x, y| cmp(x, y) != Ordering::Less),
         _ => unreachable!("cmp op"),
+    })
+}
+
+/// `a op b` row by row over strings, compared by bytes.
+fn compare_str(a: &StrSide<'_>, op: BinOp, b: &StrSide<'_>, rows: usize) -> Column {
+    let holds: fn(Ordering) -> bool = match op {
+        BinOp::Eq => Ordering::is_eq,
+        BinOp::Ne => Ordering::is_ne,
+        BinOp::Lt => Ordering::is_lt,
+        BinOp::Le => Ordering::is_le,
+        BinOp::Gt => Ordering::is_gt,
+        BinOp::Ge => Ordering::is_ge,
+        _ => unreachable!("cmp op"),
+    };
+    Column::Bool(match (a, b) {
+        (StrSide::Rows(x), StrSide::Rows(y)) => x
+            .iter()
+            .zip(y.iter())
+            .map(|(x, y)| holds(x.cmp(y)))
+            .collect(),
+        (StrSide::Rows(x), StrSide::Scalar(y)) => x.iter().map(|x| holds(x.cmp(y))).collect(),
+        (StrSide::Scalar(x), StrSide::Rows(y)) => y.iter().map(|y| holds((*x).cmp(y))).collect(),
+        (StrSide::Scalar(x), StrSide::Scalar(y)) => vec![holds(x.cmp(y)); rows],
     })
 }
 

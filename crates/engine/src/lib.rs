@@ -66,7 +66,7 @@ pub mod table;
 /// Scalar [`DataType`]s and [`Value`]s.
 pub mod types;
 
-pub use column::Column;
+pub use column::{Column, Utf8Column};
 pub use controller::{CostProvenance, NodeMetrics, RefreshConfig, RunMetrics};
 pub use error::EngineError;
 pub use report::RefreshReport;

@@ -15,7 +15,8 @@
 //! Each rule has one owning module: `naming` (the file-name format and
 //! the one directory scan that parses it), `retention` (pins, the
 //! retained-file index, creation epochs, the GC horizon and its
-//! subscribers), `pacing` ([`Throttle`]'s modeled device), and this one
+//! subscribers), `pacing` ([`Throttle`]'s modeled device), `malloc`
+//! (settling the allocator's thresholds at the first open), and this one
 //! (the directory lock and crash recovery, the commit protocol below,
 //! the read path, [`EpochPin`]).
 //!
@@ -66,6 +67,7 @@
 //! disagreeing with its manifests, and open recovers from that once,
 //! so the read and commit paths never list the directory or retry.
 
+mod malloc;
 mod naming;
 mod pacing;
 mod retention;
@@ -134,6 +136,7 @@ impl DiskCatalog {
     /// directory until the handle drops (see the module docs) and
     /// recovering from a writer that crashed in it.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
+        malloc::settle_thresholds();
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
         let lock = fs::File::create(dir.join(naming::LOCK))?;

@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::column::Column;
+use crate::column::{Column, Utf8Column};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::types::DataType;
@@ -278,13 +278,14 @@ fn column_payload_len(col: &Column) -> u64 {
         Column::Float64(v) => v.len() as u64 * 8,
         Column::Date(v) => v.len() as u64 * 4,
         Column::Bool(v) => v.len().div_ceil(8) as u64,
-        Column::Utf8(v) => v.iter().map(|s| 4 + s.len() as u64).sum(),
+        Column::Utf8(v) => (4 * v.len() + v.value_bytes()) as u64,
     }
 }
 
-/// Serializes a table into the SCTB format.
+/// Serializes a table into the SCTB format, writing every column's
+/// payload straight into one buffer of exactly [`encoded_size`] bytes.
 pub fn encode(table: &Table) -> Bytes {
-    let mut buf = BytesMut::with_capacity(table.byte_size() as usize + 256);
+    let mut buf = BytesMut::with_capacity(encoded_size(table) as usize);
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
     buf.put_u16_le(table.num_columns() as u16);
@@ -295,57 +296,54 @@ pub fn encode(table: &Table) -> Bytes {
         buf.put_u8(dtype_tag(f.dtype));
     }
     for col in table.columns() {
-        let payload = encode_column(col);
-        buf.put_u64_le(payload.len() as u64);
-        buf.put_slice(&payload);
+        buf.put_u64_le(column_payload_len(col));
+        encode_column(col, &mut buf);
     }
+    debug_assert_eq!(buf.len() as u64, encoded_size(table));
     buf.freeze()
 }
 
-fn encode_column(col: &Column) -> Vec<u8> {
+fn encode_column(col: &Column, buf: &mut BytesMut) {
     match col {
-        Column::Int64(v) => {
-            let mut out = Vec::with_capacity(v.len() * 8);
-            for x in v {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            out
-        }
-        Column::Float64(v) => {
-            let mut out = Vec::with_capacity(v.len() * 8);
-            for x in v {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            out
-        }
-        Column::Date(v) => {
-            let mut out = Vec::with_capacity(v.len() * 4);
-            for x in v {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            out
-        }
+        Column::Int64(v) => put_le(buf, v, i64::to_le_bytes),
+        Column::Float64(v) => put_le(buf, v, f64::to_le_bytes),
+        Column::Date(v) => put_le(buf, v, i32::to_le_bytes),
         Column::Bool(v) => {
-            let mut out = vec![0u8; v.len().div_ceil(8)];
-            for (i, &b) in v.iter().enumerate() {
-                if b {
-                    out[i / 8] |= 1 << (i % 8);
-                }
+            for bits in v.chunks(8) {
+                let byte = bits
+                    .iter()
+                    .enumerate()
+                    .fold(0u8, |byte, (i, &b)| byte | (b as u8) << i);
+                buf.put_u8(byte);
             }
-            out
         }
         Column::Utf8(v) => {
-            let mut out = Vec::new();
-            for s in v {
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
+            for s in v.iter() {
+                buf.put_u32_le(s.len() as u32);
+                buf.put_slice(s.as_bytes());
             }
-            out
         }
+    }
+}
+
+/// Writes `values` little-endian through a stack block, so the buffer is
+/// extended once per block rather than once per value.
+fn put_le<T: Copy, const W: usize>(buf: &mut BytesMut, values: &[T], le: fn(T) -> [u8; W]) {
+    let mut block = [0u8; 1024];
+    for chunk in values.chunks(block.len() / W) {
+        let used = &mut block[..chunk.len() * W];
+        for (dst, &x) in used.chunks_exact_mut(W).zip(chunk) {
+            dst.copy_from_slice(&le(x));
+        }
+        buf.put_slice(used);
     }
 }
 
 /// Deserializes a table from SCTB bytes.
+///
+/// Nothing is reserved from the header's row count until a column's
+/// payload is known to hold that many rows, so a forged header fails as
+/// `Corrupt` instead of asking for an impossible allocation.
 pub fn decode(mut data: Bytes) -> Result<Table> {
     let need = |data: &Bytes, n: usize| -> Result<()> {
         if data.remaining() < n {
@@ -367,7 +365,8 @@ pub fn decode(mut data: Bytes) -> Result<Table> {
         )));
     }
     let ncols = data.get_u16_le() as usize;
-    let nrows = data.get_u64_le() as usize;
+    let nrows = usize::try_from(data.get_u64_le())
+        .map_err(|_| EngineError::Corrupt("row count exceeds the address space".into()))?;
 
     let mut fields = Vec::with_capacity(ncols);
     for _ in 0..ncols {
@@ -384,7 +383,8 @@ pub fn decode(mut data: Bytes) -> Result<Table> {
     let mut columns = Vec::with_capacity(ncols);
     for f in &fields {
         need(&data, 8)?;
-        let payload_len = data.get_u64_le() as usize;
+        let payload_len = usize::try_from(data.get_u64_le())
+            .map_err(|_| EngineError::Corrupt("truncated file".into()))?;
         need(&data, payload_len)?;
         let payload = data.copy_to_bytes(payload_len);
         columns.push(decode_column(f.dtype, &payload, nrows)?);
@@ -394,7 +394,7 @@ pub fn decode(mut data: Bytes) -> Result<Table> {
 
 fn decode_column(dtype: DataType, payload: &[u8], nrows: usize) -> Result<Column> {
     let fixed = |width: usize| -> Result<()> {
-        if payload.len() != nrows * width {
+        if nrows.checked_mul(width) != Some(payload.len()) {
             Err(EngineError::Corrupt(format!(
                 "column payload {} != {} rows × {width}",
                 payload.len(),
@@ -442,31 +442,46 @@ fn decode_column(dtype: DataType, payload: &[u8], nrows: usize) -> Result<Column
                     .collect(),
             )
         }
-        DataType::Utf8 => {
-            let mut out = Vec::with_capacity(nrows);
-            let mut pos = 0usize;
-            for _ in 0..nrows {
-                if pos + 4 > payload.len() {
-                    return Err(EngineError::Corrupt("truncated string column".into()));
-                }
-                let len = u32::from_le_bytes(payload[pos..pos + 4].try_into().unwrap()) as usize;
-                pos += 4;
-                if pos + len > payload.len() {
-                    return Err(EngineError::Corrupt("truncated string value".into()));
-                }
-                let s = std::str::from_utf8(&payload[pos..pos + len])
-                    .map_err(|_| EngineError::Corrupt("non-utf8 string".into()))?;
-                out.push(s.to_string());
-                pos += len;
-            }
-            if pos != payload.len() {
-                return Err(EngineError::Corrupt(
-                    "trailing bytes in string column".into(),
-                ));
-            }
-            Column::Utf8(out)
-        }
+        DataType::Utf8 => Column::Utf8(decode_utf8(payload, nrows)?),
     })
+}
+
+/// Decodes `nrows` `[len u32][bytes]` values into one offsets array and
+/// one byte buffer. The buffer is validated as UTF-8 once, as a whole;
+/// every offset must then also fall on a character boundary, or a
+/// character split across two values would pass.
+fn decode_utf8(payload: &[u8], nrows: usize) -> Result<Utf8Column> {
+    let value_bytes = nrows
+        .checked_mul(4)
+        .and_then(|prefixes| payload.len().checked_sub(prefixes))
+        .ok_or_else(|| EngineError::Corrupt("truncated string column".into()))?;
+    let mut offsets = Vec::with_capacity(nrows + 1);
+    let mut bytes = Vec::with_capacity(value_bytes);
+    offsets.push(0);
+    let mut rest = payload;
+    for _ in 0..nrows {
+        let (len, tail) = rest
+            .split_first_chunk::<4>()
+            .ok_or_else(|| EngineError::Corrupt("truncated string column".into()))?;
+        let len = u32::from_le_bytes(*len) as usize;
+        let (value, tail) = tail
+            .split_at_checked(len)
+            .ok_or_else(|| EngineError::Corrupt("truncated string value".into()))?;
+        bytes.extend_from_slice(value);
+        offsets.push(bytes.len());
+        rest = tail;
+    }
+    if !rest.is_empty() {
+        return Err(EngineError::Corrupt(
+            "trailing bytes in string column".into(),
+        ));
+    }
+    let bytes =
+        String::from_utf8(bytes).map_err(|_| EngineError::Corrupt("non-utf8 string".into()))?;
+    if !offsets.iter().all(|&o| bytes.is_char_boundary(o)) {
+        return Err(EngineError::Corrupt("non-utf8 string".into()));
+    }
+    Ok(Utf8Column::from_parts(offsets, bytes))
 }
 
 #[cfg(test)]
@@ -520,6 +535,92 @@ mod tests {
         assert_eq!(t, back);
     }
 
+    /// A small table of every type, whose strings cover the empty value,
+    /// one byte, multi-byte characters and a value longer than a
+    /// checksum stripe.
+    fn golden_table() -> Table {
+        let mut t = TableBuilder::new()
+            .column("k", DataType::Int64)
+            .column("f", DataType::Float64)
+            .column("s", DataType::Utf8)
+            .column("b", DataType::Bool)
+            .column("d", DataType::Date)
+            .build();
+        for (k, f, s, b, d) in [
+            (1, 0.5, "", true, 19000),
+            (-2, -1.25, "a", false, -1),
+            (3, 0.0, "αβ", true, 0),
+            (
+                4,
+                1e300,
+                "a value longer than one 32-byte stripe",
+                true,
+                20000,
+            ),
+        ] {
+            t.push_row(vec![
+                Value::Int64(k),
+                Value::Float64(f),
+                Value::Utf8(s.into()),
+                Value::Bool(b),
+                Value::Date(d),
+            ])
+            .unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn encode_writes_the_golden_bytes() {
+        // The SCTB bytes are the on-disk format: segment checksums, write
+        // and space amplification and every byte-identity contract rest on
+        // them, so they must not change with the in-memory layout.
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            // "SCTB", version 1, 5 columns, 4 rows.
+            0x53, 0x43, 0x54, 0x42, 0x01, 0x00, 0x05, 0x00,
+            0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            // "k" Int64, "f" Float64, "s" Utf8, "b" Bool, "d" Date.
+            0x01, 0x00, 0x6b, 0x00, 0x01, 0x00, 0x66, 0x01,
+            0x01, 0x00, 0x73, 0x02, 0x01, 0x00, 0x62, 0x03,
+            0x01, 0x00, 0x64, 0x04,
+            // k: 32 payload bytes, then 1, -2, 3, 4.
+            0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+            0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            // f: 32 payload bytes, then 0.5, -1.25, 0.0, 1e300.
+            0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf4, 0xbf,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x9c, 0x75, 0x00, 0x88, 0x3c, 0xe4, 0x37, 0x7e,
+            // s: 59 payload bytes of [len u32][bytes].
+            0x3b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00,
+            0x01, 0x00, 0x00, 0x00, 0x61,
+            0x04, 0x00, 0x00, 0x00, 0xce, 0xb1, 0xce, 0xb2,
+            0x26, 0x00, 0x00, 0x00,
+            0x61, 0x20, 0x76, 0x61, 0x6c, 0x75, 0x65, 0x20,
+            0x6c, 0x6f, 0x6e, 0x67, 0x65, 0x72, 0x20, 0x74,
+            0x68, 0x61, 0x6e, 0x20, 0x6f, 0x6e, 0x65, 0x20,
+            0x33, 0x32, 0x2d, 0x62, 0x79, 0x74, 0x65, 0x20,
+            0x73, 0x74, 0x72, 0x69, 0x70, 0x65,
+            // b: 1 payload byte, rows 0, 2 and 3 set.
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x0d,
+            // d: 16 payload bytes, then 19000, -1, 0, 20000.
+            0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x38, 0x4a, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+            0x00, 0x00, 0x00, 0x00, 0x20, 0x4e, 0x00, 0x00,
+        ];
+        let t = golden_table();
+        assert_eq!(&encode(&t)[..], golden);
+        assert_eq!(encoded_size(&t), golden.len() as u64);
+        assert_eq!(decode(Bytes::from(golden.to_vec())).unwrap(), t);
+    }
+
     #[test]
     fn roundtrip_empty_table() {
         let t = TableBuilder::new().column("x", DataType::Utf8).build();
@@ -554,6 +655,79 @@ mod tests {
             let r = decode(Bytes::from(raw[..cut].to_vec()));
             assert!(r.is_err(), "cut at {cut} must error");
         }
+    }
+
+    /// An SCTB header for one column of `tag` and `nrows` rows, followed
+    /// by an empty payload: 28 bytes.
+    fn forged_header(tag: u8, nrows: u64) -> Vec<u8> {
+        let mut raw = MAGIC.to_vec();
+        raw.extend_from_slice(&VERSION.to_le_bytes());
+        raw.extend_from_slice(&1u16.to_le_bytes());
+        raw.extend_from_slice(&nrows.to_le_bytes());
+        raw.extend_from_slice(&1u16.to_le_bytes());
+        raw.extend_from_slice(b"c");
+        raw.push(tag);
+        raw.extend_from_slice(&0u64.to_le_bytes());
+        raw
+    }
+
+    #[test]
+    fn forged_row_count_is_corrupt_for_every_dtype() {
+        // A row count the payload cannot hold must fail before anything
+        // is reserved from it: 2^40 rows would ask for terabytes, and
+        // 2^61 × 8 wraps to the empty payload's length in u64 arithmetic.
+        for dtype in [
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Utf8,
+            DataType::Bool,
+            DataType::Date,
+        ] {
+            for nrows in [1u64 << 40, 1 << 61, 1 << 62, u64::MAX] {
+                let raw = forged_header(dtype_tag(dtype), nrows);
+                assert_eq!(raw.len(), 28);
+                assert!(
+                    matches!(decode(Bytes::from(raw)), Err(EngineError::Corrupt(_))),
+                    "{dtype} with {nrows} rows"
+                );
+            }
+        }
+    }
+
+    /// The SCTB bytes of one Utf8 column `s` holding `values`.
+    fn strings(values: Vec<&str>) -> Vec<u8> {
+        let mut t = TableBuilder::new().column("s", DataType::Utf8).build();
+        for v in values {
+            t.push_row(vec![Value::Utf8(v.into())]).unwrap();
+        }
+        encode(&t).to_vec()
+    }
+
+    #[test]
+    fn invalid_utf8_inside_a_value_is_corrupt() {
+        let mut raw = strings(vec!["ab", "cd"]);
+        let at = raw.len() - 7; // "b", ahead of [len u32]["cd"].
+        assert_eq!(raw[at], b'b');
+        raw[at] = 0xFF;
+        assert!(matches!(
+            decode(Bytes::from(raw)),
+            Err(EngineError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn a_character_split_across_two_values_is_corrupt() {
+        // "α" is 0xCE 0xB1: as two one-byte values the byte buffer is
+        // valid UTF-8 as a whole, but neither value is.
+        let mut raw = strings(vec!["x", "y"]);
+        let n = raw.len();
+        assert_eq!((raw[n - 6], raw[n - 1]), (b'x', b'y'));
+        raw[n - 6] = 0xCE;
+        raw[n - 1] = 0xB1;
+        assert!(matches!(
+            decode(Bytes::from(raw)),
+            Err(EngineError::Corrupt(_))
+        ));
     }
 
     #[test]

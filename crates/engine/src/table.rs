@@ -156,32 +156,28 @@ impl Table {
         let first = tables
             .first()
             .ok_or_else(|| EngineError::InvalidPlan("concat requires at least one table".into()))?;
-        let rows = tables.iter().map(|t| t.num_rows).sum();
+        if let Some(t) = tables.iter().find(|t| t.schema != first.schema) {
+            return Err(EngineError::TypeMismatch {
+                expected: first.schema.to_string(),
+                got: t.schema.to_string(),
+                context: "concat".into(),
+            });
+        }
         let columns = first
             .schema
             .fields()
             .iter()
-            .map(|f| Column::with_capacity(f.dtype, rows))
-            .collect();
-        let mut out = Table {
+            .enumerate()
+            .map(|(i, f)| {
+                let parts: Vec<&Column> = tables.iter().map(|t| &t.columns[i]).collect();
+                Column::concat(f.dtype, &parts)
+            })
+            .collect::<Result<_>>()?;
+        Ok(Table {
             schema: first.schema.clone(),
             columns,
-            num_rows: 0,
-        };
-        for t in tables {
-            if t.schema != first.schema {
-                return Err(EngineError::TypeMismatch {
-                    expected: first.schema.to_string(),
-                    got: t.schema.to_string(),
-                    context: "concat".into(),
-                });
-            }
-            for (dst, src) in out.columns.iter_mut().zip(&t.columns) {
-                dst.extend(src)?;
-            }
-            out.num_rows += t.num_rows;
-        }
-        Ok(out)
+            num_rows: tables.iter().map(|t| t.num_rows).sum(),
+        })
     }
 
     /// Renders the first `limit` rows as an ASCII table (for examples and
@@ -332,8 +328,8 @@ mod tests {
     #[test]
     fn byte_size_counts_strings() {
         let t = sample();
-        // 3 i64 (24) + 3 f64 (24) + strings (5+3+5 bytes + 3*24 header).
-        assert_eq!(t.byte_size(), 24 + 24 + (5 + 3 + 5 + 72));
+        // 3 i64 (24) + 3 f64 (24) + strings (5+3+5 bytes + 4 offsets × 8).
+        assert_eq!(t.byte_size(), 24 + 24 + (5 + 3 + 5 + 32));
     }
 
     #[test]

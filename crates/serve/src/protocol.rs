@@ -753,6 +753,27 @@ mod tests {
     }
 
     #[test]
+    fn forged_ingest_row_count_is_malformed_not_an_abort() {
+        // A 28-byte SCTB delta claiming 2^40 rows of one Utf8 column with
+        // an empty payload: decoding must reject the count before
+        // reserving anything for it.
+        let mut sctb = b"SCTB".to_vec();
+        sctb.extend_from_slice(&1u16.to_le_bytes());
+        sctb.extend_from_slice(&1u16.to_le_bytes());
+        sctb.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        sctb.extend_from_slice(&1u16.to_le_bytes());
+        sctb.push(b's');
+        sctb.push(2); // Utf8
+        sctb.extend_from_slice(&0u64.to_le_bytes());
+        let mut payload = vec![OP_INGEST];
+        put_string(&mut payload, "store_sales");
+        payload.extend_from_slice(&sctb);
+        let err = decode_request(&payload).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Malformed);
+        assert!(err.message.contains("delta table"), "{}", err.message);
+    }
+
+    #[test]
     fn huge_declared_string_does_not_allocate() {
         let mut payload = vec![OP_READ_TABLE];
         put_u32(&mut payload, u32::MAX);
