@@ -150,22 +150,6 @@ impl Utf8Column {
         self.gather(indices.len(), |i| indices[i])
     }
 
-    /// The values whose `mask` entry is true.
-    fn filter(&self, mask: &[bool]) -> Self {
-        let (rows, len) = mask
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .fold((0, 0), |(rows, len), (row, _)| {
-                (rows + 1, len + self.value_len(row))
-            });
-        let mut out = Utf8Column::with_capacity(rows, len);
-        for (row, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
-            out.push_str(self.get(row));
-        }
-        out
-    }
-
     /// Appends every value of `other`.
     fn extend(&mut self, other: &Utf8Column) {
         let base = self.bytes.len();
@@ -189,6 +173,27 @@ impl From<Vec<&str>> for Utf8Column {
     fn from(values: Vec<&str>) -> Self {
         values.into_iter().collect()
     }
+}
+
+/// The rows `mask` keeps, in ascending order — or `None` when it keeps
+/// every row, so a caller can clone instead of gathering. One counting
+/// pass sizes the vector; the second writes every row index to the next
+/// free slot and advances the slot by the mask bit, so no branch depends
+/// on the data.
+pub(crate) fn selection(mask: &[bool]) -> Option<Vec<usize>> {
+    let kept = mask.iter().filter(|&&m| m).count();
+    if kept == mask.len() {
+        return None;
+    }
+    // One spare slot: a dropped row after the last kept one still writes.
+    let mut rows = vec![0; kept + 1];
+    let mut next = 0;
+    for (row, &m) in mask.iter().enumerate() {
+        rows[next] = row;
+        next += m as usize;
+    }
+    rows.truncate(kept);
+    Some(rows)
 }
 
 impl Column {
@@ -283,21 +288,14 @@ impl Column {
         }
     }
 
-    /// Builds a new column keeping only rows where `mask` is true, in a
-    /// buffer sized to the kept rows.
+    /// Builds a new column keeping only rows where `mask` is true: the
+    /// kept rows' indices are built once and gathered by
+    /// [`Column::take`]; a mask that keeps every row returns a clone.
     pub fn filter(&self, mask: &[bool]) -> Column {
         debug_assert_eq!(mask.len(), self.len());
-        fn keep<T: Copy>(v: &[T], mask: &[bool]) -> Vec<T> {
-            let mut out = Vec::with_capacity(mask.iter().filter(|&&m| m).count());
-            out.extend(v.iter().zip(mask).filter(|(_, &m)| m).map(|(&x, _)| x));
-            out
-        }
-        match self {
-            Column::Int64(v) => Column::Int64(keep(v, mask)),
-            Column::Float64(v) => Column::Float64(keep(v, mask)),
-            Column::Utf8(v) => Column::Utf8(v.filter(mask)),
-            Column::Bool(v) => Column::Bool(keep(v, mask)),
-            Column::Date(v) => Column::Date(keep(v, mask)),
+        match selection(mask) {
+            Some(rows) => self.take(&rows),
+            None => self.clone(),
         }
     }
 

@@ -19,7 +19,19 @@ use parking_lot::Mutex;
 
 use crate::exec::TableDelta;
 use crate::storage::DiskCatalog;
-use crate::Result;
+use crate::{EngineError, Result};
+
+/// Segments a base table may hold before an insert-only ingest rewrites
+/// it into one instead of appending another: the bound on how
+/// fragmented a refresh's base read can get.
+///
+/// Measured on 2 vCPUs with a 2.9 MB, 60,000-row `store_sales` and
+/// 0.5 % batches: a canonical `read_table` takes ≈ 1.1 ms; a fragmented
+/// one pays ≈ 0.3 ms once for the concatenation, then ≈ 0.02 ms per
+/// segment (open, read, checksum, decode). At 16 segments the
+/// per-segment share is ≈ 0.3 ms a read, a twentieth of the ≈ 6 ms
+/// rewrite each append saves.
+const MAX_BASE_SEGMENTS: usize = 16;
 
 /// Thread-safe in-memory log of pending per-table deltas.
 ///
@@ -149,18 +161,45 @@ impl DeltaStore {
     /// `table` in `disk` (the authoritative copy stays current) and logs
     /// it for the next refresh run's incremental maintenance.
     ///
-    /// The log lock is held across both steps, so a concurrent
-    /// [`DeltaStore::snapshot`] observes either neither effect or both —
-    /// a refresh must never see the updated base without the pending
-    /// batch (it would bake the delta into a recomputed MV and then apply
-    /// it again next run). The lock also serializes concurrent ingests
-    /// against the same table's read-modify-write.
+    /// The storage write is O(batch) when it can be: an insert-only
+    /// batch commits its rows as one new segment of the base
+    /// ([`DiskCatalog::append_table`]), so the base is neither read nor
+    /// rewritten. A batch with deletes — or a base already
+    /// [`MAX_BASE_SEGMENTS`] segments long — takes the read-modify-write
+    /// instead: read the base, apply the batch, rewrite it in the
+    /// canonical single-segment form. Either way the stored rows equal
+    /// `delta.apply(&base)`, in the same order, and a batch of another
+    /// schema fails before anything is written or logged.
+    ///
+    /// The log lock is held across the disk commit and the log append,
+    /// so a concurrent [`DeltaStore::snapshot`] observes either neither
+    /// effect or both — a refresh must never see the updated base
+    /// without the pending batch (it would bake the delta into a
+    /// recomputed MV and then apply it again next run). The lock also
+    /// serializes concurrent ingests against one table, which keeps the
+    /// read-modify-write whole and the segment bound exact (only ingest
+    /// appends to a base).
     pub(crate) fn ingest(&self, disk: &DiskCatalog, table: &str, delta: TableDelta) -> Result<()> {
         let mut g = self.inner.lock();
-        let base = disk.read_table(table)?;
-        disk.write_table(table, &delta.apply(&base)?)?;
+        if !delta.has_deletes() && disk.segment_count(table)? < MAX_BASE_SEGMENTS {
+            disk.append_table(table, &delta.insert_rows_table()?)?;
+        } else {
+            let base = disk.read_table(table)?;
+            if base.schema() != delta.schema() {
+                return Err(EngineError::TypeMismatch {
+                    expected: base.schema().to_string(),
+                    got: delta.schema().to_string(),
+                    context: "DeltaStore::ingest".into(),
+                });
+            }
+            disk.write_table(table, &delta.apply(&base)?)?;
+        }
         match g.pending.get_mut(table) {
             Some(existing) => existing.extend(delta)?,
+            // An empty batch wrote nothing, so no check has seen its
+            // schema: it must not claim the log, or the next batch's log
+            // append would fail after that batch's commit.
+            None if delta.is_empty() => {}
             None => {
                 g.pending.insert(table.to_string(), delta);
             }
@@ -262,5 +301,33 @@ mod tests {
             .unwrap();
         assert_eq!(disk.read_table("t").unwrap(), rows(&[2, 9]));
         assert_eq!(store.pending("t").unwrap().delete_rows(), 1);
+    }
+
+    #[test]
+    fn insert_only_ingest_appends_up_to_the_segment_bound() {
+        let dir = tempfile::tempdir().unwrap();
+        let disk = DiskCatalog::open(dir.path()).unwrap();
+        disk.write_table("t", &rows(&[0])).unwrap();
+        let store = DeltaStore::new();
+        let mut expected = rows(&[0]);
+        let batches = 2 * MAX_BASE_SEGMENTS + 3;
+        for v in 1..=batches as i64 {
+            let delta = TableDelta::insert_only(rows(&[v]));
+            expected = delta.apply(&expected).unwrap();
+            let before = disk.segment_count("t").unwrap();
+            store.ingest(&disk, "t", delta).unwrap();
+            // Below the bound a batch appends one segment; at it, the
+            // base is rewritten whole.
+            let after = disk.segment_count("t").unwrap();
+            let want = if before < MAX_BASE_SEGMENTS {
+                before + 1
+            } else {
+                1
+            };
+            assert_eq!(after, want, "batch {v}");
+            assert!(after <= MAX_BASE_SEGMENTS);
+            assert_eq!(disk.read_table("t").unwrap(), expected, "batch {v}");
+        }
+        assert_eq!(store.pending_batches("t"), batches);
     }
 }

@@ -10,7 +10,8 @@
 //! segments in manifest order. This is what lets an insert-only
 //! incremental refresh *append* a delta-sized segment
 //! ([`DiskCatalog::append_table`]) instead of rewriting the whole MV —
-//! the write cost becomes O(delta), not O(MV).
+//! the write cost becomes O(delta), not O(MV) — and an insert-only
+//! ingest append its batch to a base table the same way.
 //!
 //! Each rule has one owning module: `naming` (the file-name format and
 //! the one directory scan that parses it), `retention` (pins, the
@@ -80,6 +81,7 @@ pub use retention::RetentionSubscription;
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -89,6 +91,7 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use crate::plan::TableSource;
+use crate::schema::Schema;
 use crate::storage::format::{self, Manifest, SegmentMeta};
 use crate::table::Table;
 use crate::{EngineError, Result};
@@ -97,13 +100,19 @@ use naming::Kind;
 use pacing::Pacer;
 use retention::{Retention, Version};
 
+/// Bytes of a segment read to parse its SCTB header (the append schema
+/// check): one block, which holds the header unless the column names
+/// total about 4 KB.
+const HEADER_PREFIX: u64 = 4096;
+
 /// A directory of segmented SCTB tables with optional I/O pacing.
 ///
 /// Catalog operations are atomic **within one instance**: an internal
 /// read/write lock scopes the filesystem work (never the throttle
 /// pacing, so reads and writes still overlap on their separate modeled
-/// channels), which is what makes `ingest_delta` rewriting a base table
-/// safe against refresh lanes reading it through the same catalog.
+/// channels), which is what makes `ingest_delta` appending to or
+/// rewriting a base table safe against refresh lanes reading it through
+/// the same catalog.
 /// The handle owns its directory (see the module docs).
 #[derive(Debug)]
 pub struct DiskCatalog {
@@ -525,6 +534,31 @@ impl DiskCatalog {
         }
     }
 
+    /// The schema the SCTB header of `manifest`'s last segment declares
+    /// (`None` for a table without segments), read from the segment's
+    /// first block only: no checksum, no decode. Callers hold the io
+    /// lock.
+    fn stored_schema_locked(&self, safe: &str, manifest: &Manifest) -> Result<Option<Schema>> {
+        let Some(seg) = manifest.segments.last() else {
+            return Ok(None);
+        };
+        let path = self.path(&naming::segment(safe, seg.id), None);
+        let header = |limit: u64| -> Result<Schema> {
+            let mut prefix = Vec::new();
+            fs::File::open(&path)?
+                .take(limit)
+                .read_to_end(&mut prefix)?;
+            Ok(format::decode_header(&mut Bytes::from(prefix))?.0)
+        };
+        // Column names are short, so a header nearly always fits in one
+        // block; a longer one is read again from the whole segment.
+        match header(HEADER_PREFIX) {
+            Err(EngineError::Corrupt(_)) if seg.bytes > HEADER_PREFIX => header(seg.bytes),
+            schema => schema,
+        }
+        .map(Some)
+    }
+
     /// Whether a table exists (has a committed manifest).
     pub fn contains(&self, name: &str) -> bool {
         self.path(&naming::manifest(&naming::stem(name)), None)
@@ -582,9 +616,11 @@ impl DiskCatalog {
     }
 
     /// Appends `rows` to `name` as a new committed segment — the
-    /// O(delta)-write path an insert-only incremental refresh takes
-    /// instead of rewriting the MV. The table must already exist; a
-    /// zero-row append is a no-op. Returns bytes written (segment plus the
+    /// O(delta)-write path an insert-only incremental refresh and an
+    /// insert-only ingest take instead of rewriting the table. The table
+    /// must already exist, and `rows` must have its schema (else
+    /// [`EngineError::TypeMismatch`], with nothing written); a zero-row
+    /// append is a no-op. Returns bytes written (segment plus the
     /// rewritten manifest).
     ///
     /// The segment file is fully written (tmp + rename) *before* the
@@ -600,6 +636,15 @@ impl DiskCatalog {
             let _io = self.io.write();
             self.claim_name(&safe, name)?;
             let (manifest, raw) = self.manifest_at(name, &safe, None)?;
+            if let Some(stored) = self.stored_schema_locked(&safe, &manifest)? {
+                if stored != **rows.schema() {
+                    return Err(EngineError::TypeMismatch {
+                        expected: stored.to_string(),
+                        got: rows.schema().to_string(),
+                        context: "DiskCatalog::append_table".into(),
+                    });
+                }
+            }
             // An append leaves every committed segment in place; only
             // the manifest is superseded, so only it needs retaining
             // (and only while pins are live — the swap is atomic).

@@ -782,3 +782,32 @@ fn current_epoch_is_lock_free_and_monotone_under_commits() {
     });
     assert_eq!(cat.current_epoch(), 21);
 }
+
+#[test]
+fn append_checks_a_schema_whose_header_outgrows_the_prefix_read() {
+    // Twenty 300-byte column names: a ~6 KB header, past HEADER_PREFIX.
+    let names: Vec<String> = (0..20).map(|i| format!("{i:0>300}")).collect();
+    let wide = |last: DataType| {
+        let mut b = TableBuilder::new();
+        for (i, name) in names.iter().enumerate() {
+            b = b.column(name.clone(), if i == 19 { last } else { DataType::Int64 });
+        }
+        let mut t = b.build();
+        let row = (0..20)
+            .map(|i| match (i, last) {
+                (19, DataType::Bool) => Value::Bool(true),
+                _ => Value::Int64(i),
+            })
+            .collect();
+        t.push_row(row).unwrap();
+        t
+    };
+    let dir = tempfile::tempdir().unwrap();
+    let cat = DiskCatalog::open(dir.path()).unwrap();
+    cat.write_table("w", &wide(DataType::Int64)).unwrap();
+    assert!(cat.append_table("w", &wide(DataType::Int64)).unwrap() > 0);
+    let err = cat.append_table("w", &wide(DataType::Bool)).unwrap_err();
+    assert!(matches!(err, EngineError::TypeMismatch { .. }), "{err}");
+    assert_eq!(cat.read_table("w").unwrap().num_rows(), 2);
+    assert_eq!(cat.segment_count("w").unwrap(), 2);
+}

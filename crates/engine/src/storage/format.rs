@@ -345,14 +345,26 @@ fn put_le<T: Copy, const W: usize>(buf: &mut BytesMut, values: &[T], le: fn(T) -
 /// payload is known to hold that many rows, so a forged header fails as
 /// `Corrupt` instead of asking for an impossible allocation.
 pub fn decode(mut data: Bytes) -> Result<Table> {
-    let need = |data: &Bytes, n: usize| -> Result<()> {
-        if data.remaining() < n {
-            Err(EngineError::Corrupt("truncated file".into()))
-        } else {
-            Ok(())
-        }
-    };
-    need(&data, 4 + 2 + 2 + 8)?;
+    let (schema, nrows) = decode_header(&mut data)?;
+    let mut columns = Vec::with_capacity(schema.len());
+    for f in schema.fields() {
+        need(&data, 8)?;
+        let payload_len = usize::try_from(data.get_u64_le())
+            .map_err(|_| EngineError::Corrupt("truncated file".into()))?;
+        need(&data, payload_len)?;
+        let payload = data.copy_to_bytes(payload_len);
+        columns.push(decode_column(f.dtype, &payload, nrows)?);
+    }
+    Table::new(Arc::new(schema), columns)
+}
+
+/// Parses the SCTB header at the front of `data` — magic, version, the
+/// schema and the row count — and leaves `data` at the first column
+/// payload. [`decode`] and the catalog's append schema check (which
+/// reads only a segment's prefix) share it. A `data` cut inside the
+/// header is `Corrupt("truncated file")`.
+pub(crate) fn decode_header(data: &mut Bytes) -> Result<(Schema, usize)> {
+    need(data, 4 + 2 + 2 + 8)?;
     let mut magic = [0u8; 4];
     data.copy_to_slice(&mut magic);
     if &magic != MAGIC {
@@ -370,26 +382,25 @@ pub fn decode(mut data: Bytes) -> Result<Table> {
 
     let mut fields = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        need(&data, 2)?;
+        need(data, 2)?;
         let name_len = data.get_u16_le() as usize;
-        need(&data, name_len + 1)?;
+        need(data, name_len + 1)?;
         let name_bytes = data.copy_to_bytes(name_len);
         let name = String::from_utf8(name_bytes.to_vec())
             .map_err(|_| EngineError::Corrupt("non-utf8 column name".into()))?;
         let dtype = tag_dtype(data.get_u8())?;
         fields.push(Field::new(name, dtype));
     }
+    Ok((Schema::new(fields)?, nrows))
+}
 
-    let mut columns = Vec::with_capacity(ncols);
-    for f in &fields {
-        need(&data, 8)?;
-        let payload_len = usize::try_from(data.get_u64_le())
-            .map_err(|_| EngineError::Corrupt("truncated file".into()))?;
-        need(&data, payload_len)?;
-        let payload = data.copy_to_bytes(payload_len);
-        columns.push(decode_column(f.dtype, &payload, nrows)?);
+/// Fails as a truncated file unless `data` holds at least `n` more bytes.
+fn need(data: &Bytes, n: usize) -> Result<()> {
+    if data.remaining() < n {
+        Err(EngineError::Corrupt("truncated file".into()))
+    } else {
+        Ok(())
     }
-    Table::new(Arc::new(Schema::new(fields)?), columns)
 }
 
 fn decode_column(dtype: DataType, payload: &[u8], nrows: usize) -> Result<Column> {

@@ -1,10 +1,13 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crate::column::Column;
+use crate::column::{selection, Column};
 use crate::schema::{Field, Schema};
 use crate::types::{DataType, Value};
 use crate::{EngineError, Result};
+
+#[cfg(test)]
+mod filter_props;
 
 /// An immutable-schema, columnar table (the unit the catalogs store and the
 /// operators consume/produce).
@@ -127,7 +130,9 @@ impl Table {
         self.columns.iter().map(Column::byte_size).sum()
     }
 
-    /// A new table keeping only rows where `mask` is true.
+    /// A new table keeping only rows where `mask` is true: the kept
+    /// rows' indices are built once and every column gathers them; a mask
+    /// that keeps every row returns a clone.
     pub fn filter_rows(&self, mask: &[bool]) -> Result<Table> {
         if mask.len() != self.num_rows {
             return Err(EngineError::ArityMismatch {
@@ -135,7 +140,10 @@ impl Table {
                 got: mask.len(),
             });
         }
-        let columns: Vec<Column> = self.columns.iter().map(|c| c.filter(mask)).collect();
+        let Some(rows) = selection(mask) else {
+            return Ok(self.clone());
+        };
+        let columns: Vec<Column> = self.columns.iter().map(|c| c.take(&rows)).collect();
         Table::new(self.schema.clone(), columns)
     }
 
