@@ -90,6 +90,14 @@ impl Utf8Column {
         &self.bytes.as_bytes()[self.offsets[row]..self.offsets[row + 1]]
     }
 
+    /// The two buffers: `n + 1` offsets from 0, and every value's bytes
+    /// back to back. Kernels that walk every value (the key hash) read
+    /// them directly instead of slicing one value at a time.
+    #[inline]
+    pub(crate) fn parts(&self) -> (&[usize], &[u8]) {
+        (&self.offsets, self.bytes.as_bytes())
+    }
+
     /// Every value in row order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
         self.offsets.windows(2).map(|w| &self.bytes[w[0]..w[1]])

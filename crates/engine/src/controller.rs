@@ -265,7 +265,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Table resolver that prefers the run's Memory Catalog and accounts read
-/// time.
+/// time. A resident entry is handed out whole; a disk read decodes only
+/// the columns a projected scan asks for.
 struct RunSource<'a> {
     resident: &'a Mutex<Resident>,
     disk: &'a DiskCatalog,
@@ -274,7 +275,8 @@ struct RunSource<'a> {
     disk_reads: Cell<usize>,
     // Cache of disk reads within a single node execution so a plan that
     // scans the same table twice doesn't pay twice (engines buffer this).
-    node_cache: RefCell<HashMap<String, Arc<Table>>>,
+    // Each entry records whether it holds every column.
+    node_cache: RefCell<HashMap<String, (Arc<Table>, bool)>>,
 }
 
 impl<'a> RunSource<'a> {
@@ -288,27 +290,43 @@ impl<'a> RunSource<'a> {
             node_cache: RefCell::new(HashMap::new()),
         }
     }
-}
 
-impl TableSource for RunSource<'_> {
-    fn table(&self, name: &str) -> Result<Arc<Table>> {
+    /// `name` from the Memory Catalog, else from this node's earlier disk
+    /// reads, else from disk — `columns` of it, or every column.
+    fn lookup(&self, name: &str, columns: Option<&[String]>) -> Result<Arc<Table>> {
         let resident = lock(self.resident).get(name).cloned();
         if let Some(t) = resident {
             self.memory_reads.set(self.memory_reads.get() + 1);
             return Ok(t);
         }
-        if let Some(t) = self.node_cache.borrow().get(name) {
-            return Ok(t.clone());
+        if let Some((t, whole)) = self.node_cache.borrow().get(name) {
+            let has = |c: &String| t.schema().index_of(c).is_ok();
+            if *whole || columns.is_some_and(|cols| cols.iter().all(has)) {
+                return Ok(t.clone());
+            }
         }
         let started = Instant::now();
-        let t = Arc::new(self.disk.read_table(name)?);
+        let t = Arc::new(match columns {
+            Some(cols) => self.disk.read_columns(name, cols)?,
+            None => self.disk.read_table(name)?,
+        });
         self.read_s
             .set(self.read_s.get() + started.elapsed().as_secs_f64());
         self.disk_reads.set(self.disk_reads.get() + 1);
         self.node_cache
             .borrow_mut()
-            .insert(name.to_string(), t.clone());
+            .insert(name.to_string(), (t.clone(), columns.is_none()));
         Ok(t)
+    }
+}
+
+impl TableSource for RunSource<'_> {
+    fn table(&self, name: &str) -> Result<Arc<Table>> {
+        self.lookup(name, None)
+    }
+
+    fn projected(&self, name: &str, columns: &[String]) -> Result<Arc<Table>> {
+        self.lookup(name, Some(columns))
     }
 }
 

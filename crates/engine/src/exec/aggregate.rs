@@ -90,28 +90,38 @@ pub fn aggregate(
     let mut columns: Vec<Column> = key_cols.iter().map(|c| c.take(&first)).collect();
     for ((func, _, _), col) in aggs.iter().zip(&agg_cols) {
         let dtype = fields[columns.len()].dtype;
-        let sum = || fold_groups(col, &ids, n, 0.0, |acc, v| acc + v);
-        let count = || fold_groups(col, &ids, n, 0.0, |acc, _| acc + 1.0);
-        let values = match func {
-            AggFunc::Count => count(),
-            AggFunc::Sum => sum(),
-            AggFunc::Min => fold_groups(col, &ids, n, f64::INFINITY, f64::min),
-            AggFunc::Max => fold_groups(col, &ids, n, f64::NEG_INFINITY, f64::max),
-            AggFunc::Avg => sum()
-                .into_iter()
-                .zip(count())
-                .map(|(sum, count)| sum / count.max(1.0))
-                .collect(),
+        let sum = || fold_floats(col, &ids, n, 0.0, |acc, v| acc + v);
+        let acc = match (func, dtype) {
+            (AggFunc::Avg, _) => {
+                let count = fold_floats(col, &ids, n, 0.0, |acc, _| acc + 1.0);
+                Acc::Float(
+                    sum()
+                        .into_iter()
+                        .zip(count)
+                        .map(|(sum, count)| sum / count.max(1.0))
+                        .collect(),
+                )
+            }
+            (_, DataType::Float64) => Acc::Float(match func {
+                AggFunc::Min => fold_floats(col, &ids, n, f64::INFINITY, f64::min),
+                AggFunc::Max => fold_floats(col, &ids, n, f64::NEG_INFINITY, f64::max),
+                _ => sum(),
+            }),
+            _ => {
+                let mut acc = Acc::Int(Vec::with_capacity(n));
+                acc.fold(*func, col, &ids)?;
+                acc
+            }
         };
-        columns.push(numeric_column(dtype, values, "aggregate")?);
+        columns.push(acc.into_column(dtype, "aggregate")?);
     }
     Table::new(Arc::new(Schema::new(fields)?), columns)
 }
 
 /// Folds `col`'s values, read as `f64`, into one accumulator per group in
-/// row order; `ids[row]` is the row's group. Non-numeric columns read as
-/// 0.0 (only `Count`, which ignores values, accepts them).
-fn fold_groups(
+/// row order; `ids[row]` is the row's group. Serves `Float64` outputs and
+/// `Avg`; the numeric output types reject every other input.
+fn fold_floats(
     col: &Column,
     ids: &[usize],
     groups: usize,
@@ -143,23 +153,160 @@ fn fold_groups(
     acc
 }
 
-/// An aggregate's output column from its `f64` accumulators, cast to the
-/// output type (`Int64` and `Date` truncate); `context` names the operator
-/// in the error for a non-numeric type with values to emit.
-pub(super) fn numeric_column(dtype: DataType, values: Vec<f64>, context: &str) -> Result<Column> {
-    Ok(match dtype {
-        DataType::Int64 => Column::Int64(values.into_iter().map(|x| x as i64).collect()),
-        DataType::Float64 => Column::Float64(values),
-        DataType::Date => Column::Date(values.into_iter().map(|x| x as i32).collect()),
-        other if values.is_empty() => Column::empty(other),
-        other => {
-            return Err(EngineError::TypeMismatch {
-                expected: "numeric".into(),
-                got: other.to_string(),
-                context: context.into(),
-            })
+/// One aggregate's per-group accumulators, by group id. Integer outputs
+/// (`Int64`, `Date`, and every `Count`) accumulate exactly in `i64`, so a
+/// sum or extreme above 2^53 keeps every bit; `Float64` outputs in `f64`.
+pub(super) enum Acc {
+    /// `Int64` and `Date` outputs.
+    Int(Vec<i64>),
+    /// `Float64` outputs.
+    Float(Vec<f64>),
+}
+
+/// Puts each value in its group's accumulator, in row order: an id equal
+/// to `acc.len()` opens the group with `first(x)`, any other steps it.
+/// Ids come in first-seen order, so every other id is already open.
+fn each_group<T: Copy>(
+    acc: &mut Vec<T>,
+    ids: &[usize],
+    values: impl Iterator<Item = T>,
+    first: impl Fn(T) -> T,
+    step: impl Fn(T, T) -> Option<T>,
+) -> Result<()> {
+    for (&g, x) in ids.iter().zip(values) {
+        if g == acc.len() {
+            acc.push(first(x));
+        } else {
+            acc[g] = step(acc[g], x)
+                .ok_or_else(|| EngineError::Arithmetic("integer overflow in aggregate".into()))?;
         }
-    })
+    }
+    Ok(())
+}
+
+impl Acc {
+    /// Empty accumulators for an aggregate whose output type is `dtype`,
+    /// with room for `groups` groups.
+    pub(super) fn for_output(dtype: DataType, groups: usize) -> Acc {
+        match dtype {
+            DataType::Float64 => Acc::Float(Vec::with_capacity(groups)),
+            _ => Acc::Int(Vec::with_capacity(groups)),
+        }
+    }
+
+    /// Folds `func` over `col` in row order, `ids[row]` being the row's
+    /// group (see [`each_group`]). A new group starts from its first value
+    /// (1 for `Count`); an integer overflow is an
+    /// [`EngineError::Arithmetic`] error, never a wrapped or saturated
+    /// value.
+    pub(super) fn fold(&mut self, func: AggFunc, col: &Column, ids: &[usize]) -> Result<()> {
+        fn ints(
+            acc: &mut Vec<i64>,
+            func: AggFunc,
+            ids: &[usize],
+            values: impl Iterator<Item = i64>,
+        ) -> Result<()> {
+            match func {
+                AggFunc::Count => each_group(acc, ids, values, |_| 1, |a, _| a.checked_add(1)),
+                AggFunc::Sum => each_group(acc, ids, values, |x| x, i64::checked_add),
+                AggFunc::Min => each_group(acc, ids, values, |x| x, |a, x| Some(a.min(x))),
+                AggFunc::Max => each_group(acc, ids, values, |x| x, |a, x| Some(a.max(x))),
+                AggFunc::Avg => Err(EngineError::InvalidPlan("Avg folds in f64".into())),
+            }
+        }
+        match (self, col) {
+            (Acc::Int(acc), _) if func == AggFunc::Count => {
+                ints(acc, func, ids, std::iter::repeat(0))
+            }
+            (Acc::Int(acc), Column::Int64(v)) => ints(acc, func, ids, v.iter().copied()),
+            (Acc::Int(acc), Column::Date(v)) => ints(acc, func, ids, v.iter().map(|&x| x as i64)),
+            (Acc::Float(acc), Column::Float64(v)) => {
+                let step = match func {
+                    AggFunc::Sum => |a: f64, x: f64| Some(a + x),
+                    AggFunc::Min => |a: f64, x: f64| Some(a.min(x)),
+                    AggFunc::Max => |a: f64, x: f64| Some(a.max(x)),
+                    AggFunc::Count | AggFunc::Avg => {
+                        return Err(EngineError::InvalidPlan(format!(
+                            "{func:?} does not fold in f64"
+                        )))
+                    }
+                };
+                each_group(acc, ids, v.iter().copied(), |x| x, step)
+            }
+            _ if ids.is_empty() => Ok(()),
+            (acc, col) => Err(acc.type_error(col.data_type(), "aggregate input")),
+        }
+    }
+
+    /// Sets each group's accumulator to the stored `col` value of its row
+    /// (`ids[row]` being the row's group), opening groups in first-seen
+    /// order; a repeated stored key keeps its last stored value.
+    pub(super) fn resume(&mut self, col: &Column, ids: &[usize]) -> Result<()> {
+        fn last<T>(_: T, x: T) -> Option<T> {
+            Some(x)
+        }
+        match (self, col) {
+            (Acc::Int(acc), Column::Int64(v)) => {
+                each_group(acc, ids, v.iter().copied(), |x| x, last)
+            }
+            (Acc::Int(acc), Column::Date(v)) => {
+                each_group(acc, ids, v.iter().map(|&x| x as i64), |x| x, last)
+            }
+            (Acc::Float(acc), Column::Float64(v)) => {
+                each_group(acc, ids, v.iter().copied(), |x| x, last)
+            }
+            _ if ids.is_empty() => Ok(()),
+            (acc, col) => Err(acc.type_error(col.data_type(), "stored aggregate")),
+        }
+    }
+
+    /// The accumulators of `groups`, in that order.
+    pub(super) fn gather(self, groups: &[usize]) -> Acc {
+        match self {
+            Acc::Int(v) => Acc::Int(groups.iter().map(|&g| v[g]).collect()),
+            Acc::Float(v) => Acc::Float(groups.iter().map(|&g| v[g]).collect()),
+        }
+    }
+
+    fn type_error(&self, got: DataType, context: &str) -> EngineError {
+        EngineError::TypeMismatch {
+            expected: match self {
+                Acc::Int(_) => "Int64 or Date",
+                Acc::Float(_) => "Float64",
+            }
+            .into(),
+            got: got.to_string(),
+            context: context.into(),
+        }
+    }
+
+    /// The output column of type `dtype`; `context` names the operator in
+    /// an error. A `Date` outside `i32` is an [`EngineError::Arithmetic`]
+    /// error, not a truncated day.
+    pub(super) fn into_column(self, dtype: DataType, context: &str) -> Result<Column> {
+        Ok(match (self, dtype) {
+            (Acc::Float(v), DataType::Float64) => Column::Float64(v),
+            (Acc::Int(v), DataType::Int64) => Column::Int64(v),
+            (Acc::Int(v), DataType::Date) => Column::Date(
+                v.into_iter()
+                    .map(|x| {
+                        i32::try_from(x).map_err(|_| {
+                            EngineError::Arithmetic(format!("{context}: day {x} overflows a Date"))
+                        })
+                    })
+                    .collect::<Result<_>>()?,
+            ),
+            (Acc::Int(v), other) if v.is_empty() => Column::empty(other),
+            (Acc::Float(v), other) if v.is_empty() => Column::empty(other),
+            (_, other) => {
+                return Err(EngineError::TypeMismatch {
+                    expected: "numeric".into(),
+                    got: other.to_string(),
+                    context: context.into(),
+                })
+            }
+        })
+    }
 }
 
 #[cfg(test)]
@@ -265,5 +412,46 @@ mod tests {
         let out = aggregate(&sales(), &[], &[(AggFunc::Avg, "qty".into(), "m".into())]).unwrap();
         assert_eq!(out.schema().field("m").unwrap().dtype, DataType::Float64);
         assert_eq!(out.value(0, 0), Value::Float64(3.0));
+    }
+
+    #[test]
+    fn integer_aggregates_stay_exact_above_2_pow_53() {
+        let big = 1i64 << 53;
+        let ints = |values: &[i64]| {
+            let mut t = TableBuilder::new().column("x", DataType::Int64).build();
+            for &v in values {
+                t.push_row(vec![v.into()]).unwrap();
+            }
+            t
+        };
+        let one = |t: &Table, func| {
+            aggregate(t, &[], &[(func, "x".into(), "a".into())]).map(|out| out.value(0, 0))
+        };
+        assert_eq!(
+            one(&ints(&[big, 1]), AggFunc::Sum).unwrap(),
+            Value::Int64(big + 1)
+        );
+        assert_eq!(
+            one(&ints(&[big + 1]), AggFunc::Max).unwrap(),
+            Value::Int64(big + 1)
+        );
+        assert_eq!(
+            one(&ints(&[big + 1, big + 3]), AggFunc::Min).unwrap(),
+            Value::Int64(big + 1)
+        );
+        // Overflow is a typed error, not a saturated or wrapped value.
+        assert!(matches!(
+            one(&ints(&[i64::MAX, 1]), AggFunc::Sum),
+            Err(EngineError::Arithmetic(_))
+        ));
+        let mut days = TableBuilder::new().column("x", DataType::Date).build();
+        for d in [i32::MAX, 1] {
+            days.push_row(vec![Value::Date(d)]).unwrap();
+        }
+        assert!(matches!(
+            one(&days, AggFunc::Sum),
+            Err(EngineError::Arithmetic(_))
+        ));
+        assert_eq!(one(&days, AggFunc::Max).unwrap(), Value::Date(i32::MAX));
     }
 }

@@ -28,9 +28,10 @@
 //!   recomputation would perform (`Avg` cannot be resumed from its stored
 //!   quotient and is not mergeable).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use super::aggregate::numeric_column;
+use super::aggregate::Acc;
 use super::keys::{GroupIndex, Keys};
 use crate::column::Column;
 use crate::exec::{self, AggFunc};
@@ -175,16 +176,24 @@ impl TableDelta {
     /// rewriting the MV. Fails if any batch removes rows (applying a
     /// delete cannot be expressed as an append).
     pub fn insert_rows_table(&self) -> Result<Table> {
+        self.inserts().map(Cow::into_owned)
+    }
+
+    /// [`TableDelta::insert_rows_table`] without the copy where there is
+    /// nothing to concatenate: a one-batch delta lends its inserts.
+    pub(crate) fn inserts(&self) -> Result<Cow<'_, Table>> {
         if self.has_deletes() {
             return Err(EngineError::InvalidPlan(
                 "a delta with deletes cannot be applied as an append".into(),
             ));
         }
-        let parts: Vec<&Table> = self.batches.iter().map(|b| &b.inserts).collect();
-        if parts.is_empty() {
-            return Ok(Table::empty(self.schema.clone()));
-        }
-        Table::concat(&parts)
+        Ok(match self.batches.as_slice() {
+            [] => Cow::Owned(Table::empty(self.schema.clone())),
+            [batch] => Cow::Borrowed(&batch.inserts),
+            batches => Cow::Owned(Table::concat(
+                &batches.iter().map(|b| &b.inserts).collect::<Vec<_>>(),
+            )?),
+        })
     }
 
     /// Applies the delta to `table`, batch by batch: each batch first
@@ -312,28 +321,21 @@ fn apply_batch(table: &Table, batch: &DeltaBatch) -> Result<Table> {
     let mut current = if batch.deletes.num_rows() > 0 {
         // Budget how many occurrences of each row-value to drop, then walk
         // the table once keeping everything else.
-        let sources = [Keys::rows(&batch.deletes), Keys::rows(table)];
+        let sources = [Keys::rows(&batch.deletes)];
         let mut deleted = GroupIndex::default();
         let mut budget: Vec<usize> = Vec::new();
-        for row in 0..batch.deletes.num_rows() {
-            let (g, new) = deleted.intern(&sources, 0, row);
-            if new {
+        for g in deleted.intern_all(&sources, 0) {
+            if g == budget.len() {
                 budget.push(0);
             }
             budget[g] += 1;
         }
-        let mut remaining = batch.deletes.num_rows();
+        let found = deleted.find_all(&sources, &Keys::rows(table));
         let mut keep = vec![true; table.num_rows()];
-        for (row, k) in keep.iter_mut().enumerate() {
-            if remaining == 0 {
-                break;
-            }
-            if let Some(g) = deleted.find(&sources, 1, row) {
-                if budget[g] > 0 {
-                    *k = false;
-                    budget[g] -= 1;
-                    remaining -= 1;
-                }
+        for (k, g) in keep.iter_mut().zip(found) {
+            if let Some(left) = budget.get_mut(g).filter(|left| **left > 0) {
+                *k = false;
+                *left -= 1;
             }
         }
         table.filter_rows(&keep)?
@@ -515,47 +517,23 @@ pub fn merge_aggregate(
         );
     }
     let mut groups = GroupIndex::with_capacity(current.num_rows());
-    let mut acc: Vec<Vec<f64>> = vec![Vec::with_capacity(current.num_rows()); aggs.len()];
-    let mut stored_group = Vec::with_capacity(current.num_rows());
-    for row in 0..current.num_rows() {
-        let (g, new) = groups.intern(&sources, 0, row);
-        for (j, acc) in acc.iter_mut().enumerate() {
-            let v = numeric_at(current.column(nkeys + j), row);
-            // A repeated stored key keeps the last stored value, as the
-            // map it replaces did.
-            if new {
-                acc.push(v);
-            } else {
-                acc[g] = v;
-            }
-        }
-        stored_group.push(g);
-    }
+    let stored_group = groups.intern_all(&sources, 0);
     let stored_groups = groups.len();
+    let mut acc: Vec<Acc> = Vec::with_capacity(aggs.len());
+    for j in 0..aggs.len() {
+        let col = current.column(nkeys + j);
+        let mut a = Acc::for_output(col.data_type(), stored_groups);
+        a.resume(col, &stored_group)?;
+        acc.push(a);
+    }
 
     // Fold the delta inserts, batch by batch, in row order — the same
     // left-to-right order a full recomputation would see after the inserts
     // landed at the end of the input.
     for (b, cols) in agg_cols.iter().enumerate() {
-        for row in 0..ins(b).num_rows() {
-            let (g, new) = groups.intern(&sources, b + 1, row);
-            for ((acc, col), (func, _, _)) in acc.iter_mut().zip(cols).zip(aggs) {
-                let v = numeric_at(col, row);
-                if new {
-                    acc.push(match func {
-                        AggFunc::Count => 1.0,
-                        _ => v,
-                    });
-                    continue;
-                }
-                acc[g] = match func {
-                    AggFunc::Count => acc[g] + 1.0,
-                    AggFunc::Sum => acc[g] + v,
-                    AggFunc::Min => acc[g].min(v),
-                    AggFunc::Max => acc[g].max(v),
-                    AggFunc::Avg => unreachable!("rejected above"),
-                };
-            }
+        let ids = groups.intern_all(&sources, b + 1);
+        for ((acc, col), (func, _, _)) in acc.iter_mut().zip(cols).zip(aggs) {
+            acc.fold(*func, col, &ids)?;
         }
     }
 
@@ -575,23 +553,11 @@ pub fn merge_aggregate(
         .into_iter()
         .chain(stored_groups..groups.len())
         .collect();
-    for (j, acc) in acc.iter().enumerate() {
-        let values = order.iter().map(|&g| acc[g]).collect();
+    for (j, acc) in acc.into_iter().enumerate() {
         let dtype = current.schema().fields()[nkeys + j].dtype;
-        columns.push(numeric_column(dtype, values, "merge_aggregate")?);
+        columns.push(acc.gather(&order).into_column(dtype, "merge_aggregate")?);
     }
     Table::new(current.schema().clone(), columns)
-}
-
-/// The value at `row` read as `f64` (`Int64` and `Date` widen; other types
-/// read as 0.0).
-fn numeric_at(col: &Column, row: usize) -> f64 {
-    match col {
-        Column::Int64(v) => v[row] as f64,
-        Column::Float64(v) => v[row],
-        Column::Date(v) => v[row] as f64,
-        Column::Utf8(_) | Column::Bool(_) => 0.0,
-    }
 }
 
 /// Merges an **insert-only** input delta into the stored result of a
@@ -940,5 +906,48 @@ mod tests {
         let merged = merge_aggregate(&mv, &delta, &[], &aggs).unwrap();
         let full = exec::aggregate(&delta.apply(&t).unwrap(), &[], &aggs).unwrap();
         assert_eq!(merged, full);
+    }
+
+    #[test]
+    fn integer_merges_cross_2_pow_53_exactly() {
+        // Key 1's sum starts just below 2^53 and key 2's just above; the
+        // delta adds amounts whose results an f64 cannot hold, and key 3
+        // opens above 2^53 in the delta itself.
+        let big = 1i64 << 53;
+        let ints = |rows: &[(i64, i64)]| {
+            let mut t = TableBuilder::new()
+                .column("k", DataType::Int64)
+                .column("v", DataType::Int64)
+                .build();
+            for &(k, v) in rows {
+                t.push_row(vec![Value::Int64(k), Value::Int64(v)]).unwrap();
+            }
+            t
+        };
+        let aggs: Vec<(AggFunc, String, String)> = [AggFunc::Sum, AggFunc::Max, AggFunc::Count]
+            .into_iter()
+            .map(|f| (f, "v".to_string(), format!("{f:?}")))
+            .collect();
+        let t = ints(&[(1, big - 1), (2, big + 1)]);
+        let mv = exec::aggregate(&t, &["k".into()], &aggs).unwrap();
+        let mut delta = TableDelta::insert_only(ints(&[(1, 2), (2, 2), (3, big + 3)]));
+        delta
+            .push_batch(DeltaBatch::insert_only(ints(&[(1, 1), (3, 2)])))
+            .unwrap();
+        let merged = merge_aggregate(&mv, &delta, &["k".into()], &aggs).unwrap();
+        let full = exec::aggregate(&delta.apply(&t).unwrap(), &["k".into()], &aggs).unwrap();
+        assert_eq!(merged, full);
+        let sums: Vec<Value> = (0..3).map(|r| merged.value(r, 1)).collect();
+        assert_eq!(sums, [big + 2, big + 3, big + 5].map(Value::Int64).to_vec());
+        assert_eq!(merged.value(2, 2), Value::Int64(big + 3));
+
+        // A merged sum past i64 is an error, as it is in full.
+        let overflow = TableDelta::insert_only(ints(&[(2, i64::MAX)]));
+        for r in [
+            merge_aggregate(&mv, &overflow, &["k".into()], &aggs),
+            exec::aggregate(&overflow.apply(&t).unwrap(), &["k".into()], &aggs),
+        ] {
+            assert!(matches!(r, Err(EngineError::Arithmetic(_))), "{r:?}");
+        }
     }
 }

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use super::keys::{JoinIndex, Keys};
+use super::keys::{JoinIndex, Keys, NONE};
 use crate::column::Column;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
@@ -46,30 +46,52 @@ pub fn hash_join(
     // row's matches in build-row order.
     let build = JoinIndex::build(Keys::new(right_keys, right.num_rows()));
     let probe = Keys::new(left_keys, left.num_rows());
+    let keys = build.probe(&probe);
     let mut left_idx: Vec<usize> = Vec::with_capacity(left.num_rows());
-    let mut right_idx: Vec<Option<usize>> = Vec::with_capacity(left.num_rows());
-    for row in 0..left.num_rows() {
-        let before = right_idx.len();
-        for r in build.matches(&probe, row) {
-            left_idx.push(row);
-            right_idx.push(Some(r));
+    let right_columns: Vec<Column> = match join_type {
+        JoinType::Inner => {
+            let mut right_idx: Vec<usize> = Vec::with_capacity(left.num_rows());
+            for (row, &key) in keys.iter().enumerate() {
+                if key == NONE {
+                    continue;
+                }
+                for &r in build.rows(key) {
+                    left_idx.push(row);
+                    right_idx.push(r);
+                }
+            }
+            right.columns().iter().map(|c| c.take(&right_idx)).collect()
         }
-        if join_type == JoinType::Left && right_idx.len() == before {
-            left_idx.push(row);
-            right_idx.push(None);
+        JoinType::Left => {
+            let mut right_idx: Vec<Option<usize>> = Vec::with_capacity(left.num_rows());
+            for (row, &key) in keys.iter().enumerate() {
+                if key == NONE {
+                    left_idx.push(row);
+                    right_idx.push(None);
+                    continue;
+                }
+                for &r in build.rows(key) {
+                    left_idx.push(row);
+                    right_idx.push(Some(r));
+                }
+            }
+            right
+                .columns()
+                .iter()
+                .map(|c| take_optional(c, &right_idx))
+                .collect()
         }
-    }
+    };
 
     // Assemble output schema: left fields, then right fields (deduped).
-    let mut fields: Vec<Field> = left.schema().fields().to_vec();
-    let mut right_names: Vec<String> = Vec::with_capacity(right.num_columns());
+    let mut fields: Vec<Field> = Vec::with_capacity(left.num_columns() + right.num_columns());
+    fields.extend_from_slice(left.schema().fields());
     for f in right.schema().fields() {
         let name = if left.schema().index_of(&f.name).is_ok() {
             format!("{}_r", f.name)
         } else {
             f.name.clone()
         };
-        right_names.push(name.clone());
         fields.push(Field::new(name, f.dtype));
     }
 
@@ -77,9 +99,7 @@ pub fn hash_join(
     for c in left.columns() {
         columns.push(c.take(&left_idx));
     }
-    for c in right.columns() {
-        columns.push(take_optional(c, &right_idx));
-    }
+    columns.extend(right_columns);
     Table::new(Arc::new(Schema::new(fields)?), columns)
 }
 

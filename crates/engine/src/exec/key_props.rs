@@ -2,15 +2,17 @@
 //! nested-loop / `BTreeMap` reference, on small random tables whose key
 //! columns mix the three key classes (`Int64`/`Date`/`Bool` as one
 //! integer, `Float64` by bits with ±0.0 and NaN, `Utf8` by bytes). Every
-//! case runs three times: under two hash seeds, whose outputs must agree
-//! byte for byte, and with every row hash forced equal, so the equality
-//! check behind a hash collision decides each lookup.
+//! case runs four times: under two hash seeds, whose outputs must agree
+//! byte for byte, with every row hash forced equal, so the equality
+//! check behind a hash collision decides each lookup, and with every row
+//! hash cut to one bit, so groups open both on a batch's first pass and
+//! on its collision walk.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use super::keys::{with_constant_hash, with_hash_seed};
+use super::keys::{with_constant_hash, with_hash_seed, with_one_bit_hash};
 use super::{
     aggregate, distinct, hash_join, merge_aggregate, merge_distinct, AggFunc, DeltaBatch, JoinType,
     TableDelta,
@@ -42,7 +44,7 @@ impl Gen {
             DataType::Date => Value::Date(self.below(4) as i32 - 1),
             DataType::Bool => Value::Bool(self.below(2) == 1),
             DataType::Float64 => Value::Float64(self.pick(&[0.0, -0.0, f64::NAN, 1.5, -1.0])),
-            DataType::Utf8 => Value::Utf8(self.pick(&["", "a", "b", "ab", "é"]).to_string()),
+            DataType::Utf8 => Value::Utf8(self.pick(&STRING_KEYS).to_string()),
         }
     }
 
@@ -84,6 +86,25 @@ impl Gen {
         self.pick(&[0, 1, 3, 6, 9, 14])
     }
 }
+
+/// `Utf8` key cells: 0, 1, 7, 8, 9, 16 and 17 bytes, around the 8-byte
+/// words the key hash reads, with pairs that differ only in their last
+/// byte. The last row of a table always ends on its column's last byte,
+/// where the word read runs past the buffer.
+const STRING_KEYS: [&str; 12] = [
+    "",
+    "a",
+    "b",
+    "é",
+    "abcdefg",
+    "abcdefgh",
+    "abcdefgz",
+    "abcdefghi",
+    "abcdefghijklmnop",
+    "abcdefghijklmnoz",
+    "abcdefghijklmnopq",
+    "abcdefghijklmnopz",
+];
 
 const KEY_TYPES: [DataType; 5] = [
     DataType::Int64,
@@ -183,21 +204,16 @@ fn ref_join(left: &Table, right: &Table, on: &[(String, String)], how: JoinType)
 fn ref_aggregate(input: &Table, group_by: &[String], aggs: &[(AggFunc, String, String)]) -> Canon {
     let keys = index_of(input, group_by);
     let vals = index_of(input, &aggs.iter().map(|a| a.1.clone()).collect::<Vec<_>>());
-    // Per group: its first row and, per aggregate, (count, sum, min, max).
-    type Fold = (f64, f64, f64, f64);
+    // Per group: its first row and, per aggregate, its values in row order.
     let mut ids: BTreeMap<Vec<Class>, usize> = BTreeMap::new();
-    let mut groups: Vec<(usize, Vec<Fold>)> = Vec::new();
+    let mut groups: Vec<(usize, Vec<Vec<Value>>)> = Vec::new();
     for row in 0..input.num_rows() {
         let g = *ids.entry(classes(input, &keys, row)).or_insert_with(|| {
-            groups.push((
-                row,
-                vec![(0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY); aggs.len()],
-            ));
+            groups.push((row, vec![Vec::new(); aggs.len()]));
             groups.len() - 1
         });
-        for (state, &c) in groups[g].1.iter_mut().zip(&vals) {
-            let v = input.value(row, c).as_f64().unwrap_or(0.0);
-            *state = (state.0 + 1.0, state.1 + v, state.2.min(v), state.3.max(v));
+        for (values, &c) in groups[g].1.iter_mut().zip(&vals) {
+            values.push(input.value(row, c));
         }
     }
     let mut types: Vec<DataType> = keys
@@ -213,22 +229,35 @@ fn ref_aggregate(input: &Table, group_by: &[String], aggs: &[(AggFunc, String, S
     }
     let rows = groups
         .iter()
-        .map(|(first, states)| {
+        .map(|(first, values)| {
             let mut row = classes(input, &keys, *first);
-            for (((func, _, _), &(count, sum, min, max)), dtype) in
-                aggs.iter().zip(states).zip(&types[keys.len()..])
+            for (((func, _, _), values), dtype) in aggs.iter().zip(values).zip(&types[keys.len()..])
             {
-                let x = match func {
-                    AggFunc::Count => count,
-                    AggFunc::Sum => sum,
-                    AggFunc::Min => min,
-                    AggFunc::Max => max,
-                    AggFunc::Avg => sum / count,
-                };
-                row.push(match dtype {
-                    DataType::Float64 => Class::Float(x.to_bits()),
-                    DataType::Date => Class::Int(x as i32 as i64),
-                    _ => Class::Int(x as i64),
+                // Integer outputs are exact; floats fold left to right.
+                let ints = values.iter().map(|v| match *v {
+                    Value::Int64(x) => x,
+                    Value::Date(x) => x as i64,
+                    _ => 0,
+                });
+                let floats = values.iter().map(|v| v.as_f64().unwrap_or(0.0));
+                let count = values.len();
+                row.push(match (func, dtype) {
+                    (AggFunc::Count, _) => Class::Int(count as i64),
+                    (AggFunc::Avg, _) => {
+                        Class::Float((floats.fold(0.0, |a, x| a + x) / count as f64).to_bits())
+                    }
+                    (AggFunc::Sum, DataType::Float64) => {
+                        Class::Float(floats.fold(0.0, |a, x| a + x).to_bits())
+                    }
+                    (AggFunc::Min, DataType::Float64) => {
+                        Class::Float(floats.fold(f64::INFINITY, f64::min).to_bits())
+                    }
+                    (AggFunc::Max, DataType::Float64) => {
+                        Class::Float(floats.fold(f64::NEG_INFINITY, f64::max).to_bits())
+                    }
+                    (AggFunc::Sum, _) => Class::Int(ints.sum()),
+                    (AggFunc::Min, _) => Class::Int(ints.min().unwrap()),
+                    (AggFunc::Max, _) => Class::Int(ints.max().unwrap()),
                 });
             }
             row
@@ -411,5 +440,6 @@ proptest! {
         let seeded = with_hash_seed(seed, run);
         prop_assert!(with_hash_seed(!seed, run) == seeded, "output moved with the hash seed");
         prop_assert!(with_constant_hash(run) == seeded, "output moved under collisions");
+        prop_assert!(with_one_bit_hash(run) == seeded, "output moved under partial collisions");
     }
 }

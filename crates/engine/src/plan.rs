@@ -119,9 +119,27 @@ pub enum LogicalPlan {
 }
 
 /// Anything that can resolve a table name to a table.
+///
+/// A plan's scans resolve through it: a scan whose plan reads every
+/// column of its table calls [`TableSource::table`], and a scan under an
+/// `Aggregate` or `Project` — which read only the columns they name —
+/// calls [`TableSource::projected`] with that column set (see
+/// [`LogicalPlan::execute`]).
 pub trait TableSource {
     /// Resolves `name`, or fails with [`EngineError::UnknownTable`].
     fn table(&self, name: &str) -> Result<Arc<Table>>;
+
+    /// Resolves `name` for a scan that reads only `columns`: the table
+    /// returned holds at least those columns, and may hold more. A
+    /// source that stores columns apart reads and decodes only these
+    /// (the disk catalog's pinned reads and a refresh run's disk reads);
+    /// the default hands out the whole table. Fails with
+    /// [`EngineError::UnknownTable`], or with
+    /// [`EngineError::UnknownColumn`] where the source checks names.
+    fn projected(&self, name: &str, columns: &[String]) -> Result<Arc<Table>> {
+        let _ = columns;
+        self.table(name)
+    }
 }
 
 /// Anything that can resolve a table name to its pending delta (the
@@ -236,6 +254,17 @@ impl TableSource for HashMap<String, Arc<Table>> {
         self.get(name)
             .cloned()
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
+    }
+
+    /// The whole table: narrowing a table already in memory would copy
+    /// the columns it keeps. The names are checked as a stored read
+    /// checks them.
+    fn projected(&self, name: &str, columns: &[String]) -> Result<Arc<Table>> {
+        let table = self.table(name)?;
+        for column in columns {
+            table.schema().index_of(column)?;
+        }
+        Ok(table)
     }
 }
 
@@ -472,7 +501,7 @@ impl LogicalPlan {
                 join_type,
             } if !on.is_empty() => {
                 let probe_delta = left.execute_delta(deltas, tables)?;
-                let build = right.evaluate(tables)?;
+                let build = right.evaluate(tables, None)?;
                 exec::delta_join(&probe_delta, &build, on, *join_type)
             }
             other => Err(EngineError::InvalidPlan(format!(
@@ -487,21 +516,52 @@ impl LogicalPlan {
     /// `Arc` instead of a copy of the table. Only a plan whose root is a
     /// bare `Scan` materializes a copy (the caller asked for an owned
     /// table and the source keeps its own).
+    ///
+    /// Scans read only the columns the plan above them reads. The set is
+    /// derived top down: the root reads every column; `Aggregate` and
+    /// `Project` narrow it to the columns they name; `Filter`, `Sort`,
+    /// `TopK` and `Limit` pass their consumer's set through and add their
+    /// own; a `Join`, `Union` or `Distinct` input reads every column. A
+    /// scan whose set is empty (an operator that names no column still
+    /// needs the row count) reads every column too.
     pub fn execute<S: TableSource + ?Sized>(&self, source: &S) -> Result<Table> {
-        Ok(Arc::unwrap_or_clone(self.evaluate(source)?))
+        Ok(Arc::unwrap_or_clone(self.evaluate(source, None)?))
     }
 
-    /// Evaluates the plan bottom-up. A `Scan` hands out the source's own
+    /// Evaluates the plan bottom-up, its consumer reading `reads` of its
+    /// output (`None`: every column). A `Scan` hands out the source's own
     /// `Arc`; every other operator borrows its inputs and returns a fresh
     /// (uniquely owned) result.
-    fn evaluate<S: TableSource + ?Sized>(&self, source: &S) -> Result<Arc<Table>> {
+    fn evaluate<S: TableSource + ?Sized>(
+        &self,
+        source: &S,
+        reads: Option<Vec<String>>,
+    ) -> Result<Arc<Table>> {
+        // The set a passing operator reads: its consumer's plus its own.
+        let plus = |own: Vec<String>| {
+            reads.clone().map(|mut cols| {
+                cols.extend(own);
+                cols
+            })
+        };
         let out = match self {
-            LogicalPlan::Scan { table } => return source.table(table),
+            LogicalPlan::Scan { table } => {
+                return match reads {
+                    Some(cols) if !cols.is_empty() => source.projected(table, &cols),
+                    _ => source.table(table),
+                }
+            }
             LogicalPlan::Filter { input, predicate } => {
-                exec::filter(&*input.evaluate(source)?, predicate)
+                let mut own = Vec::new();
+                predicate.referenced_columns(&mut own);
+                exec::filter(&*input.evaluate(source, plus(own))?, predicate)
             }
             LogicalPlan::Project { input, exprs } => {
-                exec::project(&*input.evaluate(source)?, exprs)
+                let mut cols = Vec::new();
+                for (expr, _) in exprs {
+                    expr.referenced_columns(&mut cols);
+                }
+                exec::project(&*input.evaluate(source, Some(cols))?, exprs)
             }
             LogicalPlan::Join {
                 left,
@@ -509,8 +569,8 @@ impl LogicalPlan {
                 on,
                 join_type,
             } => exec::hash_join(
-                &*left.evaluate(source)?,
-                &*right.evaluate(source)?,
+                &*left.evaluate(source, None)?,
+                &*right.evaluate(source, None)?,
                 on,
                 *join_type,
             ),
@@ -519,21 +579,31 @@ impl LogicalPlan {
                 group_by,
                 aggs,
             } => {
+                let cols = group_by
+                    .iter()
+                    .chain(aggs.iter().map(|a| &a.column))
+                    .cloned()
+                    .collect();
                 let triples: Vec<(AggFunc, String, String)> = aggs
                     .iter()
                     .map(|a| (a.func, a.column.clone(), a.alias.clone()))
                     .collect();
-                exec::aggregate(&*input.evaluate(source)?, group_by, &triples)
+                exec::aggregate(&*input.evaluate(source, Some(cols))?, group_by, &triples)
             }
-            LogicalPlan::Distinct { input } => exec::distinct(&*input.evaluate(source)?),
-            LogicalPlan::Sort { input, keys } => exec::sort_by(&*input.evaluate(source)?, keys),
+            LogicalPlan::Distinct { input } => exec::distinct(&*input.evaluate(source, None)?),
+            LogicalPlan::Sort { input, keys } => {
+                let own = keys.iter().map(|k| k.column.clone()).collect();
+                exec::sort_by(&*input.evaluate(source, plus(own))?, keys)
+            }
             LogicalPlan::TopK { input, keys, n } => {
-                exec::top_k(&*input.evaluate(source)?, keys, *n)
+                let own = keys.iter().map(|k| k.column.clone()).collect();
+                exec::top_k(&*input.evaluate(source, plus(own))?, keys, *n)
             }
-            LogicalPlan::Limit { input, n } => exec::limit(&*input.evaluate(source)?, *n),
-            LogicalPlan::Union { left, right } => {
-                exec::union_all(&*left.evaluate(source)?, &*right.evaluate(source)?)
-            }
+            LogicalPlan::Limit { input, n } => exec::limit(&*input.evaluate(source, reads)?, *n),
+            LogicalPlan::Union { left, right } => exec::union_all(
+                &*left.evaluate(source, None)?,
+                &*right.evaluate(source, None)?,
+            ),
         };
         out.map(Arc::new)
     }
@@ -925,5 +995,102 @@ mod tests {
         let out = plan.execute(&source()).unwrap();
         assert_eq!(out.num_columns(), 1);
         assert_eq!(out.value(0, 0), Value::Float64(10.0));
+    }
+
+    /// A source that records each scan's column set (`None`: the whole
+    /// table) and serves the tables of [`source`].
+    struct Recording {
+        tables: HashMap<String, Arc<Table>>,
+        scans: std::cell::RefCell<Vec<(String, Option<Vec<String>>)>>,
+    }
+
+    impl TableSource for Recording {
+        fn table(&self, name: &str) -> Result<Arc<Table>> {
+            self.scans.borrow_mut().push((name.into(), None));
+            self.tables.table(name)
+        }
+
+        fn projected(&self, name: &str, columns: &[String]) -> Result<Arc<Table>> {
+            let mut cols = columns.to_vec();
+            cols.sort();
+            cols.dedup();
+            self.scans.borrow_mut().push((name.into(), Some(cols)));
+            self.tables.projected(name, columns)
+        }
+    }
+
+    fn scans(plan: &LogicalPlan) -> Vec<(String, Option<Vec<String>>)> {
+        let src = Recording {
+            tables: source(),
+            scans: Default::default(),
+        };
+        assert_eq!(
+            plan.execute(&src).unwrap(),
+            plan.execute(&source()).unwrap()
+        );
+        src.scans.into_inner()
+    }
+
+    fn set(cols: &[&str]) -> Option<Vec<String>> {
+        Some(cols.iter().map(|c| c.to_string()).collect())
+    }
+
+    #[test]
+    fn aggregates_and_projections_narrow_their_scans() {
+        let amount = || Expr::col("amount").gt(Expr::lit(10.0f64));
+        let agg = LogicalPlan::scan("orders").filter(amount()).aggregate(
+            vec!["cust".into()],
+            vec![AggExpr::new(AggFunc::Sum, "amount", "s")],
+        );
+        assert_eq!(
+            scans(&agg),
+            vec![("orders".into(), set(&["amount", "cust"]))]
+        );
+        let proj = LogicalPlan::scan("orders")
+            .sort(vec![SortKey::desc("id")])
+            .limit(2)
+            .project(vec![(Expr::col("cust").mul(Expr::lit(2i64)), "c2".into())]);
+        assert_eq!(scans(&proj), vec![("orders".into(), set(&["cust", "id"]))]);
+        let topk = LogicalPlan::scan("orders")
+            .top_k(vec![SortKey::asc("amount")], 1)
+            .project(vec![(Expr::col("id"), "id".into())]);
+        assert_eq!(
+            scans(&topk),
+            vec![("orders".into(), set(&["amount", "id"]))]
+        );
+        // An operator that names no column still needs the row count.
+        let count = LogicalPlan::scan("orders").project(vec![(Expr::lit(1i64), "one".into())]);
+        assert_eq!(scans(&count), vec![("orders".into(), None)]);
+    }
+
+    #[test]
+    fn a_root_filter_join_union_or_distinct_reads_every_column() {
+        let all = |t: &str| (t.to_string(), None);
+        let filter = LogicalPlan::scan("orders").filter(Expr::col("amount").gt(Expr::lit(1.0f64)));
+        assert_eq!(scans(&filter), vec![all("orders")]);
+        // Below a narrowing operator, too: each input of these reads
+        // every column.
+        let sum = |plan: LogicalPlan| {
+            plan.aggregate(vec![], vec![AggExpr::new(AggFunc::Count, "cust", "n")])
+        };
+        let join = LogicalPlan::scan("orders").join(
+            LogicalPlan::scan("customers"),
+            vec![("cust".into(), "cust_id".into())],
+        );
+        assert_eq!(scans(&join), vec![all("orders"), all("customers")]);
+        assert_eq!(scans(&sum(join)), vec![all("orders"), all("customers")]);
+        let union = LogicalPlan::scan("orders").union(LogicalPlan::scan("orders"));
+        assert_eq!(scans(&sum(union)), vec![all("orders"), all("orders")]);
+        let distinct = LogicalPlan::scan("orders").distinct();
+        assert_eq!(scans(&sum(distinct)), vec![all("orders")]);
+    }
+
+    #[test]
+    fn a_projected_scan_checks_its_column_names() {
+        let plan = LogicalPlan::scan("orders").aggregate(vec!["nope".into()], vec![]);
+        assert!(matches!(
+            plan.execute(&source()),
+            Err(EngineError::UnknownColumn(c)) if c == "nope"
+        ));
     }
 }

@@ -684,7 +684,7 @@ impl DiskCatalog {
             if manifest.segments.len() == 1 && manifest.segments[0].id == 0 {
                 return Ok(0);
             }
-            let table = self.read_segments_at(name, &safe, &manifest, None)?;
+            let table = self.read_segments_at(name, &safe, &manifest, None, None)?;
             let written = self.rewrite_locked(name, &safe, &table)?;
             (raw.len() as u64 + manifest.total_bytes(), written)
         };
@@ -693,36 +693,35 @@ impl DiskCatalog {
         Ok(written)
     }
 
-    /// Reads every segment of `manifest` as of `pin` — verified bytes,
-    /// decoded, each decoded row count checked against its manifest
-    /// entry — concatenated in manifest order.
+    /// Reads every segment of `manifest` as of `pin` — verified bytes
+    /// (each segment hashed once, whole), framed, each frame's row count
+    /// checked against its manifest entry — and decodes them in one pass
+    /// into one table, keeping only `columns` (`None`: every column).
     fn read_segments_at(
         &self,
         name: &str,
         safe: &str,
         manifest: &Manifest,
         pin: Option<u64>,
+        columns: Option<&[String]>,
     ) -> Result<Table> {
-        let mut parts = Vec::with_capacity(manifest.segments.len());
+        let mut segments = Vec::with_capacity(manifest.segments.len());
         for seg in &manifest.segments {
             let raw = self.read_segment_bytes_at(name, safe, seg, pin)?;
-            let table = format::decode(Bytes::from(raw))?;
-            if table.num_rows() as u64 != seg.rows {
+            let segment = format::Segment::frame(Bytes::from(raw))?;
+            if segment.rows() as u64 != seg.rows {
                 // Catches manifest corruption the byte checks cannot (the
                 // rows field is metadata, not part of the segment payload).
                 return Err(EngineError::Corrupt(format!(
                     "{name}: segment {} holds {} rows, manifest records {}",
                     seg.id,
-                    table.num_rows(),
+                    segment.rows(),
                     seg.rows
                 )));
             }
-            parts.push(table);
+            segments.push(segment);
         }
-        match parts.len() {
-            1 => Ok(parts.pop().expect("one part")),
-            _ => Table::concat(&parts.iter().collect::<Vec<_>>()),
-        }
+        format::decode_segments(&segments, columns)
     }
 
     /// Runs `read` under the io read lock against `name`'s stem and
@@ -744,13 +743,26 @@ impl DiskCatalog {
     /// Loads the table stored under `name`: its segments, verified and
     /// concatenated in manifest order.
     pub fn read_table(&self, name: &str) -> Result<Table> {
-        self.read_table_at(name, None)
+        self.read_table_at(name, None, None)
     }
 
-    fn read_table_at(&self, name: &str, pin: Option<u64>) -> Result<Table> {
+    /// Loads only `columns` of the table stored under `name`, in stored
+    /// order. Every segment is still read, length-checked and hashed
+    /// whole; only the decode skips the other columns' payloads. A name
+    /// the table lacks is [`EngineError::UnknownColumn`].
+    pub(crate) fn read_columns(&self, name: &str, columns: &[String]) -> Result<Table> {
+        self.read_table_at(name, None, Some(columns))
+    }
+
+    fn read_table_at(
+        &self,
+        name: &str,
+        pin: Option<u64>,
+        columns: Option<&[String]>,
+    ) -> Result<Table> {
         let started = Instant::now();
         let (table, total_bytes) = self.with_manifest(name, pin, |safe, manifest, raw| {
-            let t = self.read_segments_at(name, safe, manifest, pin)?;
+            let t = self.read_segments_at(name, safe, manifest, pin, columns)?;
             Ok((t, raw.len() as u64 + manifest.total_bytes()))
         })?;
         self.pacer.read(started, total_bytes);
@@ -927,7 +939,7 @@ impl EpochPin<'_> {
     /// Loads the table stored under `name` as of the pinned epoch.
     /// Tables created after the pin are [`EngineError::UnknownTable`].
     pub fn read_table(&self, name: &str) -> Result<Table> {
-        self.catalog.read_table_at(name, Some(self.epoch))
+        self.catalog.read_table_at(name, Some(self.epoch), None)
     }
 
     /// Size in bytes of the pinned version (manifest plus segments).
@@ -963,6 +975,12 @@ impl EpochPin<'_> {
 impl TableSource for EpochPin<'_> {
     fn table(&self, name: &str) -> Result<Arc<Table>> {
         self.read_table(name).map(Arc::new)
+    }
+
+    fn projected(&self, name: &str, columns: &[String]) -> Result<Arc<Table>> {
+        self.catalog
+            .read_table_at(name, Some(self.epoch), Some(columns))
+            .map(Arc::new)
     }
 }
 

@@ -260,6 +260,110 @@ fn each_segment_is_hashed_exactly_once_per_read() {
     assert_eq!(hashed(&cat, || pin.row_count("t").unwrap()), 0);
 }
 
+/// `rows` rows of one column of every stored type.
+fn wide(rows: std::ops::Range<i64>) -> Table {
+    let mut t = TableBuilder::new()
+        .column("id", DataType::Int64)
+        .column("tag", DataType::Utf8)
+        .column("price", DataType::Float64)
+        .column("ok", DataType::Bool)
+        .column("day", DataType::Date)
+        .build();
+    for i in rows {
+        t.push_row(vec![
+            Value::Int64(i),
+            Value::Utf8(format!("tag-{i}")),
+            Value::Float64(i as f64 / 4.0),
+            Value::Bool(i % 3 == 0),
+            Value::Date(19_000 + i as i32),
+        ])
+        .unwrap();
+    }
+    t
+}
+
+/// `table`'s columns named in `names`, in the table's order.
+fn project(table: &Table, names: &[&str]) -> Table {
+    let kept: Vec<usize> = (0..table.num_columns())
+        .filter(|&c| names.contains(&table.schema().fields()[c].name.as_str()))
+        .collect();
+    let fields = kept
+        .iter()
+        .map(|&c| table.schema().fields()[c].clone())
+        .collect();
+    let columns = kept.iter().map(|&c| table.column(c).clone()).collect();
+    Table::new(Arc::new(Schema::new(fields).unwrap()), columns).unwrap()
+}
+
+#[test]
+fn a_projected_read_decodes_only_the_named_columns() {
+    let dir = tempfile::tempdir().unwrap();
+    let cat = DiskCatalog::open(dir.path()).unwrap();
+    cat.write_table("t", &wide(0..50)).unwrap();
+    cat.append_table("t", &wide(50..80)).unwrap();
+    cat.append_table("t", &wide(80..83)).unwrap();
+    let full = cat.read_table("t").unwrap();
+    assert_eq!(full, wide(0..83));
+    // Asked in another order, with a repeat: stored order, each once.
+    let cols: Vec<String> = ["day", "tag", "id", "day"].map(String::from).to_vec();
+    let got = cat.read_columns("t", &cols).unwrap();
+    assert_eq!(got, project(&full, &["id", "tag", "day"]));
+    let pin = cat.pin();
+    assert_eq!(*pin.projected("t", &cols).unwrap(), got);
+    for one in ["price", "ok"] {
+        assert_eq!(
+            cat.read_columns("t", &[one.to_string()]).unwrap(),
+            project(&full, &[one])
+        );
+    }
+
+    // Every segment is still hashed once, whole.
+    let manifest_bytes = fs::read(dir.path().join("t.sctb")).unwrap().len() as u64;
+    let before = cat.hashed_bytes.load(Ordering::Relaxed);
+    cat.read_columns("t", &cols).unwrap();
+    assert_eq!(
+        cat.hashed_bytes.load(Ordering::Relaxed) - before,
+        cat.size_of("t").unwrap() - manifest_bytes
+    );
+
+    // A name the table lacks is a typed error, live or pinned.
+    let unknown = vec!["id".to_string(), "nope".to_string()];
+    assert!(matches!(
+        cat.read_columns("t", &unknown),
+        Err(EngineError::UnknownColumn(c)) if c == "nope"
+    ));
+    assert!(matches!(
+        pin.projected("t", &unknown),
+        Err(EngineError::UnknownColumn(_))
+    ));
+}
+
+#[test]
+fn a_flipped_byte_in_a_skipped_column_fails_the_projected_read() {
+    let dir = tempfile::tempdir().unwrap();
+    let cat = DiskCatalog::open(dir.path()).unwrap();
+    cat.write_table("t", &wide(0..40)).unwrap();
+    let seg = dir.path().join(naming::segment(&naming::stem("t"), 0));
+    let good = fs::read(&seg).unwrap();
+    // Walk the framing to the `tag` payload (column 1): the header, then
+    // `id`'s `[len u64][payload]`, then `tag`'s length.
+    let mut rest = Bytes::from(good.clone());
+    format::decode_header(&mut rest).unwrap();
+    let id_payload = u64::from_le_bytes(rest[..8].try_into().unwrap()) as usize;
+    let tag_payload = good.len() - rest.len() + 8 + id_payload + 8;
+    let read = |cat: &DiskCatalog| cat.read_columns("t", &["id".into(), "price".into()]);
+    assert!(read(&cat).is_ok());
+    for offset in [0, 5, 17] {
+        let mut bad = good.clone();
+        bad[tag_payload + offset] ^= 0x20;
+        fs::write(&seg, &bad).unwrap();
+        assert!(
+            matches!(read(&cat), Err(EngineError::Corrupt(_))),
+            "flip at tag payload + {offset} was not rejected"
+        );
+    }
+}
+
 #[test]
 fn uncommitted_segment_is_invisible() {
     // A crash between segment write and manifest commit: the segment

@@ -344,18 +344,100 @@ fn put_le<T: Copy, const W: usize>(buf: &mut BytesMut, values: &[T], le: fn(T) -
 /// Nothing is reserved from the header's row count until a column's
 /// payload is known to hold that many rows, so a forged header fails as
 /// `Corrupt` instead of asking for an impossible allocation.
-pub fn decode(mut data: Bytes) -> Result<Table> {
-    let (schema, nrows) = decode_header(&mut data)?;
-    let mut columns = Vec::with_capacity(schema.len());
-    for f in schema.fields() {
-        need(&data, 8)?;
-        let payload_len = usize::try_from(data.get_u64_le())
-            .map_err(|_| EngineError::Corrupt("truncated file".into()))?;
-        need(&data, payload_len)?;
-        let payload = data.copy_to_bytes(payload_len);
-        columns.push(decode_column(f.dtype, &payload, nrows)?);
+pub fn decode(data: Bytes) -> Result<Table> {
+    decode_segments(&[Segment::frame(data)?], None)
+}
+
+/// One SCTB segment, framed but not decoded: its schema, its row count,
+/// and each column's payload as a view of the segment's bytes. Framing
+/// reads every `[payload_len]` and checks that its payload lies inside
+/// the segment, so a segment that frames is whole; decoding then touches
+/// only the payloads a reader keeps.
+pub(crate) struct Segment {
+    schema: Schema,
+    rows: usize,
+    payloads: Vec<Bytes>,
+}
+
+impl Segment {
+    /// Frames the segment `data`.
+    pub(crate) fn frame(mut data: Bytes) -> Result<Segment> {
+        let (schema, rows) = decode_header(&mut data)?;
+        let mut payloads = Vec::with_capacity(schema.len());
+        for _ in 0..schema.len() {
+            need(&data, 8)?;
+            let payload_len = usize::try_from(data.get_u64_le())
+                .map_err(|_| EngineError::Corrupt("truncated file".into()))?;
+            need(&data, payload_len)?;
+            payloads.push(data.copy_to_bytes(payload_len));
+        }
+        Ok(Segment {
+            schema,
+            rows,
+            payloads,
+        })
     }
-    Table::new(Arc::new(schema), columns)
+
+    /// The row count its header declares.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+}
+
+/// Decodes the row-concatenation of `segments` (one table's, in order)
+/// in one pass, keeping only the columns named in `columns` (`None`:
+/// every column), in stored order. Each kept column is sized once for
+/// all segments and filled segment by segment; an unkept column's
+/// payload is never read. Fails with [`EngineError::UnknownColumn`] for
+/// a name the table lacks, and with a type mismatch when the segments'
+/// schemas differ.
+pub(crate) fn decode_segments(segments: &[Segment], columns: Option<&[String]>) -> Result<Table> {
+    let schema = &segments
+        .first()
+        .ok_or_else(|| EngineError::InvalidPlan("a table needs at least one segment".into()))?
+        .schema;
+    if let Some(s) = segments.iter().find(|s| s.schema != *schema) {
+        return Err(EngineError::TypeMismatch {
+            expected: schema.to_string(),
+            got: s.schema.to_string(),
+            context: "segments".into(),
+        });
+    }
+    let kept: Vec<usize> = match columns {
+        None => (0..schema.len()).collect(),
+        Some(names) => {
+            let mut keep = vec![false; schema.len()];
+            for name in names {
+                keep[schema.index_of(name)?] = true;
+            }
+            (0..schema.len()).filter(|&c| keep[c]).collect()
+        }
+    };
+    let mut fields = Vec::with_capacity(kept.len());
+    let mut out = Vec::with_capacity(kept.len());
+    for &c in &kept {
+        let field = &schema.fields()[c];
+        let parts = segments.iter().map(|s| (&s.payloads[c][..], s.rows));
+        out.push(match field.dtype {
+            DataType::Utf8 => Column::Utf8(decode_utf8(parts)?),
+            dtype => {
+                // Every payload's size is checked before the column is
+                // sized from the headers' row counts.
+                let mut rows = 0;
+                for (payload, nrows) in parts.clone() {
+                    check_fixed(dtype, payload.len(), nrows)?;
+                    rows += nrows;
+                }
+                let mut col = Column::with_capacity(dtype, rows);
+                for (payload, nrows) in parts {
+                    decode_fixed(&mut col, payload, nrows);
+                }
+                col
+            }
+        });
+        fields.push(field.clone());
+    }
+    Table::new(Arc::new(Schema::new(fields)?), out)
 }
 
 /// Parses the SCTB header at the front of `data` — magic, version, the
@@ -403,90 +485,92 @@ fn need(data: &Bytes, n: usize) -> Result<()> {
     }
 }
 
-fn decode_column(dtype: DataType, payload: &[u8], nrows: usize) -> Result<Column> {
-    let fixed = |width: usize| -> Result<()> {
-        if nrows.checked_mul(width) != Some(payload.len()) {
-            Err(EngineError::Corrupt(format!(
-                "column payload {} != {} rows × {width}",
-                payload.len(),
-                nrows
-            )))
-        } else {
-            Ok(())
-        }
+/// Fails as `Corrupt` unless a `dtype` payload of `len` bytes holds
+/// exactly `nrows` values.
+fn check_fixed(dtype: DataType, len: usize, nrows: usize) -> Result<()> {
+    let width = match dtype {
+        DataType::Int64 | DataType::Float64 => 8,
+        DataType::Date => 4,
+        DataType::Bool if len == nrows.div_ceil(8) => return Ok(()),
+        DataType::Bool => return Err(EngineError::Corrupt("bool column size mismatch".into())),
+        DataType::Utf8 => unreachable!("strings are checked by decode_utf8"),
     };
-    Ok(match dtype {
-        DataType::Int64 => {
-            fixed(8)?;
-            Column::Int64(
-                payload
-                    .chunks_exact(8)
-                    .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-                    .collect(),
-            )
-        }
-        DataType::Float64 => {
-            fixed(8)?;
-            Column::Float64(
-                payload
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                    .collect(),
-            )
-        }
-        DataType::Date => {
-            fixed(4)?;
-            Column::Date(
-                payload
-                    .chunks_exact(4)
-                    .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-                    .collect(),
-            )
-        }
-        DataType::Bool => {
-            if payload.len() != nrows.div_ceil(8) {
-                return Err(EngineError::Corrupt("bool column size mismatch".into()));
-            }
-            Column::Bool(
-                (0..nrows)
-                    .map(|i| payload[i / 8] >> (i % 8) & 1 == 1)
-                    .collect(),
-            )
-        }
-        DataType::Utf8 => Column::Utf8(decode_utf8(payload, nrows)?),
-    })
+    if nrows.checked_mul(width) != Some(len) {
+        return Err(EngineError::Corrupt(format!(
+            "column payload {len} != {nrows} rows × {width}"
+        )));
+    }
+    Ok(())
 }
 
-/// Decodes `nrows` `[len u32][bytes]` values into one offsets array and
-/// one byte buffer. The buffer is validated as UTF-8 once, as a whole;
-/// every offset must then also fall on a character boundary, or a
+/// Appends the `nrows` values of a fixed-width column's `payload`, whose
+/// size [`check_fixed`] has checked, to `col`.
+fn decode_fixed(col: &mut Column, payload: &[u8], nrows: usize) {
+    match col {
+        Column::Int64(v) => v.extend(
+            payload
+                .chunks_exact(8)
+                .map(|c| i64::from_le_bytes(c.try_into().unwrap())),
+        ),
+        Column::Float64(v) => v.extend(
+            payload
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
+        ),
+        Column::Date(v) => v.extend(
+            payload
+                .chunks_exact(4)
+                .map(|c| i32::from_le_bytes(c.try_into().unwrap())),
+        ),
+        Column::Bool(v) => v.extend((0..nrows).map(|i| payload[i / 8] >> (i % 8) & 1 == 1)),
+        Column::Utf8(_) => unreachable!("strings decode through decode_utf8"),
+    }
+}
+
+/// Decodes `[len u32][bytes]` payloads — each `(payload, rows)` one
+/// segment's — into one offsets array and one byte buffer, both sized
+/// for every segment first. The buffer is validated as UTF-8 once, as a
+/// whole; every offset must then also fall on a character boundary, or a
 /// character split across two values would pass.
-fn decode_utf8(payload: &[u8], nrows: usize) -> Result<Utf8Column> {
-    let value_bytes = nrows
-        .checked_mul(4)
-        .and_then(|prefixes| payload.len().checked_sub(prefixes))
-        .ok_or_else(|| EngineError::Corrupt("truncated string column".into()))?;
-    let mut offsets = Vec::with_capacity(nrows + 1);
-    let mut bytes = Vec::with_capacity(value_bytes);
+fn decode_utf8<'a>(parts: impl Iterator<Item = (&'a [u8], usize)> + Clone) -> Result<Utf8Column> {
+    let truncated = || EngineError::Corrupt("truncated string column".into());
+    let (mut rows, mut value_bytes) = (0usize, 0usize);
+    for (payload, nrows) in parts.clone() {
+        let prefixes = nrows.checked_mul(4).ok_or_else(truncated)?;
+        value_bytes += payload.len().checked_sub(prefixes).ok_or_else(truncated)?;
+        rows += nrows;
+    }
+    let mut offsets = Vec::with_capacity(rows + 1);
+    // `SLACK` bytes past the last value let a short value move as one
+    // fixed-size copy; the bytes it carries past its end are overwritten
+    // by the next value or cut off below.
+    const SLACK: usize = 16;
+    let mut bytes = vec![0u8; value_bytes + SLACK];
+    let mut end = 0;
     offsets.push(0);
-    let mut rest = payload;
-    for _ in 0..nrows {
-        let (len, tail) = rest
-            .split_first_chunk::<4>()
-            .ok_or_else(|| EngineError::Corrupt("truncated string column".into()))?;
-        let len = u32::from_le_bytes(*len) as usize;
-        let (value, tail) = tail
-            .split_at_checked(len)
-            .ok_or_else(|| EngineError::Corrupt("truncated string value".into()))?;
-        bytes.extend_from_slice(value);
-        offsets.push(bytes.len());
-        rest = tail;
+    for (payload, nrows) in parts {
+        let mut rest = payload;
+        for _ in 0..nrows {
+            let (len, tail) = rest.split_first_chunk::<4>().ok_or_else(truncated)?;
+            let len = u32::from_le_bytes(*len) as usize;
+            let (value, after) = tail
+                .split_at_checked(len)
+                .ok_or_else(|| EngineError::Corrupt("truncated string value".into()))?;
+            match tail.first_chunk::<SLACK>() {
+                Some(word) if len <= SLACK => bytes[end..end + SLACK].copy_from_slice(word),
+                _ => bytes[end..end + len].copy_from_slice(value),
+            }
+            end += len;
+            offsets.push(end);
+            rest = after;
+        }
+        if !rest.is_empty() {
+            return Err(EngineError::Corrupt(
+                "trailing bytes in string column".into(),
+            ));
+        }
     }
-    if !rest.is_empty() {
-        return Err(EngineError::Corrupt(
-            "trailing bytes in string column".into(),
-        ));
-    }
+    bytes.truncate(end);
     let bytes =
         String::from_utf8(bytes).map_err(|_| EngineError::Corrupt("non-utf8 string".into()))?;
     if !offsets.iter().all(|&o| bytes.is_char_boundary(o)) {
