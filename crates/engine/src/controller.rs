@@ -1404,6 +1404,25 @@ mod tests {
         }
     }
 
+    /// The fastest `total_s` of three runs of each side, alternating
+    /// which side runs first. Host load only ever adds time to a run, so
+    /// the minimum is the estimate of a side's unloaded wall time.
+    fn min_of_three(a: impl Fn() -> RunMetrics, b: impl Fn() -> RunMetrics) -> (f64, f64) {
+        let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+        for round in 0..3 {
+            let (ta, tb) = if round % 2 == 0 {
+                let ta = a().total_s;
+                (ta, b().total_s)
+            } else {
+                let tb = b().total_s;
+                (a().total_s, tb)
+            };
+            best_a = best_a.min(ta);
+            best_b = best_b.min(tb);
+        }
+        (best_a, best_b)
+    }
+
     #[test]
     fn unflagged_run_materializes_everything() {
         let (_dir, disk) = setup();
@@ -1604,17 +1623,15 @@ mod tests {
         disk.write_table("base", &base_table(4000)).unwrap();
         let mvs = fig4_workload();
 
-        let base = Controller::new(&disk, 1 << 22, &DeltaStore::new())
-            .refresh(&mvs, &plan_for(&mvs, &[]))
-            .unwrap();
-        let sc = Controller::new(&disk, 1 << 22, &DeltaStore::new())
-            .refresh(&mvs, &plan_for(&mvs, &[0]))
-            .unwrap();
+        let run = |flags: &[usize]| {
+            Controller::new(&disk, 1 << 22, &DeltaStore::new())
+                .refresh(&mvs, &plan_for(&mvs, flags))
+                .unwrap()
+        };
+        let (base, sc) = min_of_three(|| run(&[]), || run(&[0]));
         assert!(
-            sc.total_s < base.total_s,
-            "S/C run ({:.3}s) must beat baseline ({:.3}s)",
-            sc.total_s,
-            base.total_s
+            sc < base,
+            "S/C run ({sc:.3}s) must beat baseline ({base:.3}s)"
         );
     }
 
@@ -1764,18 +1781,16 @@ mod tests {
             .collect();
         let plan = plan_for(&mvs, &[]);
 
-        let one = Controller::new(&disk, 1 << 22, &DeltaStore::new())
-            .refresh(&mvs, &plan)
-            .unwrap();
-        let four = Controller::new(&disk, 1 << 22, &DeltaStore::new())
-            .with_refresh_config(RefreshConfig::with_lanes(4))
-            .refresh(&mvs, &plan)
-            .unwrap();
+        let run = |lanes: usize| {
+            Controller::new(&disk, 1 << 22, &DeltaStore::new())
+                .with_refresh_config(RefreshConfig::with_lanes(lanes))
+                .refresh(&mvs, &plan)
+                .unwrap()
+        };
+        let (one, four) = min_of_three(|| run(1), || run(4));
         assert!(
-            four.total_s < one.total_s * 0.8,
-            "4 lanes ({:.3}s) must clearly beat 1 lane ({:.3}s)",
-            four.total_s,
-            one.total_s
+            four < one * 0.8,
+            "4 lanes ({four:.3}s) must clearly beat 1 lane ({one:.3}s)"
         );
     }
 
