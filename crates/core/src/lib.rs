@@ -83,7 +83,7 @@ pub use modes::{
 pub use plan::{FlagSet, Plan};
 pub use problem::{MvMeta, Problem};
 pub use replay::{AdmissionReplay, CatalogStep};
-pub use score::{CostModel, ObservedNodeCost};
+pub use score::{CostModel, ObservedNodeCost, RefreshCosts};
 
 /// Convenience alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, OptError>;

@@ -16,7 +16,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::plan::{FlagSet, Plan};
-use crate::score::{CostModel, ObservedNodeCost};
+use crate::score::{CostModel, ObservedNodeCost, RefreshCosts};
 
 /// Policy for choosing between full recomputation and incremental (delta)
 /// maintenance of each MV during a refresh run.
@@ -216,14 +216,21 @@ pub struct ModePlan {
     pub reasons: Vec<ModeReason>,
     /// Where each node's decision got its cost numbers.
     pub cost: Vec<CostProvenance>,
+    /// The predicted full and delta costs each [`RefreshMode::Auto`]
+    /// decision compared (`None` where no costs were compared).
+    pub predicted: Vec<Option<RefreshCosts>>,
     /// Nodes whose output delta is computed (row-wise incremental).
     pub publishes: Vec<bool>,
-    /// Flagged nodes whose Memory Catalog payload is their delta rather
-    /// than their full output: every consumer maintains incrementally, so
-    /// only delta-sized budget is reserved.
+    /// Publishers whose Memory Catalog payload is their delta rather than
+    /// their full output: every consumer maintains incrementally, so only
+    /// delta-sized budget is reserved. Such a node enters the catalog
+    /// (it is in [`ModePlan::flagged`]) whether or not the plan flagged
+    /// it; if its delta does not fit, it falls back to a blocking write
+    /// that spills the delta first.
     pub delta_payload: Vec<bool>,
     /// Nodes that must spill their delta to storage because some
-    /// incremental consumer cannot read it from the catalog.
+    /// consumer recomputes, so the catalog cannot hold the delta for the
+    /// incremental ones.
     pub spill: Vec<bool>,
     /// Nodes persisted by appending their insert-only delta as a segment:
     /// no consumer needs the full output in the Memory Catalog.
@@ -233,7 +240,8 @@ pub struct ModePlan {
     /// fan-out (MV over spine-input size) when the node probes build
     /// sides, else the sum of its input deltas.
     pub delta_out: Vec<u64>,
-    /// Effective flags: the plan's flags minus skipped nodes.
+    /// Effective flags: the plan's flags minus skipped nodes, plus every
+    /// delta-payload node.
     pub flagged: FlagSet,
 }
 
@@ -248,14 +256,19 @@ pub struct ModePlan {
 /// Otherwise the MV must exist, the log must be clean, no build-side base
 /// table may have churned, the operator tree must support the delta's
 /// shape, and — under [`RefreshMode::Auto`] —
-/// [`CostModel::incremental_refresh_wins`] must predict a win, pricing
-/// each incremental parent at its post-update size.
+/// [`CostModel::refresh_costs`] must predict a win, pricing each
+/// incremental parent at its post-update size.
+///
+/// A publisher whose every consumer maintains incrementally enters the
+/// run's Memory Catalog with its delta as payload, flagged or not; the
+/// admission replay still decides whether that delta fits.
 pub fn plan(facts: &[NodeFacts], plan: &Plan, policy: Policy, cost: &CostModel) -> ModePlan {
     let n = plan.order.len();
     let mut mp = ModePlan {
         modes: vec![NodeMode::Full; n],
         reasons: vec![ModeReason::FullPolicy; n],
         cost: vec![CostProvenance::Policy; n],
+        predicted: vec![None; n],
         publishes: vec![false; n],
         delta_payload: vec![false; n],
         spill: vec![false; n],
@@ -346,14 +359,16 @@ pub fn plan(facts: &[NodeFacts], plan: &Plan, policy: Policy, cost: &CostModel) 
                     } else {
                         CostProvenance::Estimated
                     };
-                    cost.incremental_refresh_wins(
+                    let costs = cost.refresh_costs(
                         input,
                         f.mv_bytes,
                         delta,
                         f.static_bytes,
                         (f.publishes && f.appendable && !has_deletes).then_some(estimate),
                         observed,
-                    )
+                    );
+                    mp.predicted[i] = Some(costs);
+                    costs.incremental_wins()
                 }
                 RefreshMode::AlwaysFull => unreachable!("returned above"),
             };
@@ -384,8 +399,13 @@ pub fn plan(facts: &[NodeFacts], plan: &Plan, policy: Policy, cost: &CostModel) 
             .iter()
             .filter(|&&c| mp.modes[c] == NodeMode::Incremental)
             .count();
-        mp.delta_payload[i] =
-            flagged && mp.publishes[i] && !kids.is_empty() && incremental_kids == kids.len();
+        // A delta every consumer reads belongs in the catalog, flagged or
+        // not: it is delta-sized, and spilling it costs a write, reads and
+        // a drop on the critical path.
+        mp.delta_payload[i] = mp.publishes[i] && !kids.is_empty() && incremental_kids == kids.len();
+        if mp.delta_payload[i] {
+            mp.flagged.set(sc_dag::NodeId(i), true);
+        }
         mp.spill[i] = mp.publishes[i] && incremental_kids > 0 && !mp.delta_payload[i];
         // The full output is never materialized on the append path, so no
         // consumer may expect it in the Memory Catalog.
@@ -759,19 +779,47 @@ mod tests {
         ];
         let inc = policy(RefreshMode::AlwaysIncremental);
         let unflagged = run(&facts, &[], inc);
-        // Unflagged publishers with incremental consumers spill, and
-        // every insert-only publisher appends.
-        assert_eq!(unflagged.spill, vec![true, false, false, true, false]);
-        assert_eq!(unflagged.delta_payload, vec![false; 5]);
+        // 3's consumers all maintain incrementally: its delta enters the
+        // catalog although the plan did not flag it, so nothing spills.
+        // 0 has a recomputing consumer, so its delta spills for 1. Every
+        // insert-only publisher appends.
+        assert_eq!(unflagged.spill, vec![true, false, false, false, false]);
+        assert_eq!(
+            unflagged.delta_payload,
+            vec![false, false, false, true, false]
+        );
+        assert_eq!(
+            unflagged.flagged.iter().collect::<Vec<_>>(),
+            vec![NodeId(3)]
+        );
         assert_eq!(
             unflagged.append,
             vec![true, true, false, true, true],
             "2 recomputes"
         );
 
+        // The catalog still decides: under a budget smaller than 3's
+        // delta the replay refuses it, and the executor's fallback write
+        // spills the delta for 4 to read.
+        let parents: Vec<Vec<usize>> = facts
+            .iter()
+            .map(|f| f.parents.iter().map(|&(p, _)| p).collect())
+            .collect();
+        let order: Vec<NodeId> = (0..5).map(NodeId).collect();
+        let mut tight = crate::AdmissionReplay::new(&order, &unflagged.flagged, &parents, MIB - 1);
+        let steps = tight.advance(&[true; 5], &unflagged.delta_out);
+        assert_eq!(
+            steps,
+            vec![crate::CatalogStep::Decide {
+                node: 3,
+                admit: false,
+                used: 0
+            }]
+        );
+
         let flagged = run(&facts, &[0, 3], inc);
-        // 3's consumers all maintain incrementally: its catalog payload is
-        // the delta, nothing spills, and it still appends.
+        // Flagging 3 changes nothing: its payload is the delta, nothing
+        // spills, and it still appends.
         assert!(flagged.delta_payload[3] && !flagged.spill[3] && flagged.append[3]);
         // 0 has a recomputing consumer, which needs the full output in
         // the catalog: no delta payload, so the delta spills and the node

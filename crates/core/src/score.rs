@@ -49,8 +49,9 @@ pub struct ObservedNodeCost {
     /// the operator tree either way.
     pub full_compute_s_per_byte: Option<f64>,
     /// Compute seconds per output-delta byte measured on representative
-    /// incremental refreshes. `None` falls back to the full-path rate
-    /// (the delta operators do proportionally less of the same work).
+    /// incremental refreshes. `None` prices the delta path at the share of
+    /// the full path's compute its input delta is of the full path's
+    /// input (see [`CostModel::refresh_costs`]).
     pub inc_compute_s_per_byte: Option<f64>,
     /// Blocking-write seconds per byte actually persisted, from runs
     /// whose write landed on the critical path.
@@ -69,6 +70,23 @@ impl ObservedNodeCost {
     /// callers may skip the observed path entirely.
     pub fn has_compute(&self) -> bool {
         self.full_compute_s_per_byte.is_some() || self.inc_compute_s_per_byte.is_some()
+    }
+}
+
+/// The two predicted costs [`RefreshMode::Auto`](crate::RefreshMode)
+/// compares for one node ([`CostModel::refresh_costs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RefreshCosts {
+    /// Predicted seconds of recomputing the node in full.
+    pub full_s: f64,
+    /// Predicted seconds of maintaining it from its input deltas.
+    pub incremental_s: f64,
+}
+
+impl RefreshCosts {
+    /// Whether the delta path is predicted strictly cheaper.
+    pub fn incremental_wins(&self) -> bool {
+        self.incremental_s < self.full_s
     }
 }
 
@@ -124,21 +142,20 @@ impl CostModel {
         bytes as f64 / self.mem_bps
     }
 
-    /// Whether maintaining an MV incrementally is predicted to beat a full
-    /// recomputation, given `input_bytes` of (already-updated) inputs the
-    /// full path would re-read, `output_bytes` of current MV contents,
-    /// `delta_bytes` of pending changes, `static_bytes` of inputs the
-    /// incremental path *still* reads in full (the build sides of a
-    /// delta-join: the unchanged tables probed by the propagated delta; 0
-    /// for pure row-wise chains and aggregate merges), and — when the
-    /// delta can be **appended** as a segment (an insert-only,
-    /// delta-publishing shape on segmented storage) — `append_bytes`,
-    /// the estimated size of the *output* delta the append would
-    /// persist. A join spine fans its input delta out against the build
-    /// sides, so the output delta can be much larger than `delta_bytes`;
-    /// callers must pass the amplified estimate, not the input size.
-    /// `None` means the rewrite path (deletes in the stream, or an
-    /// aggregate merge).
+    /// Predicted seconds of both ways to bring an MV up to date, given
+    /// `input_bytes` of (already-updated) inputs the full path would
+    /// re-read, `output_bytes` of current MV contents, `delta_bytes` of
+    /// pending changes, `static_bytes` of inputs the incremental path
+    /// *still* reads in full (the build sides of a delta-join: the
+    /// unchanged tables probed by the propagated delta; 0 for pure
+    /// row-wise chains and aggregate merges), and — when the delta can be
+    /// **appended** as a segment (an insert-only, delta-publishing shape on
+    /// segmented storage) — `append_bytes`, the estimated size of the
+    /// *output* delta the append would persist. A join spine fans its
+    /// input delta out against the build sides, so the output delta can be
+    /// much larger than `delta_bytes`; callers must pass the amplified
+    /// estimate, not the input size. `None` means the rewrite path
+    /// (deletes in the stream, or an aggregate merge).
     ///
     /// Reads: the full path scans every input from external storage; the
     /// incremental path reads the static build sides plus delta-sized
@@ -160,15 +177,21 @@ impl CostModel {
     /// already present.
     ///
     /// Runtime feedback: when `observed` carries a compute-throughput
-    /// sample for this node shape, both sides of the comparison gain the
-    /// compute term the static model cannot see — the full path is
-    /// charged the observed per-byte rate over its whole output, the
-    /// incremental path only over its output delta. Without a sample
-    /// (`None`, or a summary with no compute signal) the decision is
-    /// bit-for-bit the static one, so a missing / corrupt / not-yet-warm
-    /// observation sidecar can never flip a decision the wrong way — it
-    /// merely leaves the static estimate in place.
-    pub fn incremental_refresh_wins(
+    /// sample for this node shape, both sides gain the compute term the
+    /// static model cannot see. The full path is charged the observed
+    /// per-output-byte rate over its whole output. The incremental path
+    /// is charged its own measured rate over its output delta; until an
+    /// incremental run has been measured, it is charged the share of the
+    /// full path's compute that its input delta is of the full path's
+    /// input (`delta_bytes / input_bytes`). The full-path rate is per
+    /// *output* byte, so applying it to a delta would price an aggregate
+    /// (tiny output, huge input) as if every delta byte cost what an
+    /// output byte does. Without a sample (`None`, or a summary with no
+    /// compute signal) the prediction is bit-for-bit the static one, so a
+    /// missing / corrupt / not-yet-warm observation sidecar can never flip
+    /// a decision the wrong way — it merely leaves the static estimate in
+    /// place.
+    pub fn refresh_costs(
         &self,
         input_bytes: u64,
         output_bytes: u64,
@@ -176,7 +199,7 @@ impl CostModel {
         static_bytes: u64,
         append_bytes: Option<u64>,
         observed: Option<&ObservedNodeCost>,
-    ) -> bool {
+    ) -> RefreshCosts {
         // Zero-byte accesses never happen (a join-free spine reads no
         // static table), so they must not be charged the fixed latency —
         // at small scales those phantom latencies would drown the real
@@ -202,16 +225,40 @@ impl CostModel {
             None => rd(output_bytes) + wr(output_bytes),
         };
         if let Some(obs) = observed.filter(|o| o.has_compute()) {
-            let full_rate = obs.full_compute_s_per_byte;
-            // Incremental operators do proportionally less of the same
-            // per-row work, so the full-path rate is the honest fallback
-            // until an incremental run has been measured.
-            let inc_rate = obs.inc_compute_s_per_byte.or(full_rate);
-            full += full_rate.unwrap_or(0.0) * output_bytes as f64;
-            let out_delta = append_bytes.unwrap_or(delta_bytes);
-            incremental += inc_rate.unwrap_or(0.0) * out_delta as f64;
+            let full_compute = obs.full_compute_s_per_byte.unwrap_or(0.0) * output_bytes as f64;
+            full += full_compute;
+            incremental += match obs.inc_compute_s_per_byte {
+                Some(rate) => rate * append_bytes.unwrap_or(delta_bytes) as f64,
+                None => full_compute * (delta_bytes as f64 / input_bytes.max(1) as f64),
+            };
         }
-        incremental < full
+        RefreshCosts {
+            full_s: full,
+            incremental_s: incremental,
+        }
+    }
+
+    /// Whether maintaining an MV incrementally is predicted to beat a full
+    /// recomputation: [`CostModel::refresh_costs`] with the same
+    /// arguments, compared.
+    pub fn incremental_refresh_wins(
+        &self,
+        input_bytes: u64,
+        output_bytes: u64,
+        delta_bytes: u64,
+        static_bytes: u64,
+        append_bytes: Option<u64>,
+        observed: Option<&ObservedNodeCost>,
+    ) -> bool {
+        self.refresh_costs(
+            input_bytes,
+            output_bytes,
+            delta_bytes,
+            static_bytes,
+            append_bytes,
+            observed,
+        )
+        .incremental_wins()
     }
 
     /// The paper's speedup score `ti` for a node of output size `size` with
@@ -377,6 +424,25 @@ mod tests {
         // leaves the static I/O decision in charge.
         let tiny = full_rate(1e-12);
         assert!(!m.incremental_refresh_wins(input, output, delta, 0, None, Some(&tiny)));
+    }
+
+    #[test]
+    fn full_path_sample_prices_an_aggregate_delta_by_its_input_share() {
+        let m = CostModel::paper();
+        // An aggregate over a join hub: 6 MiB in, 100 B out, 1 % churn on
+        // the merge path. Only a full recomputation has been measured:
+        // 2 ms, i.e. 20 µs per *output* byte.
+        let (input, output) = (6 * MIB, 100);
+        let delta = input / 100;
+        let obs = full_rate(0.002 / output as f64);
+        assert!(m.incremental_refresh_wins(input, output, delta, 0, None, None));
+        let costs = m.refresh_costs(input, output, delta, 0, None, Some(&obs));
+        assert!(costs.incremental_wins(), "{costs:?}");
+        // The delta path is charged 1 % of the full path's 2 ms, not the
+        // per-output-byte rate times 61 KiB of delta (≈ 1.3 s).
+        let stat = m.refresh_costs(input, output, delta, 0, None, None);
+        assert!((costs.full_s - stat.full_s - 0.002).abs() < 1e-12);
+        assert!((costs.incremental_s - stat.incremental_s - 0.002 * 0.01).abs() < 1e-9);
     }
 
     #[test]

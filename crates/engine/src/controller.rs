@@ -42,17 +42,21 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
+use std::path::Path;
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use sc_core::{
-    CostModel, Dispatch, Feed, ModePlan, ModeReason, NodeFacts, NodeMode, Plan, Policy, RefreshMode,
+    CostModel, Dispatch, Feed, ModePlan, ModeReason, NodeFacts, NodeMode, Plan, Policy,
+    RefreshCosts, RefreshMode,
 };
 use sc_dag::NodeId;
 
 use crate::exec::TableDelta;
 use crate::plan::{DeltaSource, LogicalPlan, TableSource};
-use crate::storage::{DeltaStore, DiskCatalog, Observation, ObservationStore};
+use crate::storage::{
+    DeltaStore, DiskCatalog, Observation, ObservationStore, StagedSave, TableStat,
+};
 use crate::table::Table;
 use crate::{EngineError, Result};
 
@@ -156,6 +160,9 @@ pub struct NodeMetrics {
     pub disk_reads: usize,
     /// Whether the mode decision was forced, estimated, or observed.
     pub cost: CostProvenance,
+    /// The predicted full and delta costs the decision compared (`None`
+    /// when the mode was forced without comparing costs).
+    pub predicted: Option<RefreshCosts>,
 }
 
 impl NodeMetrics {
@@ -179,6 +186,7 @@ impl NodeMetrics {
             memory_reads: 0,
             disk_reads: 0,
             cost: CostProvenance::Policy,
+            predicted: None,
         }
     }
 }
@@ -203,9 +211,9 @@ pub struct RunMetrics {
     /// Retained-file deletes that failed during this run's epoch GC —
     /// observable GC debt (see `DiskCatalog::gc_failed_deletes`).
     pub gc_failed_deletes: u64,
-    /// Why persisting the run's runtime observations failed, when the
-    /// caller saving them (the session's sidecar) could not. The refresh
-    /// itself succeeded; only the learned costs were not kept.
+    /// Why persisting the run's runtime observations to the sidecar
+    /// failed. The refresh itself succeeded; only the learned costs were
+    /// not kept on disk.
     pub observation_save_error: Option<String>,
 }
 
@@ -235,7 +243,8 @@ pub(crate) struct Controller<'a> {
     cost_model: CostModel,
     refresh: RefreshConfig,
     deltas: &'a DeltaStore,
-    observations: Option<&'a ObservationStore>,
+    /// The observation store and its sidecar path.
+    observations: Option<(&'a ObservationStore, &'a Path)>,
     /// Test probe: `(plan position, computed prefix)` of every compute
     /// task, in dispatch order.
     #[cfg(test)]
@@ -433,6 +442,25 @@ fn execute_incremental(
     })
 }
 
+/// Output metrics for one computed node: the in-memory output size —
+/// or, on the append path (where the full output is never materialized),
+/// the stored size after the append commits: the pre-run stored size plus
+/// the encoded segment.
+fn stored_output_metrics(pre: &TableStat, output: &Table, append: bool) -> (u64, usize, u64) {
+    if !append {
+        return (output.byte_size(), output.num_rows(), 0);
+    }
+    if output.num_rows() == 0 {
+        return (pre.bytes, pre.rows as usize, 0);
+    }
+    let seg_bytes = crate::storage::format::encoded_size(output);
+    (
+        pre.bytes + seg_bytes,
+        pre.rows as usize + output.num_rows(),
+        seg_bytes,
+    )
+}
+
 /// What a lane measured while computing one node — the plain numbers
 /// that become its [`NodeMetrics`].
 #[derive(Default)]
@@ -530,8 +558,9 @@ struct Run<'r> {
     #[cfg(test)]
     plan: &'r Plan,
     dp: &'r ModePlan,
-    /// Segment counts of the stored MVs before the run (0 when absent).
-    pre_segments: &'r [usize],
+    /// The stored MVs before the run, for appended and skipped nodes
+    /// (zero for the rest, and when absent).
+    pre: &'r [TableStat],
     snapshot: &'r HashMap<String, TableDelta>,
     /// MV name -> node index.
     index: HashMap<&'r str, usize>,
@@ -592,7 +621,7 @@ impl Run<'_> {
             delta_bytes: stats.delta_bytes,
             appended_bytes: stats.appended_bytes,
             segments: if dp.append[idx] {
-                self.pre_segments[idx] + usize::from(stats.appended_bytes > 0)
+                self.pre[idx].segments + usize::from(stats.appended_bytes > 0)
             } else {
                 1
             },
@@ -606,6 +635,7 @@ impl Run<'_> {
             memory_reads: stats.memory_reads,
             disk_reads: stats.disk_reads,
             cost: dp.cost[idx],
+            predicted: dp.predicted[idx],
         }
     }
 
@@ -632,7 +662,7 @@ impl Run<'_> {
             // Stored contents already current: nothing to write or admit,
             // readable immediately.
             let mut skipped = NodeMetrics::skipped(&mvs[idx].name);
-            skipped.segments = self.pre_segments[idx];
+            skipped.segments = self.pre[idx].segments;
             self.publish(st, idx, skipped);
         } else if is_flagged && self.children[idx].is_empty() {
             // No consumers: skip the catalog (the node is outside every
@@ -750,8 +780,7 @@ impl Run<'_> {
             stats.spill_write_s = w.elapsed().as_secs_f64();
         }
         (stats.output_bytes, stats.rows, stats.appended_bytes) =
-            self.ctrl
-                .stored_output_metrics(&mv.name, &output, dp.append[idx]);
+            stored_output_metrics(&self.pre[idx], &output, dp.append[idx]);
         Ok(ComputedNode {
             output,
             delta_table,
@@ -866,16 +895,21 @@ impl<'a> Controller<'a> {
         }
     }
 
-    /// Attaches a runtime-observation store: [`RefreshMode::Auto`]
-    /// decisions consult its per-identity summaries (falling back to the
-    /// static estimates on a fingerprint miss), and every *successful*
-    /// refresh appends the run's representative node metrics to it. A
-    /// failed run records nothing — its numbers would poison the feedback
-    /// map — and neither do fallback-mode nodes (poisoned-log or
-    /// unsupported-shape full recomputes), whose costs do not represent
+    /// Attaches a runtime-observation store and its sidecar file:
+    /// [`RefreshMode::Auto`] decisions consult its per-identity summaries
+    /// (falling back to the static estimates on a fingerprint miss), and
+    /// every *successful* refresh appends the run's representative node
+    /// metrics to it and saves it to `sidecar`. A failed run records and
+    /// saves nothing — its numbers would poison the feedback map — and
+    /// fallback-mode nodes (poisoned-log or unsupported-shape full
+    /// recomputes) are never recorded, since their costs do not represent
     /// the node's steady-state behavior.
-    pub(crate) fn with_observations(mut self, observations: &'a ObservationStore) -> Self {
-        self.observations = Some(observations);
+    pub(crate) fn with_observations(
+        mut self,
+        observations: &'a ObservationStore,
+        sidecar: &'a Path,
+    ) -> Self {
+        self.observations = Some((observations, sidecar));
         self
     }
 
@@ -942,7 +976,10 @@ impl<'a> Controller<'a> {
         let facts = match mode {
             RefreshMode::AlwaysFull => None,
             _ => {
-                let observations = self.observations.filter(|_| mode == RefreshMode::Auto);
+                let observations = self
+                    .observations
+                    .filter(|_| mode == RefreshMode::Auto)
+                    .map(|(store, _)| store);
                 mode_facts(mvs, self.disk, &snapshot, observations)
             }
         };
@@ -957,11 +994,24 @@ impl<'a> Controller<'a> {
             policy,
             &self.cost_model,
         );
-        let pre_segments: Vec<usize> = mvs
+        // What appended and skipped nodes report builds on the stored
+        // table. It is read here, before a background write can hold the
+        // catalog's io lock against a lane.
+        let pre: Vec<TableStat> = mvs
             .iter()
-            .map(|mv| self.disk.segment_count(&mv.name).unwrap_or(0))
+            .enumerate()
+            .map(|(i, mv)| {
+                if dp.append[i] || dp.modes[i] == NodeMode::Skipped {
+                    self.disk.stat(&mv.name).unwrap_or_default()
+                } else {
+                    TableStat::default()
+                }
+            })
             .collect();
-        let mut result = self.execute(mvs, plan, &edges, &dp, &pre_segments, &snapshot);
+        let (mut result, staged) = match self.execute(mvs, plan, &edges, &dp, &pre, &snapshot) {
+            Ok((run, staged)) => (Ok(run), staged),
+            Err(e) => (Err(e), None),
+        };
         // Spilled delta files are transient, scoped to one run: a stale
         // one would be mistaken for a parent delta by the next refresh.
         // Every MV's is checked, not only this run's publishers', so a
@@ -1009,42 +1059,44 @@ impl<'a> Controller<'a> {
         // Feedback commit point: only a run that reached here with Ok —
         // catalogs written, delta log consumed — may teach the adaptive
         // layer. A doomed run (or the poisoned-log retry recomputing
-        // after one) records nothing, so the sidecar stays byte-identical
-        // to a never-failed history.
-        if let (Ok(run), Some(obs)) = (&result, self.observations) {
-            self.record_observations(mvs, run, obs);
+        // after one) drops its staged save, so the sidecar stays
+        // byte-identical to a never-failed history.
+        if let (Ok(run), Some(staged), Some((store, sidecar))) =
+            (&mut result, staged, self.observations)
+        {
+            if let Err(e) = store.commit(staged) {
+                run.observation_save_error = Some(format!("{}: {e}", sidecar.display()));
+            }
         }
         result
     }
 
-    /// Appends the run's *representative* node metrics to the observation
-    /// store. Non-representative nodes are excluded: skipped nodes did no
-    /// work, fallen-back flagged nodes paid an unplanned blocking write,
-    /// and full recomputes forced by a poisoned log or an unsupported
-    /// delta shape say nothing about how the node behaves when the
-    /// planner actually gets to choose.
-    fn record_observations(&self, mvs: &[MvDefinition], run: &RunMetrics, obs: &ObservationStore) {
+    /// The run's *representative* node metrics as observation-store
+    /// entries. Non-representative nodes are excluded: skipped nodes did
+    /// no work, fallen-back flagged nodes paid an unplanned blocking
+    /// write, and full recomputes forced by a poisoned log or an
+    /// unsupported delta shape say nothing about how the node behaves
+    /// when the planner actually gets to choose.
+    fn observation_batch<'m>(
+        mvs: &[MvDefinition],
+        nodes: impl Iterator<Item = &'m NodeMetrics>,
+    ) -> Vec<(String, u64, Observation)> {
         let fingerprints: HashMap<&str, u64> = mvs
             .iter()
             .map(|m| (m.name.as_str(), m.plan.fingerprint()))
             .collect();
-        for node in &run.nodes {
-            if node.mode == NodeMode::Skipped
-                || node.fell_back
-                || matches!(
-                    node.reason,
-                    ModeReason::PoisonedLog | ModeReason::UnsupportedShape
-                )
-            {
-                continue;
-            }
-            let Some(&fp) = fingerprints.get(node.name.as_str()) else {
-                continue;
-            };
-            obs.record(
-                &node.name,
-                fp,
-                Observation {
+        nodes
+            .filter(|node| {
+                node.mode != NodeMode::Skipped
+                    && !node.fell_back
+                    && !matches!(
+                        node.reason,
+                        ModeReason::PoisonedLog | ModeReason::UnsupportedShape
+                    )
+            })
+            .filter_map(|node| {
+                let fp = *fingerprints.get(node.name.as_str())?;
+                let obs = Observation {
                     full: node.mode == NodeMode::Full,
                     rows: node.rows as u64,
                     delta_bytes: node.delta_bytes,
@@ -1053,9 +1105,10 @@ impl<'a> Controller<'a> {
                     read_s: node.read_s,
                     compute_s: node.compute_s,
                     write_s: node.write_s,
-                },
-            );
-        }
+                };
+                Some((node.name.clone(), fp, obs))
+            })
+            .collect()
     }
 
     /// Whether a batch ingested *during* the run (after its snapshot)
@@ -1092,29 +1145,6 @@ impl<'a> Controller<'a> {
         })
     }
 
-    /// Output metrics for one computed node: the in-memory output size —
-    /// or, on the append path (where the full output is never
-    /// materialized), the stored size after the append commits: the
-    /// pre-run stored size plus the encoded segment. Called at compute
-    /// time, before the node's own write, so the pre-run manifest is
-    /// still current.
-    fn stored_output_metrics(&self, name: &str, output: &Table, append: bool) -> (u64, usize, u64) {
-        if !append {
-            return (output.byte_size(), output.num_rows(), 0);
-        }
-        let pre_bytes = self.disk.size_of(name).unwrap_or(0);
-        let pre_rows = self.disk.row_count(name).unwrap_or(0) as usize;
-        if output.num_rows() == 0 {
-            return (pre_bytes, pre_rows, 0);
-        }
-        let seg_bytes = crate::storage::format::encoded_size(output);
-        (
-            pre_bytes + seg_bytes,
-            pre_rows + output.num_rows(),
-            seg_bytes,
-        )
-    }
-
     /// The refresh executor (§III-C): `lanes` lanes — the calling thread
     /// plus `lanes - 1` scoped workers — take queued blocking writes and
     /// the nodes [`sc_core::Dispatch`] lets start, and one background
@@ -1145,9 +1175,9 @@ impl<'a> Controller<'a> {
         plan: &Plan,
         edges: &[(usize, usize)],
         dp: &ModePlan,
-        pre_segments: &[usize],
+        pre: &[TableStat],
         snapshot: &HashMap<String, TableDelta>,
-    ) -> Result<RunMetrics> {
+    ) -> Result<(RunMetrics, Option<StagedSave>)> {
         let n = mvs.len();
         let lanes = self.refresh.lanes.clamp(1, n.max(1));
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -1163,7 +1193,7 @@ impl<'a> Controller<'a> {
             #[cfg(test)]
             plan,
             dp,
-            pre_segments,
+            pre,
             snapshot,
             index: mvs
                 .iter()
@@ -1194,22 +1224,40 @@ impl<'a> Controller<'a> {
         };
 
         let run_started = Instant::now();
-        let final_drain_s = std::thread::scope(|scope| {
-            scope.spawn(|| run.materialize(bg_rx));
+        let (final_drain_s, staged) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                if let Some((store, _)) = self.observations {
+                    store.release_replaced();
+                }
+                run.materialize(bg_rx)
+            });
             for _ in 1..lanes {
                 scope.spawn(|| run.lane());
             }
             run.lane();
 
             // All nodes executed; wait for outstanding materializations,
-            // then close the materializer's queue so it exits.
+            // then close the materializer's queue so it exits. Every
+            // node's metrics are final by now, so the observation sidecar
+            // is staged while the materializer writes; the run commits it
+            // only if it succeeds.
+            let staged = self.observations.and_then(|(store, sidecar)| {
+                let batch = {
+                    let st = run.lock();
+                    if st.error.is_some() {
+                        return None;
+                    }
+                    Self::observation_batch(mvs, st.metrics.iter().flatten())
+                };
+                Some(store.stage(sidecar, batch))
+            });
             let drain_started = Instant::now();
             let mut st = run.lock();
             while st.bg_pending > 0 && st.error.is_none() {
                 st = run.wake.wait(st).unwrap_or_else(|p| p.into_inner());
             }
             st.bg_tx = None;
-            drain_started.elapsed().as_secs_f64()
+            (drain_started.elapsed().as_secs_f64(), staged)
         });
 
         let mut st = run.state.into_inner().unwrap_or_else(|p| p.into_inner());
@@ -1221,7 +1269,7 @@ impl<'a> Controller<'a> {
             .iter()
             .map(|v| st.metrics[v.index()].take().expect("every node finalized"))
             .collect();
-        Ok(RunMetrics {
+        let metrics = RunMetrics {
             total_s: run_started.elapsed().as_secs_f64(),
             nodes,
             peak_memory_bytes: st.replay.peak(),
@@ -1229,7 +1277,8 @@ impl<'a> Controller<'a> {
             final_drain_s,
             gc_failed_deletes: 0,
             observation_save_error: None,
-        })
+        };
+        Ok((metrics, staged))
     }
 }
 
@@ -1277,31 +1326,34 @@ pub fn mode_facts(
         .enumerate()
         .map(|(i, m)| (m.name.as_str(), i))
         .collect();
-    let mut sizes: HashMap<String, u64> = HashMap::new();
-    let mut size_of = |table: &str| {
+    // One manifest read per table; `None` when it is not stored (or its
+    // manifest does not decode, which only a recompute repairs).
+    let mut sizes: HashMap<String, Option<u64>> = HashMap::new();
+    let mut stored = |table: &str| {
         *sizes
             .entry(table.to_string())
-            .or_insert_with(|| disk.size_of(table).unwrap_or(0))
+            .or_insert_with(|| disk.size_of(table).ok())
     };
     let facts = mvs
         .iter()
         .map(|mv| {
             let support = mv.plan.incremental_support();
             let statics = support.static_tables();
+            let mv_bytes = stored(&mv.name);
             let mut f = NodeFacts {
-                exists: disk.contains(&mv.name),
+                exists: mv_bytes.is_some(),
                 maintainable: support.maintainable(false),
                 maintainable_with_deletes: support.maintainable(true),
                 publishes: support.publishes_delta(),
                 // Segmented storage appends any insert-only delta.
                 appendable: true,
-                mv_bytes: size_of(&mv.name),
+                mv_bytes: mv_bytes.unwrap_or(0),
                 observed: observations.and_then(|o| o.summary(&mv.name, mv.plan.fingerprint())),
                 ..NodeFacts::default()
             };
             for input in mv.plan.input_tables() {
                 let is_static = statics.contains(&input);
-                let bytes = size_of(&input);
+                let bytes = stored(&input).unwrap_or(0);
                 if is_static {
                     f.static_bytes += bytes;
                 }

@@ -48,7 +48,9 @@ impl RefreshReport {
 
     /// Renders the run as a table: one row per node with its mode, its
     /// Memory Catalog placement, the delta/read/compute/write breakdown,
-    /// and the [`sc_core::ModeReason`] explaining why the node was
+    /// the full and delta costs an `Auto` decision predicted next to the
+    /// node's measured time (read + compute + blocking write), and the
+    /// [`sc_core::ModeReason`] explaining why the node was
     /// flagged/skipped/incremental — followed by run totals.
     pub fn explain(&self) -> String {
         let mut out = String::new();
@@ -65,8 +67,20 @@ impl RefreshReport {
             self.metrics.memory_budget_bytes,
         ));
         out.push_str(&format!(
-            "{:<20} {:<12} {:<6} {:>10} {:>10} {:>4} {:>8} {:>8} {:>8} {:>4}  why\n",
-            "mv", "mode", "where", "delta B", "app B", "segs", "read s", "cmpt s", "write s", "obs"
+            "{:<20} {:<12} {:<6} {:>10} {:>10} {:>4} {:>8} {:>8} {:>8} {:>4} {:>9} {:>9} {:>9}  why\n",
+            "mv",
+            "mode",
+            "where",
+            "delta B",
+            "app B",
+            "segs",
+            "read s",
+            "cmpt s",
+            "write s",
+            "obs",
+            "full ms",
+            "delta ms",
+            "took ms"
         ));
         for n in &self.metrics.nodes {
             let mode = match n.mode {
@@ -91,8 +105,17 @@ impl RefreshReport {
                 CostProvenance::Estimated => "est",
                 CostProvenance::Observed => "obs",
             };
+            // What the cost model predicted for each way, beside what the
+            // chosen one took.
+            let (full, delta) = match n.predicted {
+                Some(p) => (
+                    format!("{:.3}", p.full_s * 1e3),
+                    format!("{:.3}", p.incremental_s * 1e3),
+                ),
+                None => ("-".to_string(), "-".to_string()),
+            };
             out.push_str(&format!(
-                "{:<20} {:<12} {:<6} {:>10} {:>10} {:>4} {:>8.3} {:>8.3} {:>8.3} {:>4}  {}\n",
+                "{:<20} {:<12} {:<6} {:>10} {:>10} {:>4} {:>8.3} {:>8.3} {:>8.3} {:>4} {:>9} {:>9} {:>9.3}  {}\n",
                 n.name,
                 mode,
                 placement,
@@ -103,6 +126,9 @@ impl RefreshReport {
                 n.compute_s,
                 n.write_s,
                 obs,
+                full,
+                delta,
+                (n.read_s + n.compute_s + n.write_s) * 1e3,
                 n.reason.describe(),
             ));
         }
@@ -140,7 +166,7 @@ impl RefreshReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_core::{FlagSet, ModeReason};
+    use sc_core::{FlagSet, ModeReason, RefreshCosts};
 
     fn metrics_row(name: &str, mode: NodeMode, reason: ModeReason, flagged: bool) -> NodeMetrics {
         NodeMetrics {
@@ -164,6 +190,10 @@ mod tests {
             } else {
                 CostProvenance::Estimated
             },
+            predicted: (mode != NodeMode::Skipped).then_some(RefreshCosts {
+                full_s: 0.0125,
+                incremental_s: if mode == NodeMode::Full { 0.5 } else { 0.0007 },
+            }),
         }
     }
 
@@ -196,6 +226,16 @@ mod tests {
         assert!(text.contains("cost model"));
         assert!(text.contains("no pending change reaches it"));
         assert!(text.contains("peak memory 2048 of 4096 bytes"));
+        // Each Auto decision shows both predictions beside the measured
+        // time: here the cost model priced agg's delta path at 500 ms
+        // while its full path took 600.
+        let agg = text.lines().find(|l| l.starts_with("agg")).unwrap();
+        assert!(
+            agg.contains("12.500") && agg.contains("500.000") && agg.contains("600.000"),
+            "{agg}"
+        );
+        let quiet = text.lines().find(|l| l.starts_with("quiet")).unwrap();
+        assert!(!quiet.contains("12.500"), "{quiet}");
         assert!(
             text.contains("42 B persisted by appending"),
             "append totals surface: {text}"

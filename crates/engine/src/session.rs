@@ -171,9 +171,10 @@ struct CachedPlan {
 }
 
 /// Plan-lifecycle state. The mutex around it doubles as the refresh run
-/// lock: concurrent [`ScSession::refresh`] calls serialize (each run holds
-/// a Memory Catalog of the whole budget `M`, so two at once would hold
-/// twice that), while ingestion and reads proceed concurrently.
+/// lock: concurrent refresh runs serialize (each run holds a Memory
+/// Catalog of the whole budget `M`, so two at once would hold twice that,
+/// and each stages the observation sidecar it commits), while ingestion
+/// and reads proceed concurrently.
 struct Planner {
     cached: Option<CachedPlan>,
 }
@@ -298,6 +299,7 @@ impl ScSession {
     /// the unoptimized baseline, which doubles as the profiling run that
     /// collects execution metadata for the optimizer.
     pub fn baseline_refresh(&self) -> Result<RunMetrics> {
+        let _run_lock = self.planner.lock();
         let mvs = self.mvs();
         let order = Self::graph_of(&mvs)?.kahn_order();
         self.run_plan(&mvs, &Plan::unoptimized(order))
@@ -389,28 +391,22 @@ impl ScSession {
         self.deltas.ingest(&self.disk, table, delta)
     }
 
-    /// Executes one refresh run of `mvs` under `plan`.
+    /// Executes one refresh run of `mvs` under `plan`; the caller holds
+    /// the run lock (the planner mutex).
     fn run_plan(&self, mvs: &[MvDefinition], plan: &Plan) -> Result<RunMetrics> {
         // The session's cost model drives Auto full-vs-incremental
         // decisions too, not just speedup scores.
         let mut controller = Controller::new(&self.disk, self.memory_budget, &self.deltas)
             .with_cost_model(self.cost.clone())
             .with_refresh_config(self.refresh);
-        if let Some((store, _)) = &self.observations {
-            controller = controller.with_observations(store);
-        }
-        let mut metrics = controller.refresh(mvs, plan)?;
-        // The controller records into the store only on success, so this
-        // persists exactly the representative observations of committed
-        // runs. A failed save does not fail the refresh — the sidecar is
-        // advisory, and losing it only costs a warm-up run — but the run
-        // reports it.
+        // The controller records into the store and saves the sidecar
+        // only on success. A failed save does not fail the refresh — the
+        // sidecar is advisory, and losing it only costs a warm-up run —
+        // but the run reports it.
         if let Some((store, path)) = &self.observations {
-            if let Err(e) = store.save(path) {
-                metrics.observation_save_error = Some(format!("{}: {e}", path.display()));
-            }
+            controller = controller.with_observations(store, path);
         }
-        Ok(metrics)
+        controller.refresh(mvs, plan)
     }
 
     /// Executes a refresh run under an explicitly-held `plan` (the
@@ -423,6 +419,7 @@ impl ScSession {
     /// delta. With an empty log the run recomputes everything, exactly as
     /// before delta tracking existed — so profiling runs stay meaningful.
     pub fn refresh_with_plan(&self, plan: &Plan) -> Result<RunMetrics> {
+        let _run_lock = self.planner.lock();
         self.run_plan(&self.mvs(), plan)
     }
 

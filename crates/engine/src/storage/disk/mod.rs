@@ -105,6 +105,18 @@ use retention::{Retention, Version};
 /// total about 4 KB.
 const HEADER_PREFIX: u64 = 4096;
 
+/// What one manifest says about a stored table
+/// ([`DiskCatalog::stat`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct TableStat {
+    /// Manifest plus segment bytes, as [`DiskCatalog::size_of`] counts.
+    pub bytes: u64,
+    /// Total rows over every segment.
+    pub rows: u64,
+    /// Committed segments.
+    pub segments: usize,
+}
+
 /// A directory of segmented SCTB tables with optional I/O pacing.
 ///
 /// Catalog operations are atomic **within one instance**: an internal
@@ -781,6 +793,18 @@ impl DiskCatalog {
             pin,
             |_, m, raw| Ok(raw.len() as u64 + m.total_bytes()),
         )
+    }
+
+    /// Stored bytes, rows and segment count of `name`, from one manifest
+    /// read.
+    pub(crate) fn stat(&self, name: &str) -> Result<TableStat> {
+        self.with_manifest(name, None, |_, m, raw| {
+            Ok(TableStat {
+                bytes: raw.len() as u64 + m.total_bytes(),
+                rows: m.total_rows(),
+                segments: m.segments.len(),
+            })
+        })
     }
 
     /// Number of committed segments backing `name` (1 = canonical form).

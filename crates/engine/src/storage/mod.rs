@@ -13,5 +13,7 @@ mod disk;
 mod observe;
 
 pub use delta::DeltaStore;
+pub(crate) use disk::TableStat;
 pub use disk::{DiskCatalog, EpochPin, RetentionSubscription, Throttle};
+pub(crate) use observe::StagedSave;
 pub use observe::{Observation, ObservationStore, OBSERVATION_RING, SIDECAR_FILE};

@@ -12,6 +12,9 @@
 //! The sidecar file (`observations.scst`) follows the same discipline as
 //! SCTB manifests: a magic/version header, an FNV-1a checksum over the
 //! whole payload, a strict length check, and a tmp-file + rename commit.
+//! A refresh splits that commit in two (`stage` and `commit`): the tmp
+//! file is written while the run's background writes drain, and renamed
+//! only once the run succeeded.
 //! Unlike table data, observations are *advisory*: a missing, truncated,
 //! or bit-flipped sidecar is cleanly ignored — [`ObservationStore::load`]
 //! starts empty and the planner falls back to its static estimates, which
@@ -19,7 +22,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
 use sc_core::ObservedNodeCost;
@@ -102,11 +105,48 @@ impl Observation {
 
 type NodeKey = (String, u64);
 
+/// Appends `obs` to `key`'s ring, evicting the oldest entry beyond
+/// [`OBSERVATION_RING`].
+fn push(map: &mut BTreeMap<NodeKey, VecDeque<Observation>>, key: NodeKey, obs: Observation) {
+    let ring = map.entry(key).or_default();
+    ring.push_back(obs);
+    while ring.len() > OBSERVATION_RING {
+        ring.pop_front();
+    }
+}
+
+/// A sidecar image written to the tmp file beside the sidecar, waiting
+/// for [`ObservationStore::commit`]. Dropping it uncommitted deletes the
+/// tmp file, so a run that fails after staging persists nothing.
+#[derive(Debug)]
+#[must_use = "a staged save persists nothing until it is committed"]
+pub(crate) struct StagedSave {
+    /// `(name, fingerprint, observation)` entries the image already holds
+    /// and the store records on commit.
+    batch: Vec<(String, u64, Observation)>,
+    path: PathBuf,
+    /// The tmp file; taken by the commit.
+    tmp: Option<PathBuf>,
+    /// Whether writing the tmp file succeeded.
+    written: Result<()>,
+}
+
+impl Drop for StagedSave {
+    fn drop(&mut self) {
+        if let Some(tmp) = self.tmp.take() {
+            let _ = fs::remove_file(tmp);
+        }
+    }
+}
+
 /// Thread-safe, bounded store of per-node runtime observations, with a
 /// checksummed sidecar persistence format (see the module docs).
 #[derive(Debug, Default)]
 pub struct ObservationStore {
     inner: Mutex<BTreeMap<NodeKey, VecDeque<Observation>>>,
+    /// The image the last commit renamed over, held open so that the
+    /// rename does not free its blocks (see `release_replaced`).
+    replaced: Mutex<Option<fs::File>>,
 }
 
 impl ObservationStore {
@@ -126,18 +166,14 @@ impl ObservationStore {
             .unwrap_or_default();
         ObservationStore {
             inner: Mutex::new(map),
+            replaced: Mutex::new(None),
         }
     }
 
     /// Appends one observation to the ring for `(name, fingerprint)`,
     /// evicting the oldest entry beyond [`OBSERVATION_RING`].
     pub fn record(&self, name: &str, fingerprint: u64, obs: Observation) {
-        let mut inner = self.inner.lock();
-        let ring = inner.entry((name.to_string(), fingerprint)).or_default();
-        ring.push_back(obs);
-        while ring.len() > OBSERVATION_RING {
-            ring.pop_front();
-        }
+        push(&mut self.inner.lock(), (name.to_string(), fingerprint), obs);
     }
 
     /// Distills the ring for `(name, fingerprint)` into the summary the
@@ -222,7 +258,10 @@ impl ObservationStore {
     /// order), which is what lets tests pin "this run learned nothing"
     /// as byte-identity of the file.
     pub fn encode(&self) -> Vec<u8> {
-        let inner = self.inner.lock();
+        Self::encode_map(&self.inner.lock())
+    }
+
+    fn encode_map(inner: &BTreeMap<NodeKey, VecDeque<Observation>>) -> Vec<u8> {
         let mut payload = Vec::new();
         payload.extend_from_slice(&(inner.len() as u32).to_le_bytes());
         for ((name, fingerprint), ring) in inner.iter() {
@@ -249,11 +288,56 @@ impl ObservationStore {
     /// or the new one — never a torn file (and a torn file would be
     /// rejected by the checksum anyway).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
+        self.commit(self.stage(path.as_ref(), Vec::new()))
+    }
+
+    /// The first half of a save: writes the image the store will hold
+    /// once `batch` (`(name, fingerprint, observation)` entries) is
+    /// recorded to the sidecar's tmp file, leaving the store itself
+    /// unchanged. A write error is kept for the commit to return.
+    pub(crate) fn stage(&self, path: &Path, batch: Vec<(String, u64, Observation)>) -> StagedSave {
+        let mut image = self.inner.lock().clone();
+        for (name, fingerprint, obs) in &batch {
+            push(&mut image, (name.clone(), *fingerprint), *obs);
+        }
         let tmp = path.with_extension("scst.tmp");
-        fs::write(&tmp, self.encode())?;
-        fs::rename(&tmp, path)?;
+        let written = fs::write(&tmp, Self::encode_map(&image)).map_err(Into::into);
+        StagedSave {
+            batch,
+            path: path.to_path_buf(),
+            tmp: Some(tmp),
+            written,
+        }
+    }
+
+    /// The second half of a save: records the staged batch, then renames
+    /// the staged image over the sidecar. The batch is recorded even when
+    /// the image could not be written or renamed — the observations stay
+    /// usable in this process — and the error is returned.
+    pub(crate) fn commit(&self, mut staged: StagedSave) -> Result<()> {
+        {
+            let mut inner = self.inner.lock();
+            for (name, fingerprint, obs) in staged.batch.drain(..) {
+                push(&mut inner, (name, fingerprint), obs);
+            }
+        }
+        let tmp = staged.tmp.take().expect("a staged save commits once");
+        std::mem::replace(&mut staged.written, Ok(()))?;
+        // A rename that drops its target's last link frees the target's
+        // blocks inside the call, which costs about as much again as the
+        // rest of the save. An open handle on the old image defers that
+        // to `release_replaced`.
+        let old = fs::File::open(&staged.path).ok();
+        fs::rename(&tmp, &staged.path)?;
+        *self.replaced.lock() = old;
         Ok(())
+    }
+
+    /// Closes the image the last commit replaced, which frees its blocks.
+    /// A refresh calls it on its background materializer before the
+    /// first output arrives, where it costs the run nothing.
+    pub(crate) fn release_replaced(&self) {
+        self.replaced.lock().take();
     }
 
     /// Strict inverse of [`ObservationStore::encode`]: magic, version,
@@ -315,6 +399,37 @@ mod tests {
             compute_s,
             write_s: 0.002,
         }
+    }
+
+    #[test]
+    fn a_staged_save_goes_live_only_on_commit() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join(SIDECAR_FILE);
+        let tmp = path.with_extension("scst.tmp");
+        let store = ObservationStore::new();
+        store.record("mv_a", 7, obs(true, 4096, 0.5));
+        store.save(&path).unwrap();
+        let before = fs::read(&path).unwrap();
+        let batch = || vec![("mv_a".to_string(), 7, obs(false, 4200, 0.01))];
+
+        // Dropped uncommitted: the tmp file goes, and neither the sidecar
+        // nor the store learned anything.
+        let staged = store.stage(&path, batch());
+        assert!(tmp.is_file());
+        drop(staged);
+        assert!(!tmp.exists());
+        assert_eq!(fs::read(&path).unwrap(), before);
+        assert_eq!(store.summary("mv_a", 7).unwrap().samples, 1);
+
+        // Committed: the store records the batch, and the sidecar is the
+        // image staged for it.
+        let staged = store.stage(&path, batch());
+        let image = fs::read(&tmp).unwrap();
+        store.commit(staged).unwrap();
+        assert!(!tmp.exists());
+        assert_eq!(store.summary("mv_a", 7).unwrap().samples, 2);
+        assert_eq!(fs::read(&path).unwrap(), image);
+        assert_eq!(image, store.encode());
     }
 
     #[test]

@@ -582,16 +582,19 @@ fn build_side_churn_falls_back_to_full_recompute() {
     assert_eq!(node("web_by_item").mode, NodeMode::Skipped);
 }
 
-/// Failure path shipped untested by PR 2: an unflagged parent that
-/// publishes a delta must spill it to a transient storage file, and its
+/// An unflagged parent whose consumers all maintain incrementally puts
+/// its delta in the Memory Catalog; when that delta does not fit, it
+/// falls back to spilling it to a transient storage file, and its
 /// incremental consumers read it back from disk (off-catalog). The spill
 /// is removed at the end of the run.
 #[test]
 fn spilled_delta_is_read_back_when_consumer_is_off_catalog() {
     let mvs = mixed_workload();
-    let plan = plan_for(&mvs, &[]); // nothing flagged: no catalog payloads
-    let full = rig(32 << 20, 1, RefreshMode::AlwaysFull, &mvs);
-    let inc = rig(32 << 20, 1, RefreshMode::AlwaysIncremental, &mvs);
+    let plan = plan_for(&mvs, &[]); // nothing flagged by the plan
+                                    // A catalog smaller than hot_sales' delta: its admission fails.
+    let budget = 1 << 10;
+    let full = rig(budget, 1, RefreshMode::AlwaysFull, &mvs);
+    let inc = rig(budget, 1, RefreshMode::AlwaysIncremental, &mvs);
     refresh(&full, &plan);
     refresh(&inc, &plan);
 
@@ -600,12 +603,22 @@ fn spilled_delta_is_read_back_when_consumer_is_off_catalog() {
         churn(r, "store_sales", &spec, 17);
     }
     refresh(&full, &plan);
+    let epoch = inc.disk().current_epoch();
     let im = refresh(&inc, &plan);
     assert_eq!(mv_tables(&full, &mvs), mv_tables(&inc, &mvs));
 
     let node = |name: &str| im.nodes.iter().find(|n| n.name == name).unwrap();
     assert_eq!(node("hot_sales").mode, NodeMode::Incremental);
-    assert!(!node("hot_sales").flagged);
+    assert!(node("hot_sales").delta_bytes > budget);
+    // One commit per refreshed MV, plus the spill's write (an unpinned
+    // drop commits nothing).
+    let refreshed = im.nodes.iter().filter(|n| n.mode != NodeMode::Skipped);
+    assert_eq!(
+        inc.disk().current_epoch() - epoch,
+        refreshed.count() as u64 + 1
+    );
+    assert!(!node("hot_sales").flagged && node("hot_sales").fell_back);
+    assert_eq!(im.peak_memory_bytes, 0, "nothing was admitted");
     // Consumers maintained incrementally off-catalog. Append-path
     // consumers (bulk_hot_sales, hot_enriched) read only the spilled
     // #delta (plus join build sides) — never their own stored contents;
@@ -632,6 +645,46 @@ fn spilled_delta_is_read_back_when_consumer_is_off_catalog() {
     assert_eq!(mv_file_bytes(&full, &mvs), mv_file_bytes(&inc, &mvs));
     // The spill is transient: gone once the run ends.
     assert!(!inc.disk().contains("hot_sales#delta"));
+}
+
+/// The same parent under a budget its delta fits: although the plan
+/// flags nothing, every consumer maintains incrementally, so the delta
+/// enters the Memory Catalog and is read from there — no spill is
+/// written, and the parent's own append runs off the critical path.
+#[test]
+fn all_incremental_parent_keeps_its_delta_in_the_catalog() {
+    let mvs = mixed_workload();
+    let plan = plan_for(&mvs, &[]);
+    let full = rig(32 << 20, 1, RefreshMode::AlwaysFull, &mvs);
+    let inc = rig(32 << 20, 1, RefreshMode::AlwaysIncremental, &mvs);
+    refresh(&full, &plan);
+    refresh(&inc, &plan);
+
+    let spec = UpdateStreamSpec::inserts(0.05);
+    for r in [&full, &inc] {
+        churn(r, "store_sales", &spec, 17);
+    }
+    refresh(&full, &plan);
+    let epoch = inc.disk().current_epoch();
+    let im = refresh(&inc, &plan);
+    assert_eq!(mv_tables(&full, &mvs), mv_tables(&inc, &mvs));
+
+    let node = |name: &str| im.nodes.iter().find(|n| n.name == name).unwrap();
+    let hot = node("hot_sales");
+    assert_eq!(hot.mode, NodeMode::Incremental);
+    assert!(hot.flagged && !hot.fell_back);
+    assert_eq!(hot.write_s, 0.0, "the append is backgrounded");
+    assert!(hot.appended_bytes > 0);
+    assert!(im.peak_memory_bytes > 0 && im.peak_memory_bytes < hot.output_bytes);
+    for consumer in ["bulk_hot_sales", "hot_enriched", "sales_by_item"] {
+        assert!(node(consumer).memory_reads >= 1, "{consumer}");
+    }
+    // One commit per refreshed MV and nothing else: no delta file was
+    // written.
+    let refreshed = im.nodes.iter().filter(|n| n.mode != NodeMode::Skipped);
+    assert_eq!(inc.disk().current_epoch() - epoch, refreshed.count() as u64);
+    inc.compact_mvs().unwrap();
+    assert_eq!(mv_file_bytes(&full, &mvs), mv_file_bytes(&inc, &mvs));
 }
 
 /// A batch ingested *while* a refresh runs may already be baked into the

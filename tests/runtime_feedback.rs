@@ -31,7 +31,7 @@ use sc_engine::{DataType, Table, TableBuilder, Value};
 use sc_sim::{SimConfig, SimNode, SimWorkload, Simulator};
 use sc_workload::engine_mvs::sales_pipeline;
 use sc_workload::tpcds::TinyTpcds;
-use sc_workload::ScenarioSpec;
+use sc_workload::{ChurnRound, ScenarioSpec};
 
 /// Rows `[start, start + n)` of the `events` base table: a near-unique
 /// string key plus one numeric column the MV's projection fans out.
@@ -236,6 +236,71 @@ fn observed_compute_rate_flips_the_misranked_aggregate() {
         (expected, CostProvenance::Observed),
         "the reopened session must decide from the persisted observation"
     );
+}
+
+/// Aggregates over the join hub under Auto with warm observations: only
+/// full recomputations have been measured, and their rate is per *output*
+/// byte — tiny aggregates over a wide hub. Priced by the share of the
+/// full path's work the delta represents, an insert-only round maintains
+/// all three aggregates from their deltas, and the hub's filtered slice
+/// appends its delta. The stored bytes then match a twin that recomputes
+/// everything.
+#[test]
+fn warm_auto_maintains_the_hub_aggregates_incrementally() {
+    let session = |dir: &std::path::Path, mode: RefreshMode| {
+        let sys = ScSession::builder()
+            .storage_dir(dir)
+            .memory_budget(400 << 10) // the hub does not fit
+            .refresh_mode(mode)
+            .runtime_feedback(mode == RefreshMode::Auto)
+            .build()
+            .unwrap();
+        TinyTpcds::generate(1.0, 42).load_into(sys.disk()).unwrap();
+        for mv in sales_pipeline() {
+            sys.register_mv(mv).unwrap();
+        }
+        sys
+    };
+    let (dir, twin_dir) = (tempfile::tempdir().unwrap(), tempfile::tempdir().unwrap());
+    let auto = session(dir.path(), RefreshMode::Auto);
+    let full = session(twin_dir.path(), RefreshMode::AlwaysFull);
+    // The profiling run records one full-path observation per node.
+    assert!(auto.refresh().unwrap().profiled);
+    full.refresh().unwrap();
+    let hub = auto.disk().size_of("enriched_sales").unwrap();
+    assert!(hub > auto.memory_budget());
+
+    let round = ChurnRound::inserts(["store_sales"], 0.01, 7);
+    round.ingest_into(&auto).unwrap();
+    round.ingest_into(&full).unwrap();
+    let report = auto.refresh().unwrap();
+    full.refresh().unwrap();
+    for agg in ["rev_by_year", "rev_by_category", "premium_by_state"] {
+        let n = report.node(agg).unwrap();
+        assert_eq!(
+            (n.mode, n.reason, n.cost),
+            (
+                NodeMode::Incremental,
+                ModeReason::DeltaApplied,
+                CostProvenance::Observed
+            ),
+            "{agg}:\n{}",
+            report.explain()
+        );
+        let predicted = n.predicted.expect("an Auto decision compares costs");
+        assert!(predicted.incremental_s < predicted.full_s, "{agg}");
+    }
+    assert!(report.node("premium_sales").unwrap().appended_bytes > 0);
+
+    auto.compact_mvs().unwrap();
+    for mv in auto.mvs() {
+        assert_eq!(
+            auto.disk().stored_file_bytes(&mv.name).unwrap(),
+            full.disk().stored_file_bytes(&mv.name).unwrap(),
+            "{}",
+            mv.name
+        );
+    }
 }
 
 /// Satellite 1: a doomed run must teach the adaptive layer nothing. The
