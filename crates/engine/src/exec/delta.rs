@@ -28,7 +28,6 @@
 //!   recomputation would perform (`Avg` cannot be resumed from its stored
 //!   quotient and is not mergeable).
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use super::aggregate::Acc;
@@ -173,27 +172,19 @@ impl TableDelta {
 
     /// The delta's inserted rows as one table, in batch order — the
     /// segment an insert-only refresh appends to storage instead of
-    /// rewriting the MV. Fails if any batch removes rows (applying a
-    /// delete cannot be expressed as an append).
+    /// rewriting the MV. A one-batch delta shares its inserts' columns.
+    /// Fails if any batch removes rows (applying a delete cannot be
+    /// expressed as an append).
     pub fn insert_rows_table(&self) -> Result<Table> {
-        self.inserts().map(Cow::into_owned)
-    }
-
-    /// [`TableDelta::insert_rows_table`] without the copy where there is
-    /// nothing to concatenate: a one-batch delta lends its inserts.
-    pub(crate) fn inserts(&self) -> Result<Cow<'_, Table>> {
         if self.has_deletes() {
             return Err(EngineError::InvalidPlan(
                 "a delta with deletes cannot be applied as an append".into(),
             ));
         }
-        Ok(match self.batches.as_slice() {
-            [] => Cow::Owned(Table::empty(self.schema.clone())),
-            [batch] => Cow::Borrowed(&batch.inserts),
-            batches => Cow::Owned(Table::concat(
-                &batches.iter().map(|b| &b.inserts).collect::<Vec<_>>(),
-            )?),
-        })
+        match self.batches.as_slice() {
+            [] => Ok(Table::empty(self.schema.clone())),
+            batches => Table::concat(&batches.iter().map(|b| &b.inserts).collect::<Vec<_>>()),
+        }
     }
 
     /// Applies the delta to `table`, batch by batch: each batch first
@@ -500,7 +491,7 @@ pub fn merge_aggregate(
     let nkeys = group_by.len();
     let ins = |b: usize| &delta.batches()[b].inserts;
     let mut sources = vec![Keys::new(
-        current.columns()[..nkeys].iter().collect(),
+        current.columns()[..nkeys].iter().map(|c| &**c).collect(),
         current.num_rows(),
     )];
     let mut agg_cols: Vec<Vec<&Column>> = Vec::with_capacity(delta.batches().len());
@@ -539,14 +530,15 @@ pub fn merge_aggregate(
 
     // Existing groups in stored order (updated in place), then new groups
     // in first-seen delta order, their keys gathered from the batch that
-    // first saw them.
-    let mut columns: Vec<Column> = current.columns()[..nkeys].to_vec();
+    // first saw them. The stored key columns are shared, and copied only
+    // when new groups extend them.
+    let mut columns: Vec<Arc<Column>> = current.columns()[..nkeys].to_vec();
     // New groups are numbered in (batch, row) order, so each batch's
     // first sightings are one run.
     for run in groups.first_rows()[stored_groups..].chunk_by(|a, b| a.0 == b.0) {
         let rows: Vec<usize> = run.iter().map(|&(_, row)| row).collect();
         for (dst, key) in columns.iter_mut().zip(sources[run[0].0].columns()) {
-            dst.extend(&key.take(&rows))?;
+            Arc::make_mut(dst).extend(&key.take(&rows))?;
         }
     }
     let order: Vec<usize> = stored_group
@@ -555,9 +547,10 @@ pub fn merge_aggregate(
         .collect();
     for (j, acc) in acc.into_iter().enumerate() {
         let dtype = current.schema().fields()[nkeys + j].dtype;
-        columns.push(acc.gather(&order).into_column(dtype, "merge_aggregate")?);
+        let column = acc.gather(&order).into_column(dtype, "merge_aggregate")?;
+        columns.push(Arc::new(column));
     }
-    Table::new(current.schema().clone(), columns)
+    Table::from_shared(current.schema().clone(), columns)
 }
 
 /// Merges an **insert-only** input delta into the stored result of a

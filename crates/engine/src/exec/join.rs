@@ -22,6 +22,8 @@ pub enum JoinType {
 /// The smaller side should conventionally be `right` (the build side); the
 /// probe streams over `left`. Output columns are the left columns followed
 /// by the right columns, with right-side name collisions suffixed `_r`.
+/// When every probe row yields exactly one output row (an FK join), the
+/// output shares the probe side's columns instead of gathering them.
 pub fn hash_join(
     left: &Table,
     right: &Table,
@@ -47,41 +49,49 @@ pub fn hash_join(
     let build = JoinIndex::build(Keys::new(right_keys, right.num_rows()));
     let probe = Keys::new(left_keys, left.num_rows());
     let keys = build.probe(&probe);
-    let mut left_idx: Vec<usize> = Vec::with_capacity(left.num_rows());
-    let right_columns: Vec<Column> = match join_type {
-        JoinType::Inner => {
-            let mut right_idx: Vec<usize> = Vec::with_capacity(left.num_rows());
-            for (row, &key) in keys.iter().enumerate() {
-                if key == NONE {
-                    continue;
-                }
-                for &r in build.rows(key) {
-                    left_idx.push(row);
-                    right_idx.push(r);
-                }
-            }
-            right.columns().iter().map(|c| c.take(&right_idx)).collect()
+    let inner = join_type == JoinType::Inner;
+    // Output rows per probe row: its build matches, or one null-filled row
+    // for a left join's miss.
+    let fan = |key: usize| match key {
+        NONE => usize::from(!inner),
+        key => build.rows(key).len(),
+    };
+    // An FK join: every probe row yields exactly one output row. The
+    // output's left half is then the probe side itself, so its columns
+    // pass through and only the build side is gathered.
+    let mut columns: Vec<Arc<Column>> = if keys.iter().all(|&key| fan(key) == 1) {
+        left.columns().to_vec()
+    } else {
+        let mut left_idx: Vec<usize> = Vec::with_capacity(left.num_rows());
+        for (row, &key) in keys.iter().enumerate() {
+            left_idx.resize(left_idx.len() + fan(key), row);
         }
-        JoinType::Left => {
-            let mut right_idx: Vec<Option<usize>> = Vec::with_capacity(left.num_rows());
-            for (row, &key) in keys.iter().enumerate() {
-                if key == NONE {
-                    left_idx.push(row);
-                    right_idx.push(None);
-                    continue;
-                }
-                for &r in build.rows(key) {
-                    left_idx.push(row);
-                    right_idx.push(Some(r));
-                }
+        left.columns()
+            .iter()
+            .map(|c| Arc::new(c.take(&left_idx)))
+            .collect()
+    };
+    if inner {
+        let mut right_idx: Vec<usize> = Vec::with_capacity(left.num_rows());
+        for &key in keys.iter().filter(|&&key| key != NONE) {
+            right_idx.extend_from_slice(build.rows(key));
+        }
+        columns.extend(right.columns().iter().map(|c| Arc::new(c.take(&right_idx))));
+    } else {
+        let mut right_idx: Vec<Option<usize>> = Vec::with_capacity(left.num_rows());
+        for &key in &keys {
+            match key {
+                NONE => right_idx.push(None),
+                key => right_idx.extend(build.rows(key).iter().copied().map(Some)),
             }
+        }
+        columns.extend(
             right
                 .columns()
                 .iter()
-                .map(|c| take_optional(c, &right_idx))
-                .collect()
-        }
-    };
+                .map(|c| Arc::new(take_optional(c, &right_idx))),
+        );
+    }
 
     // Assemble output schema: left fields, then right fields (deduped).
     let mut fields: Vec<Field> = Vec::with_capacity(left.num_columns() + right.num_columns());
@@ -94,13 +104,7 @@ pub fn hash_join(
         };
         fields.push(Field::new(name, f.dtype));
     }
-
-    let mut columns: Vec<Column> = Vec::with_capacity(fields.len());
-    for c in left.columns() {
-        columns.push(c.take(&left_idx));
-    }
-    columns.extend(right_columns);
-    Table::new(Arc::new(Schema::new(fields)?), columns)
+    Table::from_shared(Arc::new(Schema::new(fields)?), columns)
 }
 
 /// Gathers rows where present, null-filling gaps (left-join misses) with
@@ -151,6 +155,85 @@ mod tests {
         t.push_row(vec![1.into(), "alice".into()]).unwrap();
         t.push_row(vec![2.into(), "bob".into()]).unwrap();
         t
+    }
+
+    /// `hash_join`'s output, asserted equal to a nested-loop join: for each
+    /// left row in order, its matching right rows in order; a left join's
+    /// miss gets the type's null.
+    fn checked_join(left: &Table, right: &Table, on: (usize, usize), join_type: JoinType) -> Table {
+        let out = hash_join(
+            left,
+            right,
+            &[(
+                left.schema().fields()[on.0].name.clone(),
+                right.schema().fields()[on.1].name.clone(),
+            )],
+            join_type,
+        )
+        .unwrap();
+        let mut expected = Table::empty(out.schema().clone());
+        let values = |t: &Table, row: usize| -> Vec<Value> {
+            (0..t.num_columns()).map(|c| t.value(row, c)).collect()
+        };
+        for l in 0..left.num_rows() {
+            let mut matched = false;
+            for r in 0..right.num_rows() {
+                if left.value(l, on.0) == right.value(r, on.1) {
+                    matched = true;
+                    let mut row = values(left, l);
+                    row.extend(values(right, r));
+                    expected.push_row(row).unwrap();
+                }
+            }
+            if !matched && join_type == JoinType::Left {
+                let mut row = values(left, l);
+                row.extend(right.schema().fields().iter().map(|f| match f.dtype {
+                    DataType::Int64 => Value::Int64(0),
+                    DataType::Utf8 => Value::Utf8(String::new()),
+                    other => panic!("no null for {other}"),
+                }));
+                expected.push_row(row).unwrap();
+            }
+        }
+        assert_eq!(out, expected);
+        out
+    }
+
+    fn shares_probe_columns(out: &Table, probe: &Table) -> bool {
+        probe
+            .columns()
+            .iter()
+            .zip(out.columns())
+            .all(|(p, o)| Arc::ptr_eq(p, o))
+    }
+
+    #[test]
+    fn an_fk_join_shares_the_probe_columns() {
+        // Every order but 103 has exactly one customer.
+        let fk = orders().take_rows(&[0, 1, 2]).unwrap();
+        let out = checked_join(&fk, &customers(), (1, 0), JoinType::Inner);
+        assert!(shares_probe_columns(&out, &fk));
+        // A left join's misses emit one row each, so order 103 passes too.
+        let probe = orders();
+        let out = checked_join(&probe, &customers(), (1, 0), JoinType::Left);
+        assert_eq!(out.num_rows(), 4);
+        assert!(shares_probe_columns(&out, &probe));
+    }
+
+    #[test]
+    fn fan_out_and_inner_misses_gather_the_probe_side() {
+        // Customer 1 has two orders: its row is repeated.
+        let probe = customers();
+        for join_type in [JoinType::Inner, JoinType::Left] {
+            let out = checked_join(&probe, &orders(), (0, 1), join_type);
+            assert_eq!(out.num_rows(), 3);
+            assert!(!shares_probe_columns(&out, &probe));
+        }
+        // Order 103 has no customer: an inner join drops its row.
+        let probe = orders();
+        let out = checked_join(&probe, &customers(), (1, 0), JoinType::Inner);
+        assert_eq!(out.num_rows(), 3);
+        assert!(!shares_probe_columns(&out, &probe));
     }
 
     #[test]

@@ -200,7 +200,10 @@ impl<'a> Keys<'a> {
 
     /// Every column of `table` as the key (full-row equality).
     pub(crate) fn rows(table: &'a crate::Table) -> Self {
-        Keys::new(table.columns().iter().collect(), table.num_rows())
+        Keys::new(
+            table.columns().iter().map(|c| &**c).collect(),
+            table.num_rows(),
+        )
     }
 
     /// Number of rows.

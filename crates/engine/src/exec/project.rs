@@ -12,16 +12,20 @@ pub fn filter(input: &Table, predicate: &Expr) -> Result<Table> {
     input.filter_rows(mask)
 }
 
-/// Evaluates `(expr, output name)` pairs into a new table.
+/// Evaluates `(expr, output name)` pairs into a new table; a bare column
+/// reference shares the input's column.
 pub fn project(input: &Table, exprs: &[(Expr, String)]) -> Result<Table> {
     let mut fields = Vec::with_capacity(exprs.len());
     let mut columns = Vec::with_capacity(exprs.len());
     for (expr, name) in exprs {
-        let col = expr.evaluate(input)?;
+        let col = match expr {
+            Expr::Column(c) => Arc::clone(&input.columns()[input.schema().index_of(c)?]),
+            expr => Arc::new(expr.evaluate(input)?),
+        };
         fields.push(Field::new(name.clone(), col.data_type()));
         columns.push(col);
     }
-    Table::new(Arc::new(Schema::new(fields)?), columns)
+    Table::from_shared(Arc::new(Schema::new(fields)?), columns)
 }
 
 #[cfg(test)]

@@ -256,9 +256,8 @@ impl TableSource for HashMap<String, Arc<Table>> {
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
-    /// The whole table: narrowing a table already in memory would copy
-    /// the columns it keeps. The names are checked as a stored read
-    /// checks them.
+    /// The whole table: one already in memory costs nothing to hand out
+    /// whole. The names are checked as a stored read checks them.
     fn projected(&self, name: &str, columns: &[String]) -> Result<Arc<Table>> {
         let table = self.table(name)?;
         for column in columns {
@@ -512,10 +511,9 @@ impl LogicalPlan {
 
     /// Executes the plan against `source`, materializing the result.
     ///
-    /// Scans borrow: an operator reads its input through the source's
-    /// `Arc` instead of a copy of the table. Only a plan whose root is a
-    /// bare `Scan` materializes a copy (the caller asked for an owned
-    /// table and the source keeps its own).
+    /// Scans share: a scan's table holds the source's own columns
+    /// (cloning a [`Table`] costs O(columns)), so no input table is ever
+    /// copied, not even by a plan whose root is a bare `Scan`.
     ///
     /// Scans read only the columns the plan above them reads. The set is
     /// derived top down: the root reads every column; `Aggregate` and
@@ -525,18 +523,16 @@ impl LogicalPlan {
     /// scan whose set is empty (an operator that names no column still
     /// needs the row count) reads every column too.
     pub fn execute<S: TableSource + ?Sized>(&self, source: &S) -> Result<Table> {
-        Ok(Arc::unwrap_or_clone(self.evaluate(source, None)?))
+        self.evaluate(source, None)
     }
 
     /// Evaluates the plan bottom-up, its consumer reading `reads` of its
-    /// output (`None`: every column). A `Scan` hands out the source's own
-    /// `Arc`; every other operator borrows its inputs and returns a fresh
-    /// (uniquely owned) result.
+    /// output (`None`: every column).
     fn evaluate<S: TableSource + ?Sized>(
         &self,
         source: &S,
         reads: Option<Vec<String>>,
-    ) -> Result<Arc<Table>> {
+    ) -> Result<Table> {
         // The set a passing operator reads: its consumer's plus its own.
         let plus = |own: Vec<String>| {
             reads.clone().map(|mut cols| {
@@ -544,24 +540,23 @@ impl LogicalPlan {
                 cols
             })
         };
-        let out = match self {
-            LogicalPlan::Scan { table } => {
-                return match reads {
-                    Some(cols) if !cols.is_empty() => source.projected(table, &cols),
-                    _ => source.table(table),
-                }
+        match self {
+            LogicalPlan::Scan { table } => match reads {
+                Some(cols) if !cols.is_empty() => source.projected(table, &cols),
+                _ => source.table(table),
             }
+            .map(Arc::unwrap_or_clone),
             LogicalPlan::Filter { input, predicate } => {
                 let mut own = Vec::new();
                 predicate.referenced_columns(&mut own);
-                exec::filter(&*input.evaluate(source, plus(own))?, predicate)
+                exec::filter(&input.evaluate(source, plus(own))?, predicate)
             }
             LogicalPlan::Project { input, exprs } => {
                 let mut cols = Vec::new();
                 for (expr, _) in exprs {
                     expr.referenced_columns(&mut cols);
                 }
-                exec::project(&*input.evaluate(source, Some(cols))?, exprs)
+                exec::project(&input.evaluate(source, Some(cols))?, exprs)
             }
             LogicalPlan::Join {
                 left,
@@ -569,8 +564,8 @@ impl LogicalPlan {
                 on,
                 join_type,
             } => exec::hash_join(
-                &*left.evaluate(source, None)?,
-                &*right.evaluate(source, None)?,
+                &left.evaluate(source, None)?,
+                &right.evaluate(source, None)?,
                 on,
                 *join_type,
             ),
@@ -588,24 +583,23 @@ impl LogicalPlan {
                     .iter()
                     .map(|a| (a.func, a.column.clone(), a.alias.clone()))
                     .collect();
-                exec::aggregate(&*input.evaluate(source, Some(cols))?, group_by, &triples)
+                exec::aggregate(&input.evaluate(source, Some(cols))?, group_by, &triples)
             }
-            LogicalPlan::Distinct { input } => exec::distinct(&*input.evaluate(source, None)?),
+            LogicalPlan::Distinct { input } => exec::distinct(&input.evaluate(source, None)?),
             LogicalPlan::Sort { input, keys } => {
                 let own = keys.iter().map(|k| k.column.clone()).collect();
-                exec::sort_by(&*input.evaluate(source, plus(own))?, keys)
+                exec::sort_by(&input.evaluate(source, plus(own))?, keys)
             }
             LogicalPlan::TopK { input, keys, n } => {
                 let own = keys.iter().map(|k| k.column.clone()).collect();
-                exec::top_k(&*input.evaluate(source, plus(own))?, keys, *n)
+                exec::top_k(&input.evaluate(source, plus(own))?, keys, *n)
             }
-            LogicalPlan::Limit { input, n } => exec::limit(&*input.evaluate(source, reads)?, *n),
+            LogicalPlan::Limit { input, n } => exec::limit(&input.evaluate(source, reads)?, *n),
             LogicalPlan::Union { left, right } => exec::union_all(
-                &*left.evaluate(source, None)?,
-                &*right.evaluate(source, None)?,
+                &left.evaluate(source, None)?,
+                &right.evaluate(source, None)?,
             ),
-        };
-        out.map(Arc::new)
+        }
     }
 }
 

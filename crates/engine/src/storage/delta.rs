@@ -182,7 +182,7 @@ impl DeltaStore {
     pub(crate) fn ingest(&self, disk: &DiskCatalog, table: &str, delta: TableDelta) -> Result<()> {
         let mut g = self.inner.lock();
         if !delta.has_deletes() && disk.segment_count(table)? < MAX_BASE_SEGMENTS {
-            disk.append_table(table, &*delta.inserts()?)?;
+            disk.append_table(table, &delta.insert_rows_table()?)?;
         } else {
             let base = disk.read_table(table)?;
             if base.schema() != delta.schema() {

@@ -11,23 +11,34 @@ mod filter_props;
 
 /// An immutable-schema, columnar table (the unit the catalogs store and the
 /// operators consume/produce).
+///
+/// Columns are reference-counted: cloning a table costs O(columns), and an
+/// operator whose output column equals an input column hands that column
+/// on ([`Table::from_shared`]) instead of copying it. Mutation
+/// ([`Table::push_row`]) is copy-on-write, so it never changes a table
+/// that shares the column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Arc<Schema>,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
     num_rows: usize,
 }
 
 impl Table {
     /// Creates a table from a schema and matching columns.
     pub fn new(schema: Arc<Schema>, columns: Vec<Column>) -> Result<Self> {
+        Table::from_shared(schema, columns.into_iter().map(Arc::new).collect())
+    }
+
+    /// [`Table::new`] over columns that may be shared with other tables.
+    pub fn from_shared(schema: Arc<Schema>, columns: Vec<Arc<Column>>) -> Result<Self> {
         if schema.len() != columns.len() {
             return Err(EngineError::ArityMismatch {
                 expected: schema.len(),
                 got: columns.len(),
             });
         }
-        let num_rows = columns.first().map(Column::len).unwrap_or(0);
+        let num_rows = columns.first().map(|c| c.len()).unwrap_or(0);
         for (f, c) in schema.fields().iter().zip(&columns) {
             if f.dtype != c.data_type() {
                 return Err(EngineError::TypeMismatch {
@@ -55,7 +66,7 @@ impl Table {
         let columns = schema
             .fields()
             .iter()
-            .map(|f| Column::empty(f.dtype))
+            .map(|f| Arc::new(Column::empty(f.dtype)))
             .collect();
         Table {
             schema,
@@ -89,8 +100,8 @@ impl Table {
         Ok(&self.columns[self.schema.index_of(name)?])
     }
 
-    /// All columns.
-    pub fn columns(&self) -> &[Column] {
+    /// All columns, each shareable with another table.
+    pub fn columns(&self) -> &[Arc<Column>] {
         &self.columns
     }
 
@@ -114,7 +125,7 @@ impl Table {
             }
         }
         for (c, v) in self.columns.iter_mut().zip(row) {
-            c.push(v).expect("validated above");
+            Arc::make_mut(c).push(v).expect("validated above");
         }
         self.num_rows += 1;
         Ok(())
@@ -127,12 +138,12 @@ impl Table {
 
     /// Total in-memory footprint in bytes (the `si` the optimizer sees).
     pub fn byte_size(&self) -> u64 {
-        self.columns.iter().map(Column::byte_size).sum()
+        self.columns.iter().map(|c| c.byte_size()).sum()
     }
 
     /// A new table keeping only rows where `mask` is true: the kept
     /// rows' indices are built once and every column gathers them; a mask
-    /// that keeps every row returns a clone.
+    /// that keeps every row shares every column.
     pub fn filter_rows(&self, mask: &[bool]) -> Result<Table> {
         if mask.len() != self.num_rows {
             return Err(EngineError::ArityMismatch {
@@ -159,11 +170,15 @@ impl Table {
         Table::new(self.schema.clone(), columns)
     }
 
-    /// Concatenates tables with identical schemas.
+    /// Concatenates tables with identical schemas; one table is shared,
+    /// not copied.
     pub fn concat(tables: &[&Table]) -> Result<Table> {
         let first = tables
             .first()
             .ok_or_else(|| EngineError::InvalidPlan("concat requires at least one table".into()))?;
+        if let [only] = tables {
+            return Ok((*only).clone());
+        }
         if let Some(t) = tables.iter().find(|t| t.schema != first.schema) {
             return Err(EngineError::TypeMismatch {
                 expected: first.schema.to_string(),
@@ -177,8 +192,8 @@ impl Table {
             .iter()
             .enumerate()
             .map(|(i, f)| {
-                let parts: Vec<&Column> = tables.iter().map(|t| &t.columns[i]).collect();
-                Column::concat(f.dtype, &parts)
+                let parts: Vec<&Column> = tables.iter().map(|t| &*t.columns[i]).collect();
+                Column::concat(f.dtype, &parts).map(Arc::new)
             })
             .collect::<Result<_>>()?;
         Ok(Table {
@@ -286,6 +301,23 @@ mod tests {
         assert_eq!(t.column(0).len(), 3, "no partial row may remain");
         // Wrong arity.
         assert!(t.push_row(vec![4.into()]).is_err());
+    }
+
+    #[test]
+    fn push_row_on_a_clone_leaves_the_original_unchanged() {
+        let original = sample();
+        let mut copy = original.clone();
+        for (a, b) in original.columns().iter().zip(copy.columns()) {
+            assert!(Arc::ptr_eq(a, b), "a clone shares every column");
+        }
+        copy.push_row(vec![4.into(), "dave".into(), 6.5.into()])
+            .unwrap();
+        assert_eq!(original, sample());
+        assert_eq!(copy.num_rows(), 4);
+        assert_eq!(copy.value(3, 1), Value::Utf8("dave".into()));
+        for (a, b) in original.columns().iter().zip(copy.columns()) {
+            assert!(!Arc::ptr_eq(a, b), "the push copied the shared column");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sc_engine::{DataType, Table, TableBuilder, Value};
+use sc_engine::{Column, DataType, Table, TableBuilder, Value};
 
 /// A generated miniature TPC-DS dataset.
 #[derive(Debug)]
@@ -166,7 +166,8 @@ pub fn store(n: usize, rng: &mut StdRng) -> Table {
     t
 }
 
-/// A sales fact table (shared schema for store/catalog/web sales).
+/// A sales fact table (shared schema for store/catalog/web sales). Values
+/// are drawn row by row and collected a column at a time.
 pub fn sales_fact(
     rows: usize,
     n_items: usize,
@@ -174,26 +175,29 @@ pub fn sales_fact(
     n_stores: usize,
     rng: &mut StdRng,
 ) -> Table {
-    let mut t = TableBuilder::new()
+    let schema = TableBuilder::new()
         .column("ss_item_sk", DataType::Int64)
         .column("ss_customer_sk", DataType::Int64)
         .column("ss_store_sk", DataType::Int64)
         .column("ss_sold_date_sk", DataType::Int64)
         .column("ss_quantity", DataType::Int64)
         .column("ss_sales_price", DataType::Float64)
-        .build();
+        .build()
+        .schema()
+        .clone();
+    let mut keys: [Vec<i64>; 5] = std::array::from_fn(|_| Vec::with_capacity(rows));
+    let mut price = Vec::with_capacity(rows);
     for _ in 0..rows {
-        t.push_row(vec![
-            Value::Int64(rng.gen_range(0..n_items as i64)),
-            Value::Int64(rng.gen_range(0..n_customers as i64)),
-            Value::Int64(rng.gen_range(0..n_stores as i64)),
-            Value::Int64(rng.gen_range(0..DATE_ROWS as i64)),
-            Value::Int64(rng.gen_range(1..100)),
-            Value::Float64((rng.gen_range(100..50000) as f64) / 100.0),
-        ])
-        .expect("schema-consistent row");
+        keys[0].push(rng.gen_range(0..n_items as i64));
+        keys[1].push(rng.gen_range(0..n_customers as i64));
+        keys[2].push(rng.gen_range(0..n_stores as i64));
+        keys[3].push(rng.gen_range(0..DATE_ROWS as i64));
+        keys[4].push(rng.gen_range(1..100));
+        price.push((rng.gen_range(100..50000) as f64) / 100.0);
     }
-    t
+    let mut columns: Vec<Column> = keys.into_iter().map(Column::Int64).collect();
+    columns.push(Column::Float64(price));
+    Table::new(schema, columns).expect("schema-consistent columns")
 }
 
 #[cfg(test)]
@@ -250,6 +254,56 @@ mod tests {
             a.table("store_sales").unwrap(),
             c.table("store_sales").unwrap()
         );
+    }
+
+    /// `sales_fact` as a row-at-a-time generator: one `push_row` per row.
+    fn sales_fact_by_rows(
+        rows: usize,
+        n_items: usize,
+        n_customers: usize,
+        n_stores: usize,
+        rng: &mut StdRng,
+    ) -> Table {
+        // Zero rows draw nothing: an empty table with the fact schema.
+        let mut t = sales_fact(0, n_items, n_customers, n_stores, rng);
+        for _ in 0..rows {
+            t.push_row(vec![
+                Value::Int64(rng.gen_range(0..n_items as i64)),
+                Value::Int64(rng.gen_range(0..n_customers as i64)),
+                Value::Int64(rng.gen_range(0..n_stores as i64)),
+                Value::Int64(rng.gen_range(0..DATE_ROWS as i64)),
+                Value::Int64(rng.gen_range(1..100)),
+                Value::Float64((rng.gen_range(100..50000) as f64) / 100.0),
+            ])
+            .unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn generate_matches_a_row_wise_reference() {
+        for seed in [1, 7] {
+            let ds = TinyTpcds::generate(1.0, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut expected = vec![
+                ("date_dim", date_dim()),
+                ("item", item(ITEM_ROWS, &mut rng)),
+                ("customer", customer(CUSTOMER_ROWS, &mut rng)),
+                ("store", store(STORE_ROWS, &mut rng)),
+            ];
+            for (name, rows) in [
+                ("store_sales", STORE_SALES_ROWS),
+                ("catalog_sales", CATALOG_SALES_ROWS),
+                ("web_sales", WEB_SALES_ROWS),
+            ] {
+                let t = sales_fact_by_rows(rows, ITEM_ROWS, CUSTOMER_ROWS, STORE_ROWS, &mut rng);
+                expected.push((name, t));
+            }
+            assert_eq!(ds.tables().len(), expected.len());
+            for (name, table) in expected {
+                assert_eq!(**ds.table(name).unwrap(), table, "{name}, seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,17 @@
-//! Scans borrow: `LogicalPlan::Scan` hands operators the source's
-//! `Arc<Table>`, so executing a plan over a large table never holds a
+//! Columns share: a table's columns are reference-counted, so
+//! `LogicalPlan::Scan` hands operators the source's own columns, and an
+//! operator whose output column equals an input column hands that
+//! column on. So executing a plan over a large table never holds a
 //! second copy of it. A counting global allocator (hence a test binary
 //! of its own, with a single test so nothing else allocates alongside)
 //! measures the high-water mark of live heap bytes while a plan runs;
 //! with small outputs it must stay below half the input table's size.
 //! The table is few rows by many columns, so what operators keep per
 //! row (masks, hash entries) is several times smaller than that bound
-//! and only a copy of the table can cross it.
+//! and only a copy of the table can cross it. Plans whose output *is*
+//! the input's columns (a bare scan, an all-pass filter, a bare-column
+//! projection, an FK join's probe side) must stay within a few words a
+//! row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -125,10 +130,71 @@ fn plans_over_a_shared_table_never_hold_a_second_copy() {
         "delta join: {extra} B live at peak over a {size} B build side"
     );
 
-    // A bare-scan root is the one plan that materializes a copy: the
-    // caller gets an owned table and the source keeps its own.
-    let (copy, extra) = peak_extra(|| LogicalPlan::scan("big").execute(&source).unwrap());
-    assert_eq!(copy, *big);
-    assert!(extra >= size);
-    assert_eq!(Arc::strong_count(&big), 2, "the source's and this test's");
+    // Plans whose output passes the big table's columns through hold
+    // only per-row state (a mask, hashes, match indices and the gathered
+    // build columns: under 8 words a row) and per-column handles, never
+    // the table's bytes. The dimension is keyed by `g`, so every row of
+    // `big` meets exactly one of its rows: an FK join.
+    let mut dim = TableBuilder::new()
+        .column("dk", DataType::Int64)
+        .column("label", DataType::Int64)
+        .build();
+    for i in (0..8i64).rev() {
+        dim.push_row(vec![Value::Int64(i), Value::Int64(i * 7)])
+            .unwrap();
+    }
+    let source: HashMap<String, Arc<Table>> = HashMap::from([
+        ("big".to_string(), Arc::clone(&big)),
+        ("dim".to_string(), Arc::new(dim)),
+    ]);
+    let rows = big.num_rows() as u64;
+    let per_row = rows * 8 * 8;
+    assert!(
+        per_row * 4 < size,
+        "the bound must separate rows from bytes"
+    );
+    let half: Vec<(Expr, String)> = (0..64)
+        .map(|c| (Expr::col(format!("p{c}")), format!("q{c}")))
+        .collect();
+    // Each plan with the input columns its output starts with.
+    let all = 0..big.num_columns();
+    let passing = [
+        ("bare scan root", LogicalPlan::scan("big"), all.clone()),
+        (
+            "all-pass filter",
+            LogicalPlan::scan("big").filter(Expr::col("k").ge(Expr::lit(0i64))),
+            all.clone(),
+        ),
+        (
+            "bare-column projection",
+            LogicalPlan::scan("big").project(half),
+            2..66,
+        ),
+        (
+            "FK join (the probe side passes through)",
+            LogicalPlan::scan("big").join(
+                LogicalPlan::scan("dim"),
+                vec![("g".to_string(), "dk".to_string())],
+            ),
+            all,
+        ),
+    ];
+    for (what, plan, shared) in passing {
+        let (out, extra) = peak_extra(|| plan.execute(&source).unwrap());
+        assert_eq!(out.num_rows(), big.num_rows(), "{what}");
+        assert!(
+            extra < per_row,
+            "{what}: {extra} B live at peak over {rows} rows of a {size} B input"
+        );
+        let pairs = out.columns().iter().zip(&big.columns()[shared.clone()]);
+        assert_eq!(pairs.len(), shared.len(), "{what}");
+        for (o, b) in pairs {
+            assert!(Arc::ptr_eq(o, b), "{what}: an input column was copied");
+        }
+    }
+    assert_eq!(
+        Arc::strong_count(&big),
+        3,
+        "the two sources' and this test's"
+    );
 }
